@@ -1,7 +1,6 @@
 """Command-line front end: experiments, kernel cache, invariant runner.
 
-Commands (``polyshannon <command> --config <path> [--out <dir>] [--seed <u64>]
-[--threads <n>]``):
+Commands (``polyshannon <command> --config <path> [--out <dir>] [--seed <u64>]``):
 
 * ``kernel1d``          synthesize one Shannon-type kernel; emit table file,
                         CSV samples, and a text summary (margin, tail,
@@ -56,6 +55,11 @@ from .spherical import (
 )
 from .strip import random_strip_field, reconstruct_strip
 from .tbspline import (
+    CancellationError,
+    ConditioningError,
+    ConvergenceError,
+    EFAccuracyError,
+    EFStructureError,
     ef_zeros,
     euler_frobenius,
     euler_spline,
@@ -97,7 +101,6 @@ class ExperimentConfig:
     j_max: int = 6
     queries: int = 1000
     seed: int = DEFAULT_SEED
-    threads: int = 1
     tol: float = 0.0  # 0 = per-command default
     csv_step: int = 8
     k_min: int = 8
@@ -108,8 +111,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if self.queries < 1:
             raise ConfigError("queries must be >= 1")
         if self.csv_step < 1:
@@ -127,7 +128,7 @@ class ExperimentConfig:
 
 
 _INT_KEYS = {"k", "n", "p", "dim", "K", "per_unit", "span", "half_width",
-             "j_min", "j_max", "queries", "seed", "threads", "csv_step",
+             "j_min", "j_max", "queries", "seed", "csv_step",
              "k_min", "k_max"}
 _FLOAT_KEYS = {"tol"}
 
@@ -713,6 +714,15 @@ def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
 # entry point
 # --------------------------------------------------------------------------
 
+#: numerical failures that the input spectrum or configuration causes: exit 2
+_INPUT_NUMERICAL_ERRORS = (
+    CancellationError,
+    ConditioningError,
+    ConvergenceError,
+    EFAccuracyError,
+    EFStructureError,
+)
+
 _COMMANDS = {
     "kernel1d": cmd_kernel1d,
     "zeros": cmd_zeros,
@@ -732,15 +742,12 @@ def main(argv=None) -> int:
     parser.add_argument("--config", type=Path, default=None)
     parser.add_argument("--out", type=Path, default=Path("polyshannon-out"))
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        if args.threads is not None:
-            cfg = replace(cfg, threads=args.threads)
         cfg.validate()
         if cfg.mode is not None and cfg.mode != args.command:
             raise ConfigError(
@@ -757,6 +764,11 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg, out)
     except NotSamplableError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except _INPUT_NUMERICAL_ERRORS as exc:
+        # one line even when the message carries an array repr
+        print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}",
+              file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

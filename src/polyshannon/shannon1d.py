@@ -24,6 +24,7 @@ translates biorthogonalize those of Q.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,7 +33,7 @@ import numpy as np
 
 from .spectrum import SpectrumVector
 from .tables import interp6
-from .tbspline import _qn_grid, tb_exact, tb_fourier, tb_integer_values
+from .tbspline import _qn_grid, tb_chebyshev, tb_fourier, tb_integer_values
 
 __all__ = [
     "KernelTable",
@@ -154,6 +155,7 @@ def dual_fourier(spectrum: SpectrumVector, xi):
 
 _KERNEL_KINDS = ("interp", "dual")
 _MAGIC = b"PSKT"
+_HEAD = "<4sHBBHHIiQ"
 
 
 @dataclass(frozen=True)
@@ -191,7 +193,7 @@ class KernelTable:
         f64 values.  Floats round-trip bit-exactly.
         """
         head = struct.pack(
-            "<4sHBBHHIiQ",
+            _HEAD,
             _MAGIC,
             1,
             _KERNEL_KINDS.index(self.kind),
@@ -206,17 +208,38 @@ class KernelTable:
             struct.pack("<dII", v, m, 0) for v, m in self.spectrum.entries
         )
         data = np.ascontiguousarray(self.values, dtype="<f8").tobytes()
-        Path(path).write_bytes(head + body + data)
+        # a reader never sees a half-written file: write aside, then rename
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_bytes(head + body + data)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     @classmethod
     def load(cls, path) -> "KernelTable":
+        """Read a table written by :meth:`save`.
+
+        Raises ValueError on any malformed file: short header, wrong magic or
+        version, unknown kind, or a length that disagrees with the header.
+        """
         raw = Path(path).read_bytes()
-        head_size = struct.calcsize("<4sHBBHHIiQ")
+        head_size = struct.calcsize(_HEAD)
+        if len(raw) < head_size:
+            raise ValueError(f"kernel table {path} is shorter than its header")
         magic, version, kind_idx, _, n_entries, _, per_unit, t_min, n_values = (
-            struct.unpack("<4sHBBHHIiQ", raw[:head_size])
+            struct.unpack(_HEAD, raw[:head_size])
         )
         if magic != _MAGIC or version != 1:
             raise ValueError(f"not a kernel table file: {path}")
+        if kind_idx >= len(_KERNEL_KINDS):
+            raise ValueError(f"kernel table {path} has unknown kind {kind_idx}")
+        size = head_size + 16 * n_entries + 8 * n_values
+        if len(raw) != size:
+            raise ValueError(
+                f"kernel table {path} holds {len(raw)} bytes, its header says {size}"
+            )
         offset = head_size
         entries = []
         for _ in range(n_entries):
@@ -342,12 +365,16 @@ def cardinal_series(table: KernelTable, j_min: int, coeffs, t):
 
 
 def tb_superposition(spectrum: SpectrumVector, j_min: int, coeffs, t):
-    """sum_j c_j Q_N(t - j): an exact element of V_0, for ground-truth checks."""
+    """sum_j c_j Q_N(t - j): an exact element of V_0, for ground-truth checks.
+
+    ``coeffs`` holds c_{j_min}, c_{j_min+1}, ... along its last axis and may be
+    complex; a 2-D array gives one superposition per row, shape
+    (rows,) + t.shape.  All translates come from one (shifts x points) matrix
+    of :func:`~polyshannon.tbspline.tb_chebyshev` values.
+    """
+    c = np.asarray(coeffs)
     t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    out = np.zeros_like(t_arr)
-    for offset, c in enumerate(np.asarray(coeffs, dtype=float)):
-        if c != 0.0:
-            out += c * tb_exact(spectrum, t_arr - (j_min + offset))
-    return float(out[0]) if scalar else out
+    shifts = j_min + np.arange(c.shape[-1], dtype=float)
+    q = tb_chebyshev(spectrum)(t_arr.reshape(-1) - shifts[:, None])
+    out = (c @ q).reshape(c.shape[:-1] + t_arr.shape)
+    return out.item() if out.ndim == 0 else out

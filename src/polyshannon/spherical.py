@@ -34,7 +34,7 @@ from scipy.special import eval_legendre, lpmv
 
 from .shannon1d import KernelTable, SamplingGrid, sampled_symbol, synthesize_kernel, tb_superposition
 from .spectrum import SpectrumVector, radial_spectrum
-from .tbspline import tb_exact, tb_fourier
+from .tbspline import tb_fourier
 
 __all__ = [
     "BoundaryTailWarning",
@@ -356,19 +356,13 @@ class SyntheticPolyspline:
         evaluated once per degree -- this is what keeps dense query sets
         affordable for stiff high-degree spectra.
         """
-        n_i = self.coeffs.shape[1]
         out = np.zeros((self.coeffs.shape[0], len(v)))
         for k in range(self.degree_max + 1):
             lo = sph_index(k, 1)
             hi = sph_index(k, 2 * k + 1) + 1
             block = self.coeffs[lo:hi]
-            if not np.any(block):
-                continue
-            sv = self.spectrum(k)
-            qmat = np.stack(
-                [tb_exact(sv, v - (self.i_min + i)) for i in range(n_i)]
-            )
-            out[lo:hi] = block @ qmat
+            if np.any(block):
+                out[lo:hi] = tb_superposition(self.spectrum(k), self.i_min, block, v)
         return out
 
     def eval(self, r, directions) -> np.ndarray:

@@ -227,11 +227,9 @@ class SyntheticStripField:
         return strip_spectrum(math.sqrt(_norm_key(math.hypot(*kappa))), self.smoothness)
 
     def profile(self, mode_index: int, t) -> np.ndarray:
-        sv = self.spectrum(mode_index)
-        c = self.coeffs[mode_index]
-        re = tb_superposition(sv, self.i_min, c.real, t)
-        im = tb_superposition(sv, self.i_min, c.imag, t)
-        return re + 1j * im
+        return tb_superposition(
+            self.spectrum(mode_index), self.i_min, self.coeffs[mode_index], t
+        )
 
     def eval(self, t, ys) -> np.ndarray:
         """Field values at (t_q, y_q); real for conjugate-symmetric coefficients."""

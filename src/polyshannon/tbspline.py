@@ -20,6 +20,11 @@ other):
   a middle regime and refuses beyond that (:class:`CancellationError`).
 * :func:`tb_piecewise` -- the same data reorganized as explicit exponential
   polynomials per unit interval; cheap repeated evaluation and derivatives.
+* :func:`tb_chebyshev` -- one chopped Chebyshev series per unit interval,
+  sampled once per spectrum from the piecewise form in mpmath and evaluated
+  in float64 by Clenshaw.  No stiffness cap and no per-point mpmath work, so
+  kernel grids and ground-truth superpositions run on it; :func:`tb_exact`
+  stays the independent reference it is tested against.
 * :func:`tb_tabulate`  -- FFT inversion of the Fourier form with an asymptotic
   correction for the truncated spectral tail.  No cancellation at any
   stiffness, which is exactly why it exists.
@@ -54,6 +59,7 @@ __all__ = [
     "EFStructureError",
     "EFPolynomial",
     "PiecewiseExpSpline",
+    "TbChebyshev",
     "TbTable",
     "cancellation_severity",
     "ef_contour",
@@ -62,6 +68,7 @@ __all__ = [
     "euler_spline",
     "euler_spline_resolvent",
     "green_power_sum",
+    "tb_chebyshev",
     "tb_exact",
     "tb_fourier",
     "tb_integer_values",
@@ -103,7 +110,7 @@ class ContourDomainError(ValueError):
 
 
 class ConvergenceError(ArithmeticError):
-    """An adaptive quadrature failed to settle."""
+    """An adaptive quadrature or Chebyshev series failed to settle."""
 
 
 def cancellation_severity(spectrum: SpectrumVector) -> float:
@@ -335,7 +342,7 @@ def _qn_grid(spectrum: SpectrumVector, per_unit: int) -> np.ndarray:
     """Q_N on the grid l/per_unit, l = 0..N*per_unit, stiffness-uncapped."""
     n = spectrum.order
     t = np.arange(n * per_unit + 1, dtype=float) / per_unit
-    vals = _qn_any(spectrum, t)
+    vals = tb_chebyshev(spectrum)(t)
     vals.flags.writeable = False
     return vals
 
@@ -585,25 +592,205 @@ def tb_piecewise(spectrum: SpectrumVector) -> PiecewiseExpSpline:
             "piecewise coefficients would be pure cancellation noise"
         )
     entries, beta = _system_float(spectrum)
-    n = spectrum.order
+    return PiecewiseExpSpline(
+        spectrum, 0, _local_coeffs(entries, beta, spectrum.order, math.exp)
+    )
+
+
+def _local_coeffs(entries, beta, n: int, exp) -> tuple:
+    """Q_N's blocks (l, coeffs) on each [m, m+1), m = 0..n-1, generic field.
+
+    On [m, m+1) only the Green translates beta_j g(t - j), j <= m, are
+    switched on; re-expanding t^s e^{l t} about u = t - m gives the local
+    coefficient of u^r e^{l u}.
+    """
+    zero = beta[0] * 0
     pieces = []
     for m in range(n):
         blocks = []
         for li, cvec in entries:
-            mult = len(cvec)
-            coeffs = [0.0] * mult
+            coeffs = [zero] * len(cvec)
             for j in range(m + 1):
-                delta = float(m - j)
-                w = beta[j] * math.exp(li * delta)
-                for s in range(mult):
-                    cs = cvec[s]
-                    if cs == 0.0:
+                delta = m - j
+                w = beta[j] * exp(li * delta)
+                for s, cs in enumerate(cvec):
+                    if cs == 0:
                         continue
                     for r in range(s + 1):
                         coeffs[r] += w * cs * math.comb(s, r) * delta ** (s - r)
             blocks.append((li, tuple(coeffs)))
         pieces.append(tuple(blocks))
-    return PiecewiseExpSpline(spectrum, 0, tuple(pieces))
+    return tuple(pieces)
+
+
+# --------------------------------------------------------------------------
+# piecewise Chebyshev form
+# --------------------------------------------------------------------------
+
+#: Chebyshev degree of the first sampling pass; doubled on nested points
+#: until every interval's series is chopped, up to the last value
+_CHEB_FIRST = 16
+_CHEB_MAX = 1024
+
+
+@dataclass(frozen=True, eq=False)
+class TbChebyshev:
+    """Q_N as one Chebyshev series per unit interval [m, m+1), m = 0..N-1.
+
+    ``coeffs[m][k]`` multiplies T_k(2u - 1) with u = t - m.  Evaluation is
+    float64 Clenshaw and keeps :func:`tb_exact`'s conventions: zero outside
+    [0, N), left-closed knots, a float for a scalar argument.
+    """
+
+    spectrum: SpectrumVector
+    coeffs: tuple[np.ndarray, ...]
+
+    def __call__(self, t):
+        t_arr = np.asarray(t, dtype=float)
+        out = np.zeros(t_arr.shape)
+        flat_t, flat_out = t_arr.reshape(-1), out.reshape(-1)
+        cell = np.floor(flat_t)
+        for m, c in enumerate(self.coeffs):
+            sel = np.flatnonzero(cell == m)
+            if sel.size:
+                flat_out[sel] = _clenshaw(c, 2.0 * (flat_t[sel] - m) - 1.0)
+        return float(out) if out.ndim == 0 else out
+
+
+def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k c_k T_k(x) by Clenshaw's recurrence."""
+    b1 = np.zeros_like(x)
+    b2 = np.zeros_like(x)
+    two_x = 2.0 * x
+    for ck in c[:0:-1]:
+        b1, b2 = ck + two_x * b1 - b2, b1
+    return c[0] + x * b1 - b2
+
+
+def _cheb_coeffs(vals: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients from values at x_j = cos(pi j / n), j = 0..n (rows)."""
+    n = vals.shape[-1] - 1
+    ext = np.concatenate([vals, vals[..., n - 1 : 0 : -1]], axis=-1)
+    c = np.fft.rfft(ext, axis=-1).real / n
+    c[..., 0] /= 2.0
+    c[..., n] /= 2.0
+    return c
+
+
+def _standard_chop(coeffs: np.ndarray, tol: float) -> int | None:
+    """How many leading coefficients to keep, or None if the series is unresolved.
+
+    Chebfun's ``standardChop`` (Aurentz & Trefethen, ACM TOMS 43, 2017): find
+    a plateau in the monotone envelope of |c_k| below about tol^(2/3), then cut
+    where the envelope, tilted slightly towards low degree, is least.
+    """
+    if tol >= 1.0:
+        return 1
+    n = len(coeffs)
+    if n < 17:
+        return None
+    env = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
+    if env[0] == 0.0:
+        return 1
+    env = env / env[0]
+    log_tol = math.log(tol)
+    for j in range(2, n + 1):  # 1-based, as in the reference
+        j2 = math.floor(1.25 * j + 5.5)
+        if j2 > n:
+            return None
+        e1, e2 = env[j - 1], env[j2 - 1]
+        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - math.log(e1) / log_tol):
+            plateau = j - 1
+            break
+    if env[plateau - 1] == 0.0:
+        return plateau
+    floor = tol ** (7.0 / 6.0)
+    j3 = int(np.sum(env >= floor))
+    if j3 < j2:
+        j2 = j3 + 1
+        env[j2 - 1] = floor
+    tilted = np.log10(env[:j2]) + np.linspace(0.0, -math.log10(tol) / 3.0, j2)
+    return max(int(np.argmin(tilted)), 1)
+
+
+def _sample_local(pieces, us) -> np.ndarray:
+    """Every piece's exp-polynomial at the mp points ``us``: (pieces, len(us)).
+
+    The products u^s e^{l u} are shared by all pieces, so each point costs one
+    exponential per distinct frequency and one dot product per piece.
+    """
+    flat = [[c for _, cs in blocks for c in cs] for blocks in pieces]
+    out = np.empty((len(pieces), len(us)))
+    for j, u in enumerate(us):
+        basis = []
+        for li, cs in pieces[0]:
+            e = mp.exp(li * u)
+            for _ in cs:
+                basis.append(e)
+                e *= u
+        for m, row in enumerate(flat):
+            out[m, j] = float(mp.fdot(basis, row))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _cheb_points(deg: int, dps: int, odd: bool) -> tuple:
+    """u_j = (1 + cos(pi j / deg)) / 2 for j = 0..deg, or only the odd j, in mpmath.
+
+    The same points serve every spectrum whose precision rounds up to ``dps``.
+    """
+    with mp.workdps(dps):
+        js = range(1, deg, 2) if odd else range(deg + 1)
+        return tuple(mp.cos(mp.pi * j / (2 * deg)) ** 2 for j in js)
+
+
+@lru_cache(maxsize=None)
+def tb_chebyshev(spectrum: SpectrumVector) -> TbChebyshev:
+    """Q_N as chopped Chebyshev series, sampled once per spectrum.
+
+    The local exp-polynomials of :func:`tb_piecewise` are assembled in
+    mpmath at the precision :func:`tb_exact` would use, sampled at Chebyshev
+    points (doubling on nested points) and rounded once to float64, so there
+    is no stiffness cap and no cancellation in the float evaluation.  Each
+    interval is chopped by Chebfun's rule relative to max|Q| over the whole
+    support.  Raises :class:`ConvergenceError` if some interval is still
+    unresolved at degree ``_CHEB_MAX``.
+    """
+    n = spectrum.order
+    dps = _hp_dps(cancellation_severity(spectrum))
+    points_dps = -(-dps // 20) * 20
+    entries, beta = _system_hp(spectrum, dps)
+    eps = np.finfo(float).eps
+    with mp.workdps(dps):
+        pieces = _local_coeffs(entries, beta, n, mp.exp)
+        deg = _CHEB_FIRST
+        vals = _sample_local(pieces, _cheb_points(deg, points_dps, False))
+        while True:
+            coeffs = _cheb_coeffs(vals)
+            local = np.max(np.abs(vals), axis=1)
+            scale = float(np.max(local))
+            cuts = [
+                _standard_chop(c, eps * max(1.0, scale / v) if v > 0.0 else 1.0)
+                for c, v in zip(coeffs, local)
+            ]
+            if None not in cuts:
+                break
+            if deg >= _CHEB_MAX:
+                raise ConvergenceError(
+                    f"Chebyshev series of {spectrum} unresolved at degree {deg}"
+                )
+            # the points of degree 2*deg are the old ones plus the odd ones
+            odd = _sample_local(pieces, _cheb_points(2 * deg, points_dps, True))
+            merged = np.empty((n, 2 * deg + 1))
+            merged[:, 0::2] = vals
+            merged[:, 1::2] = odd
+            vals, deg = merged, 2 * deg
+    chopped = []
+    for c, cut in zip(coeffs, cuts):
+        c = c[:cut].copy()
+        c.flags.writeable = False
+        chopped.append(c)
+    return TbChebyshev(spectrum, tuple(chopped))
 
 
 # --------------------------------------------------------------------------

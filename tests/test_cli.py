@@ -69,6 +69,13 @@ def test_malformed_value_rejected(tmp_path):
         parse_config(path)
 
 
+def test_threads_key_is_unknown(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("threads = 2\n")
+    with pytest.raises(ConfigError, match="unknown config key 'threads'"):
+        parse_config(path)
+
+
 def test_config_digest_tracks_every_field(tmp_path):
     base = ExperimentConfig()
     assert config_digest(base) != config_digest(replace(base, seed=1))
@@ -98,6 +105,16 @@ def test_odd_order_spectrum_exits_2(tmp_path, capsys):
     assert "even order N = 2p" in capsys.readouterr().err
 
 
+def test_near_coincident_frequencies_exit_2_without_traceback(tmp_path, capsys):
+    cfg = tmp_path / "close.cfg"
+    cfg.write_text("frequencies = 0 1e-10 3 -3\n")
+    code = main(["kernel1d", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConditioningError: ")
+    assert err.count("\n") == 1
+
+
 # --- kernel1d -----------------------------------------------------------------
 
 def test_kernel1d_outputs_and_cache(tmp_path, capsys):
@@ -122,6 +139,21 @@ def test_kernel1d_cache_is_bit_stable(tmp_path):
     blob = next((out / "kernels").glob("*.pskt")).read_bytes()
     main(["kernel1d", "--out", str(out)])
     assert next((out / "kernels").glob("*.pskt")).read_bytes() == blob
+
+
+def test_truncated_cache_entry_is_rebuilt(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("K = 1\np = 2\nqueries = 20\nj_min = -4\nj_max = 4\n")
+    out = tmp_path / "o"
+    argv = ["reconstruct-sphere", "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 0
+    entries = sorted((out / "kernels").glob("*.pskt"))
+    good = entries[0].read_bytes()
+    entries[0].write_bytes(good[:20])
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert entries[0].read_bytes() == good
+    assert sorted((out / "kernels").iterdir()) == entries  # no temporary left
 
 
 # --- zeros --------------------------------------------------------------------

@@ -265,6 +265,24 @@ def test_load_rejects_garbage(tmp_path):
         KernelTable.load(path)
 
 
+@pytest.mark.parametrize("damage", [
+    lambda raw: raw[:20],                      # short header
+    lambda raw: raw[:4] + b"\x02\x00" + raw[6:],  # unknown version
+    lambda raw: raw[:6] + b"\x07" + raw[7:],    # unknown kind index
+    lambda raw: raw[:-8],                      # short body
+    lambda raw: raw + b"\x00",                 # trailing byte
+    lambda raw: b"",
+])
+def test_load_rejects_malformed_tables_with_value_error(tmp_path, damage):
+    tab = synthesize_kernel(CUBIC, grid=SamplingGrid(per_unit=16, span=64),
+                            half_width=8)
+    path = tmp_path / "kernel.pskt"
+    tab.save(path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ValueError):
+        KernelTable.load(path)
+
+
 def test_sampling_grid_validation():
     with pytest.raises(ValueError):
         SamplingGrid(per_unit=4)

@@ -19,18 +19,22 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import BSpline
 
+from polyshannon.cli import _battery
+from polyshannon.shannon1d import tb_superposition
 from polyshannon.spectrum import SpectrumVector
 from polyshannon import tbspline as tbs
 from polyshannon.tbspline import (
     CancellationError,
     ConditioningError,
     ContourDomainError,
+    ConvergenceError,
     ef_contour,
     ef_zeros,
     euler_frobenius,
     euler_spline,
     euler_spline_resolvent,
     green_power_sum,
+    tb_chebyshev,
     tb_exact,
     tb_fourier,
     tb_integer_values,
@@ -193,6 +197,19 @@ def test_piecewise_matches_exact():
     assert np.max(np.abs(tb_piecewise(sv)(ts) - tb_exact(sv, ts))) < 1e-12
 
 
+@pytest.mark.parametrize("freqs", [
+    [0.0, 0.0, 0.0, 0.0],
+    [1.0, 1.0, -2.0],
+    [-1.5, -1.5, 1.5, 1.5, 0.0],
+    [-0.7],
+])
+def test_piecewise_matches_exact_with_multiplicities(freqs):
+    sv = SV(freqs)
+    ts = np.linspace(-0.5, sv.order + 0.5, 301)
+    ref = tb_exact(sv, ts)
+    assert np.max(np.abs(tb_piecewise(sv)(ts) - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
 def test_smoothness_at_knots():
     # C^{N-2} joins; the (N-1)st derivative jumps by beta_0 = prod e^{-lam} at 0
     sv = SV([1.0, -0.5, 0.0, 0.25])
@@ -257,6 +274,85 @@ def test_cancellation_cap():
 def test_near_coincident_frequencies_rejected():
     with pytest.raises(ConditioningError):
         tb_exact(SV([0.0, 1e-10]), 0.5)
+
+
+# --- piecewise Chebyshev -----------------------------------------------------
+
+def test_chebyshev_matches_mpmath_green_sum_on_battery():
+    # the independent reference is the mpmath Green's-function sum at the
+    # precision tb_exact escalates to, whatever the spectrum's stiffness
+    classical, strips, radial = _battery()
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for sv in classical + strips + radial:
+        t = rng.uniform(0.0, sv.order, 200)
+        ref = tbs._qn_hp_arr(sv, t, tbs._hp_dps(tbs.cancellation_severity(sv)))
+        err = np.max(np.abs(tb_chebyshev(sv)(t) - ref)) / np.max(np.abs(ref))
+        worst = max(worst, err)
+    assert worst <= 1e-13
+
+
+def test_chebyshev_edge_conventions():
+    for freqs in ([0.0, 0.0], [2.0, -3.0, 0.5], [-8.0, 8.0, 0.0, 0.0]):
+        sv = SV(freqs)
+        n = sv.order
+        cheb = tb_chebyshev(sv)
+        peak = np.max(np.abs(cheb(np.linspace(0.0, n, 101))))
+        outside = cheb(np.array([-1.0, -1e-12, n, n + 1e-9, n + 3.0, np.nan]))
+        assert np.array_equal(outside, np.zeros(6))
+        assert abs(cheb(0.0)) <= 1e-15 * peak  # left-closed, continuous for N >= 2
+        assert isinstance(cheb(0.5), float)
+        assert cheb(np.zeros((2, 3))).shape == (2, 3)
+    lam = -0.8
+    first = tb_chebyshev(SV([lam]))
+    assert first(0.0) == pytest.approx(math.exp(-lam), rel=1e-15)
+    assert first(1.0) == 0.0
+    ts = np.linspace(0.0, 0.999, 21)
+    assert np.allclose(first(ts), np.exp(lam * (ts - 1.0)), rtol=1e-15, atol=0.0)
+
+
+def test_chebyshev_is_cached_per_spectrum():
+    assert tb_chebyshev(SV([1.0, -1.0])) is tb_chebyshev(SV([-1.0, 1.0]))
+
+
+def test_chebyshev_unresolved_degree_raises(monkeypatch):
+    tb_chebyshev.cache_clear()
+    monkeypatch.setattr(tbs, "_CHEB_MAX", tbs._CHEB_FIRST)
+    try:
+        with pytest.raises(ConvergenceError):
+            tb_chebyshev(SV([9.0, -9.0]))
+    finally:
+        tb_chebyshev.cache_clear()
+
+
+def test_chebyshev_rejects_near_coincident_frequencies():
+    with pytest.raises(ConditioningError):
+        tb_chebyshev(SV([0.0, 1e-10, 3.0, -3.0]))
+
+
+def test_superposition_complex_equals_real_plus_imaginary():
+    sv = SV([-2.0, 2.0])
+    rng = np.random.default_rng(9)
+    c = rng.uniform(-1.0, 1.0, 9) + 1j * rng.uniform(-1.0, 1.0, 9)
+    t = np.linspace(-5.0, 6.0, 157)
+    got = tb_superposition(sv, -4, c, t)
+    want = tb_superposition(sv, -4, c.real, t) + 1j * tb_superposition(sv, -4, c.imag, t)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    rows = tb_superposition(sv, -4, np.stack([c, 2.0 * c]), t)
+    assert rows.shape == (2, len(t))
+    assert np.max(np.abs(rows[0] - got)) <= 1e-15 * np.max(np.abs(got))
+    assert np.max(np.abs(rows[1] - 2.0 * got)) <= 1e-15 * np.max(np.abs(got))
+    assert isinstance(tb_superposition(sv, -4, c.real, 0.3), float)
+    assert isinstance(tb_superposition(sv, -4, c, 0.3), complex)
+
+
+def test_superposition_matches_exact_translates():
+    sv = SV([16.0, -17.0])  # severity 34: tb_exact runs in mpmath
+    c = np.random.default_rng(4).uniform(-1.0, 1.0, 6)
+    t = np.linspace(-3.0, 5.0, 81)
+    want = sum(ci * tb_exact(sv, t - (-2 + i)) for i, ci in enumerate(c))
+    got = tb_superposition(sv, -2, c, t)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # --- tabulation ---------------------------------------------------------------
