@@ -84,6 +84,10 @@ __all__ = [
 SEVERITY_FLOAT_MAX = 12.0
 SEVERITY_EXACT_MAX = 80.0
 
+#: close frequencies cost the Green's-function sum digits of their own (see
+#: _gap_digits); above this many the exact evaluator leaves float64
+GAP_DIGITS_FLOAT_MAX = 1.0
+
 #: distinct frequencies closer than this make the partial-fraction system
 #: numerically meaningless (they should have been merged into a multiplicity)
 MIN_FREQ_GAP = 1e-8
@@ -223,6 +227,29 @@ def _hp_dps(severity: float) -> int:
 
 
 @lru_cache(maxsize=None)
+def _gap_digits(spectrum: SpectrumVector) -> float:
+    """Digits the Green's-function sum loses to close frequencies.
+
+    Partial-fraction coefficients grow like 1/prod|l_i - l_j|^{mu_j}, and
+    the O(1) result is what is left after they cancel, so log10 of the
+    largest one is the loss.  Zero for well-separated spectra.
+    """
+    _check_gaps(spectrum)
+    lams = [v for v, _ in spectrum.entries]
+    mults = [m for _, m in spectrum.entries]
+    biggest = max(
+        abs(a) for _, avec in _green_terms(lams, mults, 1.0) for a in avec
+    )
+    return max(0.0, math.log10(biggest))
+
+
+def _exact_dps(spectrum: SpectrumVector) -> int:
+    """mpmath precision keeping ~25 clean digits of the Green's-function sum."""
+    sev = cancellation_severity(spectrum)
+    return _hp_dps(sev) + math.ceil(_gap_digits(spectrum))
+
+
+@lru_cache(maxsize=None)
 def _system_hp(spectrum: SpectrumVector, dps: int):
     _check_gaps(spectrum)
     with mp.workdps(dps):
@@ -299,9 +326,9 @@ def _qn_hp_arr(spectrum: SpectrumVector, t: np.ndarray, dps: int) -> np.ndarray:
 def _qn_any(spectrum: SpectrumVector, t: np.ndarray) -> np.ndarray:
     """Internal evaluator with no stiffness cap (escalates precision as needed)."""
     sev = cancellation_severity(spectrum)
-    if sev <= SEVERITY_FLOAT_MAX:
+    if sev <= SEVERITY_FLOAT_MAX and _gap_digits(spectrum) <= GAP_DIGITS_FLOAT_MAX:
         return _qn_float_arr(spectrum, t)
-    return _qn_hp_arr(spectrum, t, _hp_dps(sev))
+    return _qn_hp_arr(spectrum, t, _exact_dps(spectrum))
 
 
 def tb_exact(spectrum: SpectrumVector, t):
@@ -309,7 +336,8 @@ def tb_exact(spectrum: SpectrumVector, t):
 
     Raises :class:`CancellationError` when max|lambda|*N exceeds
     ``SEVERITY_EXACT_MAX``; between ``SEVERITY_FLOAT_MAX`` and that cap the
-    sum runs in scaled-up precision, below it in plain float64.  Values
+    sum runs in scaled-up precision, below it in plain float64 unless close
+    frequencies would cost more than ``GAP_DIGITS_FLOAT_MAX`` digits.  Values
     outside [0, N) are exactly zero (left-closed convention: Q(0) = 0 for
     N >= 2, and the first-order kernel has Q(0) = e^{-lambda}).
     """
@@ -757,7 +785,7 @@ def tb_chebyshev(spectrum: SpectrumVector) -> TbChebyshev:
     unresolved at degree ``_CHEB_MAX``.
     """
     n = spectrum.order
-    dps = _hp_dps(cancellation_severity(spectrum))
+    dps = _exact_dps(spectrum)
     points_dps = -(-dps // 20) * 20
     entries, beta = _system_hp(spectrum, dps)
     eps = np.finfo(float).eps
@@ -999,7 +1027,7 @@ def _ef_reference_value(spectrum: SpectrumVector, lam: float) -> float:
     if sev <= SEVERITY_FLOAT_MAX:
         phi = euler_spline_resolvent(spectrum, 0.0, lam)
         return sign * math.exp(spectrum.freq_sum()) * lam ** (n - 1) * phi
-    dps = _hp_dps(sev)
+    dps = _exact_dps(spectrum)
     entries, beta = _system_hp(spectrum, dps)
     with mp.workdps(dps):
         lam_mp = mp.mpf(lam)

@@ -132,6 +132,18 @@ def test_recursion_oracle_property(lams, new_lam, t):
     assert abs(tb_exact(full, t) - conv_oracle(base, new_lam, t)) < 1e-11 * scale
 
 
+def test_recursion_oracle_close_frequencies():
+    # nearly coincident frequencies blow up the partial fractions, so the
+    # Green's-function sum must leave float64 for them
+    for lams, new_lam in (([0.0, 0.003], 0.0), ([0.0, 0.001], 0.0), ([1.0], 1.002)):
+        base = SV(lams)
+        full = SV(lams + [new_lam])
+        for t in np.linspace(0.05, base.order + 0.95, 9):
+            assert tb_exact(full, t) == pytest.approx(
+                conv_oracle(base, new_lam, t), abs=1e-12
+            )
+
+
 def test_classical_matches_scipy_bspline():
     rng = np.random.default_rng(7)
     for n in (2, 3, 4, 6, 8):
