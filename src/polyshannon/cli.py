@@ -49,7 +49,6 @@ from .shannon1d import (
 from .spectrum import SpectrumVector, radial_spectrum, strip_spectrum
 from .spherical import (
     decay_check,
-    radial_kernel,
     random_polyspline_field,
     reconstruct_spherical,
 )
@@ -320,6 +319,12 @@ def cached_kernel(
     return tab, path, False
 
 
+def _kernel_source(cfg: ExperimentConfig, out: Path):
+    """spectrum -> KernelTable on the config grid, through the on-disk cache."""
+    cache = out / "kernels"
+    return lambda sv: cached_kernel(sv, cfg.per_unit, cfg.span, cfg.half_width, cache)[0]
+
+
 # --------------------------------------------------------------------------
 # commands
 # --------------------------------------------------------------------------
@@ -418,6 +423,25 @@ def _sphere_queries(rng, count):
     return r, d
 
 
+def _finish_recon(out: Path, name: str, cfg: ExperimentConfig, t0: float,
+                  coord: np.ndarray, abs_err: np.ndarray, max_err: float,
+                  rms: float) -> None:
+    """Write ``<name>.csv`` (error row, whole-command runtime) and
+    ``<name>-plot.dat`` (error against the sorted query coordinate)."""
+    runtime = time.perf_counter() - t0
+    _write_csv(
+        out / f"{name}.csv",
+        ["K", "j_range", "max_err", "rms_err", "runtime"],
+        [[str(cfg.K), f"{cfg.j_min}..{cfg.j_max}", repr(max_err), repr(rms),
+          repr(runtime)]],
+    )
+    plot_lines = [
+        f"{repr(float(coord[i]))} {repr(float(abs_err[i]))}"
+        for i in np.argsort(coord)
+    ]
+    (out / f"{name}-plot.dat").write_text("\n".join(plot_lines) + "\n")
+
+
 def cmd_reconstruct_sphere(cfg: ExperimentConfig, out: Path) -> int:
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
@@ -426,32 +450,14 @@ def cmd_reconstruct_sphere(cfg: ExperimentConfig, out: Path) -> int:
     )
     fld = gen.sphere_field(cfg.j_min, cfg.j_max)
     r, d = _sphere_queries(rng, cfg.queries)
-    kernels = tuple(
-        cached_kernel(
-            radial_spectrum(k, cfg.n, cfg.p), cfg.per_unit, cfg.span,
-            cfg.half_width, out / "kernels",
-        )[0]
-        for k in range(cfg.K + 1)
-    )
-    got = reconstruct_spherical(fld, r, d, kernels=kernels)
+    got = reconstruct_spherical(fld, r, d, kernel=_kernel_source(cfg, out))
     want = gen.eval(r, d)
     scale = float(np.max(np.abs(want)))
     abs_err = np.abs(got - want)
     max_err = float(np.max(abs_err)) / scale
     rms = float(np.sqrt(np.mean(abs_err**2))) / scale
-    runtime = time.perf_counter() - t0
+    _finish_recon(out, "recon-sphere", cfg, t0, r, abs_err / scale, max_err, rms)
     tol = cfg.tol if cfg.tol > 0.0 else 1e-4
-    _write_csv(
-        out / "recon-sphere.csv",
-        ["K", "j_range", "max_err", "rms_err", "runtime"],
-        [[str(cfg.K), f"{cfg.j_min}..{cfg.j_max}", repr(max_err), repr(rms),
-          repr(runtime)]],
-    )
-    order = np.argsort(r)
-    plot_lines = [
-        f"{repr(float(r[i]))} {repr(float(abs_err[i] / scale))}" for i in order
-    ]
-    (out / "recon-sphere-plot.dat").write_text("\n".join(plot_lines) + "\n")
     print(
         f"seed {cfg.seed}  K {cfg.K}  spheres {cfg.j_min}..{cfg.j_max}  "
         f"max relative error {max_err!r} (tol {tol!r})"
@@ -469,25 +475,14 @@ def cmd_reconstruct_strip(cfg: ExperimentConfig, out: Path) -> int:
     fld = gen.plane_field(cfg.j_min, cfg.j_max)
     t = rng.uniform(-3.0, 3.0, size=cfg.queries)
     ys = rng.uniform(0.0, 2.0 * math.pi, size=(cfg.queries, cfg.dim))
-    got = reconstruct_strip(fld, t, ys, cfg.per_unit, cfg.span, cfg.half_width)
+    got = reconstruct_strip(fld, t, ys, kernel=_kernel_source(cfg, out))
     want = gen.eval(t, ys)
     scale = float(np.max(np.abs(want)))
     abs_err = np.abs(got - want)
     max_err = float(np.max(abs_err))
     rms = float(np.sqrt(np.mean(abs_err**2)))
-    runtime = time.perf_counter() - t0
+    _finish_recon(out, "recon-strip", cfg, t0, t, abs_err, max_err, rms)
     tol = cfg.tol if cfg.tol > 0.0 else 1e-5
-    _write_csv(
-        out / "recon-strip.csv",
-        ["K", "j_range", "max_err", "rms_err", "runtime"],
-        [[str(cfg.K), f"{cfg.j_min}..{cfg.j_max}", repr(max_err), repr(rms),
-          repr(runtime)]],
-    )
-    order = np.argsort(t)
-    plot_lines = [
-        f"{repr(float(t[i]))} {repr(float(abs_err[i]))}" for i in order
-    ]
-    (out / "recon-strip-plot.dat").write_text("\n".join(plot_lines) + "\n")
     print(
         f"seed {cfg.seed}  cutoff {cfg.K}  planes {cfg.j_min}..{cfg.j_max}  "
         f"max error {max_err!r} (tol {tol!r}, field scale {scale!r})"

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,11 +37,13 @@ from .tables import interp6
 from .tbspline import _qn_grid, tb_chebyshev, tb_fourier, tb_integer_values
 
 __all__ = [
+    "BoundaryTailWarning",
     "KernelTable",
     "NotSamplableError",
     "SamplingGrid",
     "autocorrelation",
     "cardinal_series",
+    "check_cardinal_data",
     "dual_fourier",
     "gram_symbol",
     "kernel_fourier",
@@ -179,10 +182,6 @@ class KernelTable:
             self.values, float(self.t_min), 1.0 / self.per_unit, t,
             knot_every=self.per_unit,
         )
-
-    @property
-    def t_max(self) -> float:
-        return self.t_min + (len(self.values) - 1) / self.per_unit
 
     def save(self, path) -> None:
         """Write the table to ``path`` (documented little-endian layout).
@@ -352,25 +351,58 @@ def synthesize_dual(
 # series evaluation
 # --------------------------------------------------------------------------
 
-def cardinal_series(table: KernelTable, j_min: int, coeffs, t):
-    """sum_j c_j K(t - j) with j = j_min, j_min+1, ... (table handles decay)."""
+class BoundaryTailWarning(UserWarning):
+    """Query too close to the edge of the sampled range; kernel tails truncated."""
+
+
+def check_cardinal_data(samples, j_min: int, t) -> None:
+    """Guard a cardinal series over sample rows j = j_min, j_min+1, ...: raise
+    ValueError on a NaN or infinite sample, and warn (:class:`BoundaryTailWarning`)
+    when a query lies within two units of the first or last sample."""
+    samples = np.asarray(samples)
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("samples contain NaN or infinite values")
+    lo, hi = j_min + 2, j_min + samples.shape[0] - 3
+    if np.any(t < lo) or np.any(t > hi):
+        scale = float(np.max(np.abs(samples))) if samples.size else 0.0
+        warnings.warn(
+            f"queries leave [{lo}, {hi}]: kernel tails truncated by the "
+            f"sampled range (data scale {scale:.3g})",
+            BoundaryTailWarning,
+            stacklevel=3,
+        )
+
+
+def cardinal_series(table, j_min: int, coeffs, t):
+    """sum_j c_j K(t - j) with j = j_min, j_min+1, ... for a kernel callable K.
+
+    ``table`` is a :class:`KernelTable` (which handles decay) or any other
+    vectorized callable of t.  ``coeffs`` holds c_{j_min}, c_{j_min+1}, ... along
+    its last axis and may be complex; a 2-D array gives one series per row,
+    shape (rows,) + t.shape.  K is evaluated once per shift whose
+    coefficients are not all zero, and the rows are multiplied by that
+    (shifts x points) matrix.
+    """
+    c = np.asarray(coeffs)
+    if not np.iscomplexobj(c):
+        c = c.astype(float)
     t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    out = np.zeros_like(t_arr)
-    for offset, c in enumerate(np.asarray(coeffs, dtype=float)):
-        if c != 0.0:
-            out += c * table(t_arr - (j_min + offset))
-    return float(out[0]) if scalar else out
+    flat = t_arr.reshape(-1)
+    live = np.flatnonzero(np.any(c.reshape(-1, c.shape[-1]) != 0, axis=0))
+    weights = np.empty((len(live), flat.size))
+    for row, offset in zip(weights, live):
+        row[:] = table(flat - (j_min + offset))
+    out = (c[..., live] @ weights).reshape(c.shape[:-1] + t_arr.shape)
+    return out.item() if out.ndim == 0 else out
 
 
 def tb_superposition(spectrum: SpectrumVector, j_min: int, coeffs, t):
     """sum_j c_j Q_N(t - j): an exact element of V_0, for ground-truth checks.
 
-    ``coeffs`` holds c_{j_min}, c_{j_min+1}, ... along its last axis and may be
-    complex; a 2-D array gives one superposition per row, shape
-    (rows,) + t.shape.  All translates come from one (shifts x points) matrix
-    of :func:`~polyshannon.tbspline.tb_chebyshev` values.
+    Same coefficient layout as :func:`cardinal_series`.  All translates come
+    from one (shifts x points) matrix of
+    :func:`~polyshannon.tbspline.tb_chebyshev` values: one Clenshaw pass per
+    unit interval, where one call per shift would repeat them per shift.
     """
     c = np.asarray(coeffs)
     t_arr = np.asarray(t, dtype=float)

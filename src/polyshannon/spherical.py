@@ -10,11 +10,14 @@ frequencies are the homogeneity exponents
 
 so reconstruction from sphere data is: analyze each sphere in an orthonormal
 real harmonic basis, run the 1-D Shannon-type cardinal series per channel
-with the kernel of that channel's spectrum, and resum.  This module supplies
-the sphere quadrature (Gauss-Legendre colatitudes x uniform longitudes),
-the real harmonics, the per-degree kernels, the truncated zonal kernel, the
-mode-wise and quadrature-form reconstructions, and field containers with
-documented on-disk formats.
+with the kernel of that channel's spectrum, and resum.  The 2k+1 channels of
+degree k share one spectrum, so the mode-wise reconstruction makes one
+:func:`~polyshannon.shannon1d.cardinal_series` call per degree and resums it
+against all harmonics of that degree at once (:func:`sph_harm_degree`).  This
+module supplies the sphere quadrature (Gauss-Legendre colatitudes x uniform
+longitudes), the real harmonics, the per-degree kernels, the truncated zonal
+kernel, the mode-wise and quadrature-form reconstructions, and field
+containers with documented on-disk formats.
 
 Only n = 3 harmonics are implemented; the radial machinery accepts any
 n >= 2 (confluent spectra included).
@@ -25,14 +28,23 @@ from __future__ import annotations
 import functools
 import math
 import struct
-import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import eval_legendre, lpmv
+from scipy.special import eval_legendre, sph_legendre_p
 
-from .shannon1d import KernelTable, SamplingGrid, sampled_symbol, synthesize_kernel, tb_superposition
+from .shannon1d import (
+    BoundaryTailWarning,
+    KernelTable,
+    SamplingGrid,
+    cardinal_series,
+    check_cardinal_data,
+    sampled_symbol,
+    synthesize_kernel,
+    tb_superposition,
+)
 from .spectrum import SpectrumVector, radial_spectrum
 from .tbspline import tb_fourier
 
@@ -52,6 +64,7 @@ __all__ = [
     "reconstruct_spherical",
     "reconstruct_spherical_integral",
     "sph_harm",
+    "sph_harm_degree",
     "sph_index",
     "synthesize_directions",
     "synthesize_sphere",
@@ -61,10 +74,6 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 DEGREE_CAP = 32  # cancellation guard for the radial spectra
-
-
-class BoundaryTailWarning(UserWarning):
-    """Query radius too close to the sampled shell boundary; tail truncated."""
 
 
 # --------------------------------------------------------------------------
@@ -88,36 +97,45 @@ def mode_degree(index: int) -> tuple[int, int]:
     return k, index - k * k + 1
 
 
-def _assoc_norm(k: int, m: int) -> float:
-    return math.sqrt(
-        (2 * k + 1) / (4.0 * math.pi)
-        * math.exp(math.lgamma(k - m + 1) - math.lgamma(k + m + 1))
-    )
+def _degree_blocks(rows: np.ndarray):
+    """(k, rows[k^2 : (k+1)^2]) for every degree k whose rows are not all zero."""
+    for k in range(math.isqrt(len(rows)) + 1):
+        block = rows[k * k : (k + 1) ** 2]
+        if np.any(block):
+            yield k, block
 
 
-def sph_harm(k: int, ell: int, direction):
-    """Real orthonormal spherical harmonic Y_{k,ell} at unit vector(s).
+def sph_harm_degree(k: int, direction) -> np.ndarray:
+    """All 2k+1 real orthonormal harmonics of degree k at unit vector(s).
 
+    Row ell - 1 holds Y_{k,ell}, shape (2k+1,) + the directions' batch shape.
     Orders ell = 1..2k+1 map to azimuthal numbers m = ell - k - 1: negative m
     are the sine harmonics, m = 0 the zonal one, positive m the cosines.
     Directions of non-unit length are normalized.
     """
-    if not 1 <= ell <= 2 * k + 1:
-        raise ValueError(f"order must lie in 1..{2*k+1}, got {ell}")
     d = np.asarray(direction, dtype=float)
-    scalar = d.ndim == 1
-    d = np.atleast_2d(d)
-    norms = np.linalg.norm(d, axis=-1)
-    ct = np.clip(d[..., 2] / norms, -1.0, 1.0)
+    theta = np.arctan2(np.hypot(d[..., 0], d[..., 1]), d[..., 2])
     phi = np.arctan2(d[..., 1], d[..., 0])
-    m = ell - k - 1
-    am = abs(m)
-    vals = _assoc_norm(k, am) * lpmv(am, k, ct)
-    if m > 0:
-        vals = _SQRT2 * vals * np.cos(m * phi)
-    elif m < 0:
-        vals = _SQRT2 * vals * np.sin(am * phi)
-    return float(vals[0]) if scalar else vals
+    m = np.arange(k + 1).reshape((-1,) + (1,) * theta.ndim)
+    legendre = sph_legendre_p(k, m, theta)[0]  # normalized, all m >= 0 at once
+    out = np.empty((2 * k + 1,) + theta.shape)
+    out[k] = legendre[0]
+    if k:  # in place: one degree's temporaries are what a dense query set holds
+        m_phi = m[1:] * phi
+        legendre[1:] *= _SQRT2
+        np.cos(m_phi, out=out[k + 1 :])
+        out[k + 1 :] *= legendre[1:]
+        np.sin(m_phi, out=out[k - 1 :: -1])
+        out[k - 1 :: -1] *= legendre[1:]
+    return out
+
+
+def sph_harm(k: int, ell: int, direction):
+    """Real orthonormal spherical harmonic Y_{k,ell}: row ell - 1 of
+    :func:`sph_harm_degree` (float for a single direction)."""
+    sph_index(k, ell)  # validates the order
+    vals = sph_harm_degree(k, direction)[ell - 1]
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def zonal(k: int, cos_gamma):
@@ -154,14 +172,6 @@ class SphereGrid:
         if not 0 <= self.degree_max <= 64:
             raise ValueError("degree_max must lie in 0..64")
 
-    @property
-    def cos_nodes(self) -> np.ndarray:
-        return _grid_arrays(self.degree_max)[0]
-
-    @property
-    def n_longitudes(self) -> int:
-        return 2 * self.degree_max + 2
-
     def points(self) -> np.ndarray:
         """Unit vectors, shape (K+1, 2K+2, 3)."""
         x, _, phi = _grid_arrays(self.degree_max)
@@ -183,13 +193,10 @@ class SphereGrid:
 @functools.lru_cache(maxsize=None)
 def _harmonic_table(degree_max: int) -> np.ndarray:
     """Y_{k,ell} sampled on SphereGrid(K) points: ((K+1)^2, K+1, 2K+2)."""
-    grid = SphereGrid(degree_max)
-    pts = grid.points()
-    flat = pts.reshape(-1, 3)
+    pts = SphereGrid(degree_max).points()
     out = np.empty((mode_count(degree_max),) + pts.shape[:2])
-    for idx in range(out.shape[0]):
-        k, ell = mode_degree(idx)
-        out[idx] = sph_harm(k, ell, flat).reshape(pts.shape[:2])
+    for k in range(degree_max + 1):
+        out[k * k : (k + 1) ** 2] = sph_harm_degree(k, pts)
     out.flags.writeable = False
     return out
 
@@ -219,10 +226,8 @@ def synthesize_directions(coeffs: np.ndarray, directions) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=float)
     d = np.atleast_2d(np.asarray(directions, dtype=float))
     out = np.zeros(d.shape[0])
-    for idx, c in enumerate(coeffs):
-        if c != 0.0:
-            k, ell = mode_degree(idx)
-            out += c * sph_harm(k, ell, d)
+    for k, block in _degree_blocks(coeffs):
+        out += block @ sph_harm_degree(k, d)[: len(block)]
     return out
 
 
@@ -295,19 +300,9 @@ class ShannonPolysplineKernel:
         return len(self.tables) - 1
 
     @classmethod
-    def build(
-        cls,
-        degree_max: int,
-        n: int = 3,
-        p: int = 1,
-        per_unit: int = 64,
-        span: int = 256,
-        half_width: int = 30,
-    ) -> "ShannonPolysplineKernel":
-        tabs = tuple(
-            radial_kernel(k, n, p, per_unit, span, half_width)
-            for k in range(degree_max + 1)
-        )
+    def build(cls, degree_max: int, n: int = 3, p: int = 1) -> "ShannonPolysplineKernel":
+        """The kernel from the default-grid :func:`radial_kernel` tables."""
+        tabs = tuple(radial_kernel(k, n, p) for k in range(degree_max + 1))
         return cls(dimension=n, smoothness=p, tables=tabs)
 
     def eval(self, r, cos_gamma):
@@ -345,41 +340,30 @@ class SyntheticPolyspline:
     def spectrum(self, k: int) -> SpectrumVector:
         return radial_spectrum(k, self.dimension, self.smoothness)
 
-    def radial_profile(self, index: int, v):
-        k, _ = mode_degree(index)
-        return tb_superposition(self.spectrum(k), self.i_min, self.coeffs[index], v)
-
-    def _profile_matrix(self, v: np.ndarray) -> np.ndarray:
-        """(mode_count, len(v)) channel profiles at log-radii v.
+    def _degree_profiles(self, v: np.ndarray):
+        """(k, (2k+1, len(v)) channel profiles) for each nonzero degree k.
 
         All channels of one degree share a spectrum, so the TB translates are
         evaluated once per degree -- this is what keeps dense query sets
         affordable for stiff high-degree spectra.
         """
-        out = np.zeros((self.coeffs.shape[0], len(v)))
-        for k in range(self.degree_max + 1):
-            lo = sph_index(k, 1)
-            hi = sph_index(k, 2 * k + 1) + 1
-            block = self.coeffs[lo:hi]
-            if np.any(block):
-                out[lo:hi] = tb_superposition(self.spectrum(k), self.i_min, block, v)
-        return out
+        for k, block in _degree_blocks(self.coeffs):
+            yield k, tb_superposition(self.spectrum(k), self.i_min, block, v)
 
     def eval(self, r, directions) -> np.ndarray:
         """Field values at radii r (array) and unit vectors (same count)."""
         v = np.log(np.atleast_1d(np.asarray(r, dtype=float)))
         d = np.atleast_2d(np.asarray(directions, dtype=float))
-        profiles = self._profile_matrix(v)
         out = np.zeros(len(v))
-        for idx in range(self.coeffs.shape[0]):
-            if np.any(self.coeffs[idx]):
-                k, ell = mode_degree(idx)
-                out += profiles[idx] * sph_harm(k, ell, d)
+        for k, profiles in self._degree_profiles(v):
+            out += np.einsum("ij,ij->j", profiles, sph_harm_degree(k, d))
         return out
 
     def sphere_field(self, j_min: int, j_max: int) -> "PolysplineField":
         js = np.arange(j_min, j_max + 1, dtype=float)
-        samples = self._profile_matrix(js).T.copy()
+        samples = np.zeros((len(js), self.coeffs.shape[0]))
+        for k, profiles in self._degree_profiles(js):
+            samples[:, k * k : (k + 1) ** 2] = profiles.T
         return PolysplineField(
             dimension=self.dimension,
             smoothness=self.smoothness,
@@ -423,6 +407,52 @@ def random_polyspline_field(
 
 
 _FIELD_MAGIC = b"PSPF"
+_FIELD_HEAD = "<4sHHIIIiQ"
+
+
+def _read_text_field(path, kind: str, keys: tuple[str, ...]):
+    """(integer header, body lines) of a text field file; ValueError unless it
+    has the magic, ``kind`` and ``keys`` lines in order and ends in a newline
+    (so a file cut inside its last line is told apart from a whole one)."""
+    text = Path(path).read_text()
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != "polyshannon-field 1":
+        raise ValueError(f"not a polyshannon field file: {path}")
+    if len(lines) < 2 or lines[1].split() != ["kind", kind]:
+        raise ValueError(f"field kind mismatch: expected {kind} data in {path}")
+    if not text.endswith("\n"):
+        raise ValueError(f"field file {path} does not end in a newline")
+    header = {}
+    for i, key in enumerate(keys, start=2):
+        parts = lines[i].split() if i < len(lines) else []
+        if len(parts) != 2 or parts[0] != key:
+            raise ValueError(f"field file {path}: line {i + 1} must be '{key} <int>'")
+        header[key] = int(parts[1])
+        if header[key] < 0 and key != "j_min":
+            raise ValueError(f"field file {path}: {key} must be nonnegative")
+    return header, lines[2 + len(keys) :]
+
+
+def _read_binary_field(path, magic: bytes, head: str):
+    """Unpack the binary header ``head`` of a field file; returns its fields
+    after magic and version, and the bytes that follow.  Raises ValueError
+    on a short file or a wrong magic or version."""
+    raw = Path(path).read_bytes()
+    head_size = struct.calcsize(head)
+    if len(raw) < head_size:
+        raise ValueError(f"field file {path} is shorter than its header")
+    found, version, *values = struct.unpack(head, raw[:head_size])
+    if found != magic or version != 1:
+        raise ValueError(f"not a binary polyshannon field file: {path}")
+    return values, raw[head_size:]
+
+
+def _number_rows(lines, count: int, width: int, dtype, path) -> np.ndarray:
+    """Exactly ``count`` lines of ``width`` whitespace-separated numbers each."""
+    rows = [ln.split() for ln in lines]
+    if len(rows) != count or any(len(row) != width for row in rows):
+        raise ValueError(f"field file {path}: expected {count} rows of {width} values")
+    return np.array(rows, dtype=dtype).reshape(count, width)
 
 
 @dataclass(frozen=True)
@@ -462,29 +492,16 @@ class PolysplineField:
 
     @classmethod
     def load_text(cls, path) -> "PolysplineField":
-        lines = Path(path).read_text().splitlines()
-        if not lines or lines[0].strip() != "polyshannon-field 1":
-            raise ValueError(f"not a polyshannon field file: {path}")
-        header = {}
-        for ln in lines[1:7]:
-            key, value = ln.split(maxsplit=1)
-            header[key] = value
-        if header.get("kind") != "sphere":
-            raise ValueError("field kind mismatch: expected sphere data")
-        n_spheres = int(header["spheres"])
-        degree_max = int(header["K"])
-        rows = [
-            np.array([float(tok) for tok in ln.split()])
-            for ln in lines[7 : 7 + n_spheres]
-        ]
-        samples = np.vstack(rows)
-        if samples.shape[1] != mode_count(degree_max):
-            raise ValueError("coefficient count does not match degree header")
+        """Read :meth:`save_text` output; ValueError on any malformed file."""
+        head, body = _read_text_field(
+            path, "sphere", ("n", "p", "K", "j_min", "spheres")
+        )
+        samples = _number_rows(body, head["spheres"], mode_count(head["K"]), float, path)
         return cls(
-            dimension=int(header["n"]),
-            smoothness=int(header["p"]),
-            degree_max=degree_max,
-            j_min=int(header["j_min"]),
+            dimension=head["n"],
+            smoothness=head["p"],
+            degree_max=head["K"],
+            j_min=head["j_min"],
             samples=samples,
         )
 
@@ -492,7 +509,7 @@ class PolysplineField:
         """Binary form: magic "PSPF", u16 version=1, u16 pad, u32 n, u32 p,
         u32 K, i32 j_min, u64 sphere count, then the row-major f64 matrix."""
         head = struct.pack(
-            "<4sHHIIIiQ",
+            _FIELD_HEAD,
             _FIELD_MAGIC, 1, 0,
             self.dimension, self.smoothness, self.degree_max,
             self.j_min, self.samples.shape[0],
@@ -503,19 +520,17 @@ class PolysplineField:
 
     @classmethod
     def load_binary(cls, path) -> "PolysplineField":
-        raw = Path(path).read_bytes()
-        head_size = struct.calcsize("<4sHHIIIiQ")
-        magic, version, _, n, p, degree_max, j_min, n_spheres = struct.unpack(
-            "<4sHHIIIiQ", raw[:head_size]
+        """Read :meth:`save_binary` output; ValueError on any malformed file."""
+        (_, n, p, degree_max, j_min, n_spheres), data = _read_binary_field(
+            path, _FIELD_MAGIC, _FIELD_HEAD
         )
-        if magic != _FIELD_MAGIC or version != 1:
-            raise ValueError(f"not a binary polyshannon field file: {path}")
-        count = n_spheres * mode_count(degree_max)
-        samples = (
-            np.frombuffer(raw[head_size:], dtype="<f8", count=count)
-            .reshape(n_spheres, mode_count(degree_max))
-            .copy()
-        )
+        shape = (n_spheres, mode_count(degree_max))
+        if len(data) != 8 * shape[0] * shape[1]:
+            raise ValueError(
+                f"field file {path} holds {len(data)} data bytes, "
+                f"its header says {8 * shape[0] * shape[1]}"
+            )
+        samples = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
         return cls(
             dimension=n, smoothness=p, degree_max=degree_max, j_min=j_min,
             samples=samples,
@@ -526,57 +541,32 @@ class PolysplineField:
 # reconstruction
 # --------------------------------------------------------------------------
 
-def _check_boundary(field: PolysplineField, v: np.ndarray) -> None:
-    lo, hi = field.j_min + 2, field.j_max - 2
-    if np.any(v < lo) or np.any(v > hi):
-        scale = float(np.max(np.abs(field.samples))) if field.samples.size else 0.0
-        warnings.warn(
-            f"query log-radii leave [{lo}, {hi}]: kernel tails truncated by "
-            f"the sphere range (data scale {scale:.3g})",
-            BoundaryTailWarning,
-            stacklevel=3,
-        )
-
-
 def reconstruct_spherical(
     field: PolysplineField,
     r,
     directions,
-    per_unit: int = 64,
-    span: int = 256,
-    half_width: int = 30,
-    kernels: tuple[KernelTable, ...] | None = None,
+    kernel: Callable[[SpectrumVector], KernelTable] | None = None,
 ) -> np.ndarray:
     """Mode-wise Shannon reconstruction at radii ``r``, unit vectors ``directions``.
 
-    Each channel runs the 1-D cardinal series over the sphere indices; the
-    harmonic sum then reassembles the field.  ``kernels`` may supply
-    pre-loaded per-degree tables (degree 0..K) to skip synthesis.
+    Each degree runs one 1-D cardinal series over the sphere indices for its
+    2k+1 channels; the harmonic sum then reassembles the field.  ``kernel``
+    maps a channel spectrum to its table (default: :func:`radial_kernel` on
+    the default grid), e.g. to load tables from a cache or use another grid.
+    Raises ValueError on NaN or infinite samples.
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     d = np.atleast_2d(np.asarray(directions, dtype=float))
     if d.shape[0] != r_arr.shape[0]:
         raise ValueError("need one direction per radius")
     v = np.log(r_arr)
-    _check_boundary(field, v)
-    js = np.arange(field.j_min, field.j_max + 1)
+    check_cardinal_data(field.samples, field.j_min, v)
+    n, p = field.dimension, field.smoothness
     out = np.zeros(len(v))
-    for k in range(field.degree_max + 1):
-        if kernels is not None:
-            tab = kernels[k]
-        else:
-            tab = radial_kernel(
-                k, field.dimension, field.smoothness, per_unit, span, half_width
-            )
-        idx0, idx1 = k * k, (k + 1) * (k + 1)
-        block = field.samples[:, idx0:idx1]
-        if not np.any(block):
-            continue
-        weights = np.stack([tab(v - j) for j in js])  # (n_spheres, n_queries)
-        for ell in range(1, 2 * k + 2):
-            col = block[:, ell - 1]
-            if np.any(col):
-                out += (col @ weights) * sph_harm(k, ell, d)
+    for k, block in _degree_blocks(field.samples.T):
+        tab = kernel(radial_spectrum(k, n, p)) if kernel else radial_kernel(k, n, p)
+        profiles = cardinal_series(tab, field.j_min, block, v)
+        out += np.einsum("ij,ij->j", profiles, sph_harm_degree(k, d))
     return out
 
 

@@ -9,9 +9,12 @@ Reconstruction from hyperplane traces t = j is therefore a 1-D Shannon
 cardinal series per mode followed by a Fourier resum in y.
 
 Symmetric spectra always satisfy the non-zero sampling condition, so every
-mode kernel exists; the kernel depends on kappa only through |kappa| and is
-cached per |kappa|^2 (an exact integer for integer kappa, avoiding
-floating-point key drift between, say, (3,4) and (5,0)).
+mode kernel exists.  The kernel depends on kappa only through |kappa|, so the
+modes are grouped by |kappa|^2 (an exact integer for integer kappa, avoiding
+floating-point key drift between, say, (3,4) and (5,0)): reconstruction makes
+one :func:`~polyshannon.shannon1d.cardinal_series` call per group and resums
+it against the torus phases e^{i y.kappa} of the group's modes, and the
+synthetic generator evaluates its TB translates once per group.
 """
 
 from __future__ import annotations
@@ -20,15 +23,21 @@ import functools
 import itertools
 import math
 import struct
-import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .shannon1d import KernelTable, SamplingGrid, synthesize_kernel, tb_superposition
+from .shannon1d import (
+    KernelTable,
+    cardinal_series,
+    check_cardinal_data,
+    synthesize_kernel,
+    tb_superposition,
+)
 from .spectrum import SpectrumVector, strip_spectrum
-from .spherical import BoundaryTailWarning
+from .spherical import _number_rows, _read_binary_field, _read_text_field
 
 __all__ = [
     "StripField",
@@ -66,23 +75,24 @@ def _norm_key(k: float) -> float:
     return round(k * k, 9)
 
 
+def _norm_groups(modes, active) -> dict[float, list[int]]:
+    """Indices of the modes flagged in ``active``, grouped by |kappa|^2 key."""
+    groups: dict[float, list[int]] = {}
+    for i, kappa in enumerate(modes):
+        if active[i]:
+            groups.setdefault(_norm_key(math.hypot(*kappa)), []).append(i)
+    return groups
+
+
 @functools.lru_cache(maxsize=None)
-def _strip_kernel_cached(
-    ksq: float, p: int, per_unit: int, span: int, half_width: int
-) -> KernelTable:
-    sv = strip_spectrum(math.sqrt(ksq), p)
-    return synthesize_kernel(sv, SamplingGrid(per_unit, span), half_width)
+def _strip_kernel_cached(ksq: float, p: int) -> KernelTable:
+    return synthesize_kernel(strip_spectrum(math.sqrt(ksq), p))
 
 
-def strip_kernel(
-    k: float,
-    p: int,
-    per_unit: int = 64,
-    span: int = 256,
-    half_width: int = 30,
-) -> KernelTable:
-    """Shannon-type kernel for the transverse frequency magnitude |kappa| = k."""
-    return _strip_kernel_cached(_norm_key(k), p, per_unit, span, half_width)
+def strip_kernel(k: float, p: int) -> KernelTable:
+    """Shannon-type kernel for the transverse frequency magnitude |kappa| = k,
+    on the default synthesis grid."""
+    return _strip_kernel_cached(_norm_key(k), p)
 
 
 # --------------------------------------------------------------------------
@@ -90,6 +100,7 @@ def strip_kernel(
 # --------------------------------------------------------------------------
 
 _STRIP_MAGIC = b"PSSF"
+_STRIP_HEAD = "<4sHHIIIiQQ"
 
 
 @dataclass(frozen=True)
@@ -138,39 +149,26 @@ class StripField:
         for kappa in self.modes:
             lines.append(" ".join(str(c) for c in kappa))
         for row in self.samples:
-            parts = []
-            for v in row:
-                parts.append(repr(float(v.real)))
-                parts.append(repr(float(v.imag)))
-            lines.append(" ".join(parts))
+            re_im = np.column_stack([row.real, row.imag]).ravel()
+            lines.append(" ".join(repr(float(v)) for v in re_im))
         Path(path).write_text("\n".join(lines) + "\n")
 
     @classmethod
     def load_text(cls, path) -> "StripField":
-        lines = Path(path).read_text().splitlines()
-        if not lines or lines[0].strip() != "polyshannon-field 1":
-            raise ValueError(f"not a polyshannon field file: {path}")
-        header = {}
-        for ln in lines[1:8]:
-            key, value = ln.split(maxsplit=1)
-            header[key] = value
-        if header.get("kind") != "strip":
-            raise ValueError("field kind mismatch: expected strip data")
-        n_planes = int(header["planes"])
-        n_modes = int(header["modes"])
-        mode_lines = lines[8 : 8 + n_modes]
-        modes = tuple(tuple(int(tok) for tok in ln.split()) for ln in mode_lines)
-        rows = []
-        for ln in lines[8 + n_modes : 8 + n_modes + n_planes]:
-            flat = np.array([float(tok) for tok in ln.split()])
-            rows.append(flat[0::2] + 1j * flat[1::2])
+        """Read :meth:`save_text` output; ValueError on any malformed file."""
+        head, body = _read_text_field(
+            path, "strip", ("dim", "p", "K", "j_min", "planes", "modes")
+        )
+        n_modes, n_planes = head["modes"], head["planes"]
+        kappas = _number_rows(body[:n_modes], n_modes, head["dim"], int, path)
+        flat = _number_rows(body[n_modes:], n_planes, 2 * n_modes, float, path)
         return cls(
-            dimension=int(header["dim"]),
-            smoothness=int(header["p"]),
-            cutoff=int(header["K"]),
-            j_min=int(header["j_min"]),
-            modes=modes,
-            samples=np.vstack(rows),
+            dimension=head["dim"],
+            smoothness=head["p"],
+            cutoff=head["K"],
+            j_min=head["j_min"],
+            modes=tuple(tuple(int(c) for c in row) for row in kappas),
+            samples=flat[:, 0::2] + 1j * flat[:, 1::2],
         )
 
     def save_binary(self, path) -> None:
@@ -178,7 +176,7 @@ class StripField:
         u32 K, i32 j_min, u64 planes, u64 modes; then the mode multi-indices
         as i32s; then the row-major complex128 matrix."""
         head = struct.pack(
-            "<4sHHIIIiQQ",
+            _STRIP_HEAD,
             _STRIP_MAGIC, 1, 0,
             self.dimension, self.smoothness, self.cutoff,
             self.j_min, self.samples.shape[0], len(self.modes),
@@ -189,25 +187,23 @@ class StripField:
 
     @classmethod
     def load_binary(cls, path) -> "StripField":
-        raw = Path(path).read_bytes()
-        head_size = struct.calcsize("<4sHHIIIiQQ")
-        magic, version, _, dim, p, cutoff, j_min, n_planes, n_modes = struct.unpack(
-            "<4sHHIIIiQQ", raw[:head_size]
+        """Read :meth:`save_binary` output; ValueError on any malformed file."""
+        (_, dim, p, cutoff, j_min, n_planes, n_modes), data = _read_binary_field(
+            path, _STRIP_MAGIC, _STRIP_HEAD
         )
-        if magic != _STRIP_MAGIC or version != 1:
-            raise ValueError(f"not a binary strip field file: {path}")
-        off = head_size
-        kap = np.frombuffer(raw[off:], dtype="<i4", count=n_modes * dim)
-        modes = tuple(tuple(int(c) for c in row) for row in kap.reshape(n_modes, dim))
-        off += 4 * n_modes * dim
-        samples = (
-            np.frombuffer(raw[off:], dtype="<c16", count=n_planes * n_modes)
-            .reshape(n_planes, n_modes)
-            .copy()
-        )
+        size = 4 * n_modes * dim + 16 * n_planes * n_modes
+        if len(data) != size:
+            raise ValueError(
+                f"field file {path} holds {len(data)} body bytes, "
+                f"its header says {size}"
+            )
+        off = 4 * n_modes * dim
+        kap = np.frombuffer(data[:off], dtype="<i4").reshape(n_modes, dim)
+        samples = np.frombuffer(data[off:], dtype="<c16").reshape(n_planes, n_modes)
         return cls(
             dimension=dim, smoothness=p, cutoff=cutoff, j_min=j_min,
-            modes=modes, samples=samples,
+            modes=tuple(tuple(int(c) for c in row) for row in kap),
+            samples=samples.copy(),
         )
 
 
@@ -222,30 +218,33 @@ class SyntheticStripField:
     modes: tuple[tuple[int, ...], ...]
     coeffs: np.ndarray  # complex, (n_modes, n_i)
 
-    def spectrum(self, mode_index: int) -> SpectrumVector:
-        kappa = self.modes[mode_index]
-        return strip_spectrum(math.sqrt(_norm_key(math.hypot(*kappa))), self.smoothness)
+    def _profile_matrix(self, t: np.ndarray) -> np.ndarray:
+        """(n_modes, len(t)) complex mode profiles at t.
 
-    def profile(self, mode_index: int, t) -> np.ndarray:
-        return tb_superposition(
-            self.spectrum(mode_index), self.i_min, self.coeffs[mode_index], t
-        )
+        Modes of one |kappa| share a spectrum, so the TB translates are
+        evaluated once per distinct |kappa|.
+        """
+        out = np.zeros((len(self.modes), len(t)), dtype=complex)
+        groups = _norm_groups(self.modes, np.any(self.coeffs, axis=1))
+        for key, idx in groups.items():
+            sv = strip_spectrum(math.sqrt(key), self.smoothness)
+            out[idx] = tb_superposition(sv, self.i_min, self.coeffs[idx], t)
+        return out
 
     def eval(self, t, ys) -> np.ndarray:
         """Field values at (t_q, y_q); real for conjugate-symmetric coefficients."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         y_arr = np.atleast_2d(np.asarray(ys, dtype=float))
+        profiles = self._profile_matrix(t_arr)
         acc = np.zeros(len(t_arr), dtype=complex)
         for i, kappa in enumerate(self.modes):
             if np.any(self.coeffs[i]):
-                acc += self.profile(i, t_arr) * np.exp(1j * (y_arr @ np.asarray(kappa)))
+                acc += profiles[i] * np.exp(1j * (y_arr @ np.asarray(kappa)))
         return acc.real
 
     def plane_field(self, j_min: int, j_max: int) -> StripField:
         js = np.arange(j_min, j_max + 1, dtype=float)
-        samples = np.empty((len(js), len(self.modes)), dtype=complex)
-        for i in range(len(self.modes)):
-            samples[:, i] = self.profile(i, js)
+        samples = self._profile_matrix(js).T.copy()
         return StripField(
             dimension=self.dimension, smoothness=self.smoothness,
             cutoff=self.cutoff, j_min=j_min, modes=self.modes,
@@ -259,11 +258,8 @@ class SyntheticStripField:
             np.meshgrid(*([ys_1d] * self.dimension), indexing="ij"), axis=-1
         ).reshape(-1, self.dimension)
         js = np.arange(j_min, j_max + 1, dtype=float)
-        out = np.empty((len(js),) + (grid_size,) * self.dimension)
-        for row, j in enumerate(js):
-            vals = self.eval(np.full(mesh.shape[0], j), mesh)
-            out[row] = vals.reshape((grid_size,) * self.dimension)
-        return out
+        vals = self.eval(np.repeat(js, len(mesh)), np.tile(mesh, (len(js), 1)))
+        return vals.reshape((len(js),) + (grid_size,) * self.dimension)
 
 
 def random_strip_field(
@@ -345,12 +341,8 @@ def synthesize_torus(fld: StripField, plane: int, ys) -> np.ndarray:
     if not fld.j_min <= plane <= fld.j_max:
         raise ValueError(f"plane {plane} outside [{fld.j_min}, {fld.j_max}]")
     y_arr = np.atleast_2d(np.asarray(ys, dtype=float))
-    row = fld.samples[plane - fld.j_min]
-    acc = np.zeros(y_arr.shape[0], dtype=complex)
-    for i, kappa in enumerate(fld.modes):
-        if row[i] != 0.0:
-            acc += row[i] * np.exp(1j * (y_arr @ np.asarray(kappa)))
-    return acc.real
+    phases = np.exp(1j * (y_arr @ np.asarray(fld.modes).T))
+    return (phases @ fld.samples[plane - fld.j_min]).real
 
 
 # --------------------------------------------------------------------------
@@ -361,36 +353,20 @@ def _reconstruct_complex(
     fld: StripField,
     t,
     ys,
-    per_unit: int = 64,
-    span: int = 256,
-    half_width: int = 30,
+    kernel: Callable[[SpectrumVector], KernelTable] | None = None,
 ) -> np.ndarray:
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     y_arr = np.atleast_2d(np.asarray(ys, dtype=float))
     if y_arr.shape[0] != t_arr.shape[0]:
         raise ValueError("need one torus point per t value")
-    lo, hi = fld.j_min + 2, fld.j_max - 2
-    if np.any(t_arr < lo) or np.any(t_arr > hi):
-        warnings.warn(
-            f"query t leaves [{lo}, {hi}]: kernel tails truncated by the "
-            "hyperplane range",
-            BoundaryTailWarning,
-            stacklevel=2,
-        )
-    js = np.arange(fld.j_min, fld.j_max + 1)
-    weight_cache: dict[float, np.ndarray] = {}
+    check_cardinal_data(fld.samples, fld.j_min, t_arr)
     acc = np.zeros(len(t_arr), dtype=complex)
-    for i, kappa in enumerate(fld.modes):
-        col = fld.samples[:, i]
-        if not np.any(col):
-            continue
-        key = _norm_key(math.hypot(*kappa))
-        if key not in weight_cache:
-            tab = strip_kernel(math.sqrt(key), fld.smoothness, per_unit, span,
-                               half_width)
-            weight_cache[key] = np.stack([tab(t_arr - j) for j in js])
-        radial = col @ weight_cache[key]
-        acc += radial * np.exp(1j * (y_arr @ np.asarray(kappa)))
+    for key, idx in _norm_groups(fld.modes, np.any(fld.samples, axis=0)).items():
+        k, p = math.sqrt(key), fld.smoothness
+        tab = kernel(strip_spectrum(k, p)) if kernel else strip_kernel(k, p)
+        profiles = cardinal_series(tab, fld.j_min, fld.samples[:, idx].T, t_arr)
+        for profile, i in zip(profiles, idx):
+            acc += profile * np.exp(1j * (y_arr @ np.asarray(fld.modes[i])))
     return acc
 
 
@@ -398,13 +374,14 @@ def reconstruct_strip(
     fld: StripField,
     t,
     ys,
-    per_unit: int = 64,
-    span: int = 256,
-    half_width: int = 30,
+    kernel: Callable[[SpectrumVector], KernelTable] | None = None,
 ) -> np.ndarray:
     """Mode-wise Shannon reconstruction at (t_q, y_q); real part returned.
 
-    Modes sharing |kappa| reuse one kernel table and one weight matrix; the
-    imaginary residue of a conjugate-symmetric field is roundoff-level.
+    Modes sharing |kappa| share one kernel table and one cardinal series;
+    the imaginary residue of a conjugate-symmetric field is roundoff-level.
+    ``kernel`` maps a mode spectrum to its table (default:
+    :func:`strip_kernel` on the default grid).  Raises ValueError on NaN or
+    infinite samples.
     """
-    return _reconstruct_complex(fld, t, ys, per_unit, span, half_width).real
+    return _reconstruct_complex(fld, t, ys, kernel).real

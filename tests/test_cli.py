@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from polyshannon import ef_zeros, SpectrumVector
+from polyshannon import cli, ef_zeros, SpectrumVector
 from polyshannon.cli import (
     ConfigError,
     DEFAULT_SEED,
@@ -221,6 +221,28 @@ def test_reconstruct_sphere_deterministic_but_for_runtime(tmp_path, capsys):
         rows.append((tmp_path / d / "recon-sphere.csv").read_text().strip().splitlines()[1])
     first, second = (r.split(",") for r in rows)
     assert first[:4] == second[:4]  # everything except the runtime column
+
+
+def test_reconstruct_strip_uses_the_kernel_cache(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("K = 2\nqueries = 40\nj_min = -5\nj_max = 5\n")
+    out = tmp_path / "o"
+    argv = ["reconstruct-strip", "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 0
+    first = (out / "recon-strip.csv").read_text().splitlines()[1].split(",")
+    entries = sorted((out / "kernels").glob("*.pskt"))
+    assert len(entries) == 4  # |kappa|^2 in {0, 1, 2, 4}
+    blobs = [path.read_bytes() for path in entries]
+
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("kernel synthesized despite a filled cache")
+
+    monkeypatch.setattr(cli, "synthesize_kernel", no_synthesis)
+    assert main(argv) == 0
+    capsys.readouterr()
+    second = (out / "recon-strip.csv").read_text().splitlines()[1].split(",")
+    assert first[2:4] == second[2:4]  # max_err and rms_err
+    assert [path.read_bytes() for path in entries] == blobs
 
 
 # --- verify -------------------------------------------------------------------

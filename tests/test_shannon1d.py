@@ -124,6 +124,43 @@ def test_cardinal_reconstruction_is_exact_on_v0():
         assert np.max(np.abs(rebuilt - exact)) < 1e-8 * max(1.0, peak), str(sv)
 
 
+def test_cardinal_series_rows_match_single_series():
+    tab = synthesize_kernel(EXP2)
+    rng = np.random.default_rng(11)
+    t = rng.uniform(-4.0, 4.0, size=300)
+    real = rng.uniform(-1.0, 1.0, size=(5, 21))
+    both = real + 1j * rng.uniform(-1.0, 1.0, size=real.shape)
+    for rows in (real, both):
+        rows[:, [0, 7, 20]] = 0.0  # shifts every row skips
+        rows[3] = 0.0  # a row that is zero throughout
+        got = cardinal_series(tab, -10, rows, t)
+        assert got.shape == (5, 300) and got.dtype == rows.dtype
+        for row, series in zip(rows, got):
+            want = cardinal_series(tab, -10, row, t)
+            assert np.max(np.abs(series - want)) <= 1e-14 * max(
+                1e-300, float(np.max(np.abs(want)))
+            )
+        assert np.all(got[3] == 0.0)
+
+
+def test_cardinal_series_evaluates_live_shifts_only():
+    tab = synthesize_kernel(CUBIC)
+    shifts_seen = []
+
+    def kernel(t):
+        shifts_seen.append(float(t[0] - grid[0]))
+        return tab(t)
+
+    grid = np.linspace(-2.0, 2.0, 41)
+    coeffs = np.zeros((3, 9))
+    coeffs[0, 2] = 1.0
+    coeffs[2, 5] = -2.0
+    got = cardinal_series(kernel, -4, coeffs, grid)
+    assert sorted(shifts_seen) == [-1.0, 2.0]  # t - j for j = -2 and j = 1
+    assert np.array_equal(got[1], np.zeros(41))
+    assert isinstance(cardinal_series(tab, -4, coeffs[0], 0.5), float)
+
+
 def test_fourier_route_matches_table():
     # invert S_0^ by brute-force panel quadrature at a few points
     sv = SYM4

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import eval_legendre
+from scipy.special import eval_legendre, sph_harm_y
 
 from polyshannon.shannon1d import SamplingGrid, synthesize_kernel
 from polyshannon.spectrum import radial_operator_poly, radial_spectrum
@@ -22,6 +22,7 @@ from polyshannon.spherical import (
     reconstruct_spherical,
     reconstruct_spherical_integral,
     sph_harm,
+    sph_harm_degree,
     sph_index,
     synthesize_directions,
     synthesize_sphere,
@@ -42,6 +43,35 @@ def test_constant_harmonic_normalization():
     d = np.array([0.3, -0.5, 0.81])
     d /= np.linalg.norm(d)
     assert abs(sph_harm(0, 1, d) - 1.0 / math.sqrt(4.0 * math.pi)) < 1e-15
+
+
+def test_degree_harmonics_match_scipy_complex_route():
+    rng = np.random.default_rng(3)
+    d = _random_directions(rng, 400)
+    theta = np.arccos(d[:, 2])
+    phi = np.arctan2(d[:, 1], d[:, 0])
+    for k in range(17):
+        got = sph_harm_degree(k, d)
+        assert got.shape == (2 * k + 1, 400)
+        for m in range(-k, k + 1):
+            y = sph_harm_y(k, abs(m), theta, phi)
+            want = y.real if m == 0 else math.sqrt(2.0) * (y.real if m > 0 else y.imag)
+            assert np.max(np.abs(got[m + k] - want)) < 1e-12, (k, m)
+            assert np.array_equal(sph_harm(k, m + k + 1, d), got[m + k])
+
+
+def test_degree_one_harmonics_near_the_poles():
+    # Y_1 = sqrt(3/4pi) (-y, z, -x) for ell = 1, 2, 3, to roundoff even where
+    # cos(theta) rounds to +-1 and the sectoral values are ~1e-12
+    c = math.sqrt(3.0 / (4.0 * math.pi))
+    for d in ([1e-9, 2e-9, 1.0], [3e-12, -1e-12, -1.0], [0.0, 0.0, 2.0]):
+        x, y, z = np.asarray(d) / np.linalg.norm(d)
+        got = sph_harm_degree(1, d)
+        want = c * np.array([-y, z, -x])
+        assert np.max(np.abs(got - want)) < 1e-15
+    north = sph_harm_degree(1, [1e-9, 2e-9, 1.0])
+    assert abs(north[2] / (-c * 1e-9) - 1.0) < 1e-14
+    assert sph_harm_degree(0, np.zeros((4, 2, 3))).shape == (1, 4, 2)
 
 
 def test_mode_indexing_roundtrip():
@@ -295,6 +325,41 @@ def test_boundary_warning():
         reconstruct_spherical(fld, np.array([math.exp(2.9)]), d)
 
 
+def test_non_finite_samples_are_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        samples = np.ones((7, mode_count(1)))
+        samples[3, 2] = bad
+        fld = PolysplineField(3, 1, 1, -3, samples)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            reconstruct_spherical(fld, np.array([1.0]), np.array([[0.0, 0.0, 1.0]]))
+
+
+def test_kernel_source_selects_the_tables():
+    rng = np.random.default_rng(29)
+    gen = random_polyspline_field(rng, n=3, p=1, degree_max=3, j_min=-5,
+                                  j_max=5, active=[0, 1, 2, 3, 9, 11])
+    fld = gen.sphere_field(-5, 5)
+    r = np.exp(rng.uniform(-1.0, 1.0, size=60))
+    d = _random_directions(rng, 60)
+    default = reconstruct_spherical(fld, r, d)
+
+    # the default tables passed explicitly: the same numbers bit for bit
+    explicit = reconstruct_spherical(fld, r, d, kernel=synthesize_kernel)
+    assert np.array_equal(explicit, default)
+
+    asked = []
+
+    def coarse(sv):
+        asked.append(sv)
+        return synthesize_kernel(sv, SamplingGrid(16, 64), 24)
+
+    got = reconstruct_spherical(fld, r, d, kernel=coarse)
+    # one table per degree with a nonzero channel (degree 2 has none)
+    assert asked == [radial_spectrum(k, 3, 1) for k in (0, 1, 3)]
+    assert not np.array_equal(got, default)
+    assert np.max(np.abs(got - default)) < 1e-4 * np.max(np.abs(default))
+
+
 # --------------------------------------------------------------------------
 # field files
 # --------------------------------------------------------------------------
@@ -335,3 +400,41 @@ def test_field_load_rejects_garbage(tmp_path):
     badb.write_bytes(b"\x00" * 64)
     with pytest.raises(ValueError):
         PolysplineField.load_binary(badb)
+
+
+def _same_field(a: PolysplineField, b: PolysplineField) -> bool:
+    return (a.dimension, a.smoothness, a.degree_max, a.j_min) == (
+        b.dimension, b.smoothness, b.degree_max, b.j_min,
+    ) and np.array_equal(a.samples, b.samples)
+
+
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_truncated_field_files_fail_cleanly(tmp_path, fmt):
+    # random samples: every row, the last included, is nonzero throughout
+    rng = np.random.default_rng(61)
+    fld = PolysplineField(3, 2, 1, -2, rng.uniform(-1.0, 1.0, size=(5, 4)))
+    path = tmp_path / "field"
+    getattr(fld, f"save_{fmt}")(path)
+    raw = path.read_bytes()
+    load = getattr(PolysplineField, f"load_{fmt}")
+    assert _same_field(load(path), fld)
+    for size in range(len(raw)):
+        path.write_bytes(raw[:size])
+        try:
+            back = load(path)
+        except ValueError:
+            continue
+        assert _same_field(back, fld), size
+    path.write_bytes(raw + (b"0 " if fmt == "text" else b"\0"))
+    with pytest.raises(ValueError):
+        load(path)
+
+
+def test_text_field_row_count_must_match_header(tmp_path):
+    fld = PolysplineField(3, 1, 1, -3, np.arange(28.0).reshape(7, 4))
+    path = tmp_path / "field.txt"
+    fld.save_text(path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]))  # one sphere row short
+    with pytest.raises(ValueError, match="7 rows"):
+        PolysplineField.load_text(path)

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from polyshannon.shannon1d import synthesize_kernel
-from polyshannon.spectrum import SpectrumVector
+from polyshannon.shannon1d import SamplingGrid, synthesize_kernel, tb_superposition
+from polyshannon.spectrum import SpectrumVector, strip_spectrum
 from polyshannon.spherical import BoundaryTailWarning
 from polyshannon.strip import (
     StripField,
@@ -184,6 +184,59 @@ def test_single_cubic_profile_zero_mode():
     assert np.max(np.abs(got - want)) < 1e-6 * max(1.0, np.max(np.abs(want)))
 
 
+def test_generator_groups_match_per_mode_profiles():
+    rng = np.random.default_rng(101)
+    gen = random_strip_field(rng, dimension=2, p=1, cutoff=3, j_min=-5, j_max=5)
+    t = rng.uniform(-4.0, 4.0, size=50)
+    ys = rng.uniform(0.0, 2.0 * math.pi, size=(50, 2))
+    want = np.zeros(50, dtype=complex)
+    for coeffs, kappa in zip(gen.coeffs, gen.modes):
+        sv = strip_spectrum(math.hypot(*kappa), gen.smoothness)
+        want += tb_superposition(sv, gen.i_min, coeffs, t) * np.exp(
+            1j * (ys @ np.asarray(kappa))
+        )
+    assert np.max(np.abs(gen.eval(t, ys) - want.real)) < 1e-13 * np.max(np.abs(want))
+    fld = gen.plane_field(-5, 5)
+    kappa = gen.modes.index((2, -1))
+    sv = strip_spectrum(math.sqrt(5.0), gen.smoothness)
+    col = tb_superposition(sv, gen.i_min, gen.coeffs[kappa], np.arange(-5.0, 6.0))
+    assert np.max(np.abs(fld.samples[:, kappa] - col)) < 1e-14
+
+
+def test_non_finite_samples_are_rejected():
+    modes = torus_modes(2, 1)
+    for bad in (math.nan, complex(0.0, math.inf)):
+        samples = np.ones((7, len(modes)), dtype=complex)
+        samples[2, 1] = bad
+        fld = StripField(2, 1, 1, -3, modes, samples)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            reconstruct_strip(fld, np.array([0.0]), np.zeros((1, 2)))
+
+
+def test_kernel_source_selects_the_tables():
+    rng = np.random.default_rng(103)
+    gen = random_strip_field(rng, dimension=2, p=1, cutoff=2, j_min=-6, j_max=6)
+    fld = gen.plane_field(-6, 6)
+    t = rng.uniform(-2.0, 2.0, size=50)
+    ys = rng.uniform(0.0, 2.0 * math.pi, size=(50, 2))
+    default = reconstruct_strip(fld, t, ys)
+
+    explicit = reconstruct_strip(fld, t, ys, kernel=synthesize_kernel)
+    assert np.array_equal(explicit, default)
+
+    asked = []
+
+    def coarse(sv):
+        asked.append(sv)
+        return synthesize_kernel(sv, SamplingGrid(16, 64), 24)
+
+    got = reconstruct_strip(fld, t, ys, kernel=coarse)
+    # one table per distinct |kappa|: 0, 1, sqrt 2, 2
+    assert asked == [strip_spectrum(math.sqrt(k), 1) for k in (0, 1, 2, 4)]
+    assert not np.array_equal(got, default)
+    assert np.max(np.abs(got - default)) < 1e-4 * np.max(np.abs(default))
+
+
 # --------------------------------------------------------------------------
 # field files
 # --------------------------------------------------------------------------
@@ -223,3 +276,33 @@ def test_strip_field_load_rejects_garbage(tmp_path):
     badb.write_bytes(b"\xff" * 80)
     with pytest.raises(ValueError):
         StripField.load_binary(badb)
+
+
+def _same_strip(a: StripField, b: StripField) -> bool:
+    return (a.dimension, a.smoothness, a.cutoff, a.j_min, a.modes) == (
+        b.dimension, b.smoothness, b.cutoff, b.j_min, b.modes,
+    ) and np.array_equal(a.samples, b.samples)
+
+
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_truncated_strip_files_fail_cleanly(tmp_path, fmt):
+    # random samples: every row, the last included, is nonzero throughout
+    rng = np.random.default_rng(107)
+    modes = torus_modes(2, 1)
+    samples = rng.uniform(-1.0, 1.0, size=(5, len(modes), 2)) @ np.array([1.0, 1j])
+    fld = StripField(2, 1, 1, -2, modes, samples)
+    path = tmp_path / "strip"
+    getattr(fld, f"save_{fmt}")(path)
+    raw = path.read_bytes()
+    load = getattr(StripField, f"load_{fmt}")
+    assert _same_strip(load(path), fld)
+    for size in range(len(raw)):
+        path.write_bytes(raw[:size])
+        try:
+            back = load(path)
+        except ValueError:
+            continue
+        assert _same_strip(back, fld), size
+    path.write_bytes(raw + (b"0 " if fmt == "text" else b"\0"))
+    with pytest.raises(ValueError):
+        load(path)
