@@ -63,7 +63,7 @@ from .tbspline import (
     euler_frobenius,
     euler_spline,
     euler_spline_resolvent,
-    tb_exact,
+    tb_chebyshev,
 )
 
 DEFAULT_SEED = 20260822
@@ -116,6 +116,8 @@ class ExperimentConfig:
             raise ConfigError("csv_step must be >= 1")
         if self.per_unit < 8 or self.span < 32:
             raise ConfigError("grid too small: need per_unit >= 8, span >= 32")
+        if not 0 < 2 * self.half_width < self.span:
+            raise ConfigError("half_width must lie between 0 and span/2")
         if self.j_max <= self.j_min:
             raise ConfigError("j_max must exceed j_min")
         if self.p < 1 or self.n < 2 or self.k < 0 or self.K < 0 or self.dim < 1:
@@ -398,7 +400,8 @@ def cmd_zeros(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_decay(cfg: ExperimentConfig, out: Path) -> int:
     rows_out = []
-    sweep = decay_check(cfg.n, cfg.p, cfg.k_max)
+    sweep = decay_check(cfg.n, cfg.p, cfg.k_max, cfg.per_unit, cfg.span,
+                        cfg.half_width)
     for row in sweep[cfg.k_min :]:
         rows_out.append(
             [str(row.degree), repr(row.sup_fourier), repr(row.sup_time)]
@@ -576,12 +579,13 @@ def _symmetry_residual(svs, rng) -> float:
 def _biorthogonality_deviation(sv: SpectrumVector) -> float:
     n = sv.order
     dual = synthesize_dual(sv)
+    tb = tb_chebyshev(sv)
     worst = 0.0
     for tau in range(-3, 4):
         acc = 0.0
         for m in range(n):
             acc += _gl(
-                lambda t: dual(t) * tb_exact(sv, t - tau),
+                lambda t: dual(t) * tb(t - tau),
                 float(tau + m), float(tau + m + 1),
             )
         want = 1.0 if tau == 0 else 0.0

@@ -221,7 +221,8 @@ class KernelTable:
         """Read a table written by :meth:`save`.
 
         Raises ValueError on any malformed file: short header, wrong magic or
-        version, unknown kind, or a length that disagrees with the header.
+        version, unknown kind, a length that disagrees with the header, or a
+        NaN or infinite value.
         """
         raw = Path(path).read_bytes()
         head_size = struct.calcsize(_HEAD)
@@ -246,6 +247,8 @@ class KernelTable:
             entries.append((v, m))
             offset += 16
         values = np.frombuffer(raw[offset:], dtype="<f8", count=n_values).copy()
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"kernel table {path} holds NaN or infinite values")
         values.flags.writeable = False
         return cls(
             spectrum=SpectrumVector(tuple(entries)),
@@ -357,11 +360,14 @@ class BoundaryTailWarning(UserWarning):
 
 def check_cardinal_data(samples, j_min: int, t) -> None:
     """Guard a cardinal series over sample rows j = j_min, j_min+1, ...: raise
-    ValueError on a NaN or infinite sample, and warn (:class:`BoundaryTailWarning`)
-    when a query lies within two units of the first or last sample."""
+    ValueError on a NaN or infinite sample or query coordinate ``t``, and warn
+    (:class:`BoundaryTailWarning`) when a query lies within two units of the
+    first or last sample."""
     samples = np.asarray(samples)
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples contain NaN or infinite values")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("query coordinates contain NaN or infinite values")
     lo, hi = j_min + 2, j_min + samples.shape[0] - 3
     if np.any(t < lo) or np.any(t > hi):
         scale = float(np.max(np.abs(samples))) if samples.size else 0.0

@@ -553,13 +553,15 @@ def reconstruct_spherical(
     2k+1 channels; the harmonic sum then reassembles the field.  ``kernel``
     maps a channel spectrum to its table (default: :func:`radial_kernel` on
     the default grid), e.g. to load tables from a cache or use another grid.
-    Raises ValueError on NaN or infinite samples.
+    Raises ValueError on NaN or infinite samples and on radii whose log is
+    not finite (r <= 0, NaN or inf).
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     d = np.atleast_2d(np.asarray(directions, dtype=float))
     if d.shape[0] != r_arr.shape[0]:
         raise ValueError("need one direction per radius")
-    v = np.log(r_arr)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = np.log(r_arr)
     check_cardinal_data(field.samples, field.j_min, v)
     n, p = field.dimension, field.smoothness
     out = np.zeros(len(v))

@@ -382,6 +382,6 @@ def reconstruct_strip(
     the imaginary residue of a conjugate-symmetric field is roundoff-level.
     ``kernel`` maps a mode spectrum to its table (default:
     :func:`strip_kernel` on the default grid).  Raises ValueError on NaN or
-    infinite samples.
+    infinite samples or ``t``.
     """
     return _reconstruct_complex(fld, t, ys, kernel).real

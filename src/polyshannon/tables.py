@@ -13,7 +13,7 @@ def interp6(
     t0: float,
     h: float,
     t,
-    knot_every: int | None = None,
+    knot_every: int,
 ) -> np.ndarray:
     """Evaluate a uniformly tabulated function by 6-point Lagrange interpolation.
 
@@ -24,8 +24,8 @@ def interp6(
     Splines are only piecewise-analytic: they kink at their knots, and a
     polynomial stencil straddling a kink is worthless.  ``knot_every`` gives
     the knot spacing in grid steps (knots at l = 0, knot_every, 2*knot_every,
-    ...), and the stencil is then clamped inside the knot interval containing
-    the query.  With ``None`` the stencil only clamps at the table ends.
+    ...), and the stencil is clamped inside the knot interval containing
+    the query.
 
     At a grid node the interpolant reproduces the stored value exactly (the
     Lagrange weights come out as exact 0s and 1s), which several bit-identity
@@ -37,7 +37,7 @@ def interp6(
     n = len(values)
     if n < 6:
         raise ValueError("table must hold at least 6 samples")
-    if knot_every is not None and knot_every < 5:
+    if knot_every < 5:
         raise ValueError("need at least 5 grid steps between knots")
 
     s = (t - t0) / h
@@ -46,13 +46,10 @@ def interp6(
     si = s[inside]
 
     cell = np.floor(si).astype(int)
-    if knot_every is None:
-        lo, hi = 0, n - 6
-    else:
-        seg = np.minimum(cell // knot_every, (n - 2) // knot_every)
-        lo = seg * knot_every
-        hi = np.minimum(lo + knot_every - 5, n - 6)
-        lo = np.minimum(lo, n - 6)
+    seg = np.minimum(cell // knot_every, (n - 2) // knot_every)
+    lo = seg * knot_every
+    hi = np.minimum(lo + knot_every - 5, n - 6)
+    lo = np.minimum(lo, n - 6)
     j0 = np.clip(cell - 2, lo, hi)
     x = si - j0  # within [0, 5] plus clamping slack
 

@@ -14,17 +14,20 @@ normalizes downstream as it sees fit.
 Evaluation routes (deliberately redundant -- the tests play them against each
 other):
 
-* :func:`tb_exact`     -- finite Green's-function sum.  Exact formula, but the
-  terms grow like e^{max|l| N} while the result stays bounded, so float64 dies
-  by cancellation for stiff spectra; the implementation escalates to mpmath in
-  a middle regime and refuses beyond that (:class:`CancellationError`).
+* :func:`tb_exact`     -- finite Green's-function sum, the reference.  Exact
+  formula, but the terms grow like e^{max|l| N} while the result stays
+  bounded, so it always runs in mpmath, with the precision scaled to the
+  digits that cancel, and refuses beyond ``SEVERITY_EXACT_MAX``
+  (:class:`CancellationError`).  Point by point and slow: tests and checks
+  only.
 * :func:`tb_piecewise` -- the same data reorganized as explicit exponential
   polynomials per unit interval; cheap repeated evaluation and derivatives.
 * :func:`tb_chebyshev` -- one chopped Chebyshev series per unit interval,
   sampled once per spectrum from the piecewise form in mpmath and evaluated
   in float64 by Clenshaw.  No stiffness cap and no per-point mpmath work, so
-  kernel grids and ground-truth superpositions run on it; :func:`tb_exact`
-  stays the independent reference it is tested against.
+  every library path that needs Q_N values (kernel grids, ground-truth
+  superpositions, Euler splines) runs on it; :func:`tb_exact` stays the
+  independent reference it is tested against.
 * :func:`tb_tabulate`  -- FFT inversion of the Fourier form with an asymptotic
   correction for the truncated spectral tail.  No cancellation at any
   stiffness, which is exactly why it exists.
@@ -77,16 +80,12 @@ __all__ = [
 ]
 
 # stiffness s = max|lambda| * N controls how many digits the Green's-function
-# sum cancels away (up to s * log10(e)).  Below FLOAT_MAX the float64 path is
-# guaranteed ~10 clean digits even when the cancellation is fully realized;
-# up to EXACT_MAX we escalate to mpmath; beyond that the public exact
-# evaluator refuses.
+# algebra cancels away (up to s * log10(e)).  Below FLOAT_MAX float64 keeps
+# ~10 clean digits even when the cancellation is fully realized (the
+# piecewise coefficients and the Euler-Frobenius cross-check rely on that);
+# beyond EXACT_MAX the mpmath reference evaluator refuses.
 SEVERITY_FLOAT_MAX = 12.0
 SEVERITY_EXACT_MAX = 80.0
-
-#: close frequencies cost the Green's-function sum digits of their own (see
-#: _gap_digits); above this many the exact evaluator leaves float64
-GAP_DIGITS_FLOAT_MAX = 1.0
 
 #: distinct frequencies closer than this make the partial-fraction system
 #: numerically meaningless (they should have been merged into a multiplicity)
@@ -207,17 +206,22 @@ def _check_gaps(spectrum: SpectrumVector) -> None:
 
 
 @lru_cache(maxsize=None)
-def _system_float(spectrum: SpectrumVector):
-    """(green terms with a/s! pre-divided, beta coefficients) in float64."""
+def _system(spectrum: SpectrumVector, dps: int | None = None):
+    """(green terms with a/s! pre-divided, beta coefficients) of a spectrum.
+
+    Float64 when ``dps`` is None, else mpmath at ``dps`` digits.
+    """
     _check_gaps(spectrum)
-    lams = [v for v, _ in spectrum.entries]
-    mults = [m for _, m in spectrum.entries]
-    terms = _green_terms(lams, mults, 1.0)
-    entries = tuple(
-        (li, tuple(a / math.factorial(s) for s, a in enumerate(avec)))
-        for li, avec in terms
-    )
-    beta = tuple(_beta_coeffs(lams, mults, 1.0, math.exp))
+    one, exp = (1.0, math.exp) if dps is None else (mp.mpf(1), mp.exp)
+    with mp.workdps(dps or mp.dps):
+        lams = [one * v for v, _ in spectrum.entries]
+        mults = [m for _, m in spectrum.entries]
+        terms = _green_terms(lams, mults, one)
+        entries = tuple(
+            (li, tuple(a / math.factorial(s) for s, a in enumerate(avec)))
+            for li, avec in terms
+        )
+        beta = tuple(_beta_coeffs(lams, mults, one, exp))
     return entries, beta
 
 
@@ -249,61 +253,21 @@ def _exact_dps(spectrum: SpectrumVector) -> int:
     return _hp_dps(sev) + math.ceil(_gap_digits(spectrum))
 
 
-@lru_cache(maxsize=None)
-def _system_hp(spectrum: SpectrumVector, dps: int):
-    _check_gaps(spectrum)
-    with mp.workdps(dps):
-        lams = [mp.mpf(v) for v, _ in spectrum.entries]
-        mults = [m for _, m in spectrum.entries]
-        terms = _green_terms(lams, mults, mp.mpf(1))
-        entries = tuple(
-            (li, tuple(a / math.factorial(s) for s, a in enumerate(avec)))
-            for li, avec in terms
-        )
-        beta = tuple(_beta_coeffs(lams, mults, mp.mpf(1), mp.exp))
-    return entries, beta
-
-
 # --------------------------------------------------------------------------
 # pointwise evaluation
 # --------------------------------------------------------------------------
 
-def _qn_float_arr(spectrum: SpectrumVector, t: np.ndarray) -> np.ndarray:
-    entries, beta = _system_float(spectrum)
-    n = spectrum.order
-    out = np.zeros_like(t)
-    relevant = (t >= 0.0) & (t < n)
-    if not relevant.any():
-        return out
-    tr = t[relevant]
-    acc = np.zeros_like(tr)
-    for shift in range(n + 1):
-        u = tr - shift
-        mask = u >= 0.0
-        if not mask.any():
-            continue
-        um = u[mask]
-        g = np.zeros_like(um)
-        for li, cvec in entries:
-            poly = np.zeros_like(um)
-            for c in reversed(cvec):
-                poly = poly * um + c
-            g += poly * np.exp(li * um)
-        bm = beta[shift]
-        if bm != 0.0:
-            tmp = np.zeros_like(tr)
-            tmp[mask] = bm * g
-            acc += tmp
-    out[relevant] = acc
-    return out
-
-
 def _qn_hp_arr(spectrum: SpectrumVector, t: np.ndarray, dps: int) -> np.ndarray:
-    entries, beta = _system_hp(spectrum, dps)
+    """Q_N at every point of ``t`` by the Green's-function sum in mpmath at ``dps``.
+
+    No stiffness cap: the caller picks ``dps`` to cover the cancellation.
+    """
+    entries, beta = _system(spectrum, dps)
     n = spectrum.order
-    out = np.zeros_like(t)
+    out = np.zeros(np.shape(t))
+    flat = out.reshape(-1)
     with mp.workdps(dps):
-        for idx, tv in enumerate(t):
+        for idx, tv in enumerate(np.ravel(t)):
             if not (0.0 <= tv < n):
                 continue
             tt = mp.mpf(float(tv))
@@ -319,50 +283,42 @@ def _qn_hp_arr(spectrum: SpectrumVector, t: np.ndarray, dps: int) -> np.ndarray:
                         poly = poly * u + c
                     g += poly * mp.exp(li * u)
                 acc += beta[shift] * g
-            out[idx] = float(acc)
+            flat[idx] = float(acc)
     return out
 
 
-def _qn_any(spectrum: SpectrumVector, t: np.ndarray) -> np.ndarray:
-    """Internal evaluator with no stiffness cap (escalates precision as needed)."""
-    sev = cancellation_severity(spectrum)
-    if sev <= SEVERITY_FLOAT_MAX and _gap_digits(spectrum) <= GAP_DIGITS_FLOAT_MAX:
-        return _qn_float_arr(spectrum, t)
-    return _qn_hp_arr(spectrum, t, _exact_dps(spectrum))
-
-
 def tb_exact(spectrum: SpectrumVector, t):
-    """TB-spline values by the exact Green's-function sum.
+    """TB-spline values by the Green's-function sum in mpmath: the reference.
 
-    Raises :class:`CancellationError` when max|lambda|*N exceeds
-    ``SEVERITY_EXACT_MAX``; between ``SEVERITY_FLOAT_MAX`` and that cap the
-    sum runs in scaled-up precision, below it in plain float64 unless close
-    frequencies would cost more than ``GAP_DIGITS_FLOAT_MAX`` digits.  Values
-    outside [0, N) are exactly zero (left-closed convention: Q(0) = 0 for
-    N >= 2, and the first-order kernel has Q(0) = e^{-lambda}).
+    The precision, :func:`_exact_dps`, covers the digits that stiffness and
+    close frequencies cancel away.  Raises :class:`CancellationError` when
+    max|lambda|*N exceeds ``SEVERITY_EXACT_MAX``.  Values outside [0, N) are
+    exactly zero (left-closed convention: Q(0) = 0 for N >= 2, and the
+    first-order kernel has Q(0) = e^{-lambda}).  Library code evaluates Q_N
+    through :func:`tb_chebyshev`, which is tested against this.
     """
     sev = cancellation_severity(spectrum)
     if sev > SEVERITY_EXACT_MAX:
         raise CancellationError(
             f"max|lambda|*N = {sev:.1f} exceeds {SEVERITY_EXACT_MAX}; "
-            "use tb_tabulate, which does not cancel"
+            "use tb_tabulate or tb_chebyshev, which do not cancel"
         )
     t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    vals = _qn_any(spectrum, np.atleast_1d(t_arr))
-    return float(vals[0]) if scalar else vals
+    vals = _qn_hp_arr(spectrum, t_arr, _exact_dps(spectrum))
+    return float(vals) if vals.ndim == 0 else vals
 
 
 @lru_cache(maxsize=None)
 def tb_integer_values(spectrum: SpectrumVector) -> tuple[float, ...]:
     """(Q_N(1), ..., Q_N(N-1)): the data behind symbols and Euler-Frobenius.
 
-    Always computed reliably (precision escalates with stiffness, no cap).
+    The same mpmath sum as :func:`tb_exact`, without its stiffness cap.
     """
     n = spectrum.order
     if n < 2:
         return ()
-    return tuple(float(v) for v in _qn_any(spectrum, np.arange(1.0, n)))
+    vals = _qn_hp_arr(spectrum, np.arange(1.0, n), _exact_dps(spectrum))
+    return tuple(float(v) for v in vals)
 
 
 @lru_cache(maxsize=None)
@@ -447,7 +403,7 @@ def tb_tabulate(
     n = spectrum.order
     if n < 2:
         raise ValueError("tabulation needs N >= 2; Q_1 is e^{lambda (t-1)} on [0,1)")
-    entries, beta = _system_float(spectrum)
+    entries, beta = _system(spectrum)
 
     p_time = 8
     while p_time < n + 6:
@@ -611,7 +567,7 @@ def tb_piecewise(spectrum: SpectrumVector) -> PiecewiseExpSpline:
 
     Raises :class:`CancellationError` beyond ``SEVERITY_FLOAT_MAX``: the local
     coefficients are differences of Green translates and lose digits at the
-    same rate as :func:`tb_exact`'s float path.
+    same rate as a float64 Green's-function sum would.
     """
     sev = cancellation_severity(spectrum)
     if sev > SEVERITY_FLOAT_MAX:
@@ -619,7 +575,7 @@ def tb_piecewise(spectrum: SpectrumVector) -> PiecewiseExpSpline:
             f"max|lambda|*N = {sev:.1f} exceeds {SEVERITY_FLOAT_MAX}; "
             "piecewise coefficients would be pure cancellation noise"
         )
-    entries, beta = _system_float(spectrum)
+    entries, beta = _system(spectrum)
     return PiecewiseExpSpline(
         spectrum, 0, _local_coeffs(entries, beta, spectrum.order, math.exp)
     )
@@ -787,7 +743,7 @@ def tb_chebyshev(spectrum: SpectrumVector) -> TbChebyshev:
     n = spectrum.order
     dps = _exact_dps(spectrum)
     points_dps = -(-dps // 20) * 20
-    entries, beta = _system_hp(spectrum, dps)
+    entries, beta = _system(spectrum, dps)
     eps = np.finfo(float).eps
     with mp.workdps(dps):
         pieces = _local_coeffs(entries, beta, n, mp.exp)
@@ -829,7 +785,8 @@ def euler_spline(spectrum: SpectrumVector, x: float, lam: complex):
     """Phi(x; lam) = sum_m lam^m Q_N(x - m), a finite sum over the support.
 
     ``lam`` must be nonzero (negative powers appear).  Complex ``lam`` gives a
-    complex result; real input stays real.
+    complex result; real input stays real.  The Q_N values come from
+    :func:`tb_chebyshev`, so there is no stiffness cap.
     """
     if lam == 0:
         raise ValueError("lam must be nonzero")
@@ -839,7 +796,7 @@ def euler_spline(spectrum: SpectrumVector, x: float, lam: complex):
     ms = np.arange(m_lo, m_hi + 1)
     if len(ms) == 0:
         return 0.0 if not isinstance(lam, complex) else 0.0j
-    qv = tb_exact(spectrum, x - ms)
+    qv = tb_chebyshev(spectrum)(x - ms)
     acc = sum(lam ** int(m) * q for m, q in zip(ms, qv))
     return acc
 
@@ -899,6 +856,43 @@ def _pole_proximity_digits(entries, lam) -> float:
     return worst
 
 
+#: float64 keeps ~13 clean digits in the resolvent as long as pole
+#: proximity burns no more than this many
+_RESOLVENT_FLOAT_LOSS_MAX = 3.0
+
+
+def _field_exp_float(v):
+    return cmath.exp(v) if isinstance(v, complex) else math.exp(v)
+
+
+def _resolvent(spectrum: SpectrumVector, x: float, lam, with_b: bool,
+               stiff_exact: bool = False):
+    """sum_{j>=0} lam^{-j} g(x + j), times B(lam) = sum_k beta_k lam^{-k} if ``with_b``.
+
+    The one body behind every resolvent route.  It runs in float64 unless
+    ``lam`` sits so close to a pole node e^{lambda_i} that the closed form
+    would cancel more than ``_RESOLVENT_FLOAT_LOSS_MAX`` digits, or
+    ``stiff_exact`` is set and the spectrum is stiffer than
+    ``SEVERITY_FLOAT_MAX``; then it runs in mpmath at a precision covering
+    the loss.
+    """
+    if lam == 0:
+        raise ValueError("lam must be nonzero")
+    loss = _pole_proximity_digits(_system(spectrum)[0], lam)
+    dps = 30 + int(loss) if loss > _RESOLVENT_FLOAT_LOSS_MAX else None
+    if stiff_exact and cancellation_severity(spectrum) > SEVERITY_FLOAT_MAX:
+        dps = max(dps or 0, _exact_dps(spectrum))
+    entries, beta = _system(spectrum, dps)
+    x, exp = float(x), _field_exp_float
+    with mp.workdps(dps or mp.dps):
+        if dps is not None:
+            x, lam, exp = mp.mpf(x), mp.mpmathify(lam), mp.exp
+        val = _power_sum_field(entries, x, lam, exp)
+        if with_b:
+            val = sum(bj * lam ** (-j) for j, bj in enumerate(beta)) * val
+        return complex(val) if isinstance(val, (complex, mp.mpc)) else float(val)
+
+
 def green_power_sum(spectrum: SpectrumVector, x: float, lam: complex):
     """Analytic continuation of sum_{j>=0} lam^{-j} g(x + j).
 
@@ -909,26 +903,7 @@ def green_power_sum(spectrum: SpectrumVector, x: float, lam: complex):
     ``lam`` approaches one of those nodes, where the closed form cancels.
     This is the engine behind the resolvent route to the Euler spline.
     """
-    if lam == 0:
-        raise ValueError("lam must be nonzero")
-    entries, _ = _system_float(spectrum)
-    loss = _pole_proximity_digits(entries, lam)
-    if loss <= _RESOLVENT_FLOAT_LOSS_MAX:
-        return _power_sum_field(entries, float(x), lam, _field_exp_float)
-    dps = 30 + int(loss)
-    entries_hp, _ = _system_hp(spectrum, dps)
-    with mp.workdps(dps):
-        val = _power_sum_field(entries_hp, mp.mpf(float(x)), mp.mpmathify(lam), mp.exp)
-        return complex(val) if isinstance(val, mp.mpc) else float(val)
-
-
-#: float64 keeps ~13 clean digits in the resolvent as long as pole
-#: proximity burns no more than this many
-_RESOLVENT_FLOAT_LOSS_MAX = 3.0
-
-
-def _field_exp_float(v):
-    return cmath.exp(v) if isinstance(v, complex) else math.exp(v)
+    return _resolvent(spectrum, x, lam, with_b=False)
 
 
 def euler_spline_resolvent(spectrum: SpectrumVector, x: float, lam: complex):
@@ -941,27 +916,8 @@ def euler_spline_resolvent(spectrum: SpectrumVector, x: float, lam: complex):
     Like :func:`green_power_sum` it escalates precision when ``lam`` sits
     close to a pole node e^{lambda_i}.
     """
-    if lam == 0:
-        raise ValueError("lam must be nonzero")
     k = math.floor(x)
-    xr = x - k
-    entries, beta = _system_float(spectrum)
-    loss = _pole_proximity_digits(entries, lam)
-    if loss <= _RESOLVENT_FLOAT_LOSS_MAX:
-        b = 0 * lam
-        for j, bj in enumerate(beta):
-            b = b + bj * lam ** (-j)
-        val = b * _power_sum_field(entries, xr, lam, _field_exp_float)
-        return lam**k * val
-    dps = 30 + int(loss)
-    entries_hp, beta_hp = _system_hp(spectrum, dps)
-    with mp.workdps(dps):
-        lam_mp = mp.mpmathify(lam)
-        b = mp.mpf(0)
-        for j, bj in enumerate(beta_hp):
-            b += bj * lam_mp ** (-j)
-        val = lam_mp**k * b * _power_sum_field(entries_hp, mp.mpf(xr), lam_mp, mp.exp)
-        return complex(val) if isinstance(val, mp.mpc) else float(val)
+    return _resolvent(spectrum, x - k, lam, with_b=True) * lam**k
 
 
 # --------------------------------------------------------------------------
@@ -1020,23 +976,11 @@ def euler_frobenius(spectrum: SpectrumVector) -> EFPolynomial:
 
 
 def _ef_reference_value(spectrum: SpectrumVector, lam: float) -> float:
-    """P(lam) via the resolvent identity, in float or mpmath as stiffness demands."""
+    """P(lam) via the resolvent identity, in mpmath when stiffness demands."""
     n = spectrum.order
-    sev = cancellation_severity(spectrum)
     sign = -1.0 if n % 2 == 0 else 1.0
-    if sev <= SEVERITY_FLOAT_MAX:
-        phi = euler_spline_resolvent(spectrum, 0.0, lam)
-        return sign * math.exp(spectrum.freq_sum()) * lam ** (n - 1) * phi
-    dps = _exact_dps(spectrum)
-    entries, beta = _system_hp(spectrum, dps)
-    with mp.workdps(dps):
-        lam_mp = mp.mpf(lam)
-        b = mp.mpf(0)
-        for j, bj in enumerate(beta):
-            b += bj * lam_mp ** (-j)
-        phi = _power_sum_field(entries, mp.mpf(0), lam_mp, mp.exp)
-        val = sign * mp.exp(mp.mpf(spectrum.freq_sum())) * lam_mp ** (n - 1) * b * phi
-        return float(val)
+    phi = _resolvent(spectrum, 0.0, lam, with_b=True, stiff_exact=True)
+    return sign * math.exp(spectrum.freq_sum()) * lam ** (n - 1) * phi
 
 
 def ef_zeros(spectrum: SpectrumVector) -> np.ndarray:
@@ -1152,10 +1096,8 @@ def ef_contour(
     else:
         raise ConvergenceError("contour quadrature failed to settle")
 
-    _, beta = _system_float(spectrum)
-    b = 0.0j
-    for j, bj in enumerate(beta):
-        b += bj * lam ** (-j)
+    _, beta = _system(spectrum)
+    b = sum(bj * lam ** (-j) for j, bj in enumerate(beta))
     result = complex(lam**k * b * prev / (2.0j * math.pi))
     if lam.imag == 0.0 and abs(result.imag) < 1e-8 * (1.0 + abs(result.real)):
         # real lam gives a real Phi; drop the quadrature's imaginary dust

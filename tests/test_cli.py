@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from polyshannon import cli, ef_zeros, SpectrumVector
+from polyshannon import cli, ef_zeros, spherical, SpectrumVector
 from polyshannon.cli import (
     ConfigError,
     DEFAULT_SEED,
@@ -156,6 +156,22 @@ def test_truncated_cache_entry_is_rebuilt(tmp_path, capsys):
     assert sorted((out / "kernels").iterdir()) == entries  # no temporary left
 
 
+def test_non_finite_cache_entry_is_rebuilt(tmp_path):
+    sv = SpectrumVector.from_frequencies([3.0, -3.0])
+    cache = tmp_path / "kernels"
+    first, path, hit = cli.cached_kernel(sv, 16, 64, 12, cache)
+    assert not hit
+    for bad in (np.nan, np.inf):
+        raw = bytearray(path.read_bytes())
+        raw[-8 * 5 : -8 * 4] = np.array([bad], dtype="<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        tab, _, hit = cli.cached_kernel(sv, 16, 64, 12, cache)
+        assert not hit
+        assert np.all(np.isfinite(tab.values))
+        assert np.array_equal(tab.values, first.values)
+    assert cli.cached_kernel(sv, 16, 64, 12, cache)[2]
+
+
 # --- zeros --------------------------------------------------------------------
 
 def test_zeros_csv_matches_library(tmp_path, capsys):
@@ -182,6 +198,38 @@ def test_decay_runs_and_reports_ratios(tmp_path, capsys):
     rows = (out / "decay.csv").read_text().strip().splitlines()
     assert rows[0] == "k,sup_fourier,sup_time"
     assert len(rows) == 1 + 3  # one row per degree in [k_min, k_max]
+
+
+def test_decay_uses_the_config_grid(tmp_path, capsys, monkeypatch):
+    # the kernel suprema sit at S_0(0) = 1 on every grid, so decay.csv moves
+    # with the grid only in its last bits: watch the grid reach decay_check
+    asked = []
+
+    def spy(n, p, k_max, *grid):
+        asked.append(grid)
+        return spherical.decay_check(n, p, k_max, *grid)
+
+    monkeypatch.setattr(cli, "decay_check", spy)
+    for per_unit in (8, 16):
+        cfg = tmp_path / f"d{per_unit}.cfg"
+        cfg.write_text(f"k_min = 1\nk_max = 2\nper_unit = {per_unit}\n"
+                       "span = 48\nhalf_width = 20\n")
+        out = tmp_path / f"o{per_unit}"
+        assert main(["decay", "--config", str(cfg), "--out", str(out)]) == 0
+        want = ["k,sup_fourier,sup_time"] + [
+            f"{row.degree},{row.sup_fourier!r},{row.sup_time!r}"
+            for row in spherical.decay_check(3, 1, 2, per_unit, 48, 20)[1:]
+        ]
+        assert (out / "decay.csv").read_text().splitlines() == want
+    capsys.readouterr()
+    assert asked == [(8, 48, 20), (16, 48, 20)]
+
+
+def test_half_width_beyond_half_span_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text("span = 48\nhalf_width = 24\n")
+    assert main(["decay", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "half_width" in capsys.readouterr().err
 
 
 # --- reconstruction commands --------------------------------------------------

@@ -309,6 +309,8 @@ def test_load_rejects_garbage(tmp_path):
     lambda raw: raw[:-8],                      # short body
     lambda raw: raw + b"\x00",                 # trailing byte
     lambda raw: b"",
+    lambda raw: raw[:-8] + np.array([np.nan], dtype="<f8").tobytes(),  # NaN value
+    lambda raw: raw[:-8] + np.array([-np.inf], dtype="<f8").tobytes(),  # inf value
 ])
 def test_load_rejects_malformed_tables_with_value_error(tmp_path, damage):
     tab = synthesize_kernel(CUBIC, grid=SamplingGrid(per_unit=16, span=64),

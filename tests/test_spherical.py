@@ -332,6 +332,12 @@ def test_non_finite_samples_are_rejected():
         fld = PolysplineField(3, 1, 1, -3, samples)
         with pytest.raises(ValueError, match="NaN or infinite"):
             reconstruct_spherical(fld, np.array([1.0]), np.array([[0.0, 0.0, 1.0]]))
+    # radii whose log is not finite are queries off every sphere, not zeros
+    fld = PolysplineField(3, 1, 1, -3, np.ones((7, mode_count(1))))
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            reconstruct_spherical(fld, np.array([1.0, bad]),
+                                  np.array([[0.0, 0.0, 1.0]] * 2))
 
 
 def test_kernel_source_selects_the_tables():

@@ -211,6 +211,10 @@ def test_non_finite_samples_are_rejected():
         fld = StripField(2, 1, 1, -3, modes, samples)
         with pytest.raises(ValueError, match="NaN or infinite"):
             reconstruct_strip(fld, np.array([0.0]), np.zeros((1, 2)))
+    fld = StripField(2, 1, 1, -3, modes, np.ones((7, len(modes)), dtype=complex))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            reconstruct_strip(fld, np.array([0.0, bad]), np.zeros((2, 2)))
 
 
 def test_kernel_source_selects_the_tables():

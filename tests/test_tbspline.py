@@ -261,12 +261,12 @@ def test_symmetric_spectrum_gives_symmetric_bump():
 
 # --- precision escalation -----------------------------------------------------
 
-def test_hp_path_agrees_with_float_path():
-    sv = SV([-7.0, 7.0])  # severity 28: compare the two internal paths directly
+def test_exact_precision_matches_50_digit_sum():
+    sv = SV([-7.0, 7.0])  # severity 28: the escalated precision must suffice
     ts = np.linspace(0.1, 1.9, 19)
-    float_vals = tbs._qn_float_arr(sv, ts.copy())
+    exact = tb_exact(sv, ts)
     hp_vals = tbs._qn_hp_arr(sv, ts.copy(), 50)
-    assert np.max(np.abs(float_vals - hp_vals)) < 1e-9 * np.max(np.abs(hp_vals))
+    assert np.max(np.abs(exact - hp_vals)) < 1e-13 * np.max(np.abs(hp_vals))
 
 
 def test_stiff_spectrum_uses_hp_and_stays_positive():
