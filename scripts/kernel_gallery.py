@@ -31,9 +31,9 @@ def main() -> None:
     sv = SpectrumVector.from_frequencies(
         [float(s) for s in args.frequencies.replace(",", " ").split()]
     )
-    grid = SamplingGrid(args.per_unit, 256)
-    s0 = synthesize_kernel(sv, grid, args.half_width)
-    dual = synthesize_dual(sv, grid, args.half_width)
+    grid = SamplingGrid(args.per_unit, args.half_width)
+    s0 = synthesize_kernel(sv, grid)
+    dual = synthesize_dual(sv, grid)
     margin = symbol_margin(sv)
 
     ts = np.arange(len(s0.values)) / s0.per_unit + s0.t_min

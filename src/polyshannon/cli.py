@@ -38,6 +38,7 @@ import numpy as np
 
 from .shannon1d import (
     KernelTable,
+    NarrowGridError,
     NotSamplableError,
     SamplingGrid,
     cardinal_series,
@@ -94,7 +95,6 @@ class ExperimentConfig:
     dim: int = 2
     K: int = 4
     per_unit: int = 64
-    span: int = 256
     half_width: int = 30
     j_min: int = -6
     j_max: int = 6
@@ -114,10 +114,10 @@ class ExperimentConfig:
             raise ConfigError("queries must be >= 1")
         if self.csv_step < 1:
             raise ConfigError("csv_step must be >= 1")
-        if self.per_unit < 8 or self.span < 32:
-            raise ConfigError("grid too small: need per_unit >= 8, span >= 32")
-        if not 0 < 2 * self.half_width < self.span:
-            raise ConfigError("half_width must lie between 0 and span/2")
+        try:
+            self.grid  # SamplingGrid checks per_unit and half_width
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.j_max <= self.j_min:
             raise ConfigError("j_max must exceed j_min")
         if self.p < 1 or self.n < 2 or self.k < 0 or self.K < 0 or self.dim < 1:
@@ -127,8 +127,12 @@ class ExperimentConfig:
         if not 0 <= self.k_min <= self.k_max <= 32:
             raise ConfigError("decay sweep requires 0 <= k_min <= k_max <= 32")
 
+    @property
+    def grid(self) -> SamplingGrid:
+        return SamplingGrid(self.per_unit, self.half_width)
 
-_INT_KEYS = {"k", "n", "p", "dim", "K", "per_unit", "span", "half_width",
+
+_INT_KEYS = {"k", "n", "p", "dim", "K", "per_unit", "half_width",
              "j_min", "j_max", "queries", "seed", "csv_step",
              "k_min", "k_max"}
 _FLOAT_KEYS = {"tol"}
@@ -284,17 +288,13 @@ def _spectrum_hash(sv: SpectrumVector) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _grid_hash(per_unit: int, span: int, half_width: int, kind: str) -> str:
-    canon = f"{per_unit}|{span}|{half_width}|{kind}"
+def _grid_hash(grid: SamplingGrid, kind: str) -> str:
+    canon = f"{grid.per_unit}|{grid.half_width}|{kind}"
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
 def cached_kernel(
-    sv: SpectrumVector,
-    per_unit: int,
-    span: int,
-    half_width: int,
-    cache_dir: Path,
+    sv: SpectrumVector, grid: SamplingGrid, cache_dir: Path
 ) -> tuple[KernelTable, Path, bool]:
     """Load the kernel for (spectrum, grid) from disk or synthesize and store.
 
@@ -302,7 +302,7 @@ def cached_kernel(
     expected name is ignored and rewritten.
     """
     cache_dir.mkdir(parents=True, exist_ok=True)
-    name = f"{_spectrum_hash(sv)}-{_grid_hash(per_unit, span, half_width, 'interp')}.pskt"
+    name = f"{_spectrum_hash(sv)}-{_grid_hash(grid, 'interp')}.pskt"
     path = cache_dir / name
     if path.exists():
         try:
@@ -312,11 +312,11 @@ def cached_kernel(
         if (
             tab is not None
             and tab.spectrum == sv
-            and tab.per_unit == per_unit
-            and tab.t_min == -half_width
+            and tab.per_unit == grid.per_unit
+            and tab.t_min == -grid.half_width
         ):
             return tab, path, True
-    tab = synthesize_kernel(sv, SamplingGrid(per_unit, span), half_width)
+    tab = synthesize_kernel(sv, grid)
     tab.save(path)
     return tab, path, False
 
@@ -324,7 +324,7 @@ def cached_kernel(
 def _kernel_source(cfg: ExperimentConfig, out: Path):
     """spectrum -> KernelTable on the config grid, through the on-disk cache."""
     cache = out / "kernels"
-    return lambda sv: cached_kernel(sv, cfg.per_unit, cfg.span, cfg.half_width, cache)[0]
+    return lambda sv: cached_kernel(sv, cfg.grid, cache)[0]
 
 
 # --------------------------------------------------------------------------
@@ -346,9 +346,7 @@ def cmd_kernel1d(cfg: ExperimentConfig, out: Path) -> int:
             file=sys.stderr,
         )
         return 2
-    tab, path, hit = cached_kernel(
-        sv, cfg.per_unit, cfg.span, cfg.half_width, out / "kernels"
-    )
+    tab, path, hit = cached_kernel(sv, cfg.grid, out / "kernels")
     grid_t = tab.t_min + np.arange(len(tab.values)) / tab.per_unit
     step = cfg.csv_step
     rows = [
@@ -400,8 +398,7 @@ def cmd_zeros(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_decay(cfg: ExperimentConfig, out: Path) -> int:
     rows_out = []
-    sweep = decay_check(cfg.n, cfg.p, cfg.k_max, cfg.per_unit, cfg.span,
-                        cfg.half_width)
+    sweep = decay_check(cfg.n, cfg.p, cfg.k_max, cfg.grid)
     for row in sweep[cfg.k_min :]:
         rows_out.append(
             [str(row.degree), repr(row.sup_fourier), repr(row.sup_time)]
@@ -447,6 +444,8 @@ def _finish_recon(out: Path, name: str, cfg: ExperimentConfig, t0: float,
 
 def cmd_reconstruct_sphere(cfg: ExperimentConfig, out: Path) -> int:
     t0 = time.perf_counter()
+    if cfg.n != 3:
+        raise ConfigError(f"reconstruct-sphere needs n = 3, got n = {cfg.n}")
     rng = np.random.default_rng(cfg.seed)
     gen = random_polyspline_field(
         rng, n=cfg.n, p=cfg.p, degree_max=cfg.K, j_min=cfg.j_min, j_max=cfg.j_max
@@ -531,7 +530,7 @@ def _lpi_deviation(svs) -> tuple[float, float]:
     xi = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
     for sv in svs:
         poly = euler_frobenius(sv)
-        on_circle = np.abs([poly(np.exp(1j * x)) for x in xi])
+        on_circle = np.abs(poly(np.exp(1j * xi)))
         lo, hi = abs(poly(-1.0)), abs(poly(1.0))
         scale = max(1.0, hi)
         lower = max(lower, float(np.max(lo - on_circle)) / scale)
@@ -593,36 +592,32 @@ def _biorthogonality_deviation(sv: SpectrumVector) -> float:
     return worst
 
 
-def _reconstruction_residual(sv: SpectrumVector, cfg: ExperimentConfig, rng) -> float:
-    tab = synthesize_kernel(
-        sv, SamplingGrid(cfg.per_unit, cfg.span), cfg.half_width
-    )
+def _reconstruction_residual(sv: SpectrumVector, grid: SamplingGrid, rng) -> float:
+    tab = synthesize_kernel(sv, grid)
     coeffs = rng.uniform(-1.0, 1.0, size=17)
-    grid = np.linspace(-3.0, 3.0, 601)
-    exact = tb_superposition(sv, -8, coeffs, grid)
+    ts = np.linspace(-3.0, 3.0, 601)
+    exact = tb_superposition(sv, -8, coeffs, ts)
     samples = tb_superposition(sv, -8, coeffs, np.arange(-40.0, 41.0))
-    rebuilt = cardinal_series(tab, -40, samples, grid)
+    rebuilt = cardinal_series(tab, -40, samples, ts)
     return float(np.max(np.abs(rebuilt - exact))) / max(
         1.0, float(np.max(np.abs(exact)))
     )
 
 
-def _kernel_residuals(cfg: ExperimentConfig, rng) -> tuple[float, float, float]:
+def _kernel_residuals(grid: SamplingGrid, rng) -> tuple[float, float, float]:
     cubic = SpectrumVector.from_frequencies([0.0, 0.0, 0.0, 0.0])
-    tab = synthesize_kernel(
-        cubic, SamplingGrid(cfg.per_unit, cfg.span), cfg.half_width
-    )
+    tab = synthesize_kernel(cubic, grid)
     integers = np.arange(tab.t_min + 1, -tab.t_min).astype(float)
     node_vals = tab(integers)
     node_vals[integers == 0.0] -= 1.0
     cardinal = float(np.max(np.abs(node_vals)))
 
-    recon = _reconstruction_residual(cubic, cfg, rng)
+    recon = _reconstruction_residual(cubic, grid, rng)
     # The cubic kernel is piecewise polynomial, which the table stencil
     # reproduces at any resolution; an exponential pair is the honest probe
     # of whether the configured grid resolves off-lattice evaluation.
     stiff = _reconstruction_residual(
-        SpectrumVector.from_frequencies([3.0, -3.0]), cfg, rng
+        SpectrumVector.from_frequencies([3.0, -3.0]), grid, rng
     )
     return cardinal, recon, stiff
 
@@ -659,7 +654,7 @@ def run_verify(cfg: ExperimentConfig) -> RunReport:
         sv = SpectrumVector.from_frequencies(freqs)
         report.add(f"biorth/{name}", _biorthogonality_deviation(sv), 1e-5)
 
-    cardinal, recon, stiff = _kernel_residuals(cfg, rng)
+    cardinal, recon, stiff = _kernel_residuals(cfg.grid, rng)
     report.add("kernel/cardinal", cardinal, 1e-10)
     report.add("kernel/reconstruction", recon, 1e-7)
     report.add("kernel/stiff-reconstruction", stiff, 1e-7)
@@ -720,6 +715,7 @@ _INPUT_NUMERICAL_ERRORS = (
     ConvergenceError,
     EFAccuracyError,
     EFStructureError,
+    NarrowGridError,
 )
 
 _COMMANDS = {

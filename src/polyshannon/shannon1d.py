@@ -11,14 +11,17 @@ symmetric spectra of even order; famously false for odd-order classical
 splines).  Reconstruction of f in V_0 from its integer samples is then the
 cardinal series sum_j f(j) S_0(. - j).
 
-Kernels are materialized as uniform tables by a *folded* DFT: with grid step
-h = 1/per_unit, the DFT of the h-samples of Q equals the exact periodization
-of Q^ (Poisson, finite sum -- no truncation error), and phi* is 2 pi periodic
-while the fold period is 2 pi per_unit, so dividing bin-by-bin and inverting
-gives S_0's h-samples exactly up to time-domain periodization (period `span`,
-hundreds of units -- far beyond the kernel's exponential decay).  The same
-machinery with the Gram symbol as divisor produces the dual generator, whose
-translates biorthogonalize those of Q.
+Kernels are materialized as uniform tables with step h = 1/per_unit by
+deconvolving on the integer lattice: S_0 = sum_m a_m Q_N(. - m), where the
+taps a_m = (1/2 pi) int 1/phi*(xi) e^{i xi m} dxi invert the sampled symbol
+on the lattice (the B-spline prefilter of Unser, Aldroubi & Eden, IEEE TSP
+41, 1993).  One inverse FFT of 1/phi* on M circle points gives the taps
+periodized with period M (Poisson); they decay geometrically, and
+M = max(256, 4 (half_width + N) rounded up to a power of two) puts the
+aliased copies far beyond the table.  Each table node is then a sum of N
+taps times grid samples of Q_N.  The same machinery with the Gram symbol as
+divisor produces the dual generator, whose translates biorthogonalize those
+of Q.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .tbspline import _qn_grid, tb_chebyshev, tb_fourier, tb_integer_values
 __all__ = [
     "BoundaryTailWarning",
     "KernelTable",
+    "NarrowGridError",
     "NotSamplableError",
     "SamplingGrid",
     "autocorrelation",
@@ -59,22 +63,22 @@ class NotSamplableError(ValueError):
     """The sampled symbol (nearly) vanishes: integer samples cannot determine V_0."""
 
 
+class NarrowGridError(ValueError):
+    """The grid's half_width does not cover the generator support."""
+
+
 @dataclass(frozen=True)
 class SamplingGrid:
-    """Synthesis grid: step 1/per_unit in time, periodization after `span` units."""
+    """Kernel table grid: step 1/per_unit over [-half_width, half_width]."""
 
     per_unit: int = 64
-    span: int = 256
+    half_width: int = 30
 
     def __post_init__(self) -> None:
         if self.per_unit < 8:
             raise ValueError("per_unit must be at least 8")
-        if self.span < 32:
-            raise ValueError("span must be at least 32")
-
-    @property
-    def size(self) -> int:
-        return self.per_unit * self.span
+        if self.half_width < 1:
+            raise ValueError("half_width must be at least 1")
 
 
 def sampled_symbol(spectrum: SpectrumVector, xi):
@@ -259,95 +263,72 @@ class KernelTable:
         )
 
 
-def _tiled_divisor(coeffs: dict[int, float], grid: SamplingGrid) -> np.ndarray:
-    """sum_m c_m e^{-i xi m} at xi_j = 2 pi j / span, tiled to the full grid.
-
-    The divisor is 2 pi periodic and the fold period is 2 pi per_unit, so the
-    span-point circle evaluation repeats exactly per_unit times.
-    """
-    j = np.arange(grid.span)
-    base = np.zeros(grid.span, dtype=complex)
-    for m, c in coeffs.items():
-        base += c * np.exp(-2j * math.pi * j * m / grid.span)
-    return np.tile(base, grid.per_unit)
-
-
 def _synthesize(
     spectrum: SpectrumVector,
     grid: SamplingGrid,
-    half_width: int,
     divisor_coeffs: dict[int, float],
-    rescale: float,
     kind: str,
 ) -> KernelTable:
-    n = spectrum.order
-    if half_width < n:
-        raise ValueError(f"half_width must cover the generator support (>= {n})")
-    if 2 * half_width >= grid.span:
-        raise ValueError("half_width must be below span/2")
+    """Tabulate sum_m a_m Q_N(t - m), a the lattice inverse of the divisor
+    sum_m c_m e^{-i xi m} given by ``divisor_coeffs``."""
+    n, hw, per_unit = spectrum.order, grid.half_width, grid.per_unit
+    if hw < n:
+        raise NarrowGridError(
+            f"half_width {hw} must cover the generator support (>= {n})"
+        )
 
-    divisor = _tiled_divisor(divisor_coeffs, grid)
+    # the taps used reach |m| <= hw + n; a period of four reaches keeps their
+    # geometrically decaying aliases out of the table
+    size = max(256, 1 << (4 * (hw + n) - 1).bit_length())
+    coeffs = np.zeros(size)
+    for m, c in divisor_coeffs.items():
+        coeffs[m % size] = c
+    divisor = np.fft.fft(coeffs)
     mags = np.abs(divisor)
     if mags.max() == 0.0 or mags.min() < 1e-9 * mags.max():
         raise NotSamplableError(
             f"sampling symbol of {spectrum} vanishes on the circle "
             f"(relative margin {0.0 if mags.max() == 0.0 else mags.min()/mags.max():.2e})"
         )
+    taps = np.fft.ifft(1.0 / divisor).real
 
-    qs = _qn_grid(spectrum, grid.per_unit)
-    scale = float(np.max(np.abs(qs)))
-    padded = np.zeros(grid.size)
-    padded[: len(qs)] = qs / scale
-
-    folded = np.fft.fft(padded)
-    out = np.fft.ifft(folded / divisor).real
-
-    npts = half_width * grid.per_unit
-    values = np.concatenate([out[-npts:], out[: npts + 1]]) * rescale
+    # S(L + r/per_unit) = sum_{i<n} a_{L-i} Q_N(i + r/per_unit), L = -hw..hw
+    window = taps[np.arange(-hw - n + 1, hw + 1) % size]
+    toeplitz = np.lib.stride_tricks.sliding_window_view(window, n)[:, ::-1]
+    qs = _qn_grid(spectrum, per_unit)[: n * per_unit].reshape(n, per_unit)
+    values = (toeplitz @ qs).ravel()[: 2 * hw * per_unit + 1]
     values.flags.writeable = False
     return KernelTable(
-        spectrum=spectrum,
-        kind=kind,
-        per_unit=grid.per_unit,
-        t_min=-half_width,
-        values=values,
+        spectrum=spectrum, kind=kind, per_unit=per_unit, t_min=-hw, values=values,
     )
 
 
 def synthesize_kernel(
-    spectrum: SpectrumVector,
-    grid: SamplingGrid = SamplingGrid(),
-    half_width: int = 30,
+    spectrum: SpectrumVector, grid: SamplingGrid = SamplingGrid()
 ) -> KernelTable:
     """Materialize the Shannon-type interpolation kernel S_0 as a table.
 
     Raises :class:`NotSamplableError` when the sampled symbol has circle
-    zeros (odd-order classical splines being the canonical offenders).
+    zeros (odd-order classical splines being the canonical offenders), and
+    :class:`NarrowGridError` when ``grid.half_width`` is below the order N.
     """
-    n = spectrum.order
-    if n < 2:
+    if spectrum.order < 2:
         raise NotSamplableError("first-order spaces have an empty sampled symbol")
     qm = tb_integer_values(spectrum)
-    scale = float(np.max(np.abs(_qn_grid(spectrum, grid.per_unit))))
-    coeffs = {m: q / scale for m, q in enumerate(qm, start=1)}
-    return _synthesize(spectrum, grid, half_width, coeffs, 1.0, "interp")
+    return _synthesize(spectrum, grid, dict(enumerate(qm, start=1)), "interp")
 
 
 def synthesize_dual(
-    spectrum: SpectrumVector,
-    grid: SamplingGrid = SamplingGrid(),
-    half_width: int = 30,
+    spectrum: SpectrumVector, grid: SamplingGrid = SamplingGrid()
 ) -> KernelTable:
     """Materialize the dual generator (biorthogonal to the TB translates)."""
     n = spectrum.order
-    doubled = spectrum.symmetrized()
-    qm2 = tb_integer_values(doubled)
-    scale = float(np.max(np.abs(_qn_grid(spectrum, grid.per_unit))))
+    qm2 = tb_integer_values(spectrum.symmetrized())
     pref = math.exp(-spectrum.freq_sum())
     # G(xi) = pref * sum_m q2_m e^{i xi (n - m)}; as a divisor dictionary the
     # e^{-i xi m'} convention means m' = m - n
-    coeffs = {m - n: pref * q / scale**2 for m, q in enumerate(qm2, start=1)}
-    return _synthesize(spectrum, grid, half_width, coeffs, 1.0 / scale, "dual")
+    coeffs = {m - n: pref * q for m, q in enumerate(qm2, start=1)}
+    return _synthesize(spectrum, grid, coeffs, "dual")
 
 
 # --------------------------------------------------------------------------

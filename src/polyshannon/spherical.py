@@ -19,8 +19,8 @@ longitudes), the real harmonics, the per-degree kernels, the truncated zonal
 kernel, the mode-wise and quadrature-form reconstructions, and field
 containers with documented on-disk formats.
 
-Only n = 3 harmonics are implemented; the radial machinery accepts any
-n >= 2 (confluent spectra included).
+Only n = 3 harmonics are implemented, so sphere fields require n = 3; the
+radial kernels accept any n >= 2 (confluent spectra included).
 """
 
 from __future__ import annotations
@@ -237,18 +237,12 @@ def synthesize_directions(coeffs: np.ndarray, directions) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def radial_kernel(
-    k: int,
-    n: int = 3,
-    p: int = 1,
-    per_unit: int = 64,
-    span: int = 256,
-    half_width: int = 30,
+    k: int, n: int = 3, p: int = 1, grid: SamplingGrid = SamplingGrid()
 ) -> KernelTable:
     """Shannon-type kernel of the degree-k radial channel, in v = log r."""
     if k > DEGREE_CAP:
         raise ValueError(f"degree {k} beyond the cancellation guard {DEGREE_CAP}")
-    sv = radial_spectrum(k, n, p)
-    return synthesize_kernel(sv, SamplingGrid(per_unit, span), half_width)
+    return synthesize_kernel(radial_spectrum(k, n, p), grid)
 
 
 @dataclass(frozen=True)
@@ -259,12 +253,7 @@ class DecayRow:
 
 
 def decay_check(
-    n: int,
-    p: int,
-    k_max: int,
-    per_unit: int = 16,
-    span: int = 64,
-    half_width: int = 24,
+    n: int, p: int, k_max: int, grid: SamplingGrid = SamplingGrid(16, 24)
 ) -> list[DecayRow]:
     """Suprema of the channel kernels: |S^_0| over frequency, |S_0| over time.
 
@@ -280,7 +269,7 @@ def decay_check(
         xi_hi = 2.0 * (sv.max_abs() + 4.0 * math.pi)
         xi = np.linspace(0.0, xi_hi, 8192)
         ratio = np.abs(tb_fourier(sv, xi)) / np.abs(sampled_symbol(sv, xi))
-        tab = radial_kernel(k, n, p, per_unit, span, half_width)
+        tab = radial_kernel(k, n, p, grid)
         rows.append(
             DecayRow(k, float(np.max(ratio)), float(np.max(np.abs(tab.values))))
         )
@@ -374,6 +363,13 @@ class SyntheticPolyspline:
         )
 
 
+def _check_dimension(n: int) -> None:
+    """Sphere fields exist only for n = 3: the harmonics are 3-D, so an
+    n-dimensional radial spectrum paired with them is not polyharmonic."""
+    if n != 3:
+        raise ValueError(f"sphere fields need dimension n = 3, got {n}")
+
+
 def random_polyspline_field(
     rng: np.random.Generator,
     n: int = 3,
@@ -391,6 +387,7 @@ def random_polyspline_field(
     the kernels alone.  ``active`` optionally restricts the populated flat
     mode indices (all modes by default).
     """
+    _check_dimension(n)
     order = 2 * p
     if j_max - order < j_min:
         raise ValueError("j-range too narrow for the spline order")
@@ -455,6 +452,13 @@ def _number_rows(lines, count: int, width: int, dtype, path) -> np.ndarray:
     return np.array(rows, dtype=dtype).reshape(count, width)
 
 
+def _finite_samples(samples: np.ndarray, path) -> np.ndarray:
+    """``samples``, or ValueError if a loaded value is NaN or infinite."""
+    if not np.all(np.isfinite(samples)):
+        raise ValueError(f"field file {path} holds NaN or infinite samples")
+    return samples
+
+
 @dataclass(frozen=True)
 class PolysplineField:
     """Mode samples f_{k,ell}(e^j) on consecutive spheres j = j_min, ...
@@ -469,6 +473,9 @@ class PolysplineField:
     j_min: int
     samples: np.ndarray
     generator: SyntheticPolyspline | None = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        _check_dimension(self.dimension)
 
     @property
     def j_max(self) -> int:
@@ -502,7 +509,7 @@ class PolysplineField:
             smoothness=head["p"],
             degree_max=head["K"],
             j_min=head["j_min"],
-            samples=samples,
+            samples=_finite_samples(samples, path),
         )
 
     def save_binary(self, path) -> None:
@@ -533,7 +540,7 @@ class PolysplineField:
         samples = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
         return cls(
             dimension=n, smoothness=p, degree_max=degree_max, j_min=j_min,
-            samples=samples,
+            samples=_finite_samples(samples, path),
         )
 
 

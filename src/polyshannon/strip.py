@@ -37,7 +37,9 @@ from .shannon1d import (
     tb_superposition,
 )
 from .spectrum import SpectrumVector, strip_spectrum
-from .spherical import _number_rows, _read_binary_field, _read_text_field
+from .spherical import (
+    _finite_samples, _number_rows, _read_binary_field, _read_text_field,
+)
 
 __all__ = [
     "StripField",
@@ -161,7 +163,9 @@ class StripField:
         )
         n_modes, n_planes = head["modes"], head["planes"]
         kappas = _number_rows(body[:n_modes], n_modes, head["dim"], int, path)
-        flat = _number_rows(body[n_modes:], n_planes, 2 * n_modes, float, path)
+        flat = _finite_samples(
+            _number_rows(body[n_modes:], n_planes, 2 * n_modes, float, path), path
+        )
         return cls(
             dimension=head["dim"],
             smoothness=head["p"],
@@ -203,7 +207,7 @@ class StripField:
         return cls(
             dimension=dim, smoothness=p, cutoff=cutoff, j_min=j_min,
             modes=tuple(tuple(int(c) for c in row) for row in kap),
-            samples=samples.copy(),
+            samples=_finite_samples(samples.copy(), path),
         )
 
 

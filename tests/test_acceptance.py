@@ -305,7 +305,7 @@ def test_cli_reports_and_kernel_files_are_stable(tmp_path):
     tb = (tmp_path / "b" / "verify-report.txt").read_bytes()
     assert ta == tb
 
-    tab = synthesize_kernel(SV([3.0, -3.0]), SamplingGrid(32, 128), 20)
+    tab = synthesize_kernel(SV([3.0, -3.0]), SamplingGrid(32, 20))
     path = tmp_path / "kernel.pskt"
     tab.save(path)
     back = type(tab).load(path)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from polyshannon import cli, ef_zeros, spherical, SpectrumVector
+from polyshannon.shannon1d import SamplingGrid
 from polyshannon.cli import (
     ConfigError,
     DEFAULT_SEED,
@@ -159,17 +160,17 @@ def test_truncated_cache_entry_is_rebuilt(tmp_path, capsys):
 def test_non_finite_cache_entry_is_rebuilt(tmp_path):
     sv = SpectrumVector.from_frequencies([3.0, -3.0])
     cache = tmp_path / "kernels"
-    first, path, hit = cli.cached_kernel(sv, 16, 64, 12, cache)
+    first, path, hit = cli.cached_kernel(sv, SamplingGrid(16, 12), cache)
     assert not hit
     for bad in (np.nan, np.inf):
         raw = bytearray(path.read_bytes())
         raw[-8 * 5 : -8 * 4] = np.array([bad], dtype="<f8").tobytes()
         path.write_bytes(bytes(raw))
-        tab, _, hit = cli.cached_kernel(sv, 16, 64, 12, cache)
+        tab, _, hit = cli.cached_kernel(sv, SamplingGrid(16, 12), cache)
         assert not hit
         assert np.all(np.isfinite(tab.values))
         assert np.array_equal(tab.values, first.values)
-    assert cli.cached_kernel(sv, 16, 64, 12, cache)[2]
+    assert cli.cached_kernel(sv, SamplingGrid(16, 12), cache)[2]
 
 
 # --- zeros --------------------------------------------------------------------
@@ -191,7 +192,7 @@ def test_zeros_csv_matches_library(tmp_path, capsys):
 
 def test_decay_runs_and_reports_ratios(tmp_path, capsys):
     cfg = tmp_path / "d.cfg"
-    cfg.write_text("k_min = 8\nk_max = 10\nper_unit = 16\nspan = 64\nhalf_width = 24\n")
+    cfg.write_text("k_min = 8\nk_max = 10\nper_unit = 16\nhalf_width = 24\n")
     out = tmp_path / "o"
     assert main(["decay", "--config", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
@@ -205,31 +206,59 @@ def test_decay_uses_the_config_grid(tmp_path, capsys, monkeypatch):
     # with the grid only in its last bits: watch the grid reach decay_check
     asked = []
 
-    def spy(n, p, k_max, *grid):
+    def spy(n, p, k_max, grid):
         asked.append(grid)
-        return spherical.decay_check(n, p, k_max, *grid)
+        return spherical.decay_check(n, p, k_max, grid)
 
     monkeypatch.setattr(cli, "decay_check", spy)
     for per_unit in (8, 16):
         cfg = tmp_path / f"d{per_unit}.cfg"
         cfg.write_text(f"k_min = 1\nk_max = 2\nper_unit = {per_unit}\n"
-                       "span = 48\nhalf_width = 20\n")
+                       "half_width = 20\n")
         out = tmp_path / f"o{per_unit}"
         assert main(["decay", "--config", str(cfg), "--out", str(out)]) == 0
         want = ["k,sup_fourier,sup_time"] + [
             f"{row.degree},{row.sup_fourier!r},{row.sup_time!r}"
-            for row in spherical.decay_check(3, 1, 2, per_unit, 48, 20)[1:]
+            for row in spherical.decay_check(3, 1, 2, SamplingGrid(per_unit, 20))[1:]
         ]
         assert (out / "decay.csv").read_text().splitlines() == want
     capsys.readouterr()
-    assert asked == [(8, 48, 20), (16, 48, 20)]
+    assert asked == [SamplingGrid(8, 20), SamplingGrid(16, 20)]
 
 
-def test_half_width_beyond_half_span_exits_2(tmp_path, capsys):
+def test_span_is_an_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "d.cfg"
-    cfg.write_text("span = 48\nhalf_width = 24\n")
+    cfg.write_text("span = 256\n")
+    assert main(["decay", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown config key 'span'" in capsys.readouterr().err
+
+
+def test_zero_half_width_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text("half_width = 0\n")
     assert main(["decay", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "half_width" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["kernel1d", "decay", "reconstruct-sphere"])
+def test_half_width_below_the_order_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("half_width = 1\nk_min = 0\nk_max = 1\nqueries = 5\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: NarrowGridError:") and err.count("\n") == 1
+
+
+def test_reconstruct_sphere_rejects_n_other_than_3(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("n = 2\nK = 1\nqueries = 5\nk_min = 0\nk_max = 2\n")
+    out = tmp_path / "o"
+    assert main(["reconstruct-sphere", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "n = 3" in capsys.readouterr().err
+    for command in ("kernel1d", "zeros", "decay"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
 
 
 # --- reconstruction commands --------------------------------------------------

@@ -1,0 +1,47 @@
+"""The example scripts run end to end on tiny arguments."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(script: str, *args: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+def test_kernel_gallery(tmp_path):
+    out = tmp_path / "gallery.dat"
+    text = _run("kernel_gallery.py", "--frequencies", "3,-3", "--out", str(out))
+    assert "cardinal residual" in text
+    cols = np.loadtxt(out)
+    assert cols.shape == (2 * 30 * 64 + 1, 3)  # default half_width and per_unit
+    assert f"wrote {out} ({len(cols)} rows)" in text
+
+
+def test_degree_sweep():
+    text = _run("degree_sweep.py", "--k-max", "4")
+    rows = [line.split() for line in text.splitlines()[1:6]]
+    assert [row[0] for row in rows] == ["0", "1", "2", "3", "4"]
+    assert "k*sup_fourier spread" in text
+
+
+def test_sphere_shells():
+    text = _run("sphere_shells.py", "--degree-max", "2", "--queries", "50")
+    assert "50 queries" in text
+    shells = [line for line in text.splitlines() if line.lstrip().startswith("[")]
+    errors = [float(line.split()[-1]) for line in shells]
+    assert shells and max(errors) < 1e-4

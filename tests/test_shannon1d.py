@@ -7,6 +7,7 @@ import pytest
 
 from polyshannon.shannon1d import (
     KernelTable,
+    NarrowGridError,
     NotSamplableError,
     SamplingGrid,
     autocorrelation,
@@ -109,6 +110,17 @@ def test_kernel_decays_by_half_width():
     tab = synthesize_kernel(CUBIC)
     edge = np.max(np.abs(tab(np.array([-29.5, 29.5]))))
     assert edge < 1e-14
+
+
+def test_wider_table_agrees_on_the_default_range():
+    # half_width 100 deconvolves on a 512-point lattice circle, the default
+    # on 256 points: the taps' periodization must not show
+    for sv in (CUBIC, EXP2):
+        tab = synthesize_kernel(sv)
+        wide = synthesize_kernel(sv, SamplingGrid(half_width=100))
+        start = (tab.t_min - wide.t_min) * tab.per_unit
+        inner = wide.values[start : start + len(tab.values)]
+        assert np.max(np.abs(inner - tab.values)) < 1e-14 * np.max(np.abs(tab.values))
 
 
 def test_cardinal_reconstruction_is_exact_on_v0():
@@ -286,8 +298,7 @@ def test_kernel_table_roundtrip_is_bit_exact(tmp_path):
 
 
 def test_dual_table_roundtrip(tmp_path):
-    tab = synthesize_dual(EXP2, grid=SamplingGrid(per_unit=32, span=128),
-                          half_width=20)
+    tab = synthesize_dual(EXP2, grid=SamplingGrid(per_unit=32, half_width=20))
     path = tmp_path / "dual.pskt"
     tab.save(path)
     back = KernelTable.load(path)
@@ -313,8 +324,7 @@ def test_load_rejects_garbage(tmp_path):
     lambda raw: raw[:-8] + np.array([-np.inf], dtype="<f8").tobytes(),  # inf value
 ])
 def test_load_rejects_malformed_tables_with_value_error(tmp_path, damage):
-    tab = synthesize_kernel(CUBIC, grid=SamplingGrid(per_unit=16, span=64),
-                            half_width=8)
+    tab = synthesize_kernel(CUBIC, grid=SamplingGrid(per_unit=16, half_width=8))
     path = tmp_path / "kernel.pskt"
     tab.save(path)
     path.write_bytes(damage(path.read_bytes()))
@@ -326,6 +336,6 @@ def test_sampling_grid_validation():
     with pytest.raises(ValueError):
         SamplingGrid(per_unit=4)
     with pytest.raises(ValueError):
-        SamplingGrid(span=16)
-    with pytest.raises(ValueError):
-        synthesize_kernel(CUBIC, half_width=2)
+        SamplingGrid(half_width=0)
+    with pytest.raises(NarrowGridError):
+        synthesize_kernel(CUBIC, SamplingGrid(half_width=2))

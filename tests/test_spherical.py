@@ -201,7 +201,7 @@ def test_decay_rows_match_plain_kernels():
     rows = decay_check(3, 1, 2)
     assert [row.degree for row in rows] == [0, 1, 2]
     sv = radial_spectrum(0, 3, 1)
-    tab = synthesize_kernel(sv, SamplingGrid(16, 64), 24)
+    tab = synthesize_kernel(sv, SamplingGrid(16, 24))
     assert rows[0].sup_time == float(np.max(np.abs(tab.values)))
 
 
@@ -357,7 +357,7 @@ def test_kernel_source_selects_the_tables():
 
     def coarse(sv):
         asked.append(sv)
-        return synthesize_kernel(sv, SamplingGrid(16, 64), 24)
+        return synthesize_kernel(sv, SamplingGrid(16, 24))
 
     got = reconstruct_spherical(fld, r, d, kernel=coarse)
     # one table per degree with a nonzero channel (degree 2 has none)
@@ -434,6 +434,34 @@ def test_truncated_field_files_fail_cleanly(tmp_path, fmt):
     path.write_bytes(raw + (b"0 " if fmt == "text" else b"\0"))
     with pytest.raises(ValueError):
         load(path)
+    for bad in (math.nan, math.inf, -math.inf):
+        samples = fld.samples.copy()
+        samples[4, 3] = bad
+        getattr(PolysplineField(3, 2, 1, -2, samples), f"save_{fmt}")(path)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            load(path)
+
+
+def test_sphere_fields_need_dimension_3(tmp_path):
+    rng = np.random.default_rng(67)
+    for n in (2, 4):
+        with pytest.raises(ValueError, match="n = 3"):
+            random_polyspline_field(rng, n=n, p=1, degree_max=1)
+        with pytest.raises(ValueError, match="n = 3"):
+            PolysplineField(n, 1, 1, -3, np.ones((7, mode_count(1))))
+    # the loaders build through the constructor, so they inherit the check
+    fld = PolysplineField(3, 1, 1, -3, np.ones((7, mode_count(1))))
+    text, binary = tmp_path / "f.txt", tmp_path / "f.pspf"
+    fld.save_text(text)
+    text.write_text(text.read_text().replace("\nn 3\n", "\nn 2\n"))
+    with pytest.raises(ValueError, match="n = 3"):
+        PolysplineField.load_text(text)
+    fld.save_binary(binary)
+    raw = bytearray(binary.read_bytes())
+    raw[8:12] = (4).to_bytes(4, "little")
+    binary.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="n = 3"):
+        PolysplineField.load_binary(binary)
 
 
 def test_text_field_row_count_must_match_header(tmp_path):

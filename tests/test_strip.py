@@ -232,7 +232,7 @@ def test_kernel_source_selects_the_tables():
 
     def coarse(sv):
         asked.append(sv)
-        return synthesize_kernel(sv, SamplingGrid(16, 64), 24)
+        return synthesize_kernel(sv, SamplingGrid(16, 24))
 
     got = reconstruct_strip(fld, t, ys, kernel=coarse)
     # one table per distinct |kappa|: 0, 1, sqrt 2, 2
@@ -310,3 +310,9 @@ def test_truncated_strip_files_fail_cleanly(tmp_path, fmt):
     path.write_bytes(raw + (b"0 " if fmt == "text" else b"\0"))
     with pytest.raises(ValueError):
         load(path)
+    for bad in (math.nan, complex(0.0, math.inf), -math.inf):
+        bad_samples = samples.copy()
+        bad_samples[4, 2] = bad
+        getattr(StripField(2, 1, 1, -2, modes, bad_samples), f"save_{fmt}")(path)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            load(path)
