@@ -676,6 +676,12 @@ def run_verify(cfg: ExperimentConfig) -> RunReport:
     scale = float(np.max(np.abs(want)))
     report.add("sphere/max-rel-err", float(np.max(np.abs(got - want))) / scale,
                1e-4)
+    # the paper's Shannon series on the configured tables against the
+    # coefficient-domain default
+    tables = reconstruct_spherical(
+        fld, r, d, kernel=lambda sv: synthesize_kernel(sv, cfg.grid)
+    )
+    report.add("recon/routes", float(np.max(np.abs(tables - got))) / scale, 1e-7)
 
     sgen = random_strip_field(rng, dimension=2, p=1, cutoff=2, j_min=-6,
                               j_max=6)

@@ -22,6 +22,15 @@ aliased copies far beyond the table.  Each table node is then a sum of N
 taps times grid samples of Q_N.  The same machinery with the Gram symbol as
 divisor produces the dual generator, whose translates biorthogonalize those
 of Q.
+
+Reconstruction need not go through a table at all.  In V_0 the cardinal
+series sum_j y_j S_0(t - j) equals sum_i c_i Q_N(t - i) with c = a * y (the
+prefilter, extended to exponential splines by Unser & Blu, IEEE TSP 53,
+2005), and only N translates of Q_N are live at any t.
+:func:`spline_series` evaluates it that way, from the same lattice taps and
+the Chebyshev pieces of Q_N, and is exact to roundoff where the 6-point
+table stencils of :func:`cardinal_series` stop at their interpolation error;
+the table route stays as the paper's literal Shannon series.
 """
 
 from __future__ import annotations
@@ -37,7 +46,9 @@ import numpy as np
 
 from .spectrum import SpectrumVector
 from .tables import interp6
-from .tbspline import _qn_grid, tb_chebyshev, tb_fourier, tb_integer_values
+from .tbspline import (
+    _clenshaw, _qn_grid, tb_chebyshev, tb_fourier, tb_integer_values,
+)
 
 __all__ = [
     "BoundaryTailWarning",
@@ -52,6 +63,7 @@ __all__ = [
     "gram_symbol",
     "kernel_fourier",
     "sampled_symbol",
+    "spline_series",
     "symbol_margin",
     "synthesize_dual",
     "synthesize_kernel",
@@ -263,6 +275,33 @@ class KernelTable:
         )
 
 
+def _lattice_inverse(
+    spectrum: SpectrumVector, divisor_coeffs: dict[int, float], reach: int
+) -> np.ndarray:
+    """Taps a_m of 1/D(xi), D(xi) = sum_m c_m e^{-i xi m} given by
+    ``divisor_coeffs``, periodized with period M: a_m sits at index m % M.
+
+    The taps decay geometrically; M = max(256, 4 * reach rounded up to a
+    power of two) keeps their aliases far from every |m| <= ``reach``.
+    Raises :class:`NotSamplableError` when D is not finite or (nearly)
+    vanishes on the circle.
+    """
+    size = max(256, 1 << (4 * reach - 1).bit_length())
+    coeffs = np.zeros(size)
+    for m, c in divisor_coeffs.items():
+        coeffs[m % size] = c
+    divisor = np.fft.fft(coeffs)
+    mags = np.abs(divisor)
+    if not np.all(np.isfinite(mags)):
+        raise NotSamplableError(f"sampling symbol of {spectrum} is not finite")
+    if mags.max() == 0.0 or mags.min() < 1e-9 * mags.max():
+        raise NotSamplableError(
+            f"sampling symbol of {spectrum} vanishes on the circle "
+            f"(relative margin {0.0 if mags.max() == 0.0 else mags.min()/mags.max():.2e})"
+        )
+    return np.fft.ifft(1.0 / divisor).real
+
+
 def _synthesize(
     spectrum: SpectrumVector,
     grid: SamplingGrid,
@@ -277,23 +316,10 @@ def _synthesize(
             f"half_width {hw} must cover the generator support (>= {n})"
         )
 
-    # the taps used reach |m| <= hw + n; a period of four reaches keeps their
-    # geometrically decaying aliases out of the table
-    size = max(256, 1 << (4 * (hw + n) - 1).bit_length())
-    coeffs = np.zeros(size)
-    for m, c in divisor_coeffs.items():
-        coeffs[m % size] = c
-    divisor = np.fft.fft(coeffs)
-    mags = np.abs(divisor)
-    if mags.max() == 0.0 or mags.min() < 1e-9 * mags.max():
-        raise NotSamplableError(
-            f"sampling symbol of {spectrum} vanishes on the circle "
-            f"(relative margin {0.0 if mags.max() == 0.0 else mags.min()/mags.max():.2e})"
-        )
-    taps = np.fft.ifft(1.0 / divisor).real
+    taps = _lattice_inverse(spectrum, divisor_coeffs, hw + n)
 
     # S(L + r/per_unit) = sum_{i<n} a_{L-i} Q_N(i + r/per_unit), L = -hw..hw
-    window = taps[np.arange(-hw - n + 1, hw + 1) % size]
+    window = taps[np.arange(-hw - n + 1, hw + 1) % len(taps)]
     toeplitz = np.lib.stride_tricks.sliding_window_view(window, n)[:, ::-1]
     qs = _qn_grid(spectrum, per_unit)[: n * per_unit].reshape(n, per_unit)
     values = (toeplitz @ qs).ravel()[: 2 * hw * per_unit + 1]
@@ -380,6 +406,56 @@ def cardinal_series(table, j_min: int, coeffs, t):
     for row, offset in zip(weights, live):
         row[:] = table(flat - (j_min + offset))
     out = (c[..., live] @ weights).reshape(c.shape[:-1] + t_arr.shape)
+    return out.item() if out.ndim == 0 else out
+
+
+def spline_series(spectrum: SpectrumVector, j_min: int, samples, t):
+    """sum_j y_j S_0(t - j) over samples y_j, j = j_min, j_min+1, ..., in V_0.
+
+    The cardinal series of :func:`cardinal_series` without a table: it
+    equals sum_i c_i Q_N(t - i) with c = a * y, a the lattice inverse of
+    the sampled symbol (:func:`_lattice_inverse`).  Only the coefficients
+    the queries touch are formed, and only the N translates Q_N(u + m),
+    u = t - floor(t), that are live at each query are evaluated: one
+    Clenshaw pass per unit-interval series of
+    :func:`~polyshannon.tbspline.tb_chebyshev`, written into a
+    (shifts x points) matrix that every row shares.  Coefficients stop
+    ``SamplingGrid().half_width`` beyond each end of the data, the support
+    of the default table, so a query farther out gets 0 as it does from a
+    table.  Same layout and return shape as :func:`cardinal_series`.
+    Raises :class:`NotSamplableError` when the sampled symbol vanishes on
+    the circle or is not finite.
+    """
+    y = np.asarray(samples)
+    if not np.iscomplexobj(y):
+        y = y.astype(float)
+    t_arr = np.asarray(t, dtype=float)
+    flat = t_arr.reshape(-1)
+    n = spectrum.order
+    j_max = j_min + y.shape[-1] - 1
+    hw = SamplingGrid().half_width
+    cell = np.floor(flat)
+    # coefficient range the queries touch, within the default table support
+    lo = max(int(cell.min()) - n + 1, j_min - hw) if flat.size else 0
+    hi = min(int(cell.max()), j_max + hw) if flat.size else -1
+    if lo > hi:
+        out = np.zeros(y.shape[:-1] + t_arr.shape, dtype=y.dtype)
+        return out.item() if out.ndim == 0 else out
+
+    divisor = dict(enumerate(tb_integer_values(spectrum), start=1))
+    taps = _lattice_inverse(spectrum, divisor, max(hi - j_min, j_max - lo))
+    shifts = np.arange(lo, hi + 1)
+    c = y @ taps[(shifts[:, None] - np.arange(j_min, j_max + 1)) % len(taps)].T
+
+    # Q_N(t - i) is live for i = floor(t) - m, m = 0..n-1; cells clipped to
+    # just outside [lo, hi + n - 1] stay out of every row
+    rel = (np.clip(cell, lo - 1, hi + n) - lo).astype(np.int64)
+    x = 2.0 * (flat - cell) - 1.0
+    weights = np.zeros((len(shifts), flat.size))
+    for m, series in enumerate(tb_chebyshev(spectrum).coeffs):
+        sel = np.flatnonzero((rel >= m) & (rel - m < len(shifts)))
+        weights[rel[sel] - m, sel] = _clenshaw(series, x[sel])
+    out = (c @ weights).reshape(y.shape[:-1] + t_arr.shape)
     return out.item() if out.ndim == 0 else out
 
 

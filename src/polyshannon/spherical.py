@@ -10,10 +10,13 @@ frequencies are the homogeneity exponents
 
 so reconstruction from sphere data is: analyze each sphere in an orthonormal
 real harmonic basis, run the 1-D Shannon-type cardinal series per channel
-with the kernel of that channel's spectrum, and resum.  The 2k+1 channels of
-degree k share one spectrum, so the mode-wise reconstruction makes one
-:func:`~polyshannon.shannon1d.cardinal_series` call per degree and resums it
-against all harmonics of that degree at once (:func:`sph_harm_degree`).  This
+for that channel's spectrum, and resum.  The 2k+1 channels of degree k share
+one spectrum, so the mode-wise reconstruction makes one series call per
+degree and resums it against all harmonics of that degree at once
+(:func:`sph_harm_degree`).  The series is evaluated in the coefficient domain
+by default (:func:`~polyshannon.shannon1d.spline_series`, exact in V_0 to
+roundoff), or on kernel tables through
+:func:`~polyshannon.shannon1d.cardinal_series` when a ``kernel`` is given.  This
 module supplies the sphere quadrature (Gauss-Legendre colatitudes x uniform
 longitudes), the real harmonics, the per-degree kernels, the truncated zonal
 kernel, the mode-wise and quadrature-form reconstructions, and field
@@ -42,6 +45,7 @@ from .shannon1d import (
     cardinal_series,
     check_cardinal_data,
     sampled_symbol,
+    spline_series,
     synthesize_kernel,
     tb_superposition,
 )
@@ -240,9 +244,13 @@ def radial_kernel(
     k: int, n: int = 3, p: int = 1, grid: SamplingGrid = SamplingGrid()
 ) -> KernelTable:
     """Shannon-type kernel of the degree-k radial channel, in v = log r."""
+    _check_degree(k)
+    return synthesize_kernel(radial_spectrum(k, n, p), grid)
+
+
+def _check_degree(k: int) -> None:
     if k > DEGREE_CAP:
         raise ValueError(f"degree {k} beyond the cancellation guard {DEGREE_CAP}")
-    return synthesize_kernel(radial_spectrum(k, n, p), grid)
 
 
 @dataclass(frozen=True)
@@ -557,9 +565,12 @@ def reconstruct_spherical(
     """Mode-wise Shannon reconstruction at radii ``r``, unit vectors ``directions``.
 
     Each degree runs one 1-D cardinal series over the sphere indices for its
-    2k+1 channels; the harmonic sum then reassembles the field.  ``kernel``
-    maps a channel spectrum to its table (default: :func:`radial_kernel` on
-    the default grid), e.g. to load tables from a cache or use another grid.
+    2k+1 channels; the harmonic sum then reassembles the field.  By default
+    the series is evaluated in the coefficient domain
+    (:func:`~polyshannon.shannon1d.spline_series`, exact in V_0 to
+    roundoff).  ``kernel`` instead maps a channel spectrum to a
+    :class:`KernelTable` (e.g. :func:`radial_kernel`, tables loaded from a
+    cache, another grid) and runs the paper's Shannon series on it.
     Raises ValueError on NaN or infinite samples and on radii whose log is
     not finite (r <= 0, NaN or inf).
     """
@@ -573,8 +584,12 @@ def reconstruct_spherical(
     n, p = field.dimension, field.smoothness
     out = np.zeros(len(v))
     for k, block in _degree_blocks(field.samples.T):
-        tab = kernel(radial_spectrum(k, n, p)) if kernel else radial_kernel(k, n, p)
-        profiles = cardinal_series(tab, field.j_min, block, v)
+        sv = radial_spectrum(k, n, p)
+        if kernel is not None:
+            profiles = cardinal_series(kernel(sv), field.j_min, block, v)
+        else:
+            _check_degree(k)
+            profiles = spline_series(sv, field.j_min, block, v)
         out += np.einsum("ij,ij->j", profiles, sph_harm_degree(k, d))
     return out
 

@@ -12,9 +12,12 @@ Symmetric spectra always satisfy the non-zero sampling condition, so every
 mode kernel exists.  The kernel depends on kappa only through |kappa|, so the
 modes are grouped by |kappa|^2 (an exact integer for integer kappa, avoiding
 floating-point key drift between, say, (3,4) and (5,0)): reconstruction makes
-one :func:`~polyshannon.shannon1d.cardinal_series` call per group and resums
-it against the torus phases e^{i y.kappa} of the group's modes, and the
-synthetic generator evaluates its TB translates once per group.
+one series call per group -- :func:`~polyshannon.shannon1d.spline_series` in
+the coefficient domain by default, :func:`~polyshannon.shannon1d.cardinal_series`
+on kernel tables when a ``kernel`` is given -- and resums it against the
+torus phases e^{i y.kappa} of the group's modes, and the synthetic generator
+evaluates its TB translates once per group.  The phases are products of
+per-axis powers of e^{i y_a}, not one complex exponential per mode.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .shannon1d import (
     KernelTable,
     cardinal_series,
     check_cardinal_data,
+    spline_series,
     synthesize_kernel,
     tb_superposition,
 )
@@ -72,6 +76,40 @@ def torus_modes(dimension: int, cutoff: int) -> tuple[tuple[int, ...], ...]:
     return tuple(modes)
 
 
+class _TorusPhases:
+    """e^{i y.kappa} at fixed torus points y, for modes with |kappa_a| <= cutoff.
+
+    The per-axis powers (e^{i y_a})^j, j = 0..cutoff, come by repeated
+    multiplication and their conjugates stand in for negative j, so a mode
+    costs products of table rows where a direct evaluation costs one complex
+    exponential per point.
+    """
+
+    def __init__(self, ys: np.ndarray, cutoff: int) -> None:
+        base = np.exp(1j * ys.T)  # (dimension, points)
+        powers = np.empty((cutoff + 1,) + base.shape, dtype=complex)
+        powers[0] = 1.0
+        for j in range(1, cutoff + 1):
+            np.multiply(powers[j - 1], base, out=powers[j])
+        self.powers = powers
+
+    def _axis(self, axis: int, j: int) -> np.ndarray:
+        row = self.powers[abs(j), axis]
+        return row if j >= 0 else row.conj()
+
+    def __call__(self, modes) -> np.ndarray:
+        """(len(modes), points) phases; ValueError for a mode beyond the cutoff."""
+        cutoff = len(self.powers) - 1
+        out = np.empty((len(modes), self.powers.shape[-1]), dtype=complex)
+        for row, kappa in zip(out, modes):
+            if max(map(abs, kappa)) > cutoff:
+                raise ValueError(f"mode {kappa} lies beyond the cutoff {cutoff}")
+            row[:] = self._axis(0, kappa[0])
+            for axis, j in enumerate(kappa[1:], start=1):
+                row *= self._axis(axis, j)
+        return out
+
+
 def _norm_key(k: float) -> float:
     """Cache key |kappa|^2 rounded to kill last-bit drift in sqrt routes."""
     return round(k * k, 9)
@@ -103,6 +141,37 @@ def strip_kernel(k: float, p: int) -> KernelTable:
 
 _STRIP_MAGIC = b"PSSF"
 _STRIP_HEAD = "<4sHHIIIiQQ"
+
+
+def _check_modes(modes, dimension: int, cutoff: int, path) -> None:
+    """ValueError unless ``modes`` is ``torus_modes(dimension, cutoff)``.
+
+    Decided without enumerating the cube [-cutoff, cutoff]^dimension, whose
+    size a corrupt header can make astronomical: the list must be in
+    canonical order without repeats, start at 0, stay in the ball, and hold
+    every ball point one axis step from a point it holds.  The lattice
+    points of the ball are connected by such steps, so that is all of them.
+    """
+    def norm(kappa):
+        return sum(c * c for c in kappa)
+
+    keys = [(norm(kappa), kappa) for kappa in modes]
+    if (
+        dimension < 1
+        or not keys
+        or keys[0][0] != 0
+        or keys[-1][0] > cutoff * cutoff
+        or any(a >= b for a, b in zip(keys, keys[1:]))
+    ):
+        raise ValueError(f"field file {path}: modes are not torus_modes"
+                         f"({dimension}, {cutoff})")
+    held = set(modes)
+    for kappa in modes:
+        for axis in range(dimension):
+            for step in (-1, 1):
+                nb = kappa[:axis] + (kappa[axis] + step,) + kappa[axis + 1 :]
+                if nb not in held and norm(nb) <= cutoff * cutoff:
+                    raise ValueError(f"field file {path}: mode {nb} is missing")
 
 
 @dataclass(frozen=True)
@@ -157,12 +226,15 @@ class StripField:
 
     @classmethod
     def load_text(cls, path) -> "StripField":
-        """Read :meth:`save_text` output; ValueError on any malformed file."""
+        """Read :meth:`save_text` output; ValueError on any malformed file,
+        a mode list other than :func:`torus_modes` included."""
         head, body = _read_text_field(
             path, "strip", ("dim", "p", "K", "j_min", "planes", "modes")
         )
         n_modes, n_planes = head["modes"], head["planes"]
         kappas = _number_rows(body[:n_modes], n_modes, head["dim"], int, path)
+        modes = tuple(tuple(int(c) for c in row) for row in kappas)
+        _check_modes(modes, head["dim"], head["K"], path)
         flat = _finite_samples(
             _number_rows(body[n_modes:], n_planes, 2 * n_modes, float, path), path
         )
@@ -171,7 +243,7 @@ class StripField:
             smoothness=head["p"],
             cutoff=head["K"],
             j_min=head["j_min"],
-            modes=tuple(tuple(int(c) for c in row) for row in kappas),
+            modes=modes,
             samples=flat[:, 0::2] + 1j * flat[:, 1::2],
         )
 
@@ -191,7 +263,8 @@ class StripField:
 
     @classmethod
     def load_binary(cls, path) -> "StripField":
-        """Read :meth:`save_binary` output; ValueError on any malformed file."""
+        """Read :meth:`save_binary` output; ValueError on any malformed file,
+        a mode list other than :func:`torus_modes` included."""
         (_, dim, p, cutoff, j_min, n_planes, n_modes), data = _read_binary_field(
             path, _STRIP_MAGIC, _STRIP_HEAD
         )
@@ -203,11 +276,12 @@ class StripField:
             )
         off = 4 * n_modes * dim
         kap = np.frombuffer(data[:off], dtype="<i4").reshape(n_modes, dim)
+        modes = tuple(tuple(int(c) for c in row) for row in kap)
+        _check_modes(modes, dim, cutoff, path)
         samples = np.frombuffer(data[off:], dtype="<c16").reshape(n_planes, n_modes)
         return cls(
             dimension=dim, smoothness=p, cutoff=cutoff, j_min=j_min,
-            modes=tuple(tuple(int(c) for c in row) for row in kap),
-            samples=_finite_samples(samples.copy(), path),
+            modes=modes, samples=_finite_samples(samples.copy(), path),
         )
 
 
@@ -240,10 +314,11 @@ class SyntheticStripField:
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         y_arr = np.atleast_2d(np.asarray(ys, dtype=float))
         profiles = self._profile_matrix(t_arr)
+        phases = _TorusPhases(y_arr, self.cutoff)
         acc = np.zeros(len(t_arr), dtype=complex)
         for i, kappa in enumerate(self.modes):
             if np.any(self.coeffs[i]):
-                acc += profiles[i] * np.exp(1j * (y_arr @ np.asarray(kappa)))
+                acc += profiles[i] * phases([kappa])[0]
         return acc.real
 
     def plane_field(self, j_min: int, j_max: int) -> StripField:
@@ -345,8 +420,8 @@ def synthesize_torus(fld: StripField, plane: int, ys) -> np.ndarray:
     if not fld.j_min <= plane <= fld.j_max:
         raise ValueError(f"plane {plane} outside [{fld.j_min}, {fld.j_max}]")
     y_arr = np.atleast_2d(np.asarray(ys, dtype=float))
-    phases = np.exp(1j * (y_arr @ np.asarray(fld.modes).T))
-    return (phases @ fld.samples[plane - fld.j_min]).real
+    phases = _TorusPhases(y_arr, fld.cutoff)(fld.modes)
+    return (fld.samples[plane - fld.j_min] @ phases).real
 
 
 # --------------------------------------------------------------------------
@@ -364,13 +439,16 @@ def _reconstruct_complex(
     if y_arr.shape[0] != t_arr.shape[0]:
         raise ValueError("need one torus point per t value")
     check_cardinal_data(fld.samples, fld.j_min, t_arr)
+    phases = _TorusPhases(y_arr, fld.cutoff)
     acc = np.zeros(len(t_arr), dtype=complex)
     for key, idx in _norm_groups(fld.modes, np.any(fld.samples, axis=0)).items():
-        k, p = math.sqrt(key), fld.smoothness
-        tab = kernel(strip_spectrum(k, p)) if kernel else strip_kernel(k, p)
-        profiles = cardinal_series(tab, fld.j_min, fld.samples[:, idx].T, t_arr)
-        for profile, i in zip(profiles, idx):
-            acc += profile * np.exp(1j * (y_arr @ np.asarray(fld.modes[i])))
+        sv = strip_spectrum(math.sqrt(key), fld.smoothness)
+        rows = fld.samples[:, idx].T
+        if kernel is not None:
+            profiles = cardinal_series(kernel(sv), fld.j_min, rows, t_arr)
+        else:
+            profiles = spline_series(sv, fld.j_min, rows, t_arr)
+        acc += np.einsum("ij,ij->j", profiles, phases([fld.modes[i] for i in idx]))
     return acc
 
 
@@ -382,10 +460,13 @@ def reconstruct_strip(
 ) -> np.ndarray:
     """Mode-wise Shannon reconstruction at (t_q, y_q); real part returned.
 
-    Modes sharing |kappa| share one kernel table and one cardinal series;
-    the imaginary residue of a conjugate-symmetric field is roundoff-level.
-    ``kernel`` maps a mode spectrum to its table (default:
-    :func:`strip_kernel` on the default grid).  Raises ValueError on NaN or
-    infinite samples or ``t``.
+    Modes sharing |kappa| share one cardinal series; the imaginary residue
+    of a conjugate-symmetric field is roundoff-level.  By default the series
+    is evaluated in the coefficient domain
+    (:func:`~polyshannon.shannon1d.spline_series`, exact in V_0 to
+    roundoff).  ``kernel`` instead maps a mode spectrum to a
+    :class:`KernelTable` (e.g. through :func:`strip_kernel`) and runs the
+    paper's Shannon series on it.  Raises ValueError on NaN or infinite
+    samples or ``t``, and on a mode beyond the field's cutoff.
     """
     return _reconstruct_complex(fld, t, ys, kernel).real

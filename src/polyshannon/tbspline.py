@@ -93,7 +93,9 @@ MIN_FREQ_GAP = 1e-8
 
 
 class ConditioningError(ValueError):
-    """Distinct frequencies too close together: merge them or separate them."""
+    """The spectrum cannot be handled in float64: distinct frequencies too
+    close together (merge them or separate them), or TB values beyond the
+    float64 range (|lambda| of about 710 and more)."""
 
 
 class CancellationError(ArithmeticError):
@@ -193,6 +195,14 @@ def _beta_coeffs(lams: Sequence, mults: Sequence[int], one, exp) -> list:
                 nxt[k] = nxt[k] - poly[k - 1]
             poly = nxt
     return poly
+
+
+def _check_float_range(spectrum: SpectrumVector, vals: np.ndarray) -> None:
+    """ConditioningError if a TB value rounded to float64 overflowed."""
+    if not np.all(np.isfinite(vals)):
+        raise ConditioningError(
+            f"values of the TB-spline of {spectrum} overflow float64"
+        )
 
 
 def _check_gaps(spectrum: SpectrumVector) -> None:
@@ -313,11 +323,13 @@ def tb_integer_values(spectrum: SpectrumVector) -> tuple[float, ...]:
     """(Q_N(1), ..., Q_N(N-1)): the data behind symbols and Euler-Frobenius.
 
     The same mpmath sum as :func:`tb_exact`, without its stiffness cap.
+    Raises :class:`ConditioningError` when a value overflows float64.
     """
     n = spectrum.order
     if n < 2:
         return ()
     vals = _qn_hp_arr(spectrum, np.arange(1.0, n), _exact_dps(spectrum))
+    _check_float_range(spectrum, vals)
     return tuple(float(v) for v in vals)
 
 
@@ -738,7 +750,8 @@ def tb_chebyshev(spectrum: SpectrumVector) -> TbChebyshev:
     is no stiffness cap and no cancellation in the float evaluation.  Each
     interval is chopped by Chebfun's rule relative to max|Q| over the whole
     support.  Raises :class:`ConvergenceError` if some interval is still
-    unresolved at degree ``_CHEB_MAX``.
+    unresolved at degree ``_CHEB_MAX``, and :class:`ConditioningError` as
+    soon as a sample overflows float64.
     """
     n = spectrum.order
     dps = _exact_dps(spectrum)
@@ -750,6 +763,7 @@ def tb_chebyshev(spectrum: SpectrumVector) -> TbChebyshev:
         deg = _CHEB_FIRST
         vals = _sample_local(pieces, _cheb_points(deg, points_dps, False))
         while True:
+            _check_float_range(spectrum, vals)
             coeffs = _cheb_coeffs(vals)
             local = np.max(np.abs(vals), axis=1)
             scale = float(np.max(local))

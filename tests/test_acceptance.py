@@ -295,6 +295,30 @@ def test_strip_field_reconstruction():
           f"zero-mode kernel bit-identical")
 
 
+def test_v0_fields_reconstruct_to_roundoff():
+    # complete cardinal data of V_0 fields: the default coefficient route is
+    # exact up to roundoff, where the tables stop at their interpolation error
+    rng = np.random.default_rng(SEED)
+    gen = random_polyspline_field(rng, n=3, p=2, degree_max=16, j_min=-6, j_max=6)
+    r = np.exp(rng.uniform(-2.0, 2.0, size=400))
+    dirs = rng.normal(size=(400, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    want = gen.eval(r, dirs)
+    got = reconstruct_spherical(gen.sphere_field(-6, 6), r, dirs)
+    sphere = float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+    assert sphere <= 1e-13
+
+    sgen = random_strip_field(rng, dimension=2, p=2, cutoff=8, j_min=-6, j_max=6)
+    t = rng.uniform(-3.0, 3.0, size=400)
+    ys = rng.uniform(0.0, 2.0 * np.pi, size=(400, 2))
+    swant = sgen.eval(t, ys)
+    sgot = reconstruct_strip(sgen.plane_field(-6, 6), t, ys)
+    strip = float(np.max(np.abs(sgot - swant))) / float(np.max(np.abs(swant)))
+    assert strip <= 1e-13
+    print(f"acceptance[V_0 reconstruction]: sphere K=16 {sphere:.2e}, "
+          f"strip cutoff 8 {strip:.2e}")
+
+
 def test_cli_reports_and_kernel_files_are_stable(tmp_path):
     for sub in ("a", "b"):
         assert main(["verify", "--out", str(tmp_path / sub)]) == 0

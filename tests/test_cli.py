@@ -7,6 +7,7 @@ installed console script.
 
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -114,6 +115,19 @@ def test_near_coincident_frequencies_exit_2_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ConditioningError: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("freqs", ["800, -800", "700, 700, -700, -700"])
+def test_overflowing_spectrum_exits_2_at_once(tmp_path, capsys, freqs):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"frequencies = {freqs}\n")
+    t0 = time.perf_counter()
+    code = main(["kernel1d", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConditioningError: ")
+    assert "overflow float64" in err and err.count("\n") == 1
 
 
 # --- kernel1d -----------------------------------------------------------------

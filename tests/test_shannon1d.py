@@ -16,6 +16,7 @@ from polyshannon.shannon1d import (
     gram_symbol,
     kernel_fourier,
     sampled_symbol,
+    spline_series,
     symbol_margin,
     synthesize_dual,
     synthesize_kernel,
@@ -171,6 +172,62 @@ def test_cardinal_series_evaluates_live_shifts_only():
     assert sorted(shifts_seen) == [-1.0, 2.0]  # t - j for j = -2 and j = 1
     assert np.array_equal(got[1], np.zeros(41))
     assert isinstance(cardinal_series(tab, -4, coeffs[0], 0.5), float)
+
+
+def test_spline_series_is_exact_on_v0():
+    rng = np.random.default_rng(2027)
+    t = rng.uniform(-6.0, 6.0, size=500)
+    for sv in (CUBIC, SYM4, EXP2, SKEW):
+        coeffs = rng.uniform(-1.0, 1.0, size=(3, 9))  # translates j in [-4, 4]
+        exact = tb_superposition(sv, -4, coeffs, t)
+        samples = tb_superposition(sv, -4, coeffs, np.arange(-8.0, 9.0))
+        got = spline_series(sv, -8, samples, t)
+        assert got.shape == (3, 500) and got.dtype == float
+        assert np.max(np.abs(got - exact)) < 1e-14 * np.max(np.abs(exact)), str(sv)
+        # the paper's series on the default table is the same function
+        tables = cardinal_series(synthesize_kernel(sv), -8, samples, t)
+        assert np.max(np.abs(tables - got)) < 1e-7 * np.max(np.abs(exact)), str(sv)
+
+
+def test_spline_series_rows_and_shapes():
+    rng = np.random.default_rng(13)
+    rows = rng.uniform(-1.0, 1.0, size=(4, 15)) + 1j * rng.uniform(-1.0, 1.0, (4, 15))
+    t = rng.uniform(-7.0, 7.0, size=(6, 5))
+    got = spline_series(EXP2, -7, rows, t)
+    assert got.shape == (4, 6, 5) and got.dtype == complex
+    for row, series in zip(rows, got):
+        want = spline_series(EXP2, -7, row.real, t) + 1j * spline_series(
+            EXP2, -7, row.imag, t
+        )
+        assert np.max(np.abs(series - want)) < 1e-14 * np.max(np.abs(want))
+    assert isinstance(spline_series(EXP2, -7, rows[0].real, 0.5), float)
+    assert spline_series(EXP2, -7, rows.real, np.empty(0)).shape == (4, 0)
+
+
+def test_spline_series_stops_at_the_table_support():
+    samples = np.ones(9)  # j = 0..8
+    hw = SamplingGrid().half_width
+    far = np.array([8.0 + 1e6, -1e6, 8.0 + hw + CUBIC.order])
+    assert np.all(spline_series(CUBIC, 0, samples, far) == 0.0)
+    # the last coefficient kept is c_{8 + hw}: live up to t = 8 + hw + N
+    assert spline_series(CUBIC, 0, samples, 8.0 + hw + 0.5) != 0.0
+
+
+def test_spline_series_rejects_unsamplable_spaces(monkeypatch):
+    odd = SpectrumVector.from_frequencies([0.0, 0.0, 0.0])
+    with pytest.raises(NotSamplableError):
+        spline_series(odd, 0, np.ones(8), np.array([3.5]))
+    with pytest.raises(NotSamplableError):
+        spline_series(SpectrumVector.from_frequencies([0.0]), 0, np.ones(8), 3.5)
+    # a divisor that is not finite fails by name, in both lattice inversions
+    monkeypatch.setattr(
+        "polyshannon.shannon1d.tb_integer_values",
+        lambda sv: (math.nan,) * (sv.order - 1),
+    )
+    with pytest.raises(NotSamplableError, match="not finite"):
+        synthesize_kernel(CUBIC)
+    with pytest.raises(NotSamplableError, match="not finite"):
+        spline_series(CUBIC, 0, np.ones(8), np.array([3.5]))
 
 
 def test_fourier_route_matches_table():

@@ -349,9 +349,10 @@ def test_kernel_source_selects_the_tables():
     d = _random_directions(rng, 60)
     default = reconstruct_spherical(fld, r, d)
 
-    # the default tables passed explicitly: the same numbers bit for bit
+    # the default tables: the paper's series, agreeing with the default
+    # coefficient route to the tables' interpolation error
     explicit = reconstruct_spherical(fld, r, d, kernel=synthesize_kernel)
-    assert np.array_equal(explicit, default)
+    assert np.max(np.abs(explicit - default)) < 1e-6 * np.max(np.abs(default))
 
     asked = []
 

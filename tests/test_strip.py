@@ -10,6 +10,7 @@ from polyshannon.spectrum import SpectrumVector, strip_spectrum
 from polyshannon.spherical import BoundaryTailWarning
 from polyshannon.strip import (
     StripField,
+    _TorusPhases,
     _reconstruct_complex,
     analyze_torus,
     random_strip_field,
@@ -166,6 +167,32 @@ def test_zero_field_and_boundary_warning():
         reconstruct_strip(fld, np.array([2.7]), np.zeros((1, 2)))
 
 
+def test_far_query_is_zero_with_a_warning():
+    rng = np.random.default_rng(109)
+    gen = random_strip_field(rng, dimension=2, p=2, cutoff=2, j_min=-6, j_max=6)
+    fld = gen.plane_field(-6, 6)
+    with pytest.warns(BoundaryTailWarning):
+        got = reconstruct_strip(fld, np.array([fld.j_max + 1e6]), np.ones((1, 2)))
+    assert got.tolist() == [0.0]
+
+
+def test_torus_phases_match_direct_exponentials():
+    rng = np.random.default_rng(113)
+    for dim, cutoff in ((1, 5), (2, 8), (3, 3)):
+        ys = rng.uniform(0.0, 2.0 * math.pi, size=(300, dim))
+        modes = torus_modes(dim, cutoff)
+        got = _TorusPhases(ys, cutoff)(modes)
+        want = np.exp(1j * (ys @ np.asarray(modes).T)).T
+        assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_mode_beyond_the_cutoff_is_rejected():
+    modes = torus_modes(2, 1)[:-1] + ((400, 0),)
+    fld = StripField(2, 1, 1, -3, modes, np.ones((7, len(modes)), complex))
+    with pytest.raises(ValueError, match="beyond the cutoff"):
+        reconstruct_strip(fld, np.array([0.0]), np.zeros((1, 2)))
+
+
 def test_single_cubic_profile_zero_mode():
     # kappa = 0 channel alone: reduces to classical cubic 1-D exactness
     rng = np.random.default_rng(83)
@@ -225,8 +252,10 @@ def test_kernel_source_selects_the_tables():
     ys = rng.uniform(0.0, 2.0 * math.pi, size=(50, 2))
     default = reconstruct_strip(fld, t, ys)
 
+    # the default tables: the paper's series, agreeing with the default
+    # coefficient route to the tables' interpolation error
     explicit = reconstruct_strip(fld, t, ys, kernel=synthesize_kernel)
-    assert np.array_equal(explicit, default)
+    assert np.max(np.abs(explicit - default)) < 1e-6 * np.max(np.abs(default))
 
     asked = []
 
@@ -280,6 +309,27 @@ def test_strip_field_load_rejects_garbage(tmp_path):
     badb.write_bytes(b"\xff" * 80)
     with pytest.raises(ValueError):
         StripField.load_binary(badb)
+
+
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_strip_loaders_check_the_mode_list(tmp_path, fmt):
+    modes = torus_modes(2, 2)
+    samples = np.ones((5, len(modes)), dtype=complex)
+    path = tmp_path / "strip"
+    load = getattr(StripField, f"load_{fmt}")
+    for bad in (
+        modes[:-1] + ((400, 0),),  # a mode far beyond the cutoff
+        modes[:-1] + ((2, 2),),  # just beyond it
+        modes[:-1] + (modes[-2],),  # a repeat in place of a mode
+        (modes[1], modes[0]) + modes[2:],  # out of canonical order
+    ):
+        getattr(StripField(2, 1, 2, -2, bad, samples), f"save_{fmt}")(path)
+        with pytest.raises(ValueError, match="mode"):
+            load(path)
+    # the whole list under a header that claims a larger cutoff
+    getattr(StripField(2, 1, 3, -2, modes, samples), f"save_{fmt}")(path)
+    with pytest.raises(ValueError, match="mode"):
+        load(path)
 
 
 def _same_strip(a: StripField, b: StripField) -> bool:

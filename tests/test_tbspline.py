@@ -342,6 +342,14 @@ def test_chebyshev_rejects_near_coincident_frequencies():
         tb_chebyshev(SV([0.0, 1e-10, 3.0, -3.0]))
 
 
+@pytest.mark.parametrize("freqs", [[800.0, -800.0], [700.0, 700.0, -700.0, -700.0]])
+def test_values_beyond_float64_fail_by_name(freqs):
+    # |lambda| of about 710 puts Q_N or its samples beyond the float64 range
+    for build in (tb_integer_values, tb_chebyshev):
+        with pytest.raises(ConditioningError, match="overflow float64"):
+            build(SV(freqs))
+
+
 def test_superposition_complex_equals_real_plus_imaginary():
     sv = SV([-2.0, 2.0])
     rng = np.random.default_rng(9)
