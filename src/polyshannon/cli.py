@@ -49,6 +49,7 @@ from .shannon1d import (
 )
 from .spectrum import SpectrumVector, radial_spectrum, strip_spectrum
 from .spherical import (
+    DEGREE_CAP,
     decay_check,
     random_polyspline_field,
     reconstruct_spherical,
@@ -446,6 +447,10 @@ def cmd_reconstruct_sphere(cfg: ExperimentConfig, out: Path) -> int:
     t0 = time.perf_counter()
     if cfg.n != 3:
         raise ConfigError(f"reconstruct-sphere needs n = 3, got n = {cfg.n}")
+    if cfg.K > DEGREE_CAP:
+        raise ConfigError(
+            f"reconstruct-sphere needs K <= {DEGREE_CAP}, got K = {cfg.K}"
+        )
     rng = np.random.default_rng(cfg.seed)
     gen = random_polyspline_field(
         rng, n=cfg.n, p=cfg.p, degree_max=cfg.K, j_min=cfg.j_min, j_max=cfg.j_max

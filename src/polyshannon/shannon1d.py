@@ -27,10 +27,12 @@ Reconstruction need not go through a table at all.  In V_0 the cardinal
 series sum_j y_j S_0(t - j) equals sum_i c_i Q_N(t - i) with c = a * y (the
 prefilter, extended to exponential splines by Unser & Blu, IEEE TSP 53,
 2005), and only N translates of Q_N are live at any t.
-:func:`spline_series` evaluates it that way, from the same lattice taps and
-the Chebyshev pieces of Q_N, and is exact to roundoff where the 6-point
-table stencils of :func:`cardinal_series` stop at their interpolation error;
-the table route stays as the paper's literal Shannon series.
+:func:`spline_series` evaluates it that way: it prefilters with the same
+lattice taps and hands c to :func:`tb_superposition`, the one sum of TB
+translates, which the ground-truth oracles use too.  It is exact to
+roundoff where the 6-point table stencils of :func:`cardinal_series` stop
+at their interpolation error; the table route stays as the paper's literal
+Shannon series.
 """
 
 from __future__ import annotations
@@ -46,9 +48,7 @@ import numpy as np
 
 from .spectrum import SpectrumVector
 from .tables import interp6
-from .tbspline import (
-    _clenshaw, _qn_grid, tb_chebyshev, tb_fourier, tb_integer_values,
-)
+from .tbspline import tb_chebyshev, tb_fourier, tb_integer_values
 
 __all__ = [
     "BoundaryTailWarning",
@@ -321,7 +321,8 @@ def _synthesize(
     # S(L + r/per_unit) = sum_{i<n} a_{L-i} Q_N(i + r/per_unit), L = -hw..hw
     window = taps[np.arange(-hw - n + 1, hw + 1) % len(taps)]
     toeplitz = np.lib.stride_tricks.sliding_window_view(window, n)[:, ::-1]
-    qs = _qn_grid(spectrum, per_unit)[: n * per_unit].reshape(n, per_unit)
+    t = np.arange(n * per_unit, dtype=float) / per_unit
+    qs = tb_chebyshev(spectrum)(t).reshape(n, per_unit)
     values = (toeplitz @ qs).ravel()[: 2 * hw * per_unit + 1]
     values.flags.writeable = False
     return KernelTable(
@@ -365,6 +366,11 @@ class BoundaryTailWarning(UserWarning):
     """Query too close to the edge of the sampled range; kernel tails truncated."""
 
 
+def _check_queries(t) -> None:
+    if not np.all(np.isfinite(t)):
+        raise ValueError("query coordinates contain NaN or infinite values")
+
+
 def check_cardinal_data(samples, j_min: int, t) -> None:
     """Guard a cardinal series over sample rows j = j_min, j_min+1, ...: raise
     ValueError on a NaN or infinite sample or query coordinate ``t``, and warn
@@ -373,8 +379,7 @@ def check_cardinal_data(samples, j_min: int, t) -> None:
     samples = np.asarray(samples)
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples contain NaN or infinite values")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("query coordinates contain NaN or infinite values")
+    _check_queries(t)
     lo, hi = j_min + 2, j_min + samples.shape[0] - 3
     if np.any(t < lo) or np.any(t > hi):
         scale = float(np.max(np.abs(samples))) if samples.size else 0.0
@@ -415,29 +420,28 @@ def spline_series(spectrum: SpectrumVector, j_min: int, samples, t):
     The cardinal series of :func:`cardinal_series` without a table: it
     equals sum_i c_i Q_N(t - i) with c = a * y, a the lattice inverse of
     the sampled symbol (:func:`_lattice_inverse`).  Only the coefficients
-    the queries touch are formed, and only the N translates Q_N(u + m),
-    u = t - floor(t), that are live at each query are evaluated: one
-    Clenshaw pass per unit-interval series of
-    :func:`~polyshannon.tbspline.tb_chebyshev`, written into a
-    (shifts x points) matrix that every row shares.  Coefficients stop
+    c_lo..c_hi that the queries touch are formed, and
+    :func:`tb_superposition` sums their translates.  Coefficients stop
     ``SamplingGrid().half_width`` beyond each end of the data, the support
     of the default table, so a query farther out gets 0 as it does from a
     table.  Same layout and return shape as :func:`cardinal_series`.
-    Raises :class:`NotSamplableError` when the sampled symbol vanishes on
-    the circle or is not finite.
+    Raises ValueError on a NaN or infinite query coordinate, and
+    :class:`NotSamplableError` when the sampled symbol vanishes on the
+    circle or is not finite.
     """
     y = np.asarray(samples)
     if not np.iscomplexobj(y):
         y = y.astype(float)
     t_arr = np.asarray(t, dtype=float)
-    flat = t_arr.reshape(-1)
-    n = spectrum.order
+    _check_queries(t_arr)
     j_max = j_min + y.shape[-1] - 1
     hw = SamplingGrid().half_width
-    cell = np.floor(flat)
     # coefficient range the queries touch, within the default table support
-    lo = max(int(cell.min()) - n + 1, j_min - hw) if flat.size else 0
-    hi = min(int(cell.max()), j_max + hw) if flat.size else -1
+    if t_arr.size:
+        lo = max(math.floor(t_arr.min()) - spectrum.order + 1, j_min - hw)
+        hi = min(math.floor(t_arr.max()), j_max + hw)
+    else:
+        lo, hi = 0, -1
     if lo > hi:
         out = np.zeros(y.shape[:-1] + t_arr.shape, dtype=y.dtype)
         return out.item() if out.ndim == 0 else out
@@ -446,30 +450,20 @@ def spline_series(spectrum: SpectrumVector, j_min: int, samples, t):
     taps = _lattice_inverse(spectrum, divisor, max(hi - j_min, j_max - lo))
     shifts = np.arange(lo, hi + 1)
     c = y @ taps[(shifts[:, None] - np.arange(j_min, j_max + 1)) % len(taps)].T
-
-    # Q_N(t - i) is live for i = floor(t) - m, m = 0..n-1; cells clipped to
-    # just outside [lo, hi + n - 1] stay out of every row
-    rel = (np.clip(cell, lo - 1, hi + n) - lo).astype(np.int64)
-    x = 2.0 * (flat - cell) - 1.0
-    weights = np.zeros((len(shifts), flat.size))
-    for m, series in enumerate(tb_chebyshev(spectrum).coeffs):
-        sel = np.flatnonzero((rel >= m) & (rel - m < len(shifts)))
-        weights[rel[sel] - m, sel] = _clenshaw(series, x[sel])
-    out = (c @ weights).reshape(y.shape[:-1] + t_arr.shape)
-    return out.item() if out.ndim == 0 else out
+    return tb_superposition(spectrum, lo, c, t_arr)
 
 
 def tb_superposition(spectrum: SpectrumVector, j_min: int, coeffs, t):
-    """sum_j c_j Q_N(t - j): an exact element of V_0, for ground-truth checks.
+    """sum_j c_j Q_N(t - j): an exact element of V_0, for ground-truth checks
+    and for :func:`spline_series`.
 
-    Same coefficient layout as :func:`cardinal_series`.  All translates come
-    from one (shifts x points) matrix of
-    :func:`~polyshannon.tbspline.tb_chebyshev` values: one Clenshaw pass per
-    unit interval, where one call per shift would repeat them per shift.
+    Same coefficient layout as :func:`cardinal_series`.  The translates come
+    from :meth:`~polyshannon.tbspline.TbChebyshev.translates`, which fills
+    only the N live at each point.  A NaN or infinite t gives 0, as Q_N
+    does there.
     """
     c = np.asarray(coeffs)
     t_arr = np.asarray(t, dtype=float)
-    shifts = j_min + np.arange(c.shape[-1], dtype=float)
-    q = tb_chebyshev(spectrum)(t_arr.reshape(-1) - shifts[:, None])
+    q = tb_chebyshev(spectrum).translates(j_min, c.shape[-1], t_arr)
     out = (c @ q).reshape(c.shape[:-1] + t_arr.shape)
     return out.item() if out.ndim == 0 else out

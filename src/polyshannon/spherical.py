@@ -571,8 +571,9 @@ def reconstruct_spherical(
     roundoff).  ``kernel`` instead maps a channel spectrum to a
     :class:`KernelTable` (e.g. :func:`radial_kernel`, tables loaded from a
     cache, another grid) and runs the paper's Shannon series on it.
-    Raises ValueError on NaN or infinite samples and on radii whose log is
-    not finite (r <= 0, NaN or inf).
+    Raises ValueError on NaN or infinite samples, on radii whose log is
+    not finite (r <= 0, NaN or inf), and, on either route, on a nonzero
+    degree beyond ``DEGREE_CAP``.
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     d = np.atleast_2d(np.asarray(directions, dtype=float))
@@ -584,11 +585,11 @@ def reconstruct_spherical(
     n, p = field.dimension, field.smoothness
     out = np.zeros(len(v))
     for k, block in _degree_blocks(field.samples.T):
+        _check_degree(k)
         sv = radial_spectrum(k, n, p)
         if kernel is not None:
             profiles = cardinal_series(kernel(sv), field.j_min, block, v)
         else:
-            _check_degree(k)
             profiles = spline_series(sv, field.j_min, block, v)
         out += np.einsum("ij,ij->j", profiles, sph_harm_degree(k, d))
     return out

@@ -20,13 +20,14 @@ other):
   digits that cancel, and refuses beyond ``SEVERITY_EXACT_MAX``
   (:class:`CancellationError`).  Point by point and slow: tests and checks
   only.
-* :func:`tb_piecewise` -- the same data reorganized as explicit exponential
-  polynomials per unit interval; cheap repeated evaluation and derivatives.
-* :func:`tb_chebyshev` -- one chopped Chebyshev series per unit interval,
-  sampled once per spectrum from the piecewise form in mpmath and evaluated
-  in float64 by Clenshaw.  No stiffness cap and no per-point mpmath work, so
-  every library path that needs Q_N values (kernel grids, ground-truth
-  superpositions, Euler splines) runs on it; :func:`tb_exact` stays the
+* :func:`tb_chebyshev` -- the one piecewise form: one chopped Chebyshev
+  series per unit interval, sampled once per spectrum from the same data
+  reorganized in mpmath as exponential polynomials per interval, and
+  evaluated in float64 by Clenshaw.  No stiffness cap and no per-point mpmath
+  work, so every library path that needs Q_N values runs on it: kernel
+  grids and Euler splines through the callable, the series
+  sum_i c_i Q_N(t - i) through :meth:`TbChebyshev.translates`, which maps
+  each point to its N live translates.  :func:`tb_exact` stays the
   independent reference it is tested against.
 * :func:`tb_tabulate`  -- FFT inversion of the Fourier form with an asymptotic
   correction for the truncated spectral tail.  No cancellation at any
@@ -61,7 +62,6 @@ __all__ = [
     "EFAccuracyError",
     "EFStructureError",
     "EFPolynomial",
-    "PiecewiseExpSpline",
     "TbChebyshev",
     "TbTable",
     "cancellation_severity",
@@ -75,15 +75,14 @@ __all__ = [
     "tb_exact",
     "tb_fourier",
     "tb_integer_values",
-    "tb_piecewise",
     "tb_tabulate",
 ]
 
 # stiffness s = max|lambda| * N controls how many digits the Green's-function
 # algebra cancels away (up to s * log10(e)).  Below FLOAT_MAX float64 keeps
-# ~10 clean digits even when the cancellation is fully realized (the
-# piecewise coefficients and the Euler-Frobenius cross-check rely on that);
-# beyond EXACT_MAX the mpmath reference evaluator refuses.
+# ~10 clean digits even when the cancellation is fully realized (the float64
+# resolvent behind the Euler-Frobenius cross-check relies on that); beyond
+# EXACT_MAX the mpmath reference evaluator refuses.
 SEVERITY_FLOAT_MAX = 12.0
 SEVERITY_EXACT_MAX = 80.0
 
@@ -333,16 +332,6 @@ def tb_integer_values(spectrum: SpectrumVector) -> tuple[float, ...]:
     return tuple(float(v) for v in vals)
 
 
-@lru_cache(maxsize=None)
-def _qn_grid(spectrum: SpectrumVector, per_unit: int) -> np.ndarray:
-    """Q_N on the grid l/per_unit, l = 0..N*per_unit, stiffness-uncapped."""
-    n = spectrum.order
-    t = np.arange(n * per_unit + 1, dtype=float) / per_unit
-    vals = tb_chebyshev(spectrum)(t)
-    vals.flags.writeable = False
-    return vals
-
-
 # --------------------------------------------------------------------------
 # Fourier side
 # --------------------------------------------------------------------------
@@ -521,105 +510,6 @@ def _spectral_tail(entries, beta, cutoff, per_unit, n, series_len):
 
 
 # --------------------------------------------------------------------------
-# piecewise-exponential form
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PiecewiseExpSpline:
-    """A spline written per unit interval as sum_l e^{l u} * poly(u), u = t - m.
-
-    ``pieces[m]`` describes [m + lo, m + 1 + lo): a tuple of (lam, coeffs)
-    blocks with ``coeffs[s]`` multiplying u^s e^{lam u}.  Float64 only -- the
-    factory refuses spectra stiff enough to shred these coefficients.
-    """
-
-    spectrum: SpectrumVector
-    lo: int
-    pieces: tuple[tuple[tuple[float, tuple[float, ...]], ...], ...]
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (float(self.lo), float(self.lo + len(self.pieces)))
-
-    def __call__(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        t_arr = np.atleast_1d(t_arr)
-        out = np.zeros_like(t_arr)
-        for m, blocks in enumerate(self.pieces):
-            a = self.lo + m
-            mask = (t_arr >= a) & (t_arr < a + 1)
-            if not mask.any():
-                continue
-            u = t_arr[mask] - a
-            acc = np.zeros_like(u)
-            for li, coeffs in blocks:
-                poly = np.zeros_like(u)
-                for c in reversed(coeffs):
-                    poly = poly * u + c
-                acc += poly * np.exp(li * u)
-            out[mask] = acc
-        return float(out[0]) if scalar else out
-
-    def derivative(self) -> "PiecewiseExpSpline":
-        """Piecewise derivative (ignores any distributional part at the knots)."""
-        new_pieces = []
-        for blocks in self.pieces:
-            nb = []
-            for li, coeffs in blocks:
-                c = list(coeffs) + [0.0]
-                nc = tuple((s + 1) * c[s + 1] + li * c[s] for s in range(len(coeffs)))
-                nb.append((li, nc))
-            new_pieces.append(tuple(nb))
-        return PiecewiseExpSpline(self.spectrum, self.lo, tuple(new_pieces))
-
-
-def tb_piecewise(spectrum: SpectrumVector) -> PiecewiseExpSpline:
-    """Assemble Q_N's explicit piecewise-exponential coefficients (float64).
-
-    Raises :class:`CancellationError` beyond ``SEVERITY_FLOAT_MAX``: the local
-    coefficients are differences of Green translates and lose digits at the
-    same rate as a float64 Green's-function sum would.
-    """
-    sev = cancellation_severity(spectrum)
-    if sev > SEVERITY_FLOAT_MAX:
-        raise CancellationError(
-            f"max|lambda|*N = {sev:.1f} exceeds {SEVERITY_FLOAT_MAX}; "
-            "piecewise coefficients would be pure cancellation noise"
-        )
-    entries, beta = _system(spectrum)
-    return PiecewiseExpSpline(
-        spectrum, 0, _local_coeffs(entries, beta, spectrum.order, math.exp)
-    )
-
-
-def _local_coeffs(entries, beta, n: int, exp) -> tuple:
-    """Q_N's blocks (l, coeffs) on each [m, m+1), m = 0..n-1, generic field.
-
-    On [m, m+1) only the Green translates beta_j g(t - j), j <= m, are
-    switched on; re-expanding t^s e^{l t} about u = t - m gives the local
-    coefficient of u^r e^{l u}.
-    """
-    zero = beta[0] * 0
-    pieces = []
-    for m in range(n):
-        blocks = []
-        for li, cvec in entries:
-            coeffs = [zero] * len(cvec)
-            for j in range(m + 1):
-                delta = m - j
-                w = beta[j] * exp(li * delta)
-                for s, cs in enumerate(cvec):
-                    if cs == 0:
-                        continue
-                    for r in range(s + 1):
-                        coeffs[r] += w * cs * math.comb(s, r) * delta ** (s - r)
-            blocks.append((li, tuple(coeffs)))
-        pieces.append(tuple(blocks))
-    return tuple(pieces)
-
-
-# --------------------------------------------------------------------------
 # piecewise Chebyshev form
 # --------------------------------------------------------------------------
 
@@ -651,6 +541,25 @@ class TbChebyshev:
             if sel.size:
                 flat_out[sel] = _clenshaw(c, 2.0 * (flat_t[sel] - m) - 1.0)
         return float(out) if out.ndim == 0 else out
+
+    def translates(self, first: int, count: int, t) -> np.ndarray:
+        """Q_N(t - i) for i = first..first+count-1: a (count, t.size) matrix.
+
+        At each point only the N translates i = floor(t) - m, m = 0..N-1,
+        are live, and they take piece m at u = t - floor(t); so each piece
+        fills its entries with one Clenshaw pass.  A non-finite t gives a
+        zero column.
+        """
+        flat = np.asarray(t, dtype=float).reshape(-1)
+        out = np.zeros((count, flat.size))
+        cell = np.floor(np.where(np.isfinite(flat), flat, first - 1.0))
+        # row of piece m is rel - m; clipping keeps far points out of every row
+        rel = np.clip(cell - first, -1, count + len(self.coeffs) - 1).astype(np.int64)
+        x = 2.0 * (flat - cell) - 1.0
+        for m, c in enumerate(self.coeffs):
+            sel = np.flatnonzero((rel >= m) & (rel - m < count))
+            out[rel[sel] - m, sel] = _clenshaw(c, x[sel])
+        return out
 
 
 def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -709,6 +618,31 @@ def _standard_chop(coeffs: np.ndarray, tol: float) -> int | None:
     return max(int(np.argmin(tilted)), 1)
 
 
+def _local_coeffs(entries, beta, n: int) -> tuple:
+    """Q_N's blocks (l, coeffs) on each [m, m+1), m = 0..n-1, in mpmath.
+
+    On [m, m+1) only the Green translates beta_j g(t - j), j <= m, are
+    switched on; re-expanding t^s e^{l t} about u = t - m gives the local
+    coefficient of u^r e^{l u}.
+    """
+    pieces = []
+    for m in range(n):
+        blocks = []
+        for li, cvec in entries:
+            coeffs = [mp.mpf(0)] * len(cvec)
+            for j in range(m + 1):
+                delta = m - j
+                w = beta[j] * mp.exp(li * delta)
+                for s, cs in enumerate(cvec):
+                    if cs == 0:
+                        continue
+                    for r in range(s + 1):
+                        coeffs[r] += w * cs * math.comb(s, r) * delta ** (s - r)
+            blocks.append((li, tuple(coeffs)))
+        pieces.append(tuple(blocks))
+    return tuple(pieces)
+
+
 def _sample_local(pieces, us) -> np.ndarray:
     """Every piece's exp-polynomial at the mp points ``us``: (pieces, len(us)).
 
@@ -744,7 +678,7 @@ def _cheb_points(deg: int, dps: int, odd: bool) -> tuple:
 def tb_chebyshev(spectrum: SpectrumVector) -> TbChebyshev:
     """Q_N as chopped Chebyshev series, sampled once per spectrum.
 
-    The local exp-polynomials of :func:`tb_piecewise` are assembled in
+    The local exp-polynomials of each unit interval are assembled in
     mpmath at the precision :func:`tb_exact` would use, sampled at Chebyshev
     points (doubling on nested points) and rounded once to float64, so there
     is no stiffness cap and no cancellation in the float evaluation.  Each
@@ -759,7 +693,7 @@ def tb_chebyshev(spectrum: SpectrumVector) -> TbChebyshev:
     entries, beta = _system(spectrum, dps)
     eps = np.finfo(float).eps
     with mp.workdps(dps):
-        pieces = _local_coeffs(entries, beta, n, mp.exp)
+        pieces = _local_coeffs(entries, beta, n)
         deg = _CHEB_FIRST
         vals = _sample_local(pieces, _cheb_points(deg, points_dps, False))
         while True:

@@ -275,6 +275,18 @@ def test_reconstruct_sphere_rejects_n_other_than_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_reconstruct_sphere_rejects_degrees_beyond_the_cap(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"K = {spherical.DEGREE_CAP + 1}\nqueries = 5\n")
+    t0 = time.perf_counter()
+    code = main(["reconstruct-sphere", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"K <= {spherical.DEGREE_CAP}" in err
+    assert err.count("\n") == 1
+
+
 # --- reconstruction commands --------------------------------------------------
 
 def test_reconstruct_sphere_small(tmp_path, capsys):

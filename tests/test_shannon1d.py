@@ -213,6 +213,15 @@ def test_spline_series_stops_at_the_table_support():
     assert spline_series(CUBIC, 0, samples, 8.0 + hw + 0.5) != 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_spline_series_rejects_non_finite_queries(bad):
+    t = np.array([3.5, bad])
+    with pytest.raises(ValueError, match="query coordinates contain NaN or infinite"):
+        spline_series(CUBIC, 0, np.ones(8), t)
+    # a sum of TB translates is 0 there, as Q_N is
+    assert np.array_equal(tb_superposition(CUBIC, 0, np.ones(8), t[1:]), [0.0])
+
+
 def test_spline_series_rejects_unsamplable_spaces(monkeypatch):
     odd = SpectrumVector.from_frequencies([0.0, 0.0, 0.0])
     with pytest.raises(NotSamplableError):

@@ -367,6 +367,16 @@ def test_kernel_source_selects_the_tables():
     assert np.max(np.abs(got - default)) < 1e-4 * np.max(np.abs(default))
 
 
+def test_degree_cap_holds_on_both_routes():
+    samples = np.zeros((7, mode_count(33)))
+    samples[:, 33 * 33] = 1.0  # one channel of degree 33
+    fld = PolysplineField(3, 1, 33, -3, samples)
+    r, d = np.array([1.0]), np.array([[0.0, 0.0, 1.0]])
+    for kernel in (None, synthesize_kernel):
+        with pytest.raises(ValueError, match="cancellation guard 32"):
+            reconstruct_spherical(fld, r, d, kernel=kernel)
+
+
 # --------------------------------------------------------------------------
 # field files
 # --------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from polyshannon.tbspline import (
     tb_exact,
     tb_fourier,
     tb_integer_values,
-    tb_piecewise,
     tb_tabulate,
 )
 
@@ -198,15 +197,15 @@ def test_support_and_positivity(lams):
 def test_integral_equals_symbol_at_zero():
     for freqs in ([0.0, 0.0, 0.0], [1.0, -2.0], [0.5, 0.5, -1.5, 2.0]):
         sv = SV(freqs)
-        pw = tb_piecewise(sv)
-        total = sum(_gl(pw, m, m + 1.0) for m in range(sv.order))
+        cheb = tb_chebyshev(sv)
+        total = sum(_gl(cheb, m, m + 1.0) for m in range(sv.order))
         assert total == pytest.approx(tb_fourier(sv, 0.0).real, rel=1e-12)
 
 
-def test_piecewise_matches_exact():
+def test_chebyshev_matches_exact():
     sv = SV([2.0, -3.0, 0.0])
     ts = np.linspace(-0.5, 3.5, 201)
-    assert np.max(np.abs(tb_piecewise(sv)(ts) - tb_exact(sv, ts))) < 1e-12
+    assert np.max(np.abs(tb_chebyshev(sv)(ts) - tb_exact(sv, ts))) < 1e-12
 
 
 @pytest.mark.parametrize("freqs", [
@@ -215,38 +214,39 @@ def test_piecewise_matches_exact():
     [-1.5, -1.5, 1.5, 1.5, 0.0],
     [-0.7],
 ])
-def test_piecewise_matches_exact_with_multiplicities(freqs):
+def test_chebyshev_matches_exact_with_multiplicities(freqs):
     sv = SV(freqs)
     ts = np.linspace(-0.5, sv.order + 0.5, 301)
     ref = tb_exact(sv, ts)
-    assert np.max(np.abs(tb_piecewise(sv)(ts) - ref)) < 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(tb_chebyshev(sv)(ts) - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 def test_smoothness_at_knots():
     # C^{N-2} joins; the (N-1)st derivative jumps by beta_0 = prod e^{-lam} at 0
     sv = SV([1.0, -0.5, 0.0, 0.25])
-    pw = tb_piecewise(sv)
-    eps = 1e-7
-    d = pw
+    pieces = tb_chebyshev(sv).coeffs
+    cheb = np.polynomial.chebyshev
+
+    def deriv(m, order, x):
+        # piece m of d^order Q / dt^order at x = 2u - 1; dx/dt = 2
+        return 2.0**order * cheb.chebval(x, cheb.chebder(pieces[m], order))
+
     for order in range(sv.order - 1):
-        if order > 0:
-            d = d.derivative()
         for knot in range(1, sv.order):
-            left = d(knot - eps)
-            right = d(knot + eps)
+            left = deriv(knot - 1, order, 1.0)
+            right = deriv(knot, order, -1.0)
             assert right - left == pytest.approx(0.0, abs=1e-5)
-    dd = d.derivative()  # (N-1)st derivative
-    jump = dd(eps) - 0.0
+    jump = deriv(0, sv.order - 1, -1.0) - 0.0
     assert jump == pytest.approx(math.exp(-sv.freq_sum()), rel=1e-5)
 
 
 def test_fourier_consistency_with_time_domain():
     sv = SV([1.5, -1.0, 0.0])
-    pw = tb_piecewise(sv)
+    cheb = tb_chebyshev(sv)
     for xi in (0.3, 1.0, 2.7, 6.0):
         ref = sum(
-            _gl(lambda t: pw(t) * np.cos(xi * t), m, m + 1.0)
-            - 1j * _gl(lambda t: pw(t) * np.sin(xi * t), m, m + 1.0)
+            _gl(lambda t: cheb(t) * np.cos(xi * t), m, m + 1.0)
+            - 1j * _gl(lambda t: cheb(t) * np.sin(xi * t), m, m + 1.0)
             for m in range(sv.order)
         )
         assert tb_fourier(sv, xi) == pytest.approx(ref, abs=1e-12)
@@ -279,8 +279,6 @@ def test_stiff_spectrum_uses_hp_and_stays_positive():
 def test_cancellation_cap():
     with pytest.raises(CancellationError):
         tb_exact(SV([41.0, -41.0]), 1.0)
-    with pytest.raises(CancellationError):
-        tb_piecewise(SV([-8.0, 8.0, 0.0, 0.0]))
 
 
 def test_near_coincident_frequencies_rejected():
@@ -310,17 +308,41 @@ def test_chebyshev_edge_conventions():
         n = sv.order
         cheb = tb_chebyshev(sv)
         peak = np.max(np.abs(cheb(np.linspace(0.0, n, 101))))
-        outside = cheb(np.array([-1.0, -1e-12, n, n + 1e-9, n + 3.0, np.nan]))
-        assert np.array_equal(outside, np.zeros(6))
-        assert abs(cheb(0.0)) <= 1e-15 * peak  # left-closed, continuous for N >= 2
+        outside = np.array(
+            [-1.0, -1e-12, n, n + 1e-9, n + 3.0, np.nan, np.inf, -np.inf]
+        )
+        assert np.array_equal(cheb(outside), np.zeros(8))
+        assert np.array_equal(cheb.translates(0, 1, outside), np.zeros((1, 8)))
+        # left-closed, continuous for N >= 2
+        assert abs(cheb(0.0)) <= 1e-15 * peak
+        assert abs(cheb.translates(0, 1, 0.0)[0, 0]) <= 1e-15 * peak
         assert isinstance(cheb(0.5), float)
         assert cheb(np.zeros((2, 3))).shape == (2, 3)
+        assert cheb.translates(-1, 4, np.zeros((2, 3))).shape == (4, 6)
     lam = -0.8
     first = tb_chebyshev(SV([lam]))
     assert first(0.0) == pytest.approx(math.exp(-lam), rel=1e-15)
+    assert first.translates(0, 1, 0.0)[0, 0] == pytest.approx(math.exp(-lam), rel=1e-15)
     assert first(1.0) == 0.0
+    assert first.translates(0, 1, 1.0)[0, 0] == 0.0
     ts = np.linspace(0.0, 0.999, 21)
     assert np.allclose(first(ts), np.exp(lam * (ts - 1.0)), rtol=1e-15, atol=0.0)
+    assert np.allclose(first.translates(0, 1, ts)[0], np.exp(lam * (ts - 1.0)),
+                       rtol=1e-15, atol=0.0)
+
+
+def test_translates_match_exact_translates():
+    sv = SV([2.0, -3.0, 0.5])
+    # rows i = -1..4 clip the live translates of the first and last points;
+    # integer t puts every point on a knot, 1e6 and 1e300 are far outside
+    t = np.concatenate([
+        np.linspace(-4.0, 9.0, 131), np.arange(-4.0, 10.0), [-1e300, -1e6, 1e6, 1e300],
+    ])
+    got = tb_chebyshev(sv).translates(-1, 6, t)
+    want = np.stack([tb_exact(sv, t - i) for i in range(-1, 5)])
+    assert got.shape == (6, len(t))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.all(got[:, :20] == 0.0) and np.all(got[:, -4:] == 0.0)
 
 
 def test_chebyshev_is_cached_per_spectrum():
