@@ -48,7 +48,7 @@ import numpy as np
 
 from .spectrum import SpectrumVector
 from .tables import interp6
-from .tbspline import tb_chebyshev, tb_fourier, tb_integer_values
+from .tbspline import check_queries, tb_chebyshev, tb_fourier, tb_integer_values
 
 __all__ = [
     "BoundaryTailWarning",
@@ -366,11 +366,6 @@ class BoundaryTailWarning(UserWarning):
     """Query too close to the edge of the sampled range; kernel tails truncated."""
 
 
-def _check_queries(t) -> None:
-    if not np.all(np.isfinite(t)):
-        raise ValueError("query coordinates contain NaN or infinite values")
-
-
 def check_cardinal_data(samples, j_min: int, t) -> None:
     """Guard a cardinal series over sample rows j = j_min, j_min+1, ...: raise
     ValueError on a NaN or infinite sample or query coordinate ``t``, and warn
@@ -379,7 +374,7 @@ def check_cardinal_data(samples, j_min: int, t) -> None:
     samples = np.asarray(samples)
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples contain NaN or infinite values")
-    _check_queries(t)
+    check_queries(t)
     lo, hi = j_min + 2, j_min + samples.shape[0] - 3
     if np.any(t < lo) or np.any(t > hi):
         scale = float(np.max(np.abs(samples))) if samples.size else 0.0
@@ -433,7 +428,7 @@ def spline_series(spectrum: SpectrumVector, j_min: int, samples, t):
     if not np.iscomplexobj(y):
         y = y.astype(float)
     t_arr = np.asarray(t, dtype=float)
-    _check_queries(t_arr)
+    check_queries(t_arr)
     j_max = j_min + y.shape[-1] - 1
     hw = SamplingGrid().half_width
     # coefficient range the queries touch, within the default table support

@@ -65,6 +65,7 @@ __all__ = [
     "TbChebyshev",
     "TbTable",
     "cancellation_severity",
+    "check_queries",
     "ef_contour",
     "ef_zeros",
     "euler_frobenius",
@@ -115,6 +116,12 @@ class ContourDomainError(ValueError):
 
 class ConvergenceError(ArithmeticError):
     """An adaptive quadrature or Chebyshev series failed to settle."""
+
+
+def check_queries(t) -> None:
+    """Raise ValueError if the query coordinates ``t`` hold a NaN or infinity."""
+    if not np.isfinite(t).all():
+        raise ValueError("query coordinates contain NaN or infinite values")
 
 
 def cancellation_severity(spectrum: SpectrumVector) -> float:
@@ -525,21 +532,16 @@ class TbChebyshev:
 
     ``coeffs[m][k]`` multiplies T_k(2u - 1) with u = t - m.  Evaluation is
     float64 Clenshaw and keeps :func:`tb_exact`'s conventions: zero outside
-    [0, N), left-closed knots, a float for a scalar argument.
+    [0, N) and at a NaN or infinite t, left-closed knots, a float for a
+    scalar argument.  The callable is the single translate i = 0 of
+    :meth:`translates`, so both give the same bits at a point.
     """
 
     spectrum: SpectrumVector
     coeffs: tuple[np.ndarray, ...]
 
     def __call__(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        out = np.zeros(t_arr.shape)
-        flat_t, flat_out = t_arr.reshape(-1), out.reshape(-1)
-        cell = np.floor(flat_t)
-        for m, c in enumerate(self.coeffs):
-            sel = np.flatnonzero(cell == m)
-            if sel.size:
-                flat_out[sel] = _clenshaw(c, 2.0 * (flat_t[sel] - m) - 1.0)
+        out = self.translates(0, 1, t)[0].reshape(np.shape(t))
         return float(out) if out.ndim == 0 else out
 
     def translates(self, first: int, count: int, t) -> np.ndarray:
@@ -729,24 +731,34 @@ def tb_chebyshev(spectrum: SpectrumVector) -> TbChebyshev:
 # exponential Euler splines
 # --------------------------------------------------------------------------
 
-def euler_spline(spectrum: SpectrumVector, x: float, lam: complex):
+#: lam ** m elementwise through Python's scalar pow, i.e. the C library's.
+#: numpy's SIMD array power rounds about 3% of real powers differently in
+#: the last bit on an AVX-512 machine, almost always less accurately, and
+#: that moves verify residuals in their last digits.
+_scalar_pow = np.frompyfunc(pow, 2, 1)
+
+
+def euler_spline(spectrum: SpectrumVector, x, lam):
     """Phi(x; lam) = sum_m lam^m Q_N(x - m), a finite sum over the support.
 
-    ``lam`` must be nonzero (negative powers appear).  Complex ``lam`` gives a
-    complex result; real input stays real.  The Q_N values come from
-    :func:`tb_chebyshev`, so there is no stiffness cap.
+    ``x`` and ``lam`` broadcast against each other; scalars give a scalar.
+    ``lam`` must be nonzero everywhere (negative powers appear).  Complex
+    ``lam`` gives a complex result; real input stays real.  The Q_N values
+    of all points come from one :func:`tb_chebyshev` call, so there is no
+    stiffness cap, and each point's value does not depend on the rest of
+    the batch.  Raises ValueError on a NaN or infinite ``x``.
     """
-    if lam == 0:
+    x, lam = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(lam))
+    if np.any(lam == 0):
         raise ValueError("lam must be nonzero")
+    check_queries(x)
     n = spectrum.order
-    m_lo = math.floor(x - n) + 1
-    m_hi = math.floor(x)
-    ms = np.arange(m_lo, m_hi + 1)
-    if len(ms) == 0:
-        return 0.0 if not isinstance(lam, complex) else 0.0j
-    qv = tb_chebyshev(spectrum)(x - ms)
-    acc = sum(lam ** int(m) * q for m, q in zip(ms, qv))
-    return acc
+    # the N live translates at x: m = floor(x) - N + 1 .. floor(x), ascending
+    ms = np.floor(x)[..., None] + np.arange(1 - n, 1)
+    q = tb_chebyshev(spectrum)(x[..., None] - ms)
+    w = _scalar_pow(lam[..., None], ms).astype(np.result_type(lam, np.float64))
+    out = np.asarray(sum(w[..., j] * q[..., j] for j in range(n)))
+    return out[()]
 
 
 @lru_cache(maxsize=None)
@@ -862,8 +874,10 @@ def euler_spline_resolvent(spectrum: SpectrumVector, x: float, lam: complex):
     Entirely independent of pointwise TB values, which is the point: it
     cross-examines :func:`euler_spline` and the Euler-Frobenius coefficients.
     Like :func:`green_power_sum` it escalates precision when ``lam`` sits
-    close to a pole node e^{lambda_i}.
+    close to a pole node e^{lambda_i}.  Scalar only; raises ValueError on a
+    NaN or infinite ``x``.
     """
+    check_queries(x)
     k = math.floor(x)
     return _resolvent(spectrum, x - k, lam, with_b=True) * lam**k
 

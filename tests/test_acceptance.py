@@ -110,20 +110,24 @@ def test_functional_equation_cross_routes():
     shift = half = recip = 0.0
     for sv in battery:
         n = sv.order
-        for _ in range(20):
-            x = float(rng.uniform(0.0, 1.0))
-            lam = float(rng.uniform(0.2, 5.0)) * (-1.0) ** rng.integers(0, 2)
-            a = euler_spline_resolvent(sv, x + 1.0, lam)
-            b = lam * euler_spline(sv, x, lam)
-            den = euler_spline(sv, x + 1.0, abs(lam))
-            shift = max(shift, abs(a - b) / den)
-            if sv.is_symmetric():
-                c = euler_spline_resolvent(sv, n / 2.0, lam)
-                d = lam ** (n // 2) * euler_spline(sv, 0.0, lam)
-                den2 = euler_spline(sv, n / 2.0, abs(lam))
-                half = max(half, abs(c - d) / den2)
-                e = euler_spline(sv, n / 2.0, 1.0 / lam)
-                recip = max(recip, abs(c - e) / den2)
+        # draw x, then lam, per sample; each TB sum then runs once per spectrum
+        x, lam = np.array([
+            (float(rng.uniform(0.0, 1.0)),
+             float(rng.uniform(0.2, 5.0)) * (-1.0) ** rng.integers(0, 2))
+            for _ in range(20)
+        ]).T
+        a = np.array([euler_spline_resolvent(sv, xi, li)
+                      for xi, li in zip(x + 1.0, lam)])
+        b = lam * euler_spline(sv, x, lam)
+        den = euler_spline(sv, x + 1.0, np.abs(lam))
+        shift = max(shift, np.max(np.abs(a - b) / den))
+        if sv.is_symmetric():
+            c = np.array([euler_spline_resolvent(sv, n / 2.0, li) for li in lam])
+            d = lam ** (n // 2) * euler_spline(sv, 0.0, lam)
+            den2 = euler_spline(sv, n / 2.0, np.abs(lam))
+            half = max(half, np.max(np.abs(c - d) / den2))
+            e = euler_spline(sv, n / 2.0, 1.0 / lam)
+            recip = max(recip, np.max(np.abs(c - e) / den2))
     assert shift <= 1e-9
     assert half <= 1e-9
     assert recip <= 1e-9

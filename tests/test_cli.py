@@ -364,6 +364,23 @@ def test_verify_passes_and_is_deterministic(tmp_path, capsys):
     assert b"ALL CHECKS PASSED" in ta.read_bytes()
 
 
+def test_verify_batches_its_euler_splines(monkeypatch):
+    # one call per identity term and battery spectrum, each over all of the
+    # spectrum's draws: at most 4 in _identity_residuals and 2 in
+    # _symmetry_residual; one call per draw would make thousands
+    calls = []
+    euler_spline = cli.euler_spline
+
+    def counting(sv, x, lam):
+        calls.append(sv)
+        return euler_spline(sv, x, lam)
+
+    monkeypatch.setattr(cli, "euler_spline", counting)
+    assert cli.run_verify(ExperimentConfig()).all_passed()
+    battery = [sv for group in cli._battery() for sv in group]
+    assert 0 < len(calls) <= 6 * len(battery)
+
+
 def test_verify_detects_degraded_grid(tmp_path, capsys):
     cfg = tmp_path / "degr.cfg"
     cfg.write_text("per_unit = 8\n")

@@ -443,6 +443,44 @@ def test_euler_spline_three_routes():
             assert abs(direct - contour) < 1e-9 * max(1.0, abs(direct))
 
 
+@pytest.mark.parametrize("lams", [
+    np.array([-2.5, -0.35, 0.2, 1.0, 4.0]),
+    np.array([2.0 + 1.5j, -0.2 - 0.8j, 1.3j, -1.0 + 0j, 0.6 - 0.1j]),
+])
+def test_euler_spline_array_equals_scalar_loop(lams):
+    sv = SV([0.5, -1.0, 0.0, 2.0])
+    xs = np.array([-3.7, -1.0, -0.25, 0.0, 0.4, 1.7, 2.999, 5.5])
+    grid = euler_spline(sv, xs[:, None], lams[None, :])
+    loop = np.array([[euler_spline(sv, x, lam) for lam in lams] for x in xs])
+    assert grid.shape == (len(xs), len(lams))
+    assert np.array_equal(grid, loop)
+    # broadcasting a scalar against an array, both ways round
+    assert np.array_equal(euler_spline(sv, 1.7, lams), loop[5])
+    assert np.array_equal(euler_spline(sv, xs, lams[2]), loop[:, 2])
+
+
+def test_euler_spline_scalar_call_returns_a_scalar():
+    sv = SV([0.5, -1.0, 0.0])
+    real = euler_spline(sv, 0.4, -0.35)
+    cplx = euler_spline(sv, 0.4, 2.0 + 1.5j)
+    assert np.ndim(real) == 0 and isinstance(real, float)
+    assert np.ndim(cplx) == 0 and isinstance(cplx, complex)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("route", [euler_spline, euler_spline_resolvent])
+def test_euler_spline_routes_reject_non_finite_x(route, bad):
+    with pytest.raises(ValueError, match="query coordinates contain NaN or infinite"):
+        route(SV([0.5, -1.0, 0.0]), bad, 2.0)
+
+
+def test_euler_spline_rejects_a_bad_element_anywhere():
+    with pytest.raises(ValueError, match="lam must be nonzero"):
+        euler_spline(SV([0.0, 0.0]), 0.5, np.array([1.0, 0.0, 2.0]))
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        euler_spline(SV([0.0, 0.0]), np.array([0.5, math.nan]), 2.0)
+
+
 def test_contour_rejects_pole_on_axis():
     with pytest.raises(ContourDomainError):
         ef_contour(SV([0.0, 0.0]), 0.5, 2.0)
