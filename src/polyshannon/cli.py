@@ -289,8 +289,8 @@ def _spectrum_hash(sv: SpectrumVector) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _grid_hash(grid: SamplingGrid, kind: str) -> str:
-    canon = f"{grid.per_unit}|{grid.half_width}|{kind}"
+def _grid_hash(grid: SamplingGrid) -> str:
+    canon = f"{grid.per_unit}|{grid.half_width}|interp"
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
@@ -303,7 +303,7 @@ def cached_kernel(
     expected name is ignored and rewritten.
     """
     cache_dir.mkdir(parents=True, exist_ok=True)
-    name = f"{_spectrum_hash(sv)}-{_grid_hash(grid, 'interp')}.pskt"
+    name = f"{_spectrum_hash(sv)}-{_grid_hash(grid)}.pskt"
     path = cache_dir / name
     if path.exists():
         try:

@@ -1,0 +1,56 @@
+"""The binary record layout shared by every polyshannon file.
+
+A record is a 4-byte magic, a u16 version (1), the rest of a fixed
+little-endian header, then a body whose size the header determines.  Kernel
+tables ("PSKT"), sphere fields ("PSPF") and strip fields ("PSSF") are such
+records.  Readers raise ValueError on any malformed file; a write replaces
+its target atomically, so a reader never sees a half-written file.
+"""
+
+from __future__ import annotations
+
+import os
+import struct
+from pathlib import Path
+
+import numpy as np
+
+VERSION = 1
+
+
+def read_record(path, magic: bytes, head: str) -> tuple[list, bytes]:
+    """The header fields after magic and version, and the body bytes.
+
+    ``head`` is the struct format of the whole header, magic and version
+    included.  Raises ValueError on a file shorter than the header or on a
+    wrong magic or version.
+    """
+    raw = Path(path).read_bytes()
+    head_size = struct.calcsize(head)
+    if len(raw) < head_size:
+        raise ValueError(f"{path} is shorter than its header")
+    found, version, *fields = struct.unpack(head, raw[:head_size])
+    if found != magic or version != VERSION:
+        raise ValueError(f"not a {magic.decode()} version {VERSION} file: {path}")
+    return fields, raw[head_size:]
+
+
+def write_record(path, magic: bytes, head: str, fields, body: bytes) -> None:
+    """Write the record ``magic``, version, ``fields`` (the rest of ``head``)
+    and ``body`` to ``path``: into a temporary sibling, then renamed over
+    ``path``."""
+    data = struct.pack(head, magic, VERSION, *fields) + body
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def finite_values(values: np.ndarray, path) -> np.ndarray:
+    """``values``, or ValueError if a loaded value is NaN or infinite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path} holds NaN or infinite values")
+    return values

@@ -32,20 +32,20 @@ lattice taps and hands c to :func:`tb_superposition`, the one sum of TB
 translates, which the ground-truth oracles use too.  It is exact to
 roundoff where the 6-point table stencils of :func:`cardinal_series` stop
 at their interpolation error; the table route stays as the paper's literal
-Shannon series.
+Shannon series.  A :class:`KernelTable` is stored as one binary ``PSKT``
+record (:mod:`polyshannon.records`).
 """
 
 from __future__ import annotations
 
 import math
-import os
 import struct
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .records import finite_values, read_record, write_record
 from .spectrum import SpectrumVector
 from .tables import interp6
 from .tbspline import check_queries, tb_chebyshev, tb_fourier, tb_integer_values
@@ -207,71 +207,47 @@ class KernelTable:
         frequency entry (f64 value, u32 multiplicity, u32 pad); then the raw
         f64 values.  Floats round-trip bit-exactly.
         """
-        head = struct.pack(
-            _HEAD,
-            _MAGIC,
-            1,
-            _KERNEL_KINDS.index(self.kind),
-            0,
-            len(self.spectrum.entries),
-            0,
-            self.per_unit,
-            self.t_min,
-            len(self.values),
+        fields = (
+            _KERNEL_KINDS.index(self.kind), 0, len(self.spectrum.entries), 0,
+            self.per_unit, self.t_min, len(self.values),
         )
         body = b"".join(
             struct.pack("<dII", v, m, 0) for v, m in self.spectrum.entries
         )
         data = np.ascontiguousarray(self.values, dtype="<f8").tobytes()
-        # a reader never sees a half-written file: write aside, then rename
-        path = Path(path)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_bytes(head + body + data)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        write_record(path, _MAGIC, _HEAD, fields, body + data)
 
     @classmethod
     def load(cls, path) -> "KernelTable":
         """Read a table written by :meth:`save`.
 
         Raises ValueError on any malformed file: short header, wrong magic or
-        version, unknown kind, a length that disagrees with the header, or a
-        NaN or infinite value.
+        version, unknown kind, a grid :class:`SamplingGrid` rejects, a length
+        that disagrees with the header, or a NaN or infinite value.
         """
-        raw = Path(path).read_bytes()
-        head_size = struct.calcsize(_HEAD)
-        if len(raw) < head_size:
-            raise ValueError(f"kernel table {path} is shorter than its header")
-        magic, version, kind_idx, _, n_entries, _, per_unit, t_min, n_values = (
-            struct.unpack(_HEAD, raw[:head_size])
+        (kind_idx, _, n_entries, _, per_unit, t_min, n_values), body = read_record(
+            path, _MAGIC, _HEAD
         )
-        if magic != _MAGIC or version != 1:
-            raise ValueError(f"not a kernel table file: {path}")
         if kind_idx >= len(_KERNEL_KINDS):
             raise ValueError(f"kernel table {path} has unknown kind {kind_idx}")
-        size = head_size + 16 * n_entries + 8 * n_values
-        if len(raw) != size:
+        SamplingGrid(per_unit, -t_min)  # checks per_unit and t_min
+        size = 16 * n_entries + 8 * n_values
+        if len(body) != size:
             raise ValueError(
-                f"kernel table {path} holds {len(raw)} bytes, its header says {size}"
+                f"kernel table {path} holds {len(body)} body bytes, "
+                f"its header says {size}"
             )
-        offset = head_size
-        entries = []
-        for _ in range(n_entries):
-            v, m, _pad = struct.unpack("<dII", raw[offset : offset + 16])
-            entries.append((v, m))
-            offset += 16
-        values = np.frombuffer(raw[offset:], dtype="<f8", count=n_values).copy()
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"kernel table {path} holds NaN or infinite values")
+        entries = [
+            struct.unpack_from("<dII", body, 16 * i)[:2] for i in range(n_entries)
+        ]
+        values = np.frombuffer(body, dtype="<f8", offset=16 * n_entries).copy()
         values.flags.writeable = False
         return cls(
             spectrum=SpectrumVector(tuple(entries)),
             kind=_KERNEL_KINDS[kind_idx],
             per_unit=per_unit,
             t_min=t_min,
-            values=values,
+            values=finite_values(values, path),
         )
 
 

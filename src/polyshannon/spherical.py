@@ -19,8 +19,9 @@ roundoff), or on kernel tables through
 :func:`~polyshannon.shannon1d.cardinal_series` when a ``kernel`` is given.  This
 module supplies the sphere quadrature (Gauss-Legendre colatitudes x uniform
 longitudes), the real harmonics, the per-degree kernels, the truncated zonal
-kernel, the mode-wise and quadrature-form reconstructions, and field
-containers with documented on-disk formats.
+kernel, the mode-wise and quadrature-form reconstructions, and the field
+container :class:`PolysplineField`, stored as one binary ``PSPF`` record
+(:mod:`polyshannon.records`).
 
 Only n = 3 harmonics are implemented, so sphere fields require n = 3; the
 radial kernels accept any n >= 2 (confluent spectra included).
@@ -30,10 +31,8 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.special import eval_legendre, sph_legendre_p
@@ -49,6 +48,7 @@ from .shannon1d import (
     synthesize_kernel,
     tb_superposition,
 )
+from .records import finite_values, read_record, write_record
 from .spectrum import SpectrumVector, radial_spectrum
 from .tbspline import tb_fourier
 
@@ -415,58 +415,6 @@ _FIELD_MAGIC = b"PSPF"
 _FIELD_HEAD = "<4sHHIIIiQ"
 
 
-def _read_text_field(path, kind: str, keys: tuple[str, ...]):
-    """(integer header, body lines) of a text field file; ValueError unless it
-    has the magic, ``kind`` and ``keys`` lines in order and ends in a newline
-    (so a file cut inside its last line is told apart from a whole one)."""
-    text = Path(path).read_text()
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "polyshannon-field 1":
-        raise ValueError(f"not a polyshannon field file: {path}")
-    if len(lines) < 2 or lines[1].split() != ["kind", kind]:
-        raise ValueError(f"field kind mismatch: expected {kind} data in {path}")
-    if not text.endswith("\n"):
-        raise ValueError(f"field file {path} does not end in a newline")
-    header = {}
-    for i, key in enumerate(keys, start=2):
-        parts = lines[i].split() if i < len(lines) else []
-        if len(parts) != 2 or parts[0] != key:
-            raise ValueError(f"field file {path}: line {i + 1} must be '{key} <int>'")
-        header[key] = int(parts[1])
-        if header[key] < 0 and key != "j_min":
-            raise ValueError(f"field file {path}: {key} must be nonnegative")
-    return header, lines[2 + len(keys) :]
-
-
-def _read_binary_field(path, magic: bytes, head: str):
-    """Unpack the binary header ``head`` of a field file; returns its fields
-    after magic and version, and the bytes that follow.  Raises ValueError
-    on a short file or a wrong magic or version."""
-    raw = Path(path).read_bytes()
-    head_size = struct.calcsize(head)
-    if len(raw) < head_size:
-        raise ValueError(f"field file {path} is shorter than its header")
-    found, version, *values = struct.unpack(head, raw[:head_size])
-    if found != magic or version != 1:
-        raise ValueError(f"not a binary polyshannon field file: {path}")
-    return values, raw[head_size:]
-
-
-def _number_rows(lines, count: int, width: int, dtype, path) -> np.ndarray:
-    """Exactly ``count`` lines of ``width`` whitespace-separated numbers each."""
-    rows = [ln.split() for ln in lines]
-    if len(rows) != count or any(len(row) != width for row in rows):
-        raise ValueError(f"field file {path}: expected {count} rows of {width} values")
-    return np.array(rows, dtype=dtype).reshape(count, width)
-
-
-def _finite_samples(samples: np.ndarray, path) -> np.ndarray:
-    """``samples``, or ValueError if a loaded value is NaN or infinite."""
-    if not np.all(np.isfinite(samples)):
-        raise ValueError(f"field file {path} holds NaN or infinite samples")
-    return samples
-
-
 @dataclass(frozen=True)
 class PolysplineField:
     """Mode samples f_{k,ell}(e^j) on consecutive spheres j = j_min, ...
@@ -489,54 +437,21 @@ class PolysplineField:
     def j_max(self) -> int:
         return self.j_min + self.samples.shape[0] - 1
 
-    def save_text(self, path) -> None:
-        """Plain-text form: a `key value` header, then one line per sphere
-        with (K+1)^2 ``repr`` floats (exact round-trip)."""
-        lines = [
-            "polyshannon-field 1",
-            "kind sphere",
-            f"n {self.dimension}",
-            f"p {self.smoothness}",
-            f"K {self.degree_max}",
-            f"j_min {self.j_min}",
-            f"spheres {self.samples.shape[0]}",
-        ]
-        for row in self.samples:
-            lines.append(" ".join(repr(float(v)) for v in row))
-        Path(path).write_text("\n".join(lines) + "\n")
+    def save(self, path) -> None:
+        """Write the field to ``path``: magic "PSPF", u16 version=1, u16 pad,
+        u32 n, u32 p, u32 K, i32 j_min, u64 sphere count, then the row-major
+        f64 matrix."""
+        fields = (
+            0, self.dimension, self.smoothness, self.degree_max, self.j_min,
+            self.samples.shape[0],
+        )
+        data = np.ascontiguousarray(self.samples, dtype="<f8").tobytes()
+        write_record(path, _FIELD_MAGIC, _FIELD_HEAD, fields, data)
 
     @classmethod
-    def load_text(cls, path) -> "PolysplineField":
-        """Read :meth:`save_text` output; ValueError on any malformed file."""
-        head, body = _read_text_field(
-            path, "sphere", ("n", "p", "K", "j_min", "spheres")
-        )
-        samples = _number_rows(body, head["spheres"], mode_count(head["K"]), float, path)
-        return cls(
-            dimension=head["n"],
-            smoothness=head["p"],
-            degree_max=head["K"],
-            j_min=head["j_min"],
-            samples=_finite_samples(samples, path),
-        )
-
-    def save_binary(self, path) -> None:
-        """Binary form: magic "PSPF", u16 version=1, u16 pad, u32 n, u32 p,
-        u32 K, i32 j_min, u64 sphere count, then the row-major f64 matrix."""
-        head = struct.pack(
-            _FIELD_HEAD,
-            _FIELD_MAGIC, 1, 0,
-            self.dimension, self.smoothness, self.degree_max,
-            self.j_min, self.samples.shape[0],
-        )
-        Path(path).write_bytes(
-            head + np.ascontiguousarray(self.samples, dtype="<f8").tobytes()
-        )
-
-    @classmethod
-    def load_binary(cls, path) -> "PolysplineField":
-        """Read :meth:`save_binary` output; ValueError on any malformed file."""
-        (_, n, p, degree_max, j_min, n_spheres), data = _read_binary_field(
+    def load(cls, path) -> "PolysplineField":
+        """Read :meth:`save` output; ValueError on any malformed file."""
+        (_, n, p, degree_max, j_min, n_spheres), data = read_record(
             path, _FIELD_MAGIC, _FIELD_HEAD
         )
         shape = (n_spheres, mode_count(degree_max))
@@ -548,7 +463,7 @@ class PolysplineField:
         samples = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
         return cls(
             dimension=n, smoothness=p, degree_max=degree_max, j_min=j_min,
-            samples=_finite_samples(samples, path),
+            samples=finite_values(samples, path),
         )
 
 

@@ -18,6 +18,8 @@ on kernel tables when a ``kernel`` is given -- and resums it against the
 torus phases e^{i y.kappa} of the group's modes, and the synthetic generator
 evaluates its TB translates once per group.  The phases are products of
 per-axis powers of e^{i y_a}, not one complex exponential per mode.
+:class:`StripField` is stored as one binary ``PSSF`` record
+(:mod:`polyshannon.records`).
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import struct
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -40,10 +40,8 @@ from .shannon1d import (
     synthesize_kernel,
     tb_superposition,
 )
+from .records import finite_values, read_record, write_record
 from .spectrum import SpectrumVector, strip_spectrum
-from .spherical import (
-    _finite_samples, _number_rows, _read_binary_field, _read_text_field,
-)
 
 __all__ = [
     "StripField",
@@ -204,68 +202,23 @@ class StripField:
                 return False
         return True
 
-    def save_text(self, path) -> None:
-        """`key value` header, mode lines, then one line per hyperplane of
-        interleaved re/im ``repr`` floats (exact round-trip)."""
-        lines = [
-            "polyshannon-field 1",
-            "kind strip",
-            f"dim {self.dimension}",
-            f"p {self.smoothness}",
-            f"K {self.cutoff}",
-            f"j_min {self.j_min}",
-            f"planes {self.samples.shape[0]}",
-            f"modes {len(self.modes)}",
-        ]
-        for kappa in self.modes:
-            lines.append(" ".join(str(c) for c in kappa))
-        for row in self.samples:
-            re_im = np.column_stack([row.real, row.imag]).ravel()
-            lines.append(" ".join(repr(float(v)) for v in re_im))
-        Path(path).write_text("\n".join(lines) + "\n")
-
-    @classmethod
-    def load_text(cls, path) -> "StripField":
-        """Read :meth:`save_text` output; ValueError on any malformed file,
-        a mode list other than :func:`torus_modes` included."""
-        head, body = _read_text_field(
-            path, "strip", ("dim", "p", "K", "j_min", "planes", "modes")
-        )
-        n_modes, n_planes = head["modes"], head["planes"]
-        kappas = _number_rows(body[:n_modes], n_modes, head["dim"], int, path)
-        modes = tuple(tuple(int(c) for c in row) for row in kappas)
-        _check_modes(modes, head["dim"], head["K"], path)
-        flat = _finite_samples(
-            _number_rows(body[n_modes:], n_planes, 2 * n_modes, float, path), path
-        )
-        return cls(
-            dimension=head["dim"],
-            smoothness=head["p"],
-            cutoff=head["K"],
-            j_min=head["j_min"],
-            modes=modes,
-            samples=flat[:, 0::2] + 1j * flat[:, 1::2],
-        )
-
-    def save_binary(self, path) -> None:
-        """Binary form: magic "PSSF", u16 version=1, u16 pad, u32 dim, u32 p,
-        u32 K, i32 j_min, u64 planes, u64 modes; then the mode multi-indices
-        as i32s; then the row-major complex128 matrix."""
-        head = struct.pack(
-            _STRIP_HEAD,
-            _STRIP_MAGIC, 1, 0,
-            self.dimension, self.smoothness, self.cutoff,
-            self.j_min, self.samples.shape[0], len(self.modes),
+    def save(self, path) -> None:
+        """Write the field to ``path``: magic "PSSF", u16 version=1, u16 pad,
+        u32 dim, u32 p, u32 K, i32 j_min, u64 planes, u64 modes; then the
+        mode multi-indices as i32s; then the row-major complex128 matrix."""
+        fields = (
+            0, self.dimension, self.smoothness, self.cutoff, self.j_min,
+            self.samples.shape[0], len(self.modes),
         )
         mode_bytes = np.asarray(self.modes, dtype="<i4").tobytes()
         data = np.ascontiguousarray(self.samples, dtype="<c16").tobytes()
-        Path(path).write_bytes(head + mode_bytes + data)
+        write_record(path, _STRIP_MAGIC, _STRIP_HEAD, fields, mode_bytes + data)
 
     @classmethod
-    def load_binary(cls, path) -> "StripField":
-        """Read :meth:`save_binary` output; ValueError on any malformed file,
+    def load(cls, path) -> "StripField":
+        """Read :meth:`save` output; ValueError on any malformed file,
         a mode list other than :func:`torus_modes` included."""
-        (_, dim, p, cutoff, j_min, n_planes, n_modes), data = _read_binary_field(
+        (_, dim, p, cutoff, j_min, n_planes, n_modes), data = read_record(
             path, _STRIP_MAGIC, _STRIP_HEAD
         )
         size = 4 * n_modes * dim + 16 * n_planes * n_modes
@@ -281,7 +234,7 @@ class StripField:
         samples = np.frombuffer(data[off:], dtype="<c16").reshape(n_planes, n_modes)
         return cls(
             dimension=dim, smoothness=p, cutoff=cutoff, j_min=j_min,
-            modes=modes, samples=_finite_samples(samples.copy(), path),
+            modes=modes, samples=finite_values(samples.copy(), path),
         )
 
 

@@ -388,6 +388,7 @@ def test_load_rejects_garbage(tmp_path):
     lambda raw: b"",
     lambda raw: raw[:-8] + np.array([np.nan], dtype="<f8").tobytes(),  # NaN value
     lambda raw: raw[:-8] + np.array([-np.inf], dtype="<f8").tobytes(),  # inf value
+    lambda raw: raw[:12] + bytes(4) + raw[16:],  # per_unit field set to 0
 ])
 def test_load_rejects_malformed_tables_with_value_error(tmp_path, damage):
     tab = synthesize_kernel(CUBIC, grid=SamplingGrid(per_unit=16, half_width=8))

@@ -381,27 +381,14 @@ def test_degree_cap_holds_on_both_routes():
 # field files
 # --------------------------------------------------------------------------
 
-def test_field_text_roundtrip(tmp_path):
-    rng = np.random.default_rng(53)
-    gen = random_polyspline_field(rng, n=3, p=1, degree_max=3, j_min=-4,
-                                  j_max=4)
-    fld = gen.sphere_field(-4, 4)
-    path = tmp_path / "field.txt"
-    fld.save_text(path)
-    back = PolysplineField.load_text(path)
-    assert back.dimension == 3 and back.smoothness == 1
-    assert back.degree_max == 3 and back.j_min == -4
-    assert np.array_equal(back.samples, fld.samples)
-
-
 def test_field_binary_roundtrip(tmp_path):
     rng = np.random.default_rng(59)
     gen = random_polyspline_field(rng, n=3, p=2, degree_max=2, j_min=-5,
                                   j_max=5)
     fld = gen.sphere_field(-5, 5)
     path = tmp_path / "field.pspf"
-    fld.save_binary(path)
-    back = PolysplineField.load_binary(path)
+    fld.save(path)
+    back = PolysplineField.load(path)
     assert (back.dimension, back.smoothness, back.degree_max, back.j_min) == (
         3, 2, 2, -5,
     )
@@ -409,14 +396,10 @@ def test_field_binary_roundtrip(tmp_path):
 
 
 def test_field_load_rejects_garbage(tmp_path):
-    bad = tmp_path / "junk.txt"
-    bad.write_text("hello world\n1 2 3\n")
+    bad = tmp_path / "junk.bin"
+    bad.write_bytes(b"\x00" * 64)
     with pytest.raises(ValueError):
-        PolysplineField.load_text(bad)
-    badb = tmp_path / "junk.bin"
-    badb.write_bytes(b"\x00" * 64)
-    with pytest.raises(ValueError):
-        PolysplineField.load_binary(badb)
+        PolysplineField.load(bad)
 
 
 def _same_field(a: PolysplineField, b: PolysplineField) -> bool:
@@ -425,15 +408,15 @@ def _same_field(a: PolysplineField, b: PolysplineField) -> bool:
     ) and np.array_equal(a.samples, b.samples)
 
 
-@pytest.mark.parametrize("fmt", ["text", "binary"])
+@pytest.mark.parametrize("fmt", ["binary"])
 def test_truncated_field_files_fail_cleanly(tmp_path, fmt):
     # random samples: every row, the last included, is nonzero throughout
     rng = np.random.default_rng(61)
     fld = PolysplineField(3, 2, 1, -2, rng.uniform(-1.0, 1.0, size=(5, 4)))
     path = tmp_path / "field"
-    getattr(fld, f"save_{fmt}")(path)
+    fld.save(path)
     raw = path.read_bytes()
-    load = getattr(PolysplineField, f"load_{fmt}")
+    load = PolysplineField.load
     assert _same_field(load(path), fld)
     for size in range(len(raw)):
         path.write_bytes(raw[:size])
@@ -442,13 +425,13 @@ def test_truncated_field_files_fail_cleanly(tmp_path, fmt):
         except ValueError:
             continue
         assert _same_field(back, fld), size
-    path.write_bytes(raw + (b"0 " if fmt == "text" else b"\0"))
+    path.write_bytes(raw + b"\0")
     with pytest.raises(ValueError):
         load(path)
     for bad in (math.nan, math.inf, -math.inf):
         samples = fld.samples.copy()
         samples[4, 3] = bad
-        getattr(PolysplineField(3, 2, 1, -2, samples), f"save_{fmt}")(path)
+        PolysplineField(3, 2, 1, -2, samples).save(path)
         with pytest.raises(ValueError, match="NaN or infinite"):
             load(path)
 
@@ -460,26 +443,13 @@ def test_sphere_fields_need_dimension_3(tmp_path):
             random_polyspline_field(rng, n=n, p=1, degree_max=1)
         with pytest.raises(ValueError, match="n = 3"):
             PolysplineField(n, 1, 1, -3, np.ones((7, mode_count(1))))
-    # the loaders build through the constructor, so they inherit the check
+    # the loader builds through the constructor, so it inherits the check
     fld = PolysplineField(3, 1, 1, -3, np.ones((7, mode_count(1))))
-    text, binary = tmp_path / "f.txt", tmp_path / "f.pspf"
-    fld.save_text(text)
-    text.write_text(text.read_text().replace("\nn 3\n", "\nn 2\n"))
-    with pytest.raises(ValueError, match="n = 3"):
-        PolysplineField.load_text(text)
-    fld.save_binary(binary)
-    raw = bytearray(binary.read_bytes())
+    path = tmp_path / "f.pspf"
+    fld.save(path)
+    raw = bytearray(path.read_bytes())
     raw[8:12] = (4).to_bytes(4, "little")
-    binary.write_bytes(bytes(raw))
+    path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="n = 3"):
-        PolysplineField.load_binary(binary)
+        PolysplineField.load(path)
 
-
-def test_text_field_row_count_must_match_header(tmp_path):
-    fld = PolysplineField(3, 1, 1, -3, np.arange(28.0).reshape(7, 4))
-    path = tmp_path / "field.txt"
-    fld.save_text(path)
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(lines[:-1]))  # one sphere row short
-    with pytest.raises(ValueError, match="7 rows"):
-        PolysplineField.load_text(path)

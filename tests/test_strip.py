@@ -274,60 +274,42 @@ def test_kernel_source_selects_the_tables():
 # field files
 # --------------------------------------------------------------------------
 
-def test_strip_field_text_roundtrip(tmp_path):
-    rng = np.random.default_rng(89)
-    gen = random_strip_field(rng, dimension=2, p=1, cutoff=2, j_min=-4, j_max=4)
-    fld = gen.plane_field(-4, 4)
-    path = tmp_path / "strip.txt"
-    fld.save_text(path)
-    back = StripField.load_text(path)
-    assert back.modes == fld.modes
-    assert (back.dimension, back.smoothness, back.cutoff, back.j_min) == (
-        2, 1, 2, -4,
-    )
-    assert np.array_equal(back.samples, fld.samples)
-
-
 def test_strip_field_binary_roundtrip(tmp_path):
     rng = np.random.default_rng(97)
     gen = random_strip_field(rng, dimension=3, p=1, cutoff=1, j_min=-3, j_max=3)
     fld = gen.plane_field(-3, 3)
     path = tmp_path / "strip.pssf"
-    fld.save_binary(path)
-    back = StripField.load_binary(path)
+    fld.save(path)
+    back = StripField.load(path)
     assert back.modes == fld.modes
     assert back.dimension == 3
     assert np.array_equal(back.samples, fld.samples)
 
 
 def test_strip_field_load_rejects_garbage(tmp_path):
-    bad = tmp_path / "junk.txt"
-    bad.write_text("hello\nworld\n")
+    bad = tmp_path / "junk.bin"
+    bad.write_bytes(b"\xff" * 80)
     with pytest.raises(ValueError):
-        StripField.load_text(bad)
-    badb = tmp_path / "junk.bin"
-    badb.write_bytes(b"\xff" * 80)
-    with pytest.raises(ValueError):
-        StripField.load_binary(badb)
+        StripField.load(bad)
 
 
-@pytest.mark.parametrize("fmt", ["text", "binary"])
+@pytest.mark.parametrize("fmt", ["binary"])
 def test_strip_loaders_check_the_mode_list(tmp_path, fmt):
     modes = torus_modes(2, 2)
     samples = np.ones((5, len(modes)), dtype=complex)
     path = tmp_path / "strip"
-    load = getattr(StripField, f"load_{fmt}")
+    load = StripField.load
     for bad in (
         modes[:-1] + ((400, 0),),  # a mode far beyond the cutoff
         modes[:-1] + ((2, 2),),  # just beyond it
         modes[:-1] + (modes[-2],),  # a repeat in place of a mode
         (modes[1], modes[0]) + modes[2:],  # out of canonical order
     ):
-        getattr(StripField(2, 1, 2, -2, bad, samples), f"save_{fmt}")(path)
+        StripField(2, 1, 2, -2, bad, samples).save(path)
         with pytest.raises(ValueError, match="mode"):
             load(path)
     # the whole list under a header that claims a larger cutoff
-    getattr(StripField(2, 1, 3, -2, modes, samples), f"save_{fmt}")(path)
+    StripField(2, 1, 3, -2, modes, samples).save(path)
     with pytest.raises(ValueError, match="mode"):
         load(path)
 
@@ -338,7 +320,7 @@ def _same_strip(a: StripField, b: StripField) -> bool:
     ) and np.array_equal(a.samples, b.samples)
 
 
-@pytest.mark.parametrize("fmt", ["text", "binary"])
+@pytest.mark.parametrize("fmt", ["binary"])
 def test_truncated_strip_files_fail_cleanly(tmp_path, fmt):
     # random samples: every row, the last included, is nonzero throughout
     rng = np.random.default_rng(107)
@@ -346,9 +328,9 @@ def test_truncated_strip_files_fail_cleanly(tmp_path, fmt):
     samples = rng.uniform(-1.0, 1.0, size=(5, len(modes), 2)) @ np.array([1.0, 1j])
     fld = StripField(2, 1, 1, -2, modes, samples)
     path = tmp_path / "strip"
-    getattr(fld, f"save_{fmt}")(path)
+    fld.save(path)
     raw = path.read_bytes()
-    load = getattr(StripField, f"load_{fmt}")
+    load = StripField.load
     assert _same_strip(load(path), fld)
     for size in range(len(raw)):
         path.write_bytes(raw[:size])
@@ -357,12 +339,12 @@ def test_truncated_strip_files_fail_cleanly(tmp_path, fmt):
         except ValueError:
             continue
         assert _same_strip(back, fld), size
-    path.write_bytes(raw + (b"0 " if fmt == "text" else b"\0"))
+    path.write_bytes(raw + b"\0")
     with pytest.raises(ValueError):
         load(path)
     for bad in (math.nan, complex(0.0, math.inf), -math.inf):
         bad_samples = samples.copy()
         bad_samples[4, 2] = bad
-        getattr(StripField(2, 1, 1, -2, modes, bad_samples), f"save_{fmt}")(path)
+        StripField(2, 1, 1, -2, modes, bad_samples).save(path)
         with pytest.raises(ValueError, match="NaN or infinite"):
             load(path)
