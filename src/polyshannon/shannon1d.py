@@ -222,7 +222,8 @@ class KernelTable:
         """Read a table written by :meth:`save`.
 
         Raises ValueError on any malformed file: short header, wrong magic or
-        version, unknown kind, a grid :class:`SamplingGrid` rejects, a length
+        version, unknown kind, a grid :class:`SamplingGrid` rejects, a value
+        count other than the grid's 2 (-t_min) per_unit + 1 nodes, a length
         that disagrees with the header, or a NaN or infinite value.
         """
         (kind_idx, _, n_entries, _, per_unit, t_min, n_values), body = read_record(
@@ -231,6 +232,12 @@ class KernelTable:
         if kind_idx >= len(_KERNEL_KINDS):
             raise ValueError(f"kernel table {path} has unknown kind {kind_idx}")
         SamplingGrid(per_unit, -t_min)  # checks per_unit and t_min
+        if n_values != 2 * -t_min * per_unit + 1:
+            raise ValueError(
+                f"kernel table {path} holds {n_values} values, its grid "
+                f"(per_unit {per_unit}, t_min {t_min}) has "
+                f"{2 * -t_min * per_unit + 1} nodes"
+            )
         size = 16 * n_entries + 8 * n_values
         if len(body) != size:
             raise ValueError(

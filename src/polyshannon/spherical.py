@@ -12,10 +12,14 @@ so reconstruction from sphere data is: analyze each sphere in an orthonormal
 real harmonic basis, run the 1-D Shannon-type cardinal series per channel
 for that channel's spectrum, and resum.  The 2k+1 channels of degree k share
 one spectrum, so the mode-wise reconstruction makes one series call per
-degree and resums it against all harmonics of that degree at once
-(:func:`sph_harm_degree`).  The series is evaluated in the coefficient domain
-by default (:func:`~polyshannon.shannon1d.spline_series`, exact in V_0 to
-roundoff), or on kernel tables through
+degree and resums it against all harmonics of that degree at once.  Every
+harmonic user reads one stream (:func:`_harmonic_stream`): one trig table
+for all orders and one normalized associated-Legendre recurrence stepped
+degree by degree.  The resum contracts each degree's profiles against it
+row by row; :func:`sph_harm_degree` is its block k, formed.  The series is
+evaluated in the coefficient domain by default
+(:func:`~polyshannon.shannon1d.spline_series`, exact in V_0 to roundoff),
+or on kernel tables through
 :func:`~polyshannon.shannon1d.cardinal_series` when a ``kernel`` is given.  This
 module supplies the sphere quadrature (Gauss-Legendre colatitudes x uniform
 longitudes), the real harmonics, the per-degree kernels, the truncated zonal
@@ -35,7 +39,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_legendre, sph_legendre_p
+from scipy.special import eval_legendre
 
 from .shannon1d import (
     BoundaryTailWarning,
@@ -50,7 +54,7 @@ from .shannon1d import (
 )
 from .records import finite_values, read_record, write_record
 from .spectrum import SpectrumVector, radial_spectrum
-from .tbspline import tb_fourier
+from .tbspline import check_queries, tb_fourier
 
 __all__ = [
     "BoundaryTailWarning",
@@ -109,29 +113,108 @@ def _degree_blocks(rows: np.ndarray):
             yield k, block
 
 
+def _harmonic_stream(directions, degree_max: int):
+    """Yield (k, (P_k, C, S)) for k = 0..degree_max: the factors of the real
+    harmonics of degree k at ``directions`` (batch shape B).
+
+    P_k holds the k+1 orthonormal associated Legendre functions
+    P_k^m(cos theta), m = 0..k (Condon-Shortley phase, as scipy's
+    ``sph_legendre_p``), shape (k+1,) + B.  C and S hold sqrt(2) cos(m phi)
+    and sqrt(2) sin(m phi) for m = 1..degree_max, computed once.  Then
+    Y_{k,k+1+m} = P_k^m C_m, Y_{k,k+1-m} = P_k^m S_m and Y_{k,k+1} = P_k^0
+    (:func:`_order_block`).  P_k is stepped one degree at a time (Holmes &
+    Featherstone, J. Geodesy 76, 2002): the diagonal P_k^k and the first
+    off-diagonal P_k^{k-1} from P_{k-1}^{k-1}, the lower orders by the
+    three-term recurrence in k.  Only the two latest degrees are kept, so
+    P directions take O(K P) memory and O(K^2 P) work.  P_k is the stream's
+    working state, overwritten two steps later: use it before advancing.
+    """
+    d = np.asarray(directions, dtype=float)
+    theta = np.arctan2(np.hypot(d[..., 0], d[..., 1]), d[..., 2])
+    phi = np.arctan2(d[..., 1], d[..., 0])
+    cos_theta, sin_theta = np.cos(theta), np.sin(theta)
+    axes = (1,) * theta.ndim
+    m_phi = np.arange(1, degree_max + 1).reshape((-1,) + axes) * phi
+    cos_m, sin_m = _SQRT2 * np.cos(m_phi), _SQRT2 * np.sin(m_phi)
+    # between steps only the trig tables and the two latest degrees stay alive
+    del theta, phi, m_phi
+    prev = None
+    legendre = np.full((1,) + cos_theta.shape, 0.5 / math.sqrt(math.pi))  # P_0^0
+    for k in range(degree_max + 1):
+        if k:
+            older, prev = prev, legendre
+            legendre = np.empty((k + 1,) + cos_theta.shape)
+            if k >= 2:  # orders m <= k - 2 from degrees k - 1 and k - 2
+                m = np.arange(k - 1).reshape((-1,) + axes)
+                lower = legendre[: k - 1]
+                np.multiply(prev[: k - 1], cos_theta, out=lower)
+                lower *= np.sqrt((4 * k * k - 1) / ((k - m) * (k + m)))
+                older *= np.sqrt(
+                    (2 * k + 1) * (k + m - 1) * (k - m - 1)
+                    / ((k - m) * (k + m) * (2 * k - 3))
+                )
+                lower -= older
+            del older
+            legendre[k - 1] = math.sqrt(2 * k + 1) * cos_theta * prev[k - 1]
+            legendre[k] = -math.sqrt((2 * k + 1) / (2 * k)) * sin_theta * prev[k - 1]
+        yield k, (legendre, cos_m, sin_m)
+
+
+def _order_block(factors) -> np.ndarray:
+    """Y_k, laid out as :func:`sph_harm_degree`, from its stream factors."""
+    legendre, cos_m, sin_m = factors
+    k = len(legendre) - 1
+    out = np.empty((2 * k + 1,) + legendre.shape[1:])
+    out[k] = legendre[0]
+    if k:
+        np.multiply(cos_m[:k], legendre[1:], out=out[k + 1 :])
+        np.multiply(sin_m[:k], legendre[1:], out=out[k - 1 :: -1])
+    return out
+
+
+def _resum(rows: np.ndarray, directions, profiles) -> np.ndarray:
+    """sum_k sum_ell w_ell Y_{k,ell}(directions), w = profiles(k, block), over
+    the degrees k whose ``rows`` block is not all zero.
+
+    ``profiles(k, block)`` gives 2k+1 rows, one per harmonic, of one value
+    per direction (or of one value broadcast to all).  The harmonics come
+    from one :func:`_harmonic_stream` and are contracted row by row, never
+    formed: a dense query set holds one degree's profiles beside the
+    stream's own state.
+    """
+    out = np.zeros(len(directions))
+    live = dict(_degree_blocks(rows))
+    stream = _harmonic_stream(directions, max(live, default=0))
+    for k, block in live.items():
+        weights = profiles(k, block)
+        for degree, (legendre, cos_m, sin_m) in stream:  # advance to degree k
+            if degree == k:
+                break
+        out += legendre[0] * weights[k]
+        for m in range(1, k + 1):
+            term = cos_m[m - 1] * weights[k + m]
+            term += sin_m[m - 1] * weights[k - m]
+            term *= legendre[m]
+            out += term
+        del weights
+    return out
+
+
 def sph_harm_degree(k: int, direction) -> np.ndarray:
     """All 2k+1 real orthonormal harmonics of degree k at unit vector(s).
 
     Row ell - 1 holds Y_{k,ell}, shape (2k+1,) + the directions' batch shape.
     Orders ell = 1..2k+1 map to azimuthal numbers m = ell - k - 1: negative m
     are the sine harmonics, m = 0 the zonal one, positive m the cosines.
-    Directions of non-unit length are normalized.
+    Directions of non-unit length are normalized.  This is block k of the
+    degree-by-degree stream every harmonic user in this module reads
+    (:func:`_harmonic_stream`: one Legendre recurrence, one trig table).
     """
-    d = np.asarray(direction, dtype=float)
-    theta = np.arctan2(np.hypot(d[..., 0], d[..., 1]), d[..., 2])
-    phi = np.arctan2(d[..., 1], d[..., 0])
-    m = np.arange(k + 1).reshape((-1,) + (1,) * theta.ndim)
-    legendre = sph_legendre_p(k, m, theta)[0]  # normalized, all m >= 0 at once
-    out = np.empty((2 * k + 1,) + theta.shape)
-    out[k] = legendre[0]
-    if k:  # in place: one degree's temporaries are what a dense query set holds
-        m_phi = m[1:] * phi
-        legendre[1:] *= _SQRT2
-        np.cos(m_phi, out=out[k + 1 :])
-        out[k + 1 :] *= legendre[1:]
-        np.sin(m_phi, out=out[k - 1 :: -1])
-        out[k - 1 :: -1] *= legendre[1:]
-    return out
+    if k < 0:
+        raise ValueError(f"degree must be >= 0, got {k}")
+    for _, factors in _harmonic_stream(direction, k):
+        pass
+    return _order_block(factors)
 
 
 def sph_harm(k: int, ell: int, direction):
@@ -199,8 +282,8 @@ def _harmonic_table(degree_max: int) -> np.ndarray:
     """Y_{k,ell} sampled on SphereGrid(K) points: ((K+1)^2, K+1, 2K+2)."""
     pts = SphereGrid(degree_max).points()
     out = np.empty((mode_count(degree_max),) + pts.shape[:2])
-    for k in range(degree_max + 1):
-        out[k * k : (k + 1) ** 2] = sph_harm_degree(k, pts)
+    for k, factors in _harmonic_stream(pts, degree_max):
+        out[k * k : (k + 1) ** 2] = _order_block(factors)
     out.flags.writeable = False
     return out
 
@@ -229,10 +312,9 @@ def synthesize_directions(coeffs: np.ndarray, directions) -> np.ndarray:
     """Evaluate a coefficient vector at arbitrary unit vectors."""
     coeffs = np.asarray(coeffs, dtype=float)
     d = np.atleast_2d(np.asarray(directions, dtype=float))
-    out = np.zeros(d.shape[0])
-    for k, block in _degree_blocks(coeffs):
-        out += block @ sph_harm_degree(k, d)[: len(block)]
-    return out
+    full = np.zeros(math.ceil(math.sqrt(len(coeffs))) ** 2)
+    full[: len(coeffs)] = coeffs  # a last degree given in part is zero-filled
+    return _resum(full, d, lambda k, block: block[:, None])
 
 
 # --------------------------------------------------------------------------
@@ -337,30 +419,27 @@ class SyntheticPolyspline:
     def spectrum(self, k: int) -> SpectrumVector:
         return radial_spectrum(k, self.dimension, self.smoothness)
 
-    def _degree_profiles(self, v: np.ndarray):
-        """(k, (2k+1, len(v)) channel profiles) for each nonzero degree k.
+    def eval(self, r, directions) -> np.ndarray:
+        """Field values at radii r (array) and unit vectors (same count).
 
         All channels of one degree share a spectrum, so the TB translates are
         evaluated once per degree -- this is what keeps dense query sets
         affordable for stiff high-degree spectra.
         """
-        for k, block in _degree_blocks(self.coeffs):
-            yield k, tb_superposition(self.spectrum(k), self.i_min, block, v)
-
-    def eval(self, r, directions) -> np.ndarray:
-        """Field values at radii r (array) and unit vectors (same count)."""
         v = np.log(np.atleast_1d(np.asarray(r, dtype=float)))
         d = np.atleast_2d(np.asarray(directions, dtype=float))
-        out = np.zeros(len(v))
-        for k, profiles in self._degree_profiles(v):
-            out += np.einsum("ij,ij->j", profiles, sph_harm_degree(k, d))
-        return out
+        return _resum(
+            self.coeffs, d,
+            lambda k, block: tb_superposition(self.spectrum(k), self.i_min, block, v),
+        )
 
     def sphere_field(self, j_min: int, j_max: int) -> "PolysplineField":
         js = np.arange(j_min, j_max + 1, dtype=float)
         samples = np.zeros((len(js), self.coeffs.shape[0]))
-        for k, profiles in self._degree_profiles(js):
-            samples[:, k * k : (k + 1) ** 2] = profiles.T
+        for k, block in _degree_blocks(self.coeffs):
+            samples[:, k * k : (k + 1) ** 2] = tb_superposition(
+                self.spectrum(k), self.i_min, block, js
+            ).T
         return PolysplineField(
             dimension=self.dimension,
             smoothness=self.smoothness,
@@ -471,6 +550,24 @@ class PolysplineField:
 # reconstruction
 # --------------------------------------------------------------------------
 
+def _sphere_queries(r, directions) -> tuple[np.ndarray, np.ndarray]:
+    """Query radii and directions as float arrays of shapes (P,) and (P, 3).
+
+    Raises ValueError on a count mismatch, on radii whose log is not finite
+    (r <= 0, NaN or inf), and on NaN, infinite or zero-length directions.
+    """
+    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+    d = np.atleast_2d(np.asarray(directions, dtype=float))
+    if d.shape[0] != r_arr.shape[0]:
+        raise ValueError("need one direction per radius")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        check_queries(np.log(r_arr))
+    check_queries(d)
+    if not np.all(np.any(d, axis=-1)):
+        raise ValueError("directions must have nonzero length")
+    return r_arr, d
+
+
 def reconstruct_spherical(
     field: PolysplineField,
     r,
@@ -487,27 +584,23 @@ def reconstruct_spherical(
     :class:`KernelTable` (e.g. :func:`radial_kernel`, tables loaded from a
     cache, another grid) and runs the paper's Shannon series on it.
     Raises ValueError on NaN or infinite samples, on radii whose log is
-    not finite (r <= 0, NaN or inf), and, on either route, on a nonzero
-    degree beyond ``DEGREE_CAP``.
+    not finite (r <= 0, NaN or inf), on a NaN, infinite or zero-length
+    direction, and, on either route, on a nonzero degree beyond
+    ``DEGREE_CAP``.
     """
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    d = np.atleast_2d(np.asarray(directions, dtype=float))
-    if d.shape[0] != r_arr.shape[0]:
-        raise ValueError("need one direction per radius")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = np.log(r_arr)
+    r_arr, d = _sphere_queries(r, directions)
+    v = np.log(r_arr)
     check_cardinal_data(field.samples, field.j_min, v)
     n, p = field.dimension, field.smoothness
-    out = np.zeros(len(v))
-    for k, block in _degree_blocks(field.samples.T):
+
+    def profiles(k: int, block: np.ndarray) -> np.ndarray:
         _check_degree(k)
         sv = radial_spectrum(k, n, p)
         if kernel is not None:
-            profiles = cardinal_series(kernel(sv), field.j_min, block, v)
-        else:
-            profiles = spline_series(sv, field.j_min, block, v)
-        out += np.einsum("ij,ij->j", profiles, sph_harm_degree(k, d))
-    return out
+            return cardinal_series(kernel(sv), field.j_min, block, v)
+        return spline_series(sv, field.j_min, block, v)
+
+    return _resum(field.samples.T, d, profiles)
 
 
 def reconstruct_spherical_integral(
@@ -522,9 +615,11 @@ def reconstruct_spherical_integral(
     sum_j int_{S^2} S_0(r e^{-j}, theta.psi) f(e^j theta) dtheta, with the
     integral replaced by the grid quadrature.  Agrees with the mode-wise
     pipeline once the grid is alias-free for the field's degree content.
+    Directions of non-unit length are normalized; the queries are checked
+    as in :func:`reconstruct_spherical`.
     """
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    d = np.atleast_2d(np.asarray(directions, dtype=float))
+    r_arr, d = _sphere_queries(r, directions)
+    d = d / np.linalg.norm(d, axis=1, keepdims=True)
     pts = grid.points()
     w = grid.quad_weights()
     sphere_values = [synthesize_sphere(grid, row) for row in field.samples]

@@ -42,6 +42,7 @@ from .shannon1d import (
 )
 from .records import finite_values, read_record, write_record
 from .spectrum import SpectrumVector, strip_spectrum
+from .tbspline import check_queries
 
 __all__ = [
     "StripField",
@@ -391,6 +392,7 @@ def _reconstruct_complex(
     y_arr = np.atleast_2d(np.asarray(ys, dtype=float))
     if y_arr.shape[0] != t_arr.shape[0]:
         raise ValueError("need one torus point per t value")
+    check_queries(y_arr)
     check_cardinal_data(fld.samples, fld.j_min, t_arr)
     phases = _TorusPhases(y_arr, fld.cutoff)
     acc = np.zeros(len(t_arr), dtype=complex)
@@ -420,6 +422,6 @@ def reconstruct_strip(
     roundoff).  ``kernel`` instead maps a mode spectrum to a
     :class:`KernelTable` (e.g. through :func:`strip_kernel`) and runs the
     paper's Shannon series on it.  Raises ValueError on NaN or infinite
-    samples or ``t``, and on a mode beyond the field's cutoff.
+    samples, ``t`` or ``ys``, and on a mode beyond the field's cutoff.
     """
     return _reconstruct_complex(fld, t, ys, kernel).real

@@ -389,6 +389,8 @@ def test_load_rejects_garbage(tmp_path):
     lambda raw: raw[:-8] + np.array([np.nan], dtype="<f8").tobytes(),  # NaN value
     lambda raw: raw[:-8] + np.array([-np.inf], dtype="<f8").tobytes(),  # inf value
     lambda raw: raw[:12] + bytes(4) + raw[16:],  # per_unit field set to 0
+    # value count and body cut to match, 257 -> 40 values: short of the grid
+    lambda raw: raw[:20] + (40).to_bytes(8, "little") + raw[28 : -8 * 217],
 ])
 def test_load_rejects_malformed_tables_with_value_error(tmp_path, damage):
     tab = synthesize_kernel(CUBIC, grid=SamplingGrid(per_unit=16, half_width=8))

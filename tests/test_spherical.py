@@ -9,6 +9,7 @@ from scipy.special import eval_legendre, sph_harm_y
 from polyshannon.shannon1d import SamplingGrid, synthesize_kernel
 from polyshannon.spectrum import radial_operator_poly, radial_spectrum
 from polyshannon.spherical import (
+    DEGREE_CAP,
     BoundaryTailWarning,
     PolysplineField,
     ShannonPolysplineKernel,
@@ -27,6 +28,7 @@ from polyshannon.spherical import (
     synthesize_directions,
     synthesize_sphere,
     zonal,
+    _harmonic_table,
 )
 
 
@@ -50,7 +52,7 @@ def test_degree_harmonics_match_scipy_complex_route():
     d = _random_directions(rng, 400)
     theta = np.arccos(d[:, 2])
     phi = np.arctan2(d[:, 1], d[:, 0])
-    for k in range(17):
+    for k in range(DEGREE_CAP + 1):
         got = sph_harm_degree(k, d)
         assert got.shape == (2 * k + 1, 400)
         for m in range(-k, k + 1):
@@ -95,6 +97,26 @@ def test_quadrature_orthonormality():
         ys[idx] = sph_harm(k, ell, flat)
     gram = (ys * w.reshape(1, -1)) @ ys.T
     assert np.max(np.abs(gram - np.eye(n_modes))) < 1e-10
+
+
+def test_harmonic_table_is_orthonormal_at_the_grid_cap():
+    # the streamed recurrence at degree 64, the largest SphereGrid: the
+    # quadrature Gram matrix of all 4225 tabulated harmonics, a row slab at
+    # a time (upper triangle only) to bound the working set
+    grid = SphereGrid(64)
+    table = _harmonic_table(64)
+    try:
+        flat = table.reshape(table.shape[0], -1)
+        w = grid.quad_weights().ravel()
+        worst = 0.0
+        for lo in range(0, len(flat), 512):
+            rows = flat[lo : lo + 512]
+            gram = (rows * w) @ flat[lo:].T
+            gram[:, : len(rows)] -= np.eye(len(rows))
+            worst = max(worst, float(np.max(np.abs(gram))))
+    finally:
+        _harmonic_table.cache_clear()  # the table alone is 285 MB
+    assert worst < 1e-12
 
 
 def test_addition_theorem_matches_legendre():
@@ -162,6 +184,10 @@ def test_synthesize_directions_agrees_with_grid():
     pts = grid.points().reshape(-1, 3)
     direct = synthesize_directions(coeffs, pts).reshape(values.shape)
     assert np.max(np.abs(direct - values)) < 1e-12
+    # a last degree given in part counts as zero-filled
+    part = coeffs[: mode_count(4) + 3]
+    full = np.concatenate([part, np.zeros(len(coeffs) - len(part))])
+    assert np.array_equal(synthesize_directions(part, pts), synthesize_directions(full, pts))
 
 
 # --------------------------------------------------------------------------
@@ -292,6 +318,13 @@ def test_integral_route_matches_mode_wise():
     via_integral = reconstruct_spherical_integral(fld, kernel, grid, r, d)
     scale = max(1.0, float(np.max(np.abs(via_modes))))
     assert np.max(np.abs(via_modes - via_integral)) < 1e-7 * scale
+    # directions need not be unit vectors; queries off the sphere set fail
+    stretched = reconstruct_spherical_integral(fld, kernel, grid, r, 2.5 * d)
+    assert np.max(np.abs(stretched - via_integral)) < 1e-12 * scale
+    for bad_r, bad_d in ((0.0, d[0]), (math.inf, d[0]), (1.0, [math.nan, 0.0, 1.0]),
+                         (1.0, [0.0, 0.0, 0.0])):
+        with pytest.raises(ValueError):
+            reconstruct_spherical_integral(fld, kernel, grid, [bad_r], [bad_d])
 
 
 def test_kernel_eval_consistency_with_zonal_projection():
@@ -338,6 +371,14 @@ def test_non_finite_samples_are_rejected():
         with pytest.raises(ValueError, match="NaN or infinite"):
             reconstruct_spherical(fld, np.array([1.0, bad]),
                                   np.array([[0.0, 0.0, 1.0]] * 2))
+    # so are directions with a NaN or infinite coordinate, and a zero vector
+    # has no direction at all
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            reconstruct_spherical(fld, np.ones(2),
+                                  np.array([[0.0, 0.0, 1.0], [0.6, bad, 0.8]]))
+    with pytest.raises(ValueError, match="nonzero length"):
+        reconstruct_spherical(fld, np.ones(2), np.array([[0.0, 0.0, 1.0], [0.0] * 3]))
 
 
 def test_kernel_source_selects_the_tables():

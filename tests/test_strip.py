@@ -242,6 +242,8 @@ def test_non_finite_samples_are_rejected():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="NaN or infinite"):
             reconstruct_strip(fld, np.array([0.0, bad]), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            reconstruct_strip(fld, np.zeros(2), np.array([[0.0, 1.0], [bad, 0.5]]))
 
 
 def test_kernel_source_selects_the_tables():
