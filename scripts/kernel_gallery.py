@@ -1,6 +1,6 @@
 """Synthesize the interpolating and dual kernels for one frequency multiset.
 
-Prints symbol margin, tail magnitudes, and cardinality residual, and writes
+Prints symbol margin, tail ratios, and cardinality residual, and writes
 a three-column table (t, interpolant, dual) ready for plotting:
 
     python3 scripts/kernel_gallery.py --frequencies 3,-3 --out gallery.dat
@@ -17,6 +17,7 @@ from polyshannon import (
     synthesize_dual,
     synthesize_kernel,
 )
+from polyshannon.cli import _cardinal_residual, _tail_ratio
 
 
 def main() -> None:
@@ -37,16 +38,13 @@ def main() -> None:
     margin = symbol_margin(sv)
 
     ts = np.arange(len(s0.values)) / s0.per_unit + s0.t_min
-    integers = np.arange(s0.t_min + 1, -s0.t_min, dtype=float)
-    node = s0(integers)
-    node[integers == 0.0] -= 1.0
 
     print(f"spectrum          {sv}")
     print(f"symbol margin     {margin.min_abs:.6g} .. {margin.max_abs:.6g} "
           f"(relative {margin.relative:.3g})")
-    print(f"cardinal residual {np.max(np.abs(node)):.3e}")
-    print(f"edge magnitudes   interpolant {abs(s0.values[0]):.3e}, "
-          f"dual {abs(dual.values[0]):.3e}")
+    print(f"cardinal residual {_cardinal_residual(s0):.3e}")
+    print(f"tail ratios       (max on the last unit interval / max) "
+          f"interpolant {_tail_ratio(s0):.3e}, dual {_tail_ratio(dual):.3e}")
 
     cols = np.column_stack([ts, s0.values, dual.values])
     np.savetxt(args.out, cols, fmt="%.17g", header="t s0 dual")

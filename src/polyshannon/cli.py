@@ -47,6 +47,7 @@ from .shannon1d import (
     synthesize_kernel,
     tb_superposition,
 )
+from .records import FormatError
 from .spectrum import SpectrumVector, radial_spectrum, strip_spectrum
 from .spherical import (
     DEGREE_CAP,
@@ -299,8 +300,8 @@ def cached_kernel(
 ) -> tuple[KernelTable, Path, bool]:
     """Load the kernel for (spectrum, grid) from disk or synthesize and store.
 
-    One file per (spectrum-hash, grid-hash); a stale or foreign file at the
-    expected name is ignored and rewritten.
+    One file per (spectrum-hash, grid-hash); a stale, foreign or malformed
+    file (FormatError) at the expected name is ignored and rewritten.
     """
     cache_dir.mkdir(parents=True, exist_ok=True)
     name = f"{_spectrum_hash(sv)}-{_grid_hash(grid)}.pskt"
@@ -308,7 +309,7 @@ def cached_kernel(
     if path.exists():
         try:
             tab = KernelTable.load(path)
-        except ValueError:
+        except FormatError:
             tab = None
         if (
             tab is not None
@@ -357,11 +358,6 @@ def cmd_kernel1d(cfg: ExperimentConfig, out: Path) -> int:
     _write_csv(out / "kernel1d.csv", ["t", "s0"], rows)
 
     margin = symbol_margin(sv)
-    edge = max(abs(float(tab.values[0])), abs(float(tab.values[-1])))
-    integers = np.arange(tab.t_min + 1, -tab.t_min)
-    node_vals = tab(integers.astype(float))
-    node_vals[integers == 0] -= 1.0
-    residual = float(np.max(np.abs(node_vals)))
     summary = [
         f"spectrum {sv}",
         f"seed {cfg.seed}",
@@ -369,12 +365,28 @@ def cmd_kernel1d(cfg: ExperimentConfig, out: Path) -> int:
         f"margin min |phi*| {margin.min_abs!r}",
         f"margin max |phi*| {margin.max_abs!r}",
         f"margin relative {margin.relative!r}",
-        f"tail bound (edge magnitude) {edge!r}",
-        f"cardinal residual {residual!r}",
+        f"tail ratio (last unit interval max|S_0| / max|S_0|) {_tail_ratio(tab)!r}",
+        f"cardinal residual {_cardinal_residual(tab)!r}",
     ]
     (out / "kernel1d-summary.txt").write_text("\n".join(summary) + "\n")
     print("\n".join(summary))
     return 0
+
+
+def _tail_ratio(tab: KernelTable) -> float:
+    """max|S| on the last unit interval at either end (not at the integer
+    ends, where S_0 vanishes) over max|S|: the kernel the support cuts off."""
+    mags = np.abs(tab.values)
+    edge = max(mags[: tab.per_unit + 1].max(), mags[-tab.per_unit - 1 :].max())
+    return float(edge / mags.max())
+
+
+def _cardinal_residual(tab: KernelTable) -> float:
+    """max |S(j) - delta_j| over the table's interior integer nodes."""
+    integers = np.arange(tab.t_min + 1, -tab.t_min).astype(float)
+    node_vals = tab(integers)
+    node_vals[integers == 0.0] -= 1.0
+    return float(np.max(np.abs(node_vals)))
 
 
 def cmd_zeros(cfg: ExperimentConfig, out: Path) -> int:
@@ -619,11 +631,7 @@ def _reconstruction_residual(sv: SpectrumVector, grid: SamplingGrid, rng) -> flo
 
 def _kernel_residuals(grid: SamplingGrid, rng) -> tuple[float, float, float]:
     cubic = SpectrumVector.from_frequencies([0.0, 0.0, 0.0, 0.0])
-    tab = synthesize_kernel(cubic, grid)
-    integers = np.arange(tab.t_min + 1, -tab.t_min).astype(float)
-    node_vals = tab(integers)
-    node_vals[integers == 0.0] -= 1.0
-    cardinal = float(np.max(np.abs(node_vals)))
+    cardinal = _cardinal_residual(synthesize_kernel(cubic, grid))
 
     recon = _reconstruction_residual(cubic, grid, rng)
     # The cubic kernel is piecewise polynomial, which the table stencil

@@ -3,8 +3,8 @@
 A record is a 4-byte magic, a u16 version (1), the rest of a fixed
 little-endian header, then a body whose size the header determines.  Kernel
 tables ("PSKT"), sphere fields ("PSPF") and strip fields ("PSSF") are such
-records.  Readers raise ValueError on any malformed file; a write replaces
-its target atomically, so a reader never sees a half-written file.
+records.  Loaders raise :class:`FormatError` on any malformed file, header
+values the object rejects included; a write replaces its target atomically.
 """
 
 from __future__ import annotations
@@ -18,20 +18,24 @@ import numpy as np
 VERSION = 1
 
 
+class FormatError(ValueError):
+    """A file is not a well-formed record of the object it should hold."""
+
+
 def read_record(path, magic: bytes, head: str) -> tuple[list, bytes]:
     """The header fields after magic and version, and the body bytes.
 
     ``head`` is the struct format of the whole header, magic and version
-    included.  Raises ValueError on a file shorter than the header or on a
-    wrong magic or version.
+    included.  Raises :class:`FormatError` on a file shorter than the header
+    or on a wrong magic or version.
     """
     raw = Path(path).read_bytes()
     head_size = struct.calcsize(head)
     if len(raw) < head_size:
-        raise ValueError(f"{path} is shorter than its header")
+        raise FormatError(f"{path} is shorter than its header")
     found, version, *fields = struct.unpack(head, raw[:head_size])
     if found != magic or version != VERSION:
-        raise ValueError(f"not a {magic.decode()} version {VERSION} file: {path}")
+        raise FormatError(f"not a {magic.decode()} version {VERSION} file: {path}")
     return fields, raw[head_size:]
 
 
@@ -50,7 +54,15 @@ def write_record(path, magic: bytes, head: str, fields, body: bytes) -> None:
 
 
 def finite_values(values: np.ndarray, path) -> np.ndarray:
-    """``values``, or ValueError if a loaded value is NaN or infinite."""
+    """``values``, or FormatError if a loaded value is NaN or infinite."""
     if not np.all(np.isfinite(values)):
-        raise ValueError(f"{path} holds NaN or infinite values")
+        raise FormatError(f"{path} holds NaN or infinite values")
     return values
+
+
+def checked(path, build, *args):
+    """``build(*args)`` on values read from ``path``, a ValueError as FormatError."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None

@@ -11,17 +11,17 @@ symmetric spectra of even order; famously false for odd-order classical
 splines).  Reconstruction of f in V_0 from its integer samples is then the
 cardinal series sum_j f(j) S_0(. - j).
 
-Kernels are materialized as uniform tables with step h = 1/per_unit by
-deconvolving on the integer lattice: S_0 = sum_m a_m Q_N(. - m), where the
-taps a_m = (1/2 pi) int 1/phi*(xi) e^{i xi m} dxi invert the sampled symbol
-on the lattice (the B-spline prefilter of Unser, Aldroubi & Eden, IEEE TSP
-41, 1993).  One inverse FFT of 1/phi* on M circle points gives the taps
-periodized with period M (Poisson); they decay geometrically, and
-M = max(256, 4 (half_width + N) rounded up to a power of two) puts the
-aliased copies far beyond the table.  Each table node is then a sum of N
-taps times grid samples of Q_N.  The same machinery with the Gram symbol as
-divisor produces the dual generator, whose translates biorthogonalize those
-of Q.
+Each kernel kind is fixed by one lattice divisor D(xi) = sum_m c_m
+e^{-i xi m} (:func:`_divisor`): phi* for the interpolant, the Gram symbol G
+for the dual generator, whose translates biorthogonalize those of Q.
+Kernels are tabulated with step h = 1/per_unit by deconvolving on the
+integer lattice: S_0 = sum_m a_m Q_N(. - m), where the taps
+a_m = (1/2 pi) int 1/D(xi) e^{i xi m} dxi invert D on the lattice (the
+B-spline prefilter of Unser, Aldroubi & Eden, IEEE TSP 41, 1993).  One
+inverse FFT of 1/D on M circle points gives the taps periodized with
+period M (Poisson); they decay geometrically, and M = max(256,
+4 (half_width + N) rounded up to a power of two) puts the aliased copies
+far beyond the table.  Each table node is a sum of N taps times Q_N samples.
 
 Reconstruction need not go through a table at all.  In V_0 the cardinal
 series sum_j y_j S_0(t - j) equals sum_i c_i Q_N(t - i) with c = a * y (the
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import finite_values, read_record, write_record
+from .records import FormatError, checked, finite_values, read_record, write_record
 from .spectrum import SpectrumVector
 from .tables import interp6
 from .tbspline import check_queries, tb_chebyshev, tb_fourier, tb_integer_values
@@ -93,16 +93,33 @@ class SamplingGrid:
             raise ValueError("half_width must be at least 1")
 
 
+def _divisor(spectrum: SpectrumVector, kind: str) -> dict[int, float]:
+    """Coefficients c_m of the divisor D(xi) = sum_m c_m e^{-i xi m} of
+    ``kind``: "interp", phi*, c_m = Q_N(m); "dual", G, c_m = e^{-sum lambda}
+    Q_{2N}[sym](m + N), since |Q^_Lambda|^2 = e^{i N xi} e^{-sum lambda}
+    Q^_{Lambda u -Lambda}(xi) folds (Poisson) to integer samples of the
+    order-2N spline of the symmetrized multiset."""
+    if kind == "interp":
+        return dict(enumerate(tb_integer_values(spectrum), start=1))
+    n = spectrum.order
+    pref = math.exp(-spectrum.freq_sum())
+    qm2 = tb_integer_values(spectrum.symmetrized())
+    return {m - n: pref * q for m, q in enumerate(qm2, start=1)}
+
+
+def _symbol(spectrum: SpectrumVector, kind: str, xi) -> np.ndarray:
+    """D(xi) of :func:`_divisor` on the circle, complex, at least 1-D."""
+    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
+    out = np.zeros(xi_arr.shape, dtype=complex)
+    for m, c in _divisor(spectrum, kind).items():
+        out += c * np.exp(-1j * xi_arr * m)
+    return out
+
+
 def sampled_symbol(spectrum: SpectrumVector, xi):
     """phi*(xi) = sum_{m=1}^{N-1} Q_N(m) e^{-i xi m} (raw TB normalization)."""
-    xi_arr = np.asarray(xi, dtype=float)
-    scalar = xi_arr.ndim == 0
-    xi_arr = np.atleast_1d(xi_arr)
-    qm = tb_integer_values(spectrum)
-    out = np.zeros(xi_arr.shape, dtype=complex)
-    for m, q in enumerate(qm, start=1):
-        out += q * np.exp(-1j * xi_arr * m)
-    return complex(out[0]) if scalar else out
+    out = _symbol(spectrum, "interp", xi)
+    return complex(out[0]) if np.ndim(xi) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -128,39 +145,16 @@ def kernel_fourier(spectrum: SpectrumVector, xi):
 
 
 def gram_symbol(spectrum: SpectrumVector, xi):
-    """G(xi) = sum_k |Q^(xi + 2 pi k)|^2, closed up via the doubled spectrum.
-
-    |Q^_Lambda|^2 = e^{i N xi} e^{-sum lambda} Q^_{Lambda u -Lambda}(xi), so the
-    fold collapses (Poisson again) to integer samples of the order-2N spline
-    of the symmetrized multiset:
-
-        G(xi) = e^{-sum lambda} sum_{m=1}^{2N-1} Q_{2N}(m) e^{i xi (N - m)}.
-
-    Real and bounded away from zero: the Riesz function of the basis.
-    """
-    xi_arr = np.asarray(xi, dtype=float)
-    scalar = xi_arr.ndim == 0
-    xi_arr = np.atleast_1d(xi_arr)
-    n = spectrum.order
-    doubled = spectrum.symmetrized()
-    qm = tb_integer_values(doubled)
-    pref = math.exp(-spectrum.freq_sum())
-    out = np.zeros(xi_arr.shape, dtype=complex)
-    for m, q in enumerate(qm, start=1):
-        out += q * np.exp(1j * xi_arr * (n - m))
-    out *= pref
-    vals = out.real
-    return float(vals[0]) if scalar else vals
+    """G(xi) = sum_k |Q^(xi + 2 pi k)|^2 = e^{-sum lambda} sum_{m=1}^{2N-1}
+    Q_{2N}[sym](m) e^{i xi (N - m)} (:func:`_divisor`).  Real and bounded
+    away from zero: the Riesz function of the basis."""
+    vals = _symbol(spectrum, "dual", xi).real
+    return float(vals[0]) if np.ndim(xi) == 0 else vals
 
 
 def autocorrelation(spectrum: SpectrumVector, tau: int) -> float:
-    """<Q, Q(. - tau)> = e^{-sum lambda} Q_{2N}[sym](tau + N)."""
-    n = spectrum.order
-    doubled = spectrum.symmetrized()
-    if not (-n < tau < n):
-        return 0.0
-    qm = tb_integer_values(doubled)
-    return math.exp(-spectrum.freq_sum()) * qm[tau + n - 1]
+    """<Q, Q(. - tau)> = e^{-sum lambda} Q_{2N}[sym](tau + N), a coefficient of G."""
+    return _divisor(spectrum, "dual").get(tau, 0.0)
 
 
 def dual_fourier(spectrum: SpectrumVector, xi):
@@ -184,7 +178,8 @@ class KernelTable:
     ``kind`` is "interp" (cardinal Shannon-type kernel) or "dual" (the
     biorthogonal generator).  Evaluation interpolates with a 6-point stencil
     confined between the integer knots; grid nodes reproduce stored values
-    bit-exactly, queries beyond the table return 0.
+    bit-exactly, queries beyond the table return 0, and a NaN or infinite
+    query raises ValueError.
     """
 
     spectrum: SpectrumVector
@@ -194,6 +189,7 @@ class KernelTable:
     values: np.ndarray
 
     def __call__(self, t):
+        check_queries(t)
         return interp6(
             self.values, float(self.t_min), 1.0 / self.per_unit, t,
             knot_every=self.per_unit,
@@ -221,26 +217,27 @@ class KernelTable:
     def load(cls, path) -> "KernelTable":
         """Read a table written by :meth:`save`.
 
-        Raises ValueError on any malformed file: short header, wrong magic or
-        version, unknown kind, a grid :class:`SamplingGrid` rejects, a value
-        count other than the grid's 2 (-t_min) per_unit + 1 nodes, a length
-        that disagrees with the header, or a NaN or infinite value.
+        Raises :class:`~polyshannon.records.FormatError` on any malformed
+        file: short header, wrong magic or version, unknown kind, a grid or
+        spectrum its class rejects, a value count other than the grid's
+        2 (-t_min) per_unit + 1 nodes, a length that disagrees with the
+        header, or a NaN or infinite value.
         """
         (kind_idx, _, n_entries, _, per_unit, t_min, n_values), body = read_record(
             path, _MAGIC, _HEAD
         )
         if kind_idx >= len(_KERNEL_KINDS):
-            raise ValueError(f"kernel table {path} has unknown kind {kind_idx}")
-        SamplingGrid(per_unit, -t_min)  # checks per_unit and t_min
+            raise FormatError(f"kernel table {path} has unknown kind {kind_idx}")
+        checked(path, SamplingGrid, per_unit, -t_min)
         if n_values != 2 * -t_min * per_unit + 1:
-            raise ValueError(
+            raise FormatError(
                 f"kernel table {path} holds {n_values} values, its grid "
                 f"(per_unit {per_unit}, t_min {t_min}) has "
                 f"{2 * -t_min * per_unit + 1} nodes"
             )
         size = 16 * n_entries + 8 * n_values
         if len(body) != size:
-            raise ValueError(
+            raise FormatError(
                 f"kernel table {path} holds {len(body)} body bytes, "
                 f"its header says {size}"
             )
@@ -250,7 +247,7 @@ class KernelTable:
         values = np.frombuffer(body, dtype="<f8", offset=16 * n_entries).copy()
         values.flags.writeable = False
         return cls(
-            spectrum=SpectrumVector(tuple(entries)),
+            spectrum=checked(path, SpectrumVector, tuple(entries)),
             kind=_KERNEL_KINDS[kind_idx],
             per_unit=per_unit,
             t_min=t_min,
@@ -258,11 +255,9 @@ class KernelTable:
         )
 
 
-def _lattice_inverse(
-    spectrum: SpectrumVector, divisor_coeffs: dict[int, float], reach: int
-) -> np.ndarray:
-    """Taps a_m of 1/D(xi), D(xi) = sum_m c_m e^{-i xi m} given by
-    ``divisor_coeffs``, periodized with period M: a_m sits at index m % M.
+def _lattice_inverse(spectrum: SpectrumVector, kind: str, reach: int) -> np.ndarray:
+    """Taps a_m of 1/D(xi), D the divisor of ``kind`` (:func:`_divisor`),
+    periodized with period M: a_m sits at index m % M.
 
     The taps decay geometrically; M = max(256, 4 * reach rounded up to a
     power of two) keeps their aliases far from every |m| <= ``reach``.
@@ -271,7 +266,7 @@ def _lattice_inverse(
     """
     size = max(256, 1 << (4 * reach - 1).bit_length())
     coeffs = np.zeros(size)
-    for m, c in divisor_coeffs.items():
+    for m, c in _divisor(spectrum, kind).items():
         coeffs[m % size] = c
     divisor = np.fft.fft(coeffs)
     mags = np.abs(divisor)
@@ -285,21 +280,16 @@ def _lattice_inverse(
     return np.fft.ifft(1.0 / divisor).real
 
 
-def _synthesize(
-    spectrum: SpectrumVector,
-    grid: SamplingGrid,
-    divisor_coeffs: dict[int, float],
-    kind: str,
-) -> KernelTable:
+def _synthesize(spectrum: SpectrumVector, grid: SamplingGrid, kind: str) -> KernelTable:
     """Tabulate sum_m a_m Q_N(t - m), a the lattice inverse of the divisor
-    sum_m c_m e^{-i xi m} given by ``divisor_coeffs``."""
+    of ``kind``."""
     n, hw, per_unit = spectrum.order, grid.half_width, grid.per_unit
     if hw < n:
         raise NarrowGridError(
             f"half_width {hw} must cover the generator support (>= {n})"
         )
 
-    taps = _lattice_inverse(spectrum, divisor_coeffs, hw + n)
+    taps = _lattice_inverse(spectrum, kind, hw + n)
 
     # S(L + r/per_unit) = sum_{i<n} a_{L-i} Q_N(i + r/per_unit), L = -hw..hw
     window = taps[np.arange(-hw - n + 1, hw + 1) % len(taps)]
@@ -319,26 +309,17 @@ def synthesize_kernel(
     """Materialize the Shannon-type interpolation kernel S_0 as a table.
 
     Raises :class:`NotSamplableError` when the sampled symbol has circle
-    zeros (odd-order classical splines being the canonical offenders), and
-    :class:`NarrowGridError` when ``grid.half_width`` is below the order N.
+    zeros (odd-order classical splines being the canonical offenders, first
+    order too), and :class:`NarrowGridError` when ``grid.half_width`` < N.
     """
-    if spectrum.order < 2:
-        raise NotSamplableError("first-order spaces have an empty sampled symbol")
-    qm = tb_integer_values(spectrum)
-    return _synthesize(spectrum, grid, dict(enumerate(qm, start=1)), "interp")
+    return _synthesize(spectrum, grid, "interp")
 
 
 def synthesize_dual(
     spectrum: SpectrumVector, grid: SamplingGrid = SamplingGrid()
 ) -> KernelTable:
     """Materialize the dual generator (biorthogonal to the TB translates)."""
-    n = spectrum.order
-    qm2 = tb_integer_values(spectrum.symmetrized())
-    pref = math.exp(-spectrum.freq_sum())
-    # G(xi) = pref * sum_m q2_m e^{i xi (n - m)}; as a divisor dictionary the
-    # e^{-i xi m'} convention means m' = m - n
-    coeffs = {m - n: pref * q for m, q in enumerate(qm2, start=1)}
-    return _synthesize(spectrum, grid, coeffs, "dual")
+    return _synthesize(spectrum, grid, "dual")
 
 
 # --------------------------------------------------------------------------
@@ -424,8 +405,7 @@ def spline_series(spectrum: SpectrumVector, j_min: int, samples, t):
         out = np.zeros(y.shape[:-1] + t_arr.shape, dtype=y.dtype)
         return out.item() if out.ndim == 0 else out
 
-    divisor = dict(enumerate(tb_integer_values(spectrum), start=1))
-    taps = _lattice_inverse(spectrum, divisor, max(hi - j_min, j_max - lo))
+    taps = _lattice_inverse(spectrum, "interp", max(hi - j_min, j_max - lo))
     shifts = np.arange(lo, hi + 1)
     c = y @ taps[(shifts[:, None] - np.arange(j_min, j_max + 1)) % len(taps)].T
     return tb_superposition(spectrum, lo, c, t_arr)

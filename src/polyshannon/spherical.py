@@ -15,12 +15,12 @@ one spectrum, so the mode-wise reconstruction makes one series call per
 degree and resums it against all harmonics of that degree at once.  Every
 harmonic user reads one stream (:func:`_harmonic_stream`): one trig table
 for all orders and one normalized associated-Legendre recurrence stepped
-degree by degree.  The resum contracts each degree's profiles against it
-row by row; :func:`sph_harm_degree` is its block k, formed.  The series is
-evaluated in the coefficient domain by default
-(:func:`~polyshannon.shannon1d.spline_series`, exact in V_0 to roundoff),
-or on kernel tables through
-:func:`~polyshannon.shannon1d.cardinal_series` when a ``kernel`` is given.  This
+degree by degree; no table is kept.  The resum contracts each degree's
+profiles against it row by row (:func:`synthesize_sphere` too);
+:func:`analyze_sphere` and :func:`sph_harm_degree` form its blocks.  The
+series is evaluated in the coefficient domain by default
+(:func:`~polyshannon.shannon1d.spline_series`, exact in V_0 to roundoff), or
+on kernel tables (:func:`~polyshannon.shannon1d.cardinal_series`).  This
 module supplies the sphere quadrature (Gauss-Legendre colatitudes x uniform
 longitudes), the real harmonics, the per-degree kernels, the truncated zonal
 kernel, the mode-wise and quadrature-form reconstructions, and the field
@@ -52,7 +52,7 @@ from .shannon1d import (
     synthesize_kernel,
     tb_superposition,
 )
-from .records import finite_values, read_record, write_record
+from .records import FormatError, checked, finite_values, read_record, write_record
 from .spectrum import SpectrumVector, radial_spectrum
 from .tbspline import check_queries, tb_fourier
 
@@ -206,9 +206,8 @@ def sph_harm_degree(k: int, direction) -> np.ndarray:
     Row ell - 1 holds Y_{k,ell}, shape (2k+1,) + the directions' batch shape.
     Orders ell = 1..2k+1 map to azimuthal numbers m = ell - k - 1: negative m
     are the sine harmonics, m = 0 the zonal one, positive m the cosines.
-    Directions of non-unit length are normalized.  This is block k of the
-    degree-by-degree stream every harmonic user in this module reads
-    (:func:`_harmonic_stream`: one Legendre recurrence, one trig table).
+    Directions of non-unit length are normalized.  Block k of
+    :func:`_harmonic_stream`, formed.
     """
     if k < 0:
         raise ValueError(f"degree must be >= 0, got {k}")
@@ -277,35 +276,29 @@ class SphereGrid:
         ).copy()
 
 
-@functools.lru_cache(maxsize=None)
-def _harmonic_table(degree_max: int) -> np.ndarray:
-    """Y_{k,ell} sampled on SphereGrid(K) points: ((K+1)^2, K+1, 2K+2)."""
-    pts = SphereGrid(degree_max).points()
-    out = np.empty((mode_count(degree_max),) + pts.shape[:2])
-    for k, factors in _harmonic_stream(pts, degree_max):
-        out[k * k : (k + 1) ** 2] = _order_block(factors)
-    out.flags.writeable = False
-    return out
-
-
 def analyze_sphere(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
     """Project sphere-grid samples onto harmonics <= K; returns (K+1)^2 coeffs."""
     values = np.asarray(values, dtype=float)
-    table = _harmonic_table(grid.degree_max)
-    if values.shape != table.shape[1:]:
+    pts = grid.points()
+    if values.shape != pts.shape[:2]:
         raise ValueError(
-            f"expected grid values of shape {table.shape[1:]}, got {values.shape}"
+            f"expected grid values of shape {pts.shape[:2]}, got {values.shape}"
         )
-    return np.tensordot(table, values * grid.quad_weights(), axes=2)
+    weighted = values * grid.quad_weights()
+    return np.concatenate([
+        np.tensordot(_order_block(factors), weighted, axes=2)
+        for _, factors in _harmonic_stream(pts, grid.degree_max)
+    ])
 
 
 def synthesize_sphere(grid: SphereGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Evaluate a coefficient vector on the grid points (adjoint of analyze)."""
+    """Evaluate a coefficient vector on the grid points (adjoint of analyze):
+    :func:`synthesize_directions` on the flattened grid."""
     coeffs = np.asarray(coeffs, dtype=float)
-    table = _harmonic_table(grid.degree_max)
-    if coeffs.shape != (table.shape[0],):
-        raise ValueError(f"expected {table.shape[0]} coefficients")
-    return np.tensordot(coeffs, table, axes=1)
+    if coeffs.shape != (mode_count(grid.degree_max),):
+        raise ValueError(f"expected {mode_count(grid.degree_max)} coefficients")
+    pts = grid.points()
+    return synthesize_directions(coeffs, pts.reshape(-1, 3)).reshape(pts.shape[:2])
 
 
 def synthesize_directions(coeffs: np.ndarray, directions) -> np.ndarray:
@@ -385,12 +378,17 @@ class ShannonPolysplineKernel:
         return cls(dimension=n, smoothness=p, tables=tabs)
 
     def eval(self, r, cos_gamma):
-        """Kernel value at radius ratio r and angular separation cos(gamma)."""
+        """Kernel value at radius ratio r and angular separation cos(gamma);
+        ValueError unless log r and cos(gamma) are finite, |cos(gamma)| <= 1."""
         r_arr = np.asarray(r, dtype=float)
         scalar = r_arr.ndim == 0 and np.ndim(cos_gamma) == 0
-        v = np.log(np.atleast_1d(r_arr))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = np.log(np.atleast_1d(r_arr))
         cg = np.atleast_1d(np.asarray(cos_gamma, dtype=float))
         v, cg = np.broadcast_arrays(v, cg)
+        check_queries((v, cg))
+        if np.any(np.abs(cg) > 1.0 + 1e-12):  # roundoff allowed
+            raise ValueError("cos(gamma) must lie in [-1, 1]")
         out = np.zeros(v.shape)
         for k, tab in enumerate(self.tables):
             out += tab(v) * zonal(k, cg)
@@ -529,20 +527,19 @@ class PolysplineField:
 
     @classmethod
     def load(cls, path) -> "PolysplineField":
-        """Read :meth:`save` output; ValueError on any malformed file."""
+        """Read :meth:`save` output; FormatError on any malformed file."""
         (_, n, p, degree_max, j_min, n_spheres), data = read_record(
             path, _FIELD_MAGIC, _FIELD_HEAD
         )
         shape = (n_spheres, mode_count(degree_max))
         if len(data) != 8 * shape[0] * shape[1]:
-            raise ValueError(
+            raise FormatError(
                 f"field file {path} holds {len(data)} data bytes, "
                 f"its header says {8 * shape[0] * shape[1]}"
             )
         samples = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
-        return cls(
-            dimension=n, smoothness=p, degree_max=degree_max, j_min=j_min,
-            samples=finite_values(samples, path),
+        return checked(
+            path, cls, n, p, degree_max, j_min, finite_values(samples, path)
         )
 
 

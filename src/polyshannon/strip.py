@@ -9,17 +9,14 @@ Reconstruction from hyperplane traces t = j is therefore a 1-D Shannon
 cardinal series per mode followed by a Fourier resum in y.
 
 Symmetric spectra always satisfy the non-zero sampling condition, so every
-mode kernel exists.  The kernel depends on kappa only through |kappa|, so the
-modes are grouped by |kappa|^2 (an exact integer for integer kappa, avoiding
-floating-point key drift between, say, (3,4) and (5,0)): reconstruction makes
-one series call per group -- :func:`~polyshannon.shannon1d.spline_series` in
-the coefficient domain by default, :func:`~polyshannon.shannon1d.cardinal_series`
-on kernel tables when a ``kernel`` is given -- and resums it against the
-torus phases e^{i y.kappa} of the group's modes, and the synthetic generator
-evaluates its TB translates once per group.  The phases are products of
-per-axis powers of e^{i y_a}, not one complex exponential per mode.
-:class:`StripField` is stored as one binary ``PSSF`` record
-(:mod:`polyshannon.records`).
+mode kernel exists.  The kernel depends on kappa only through |kappa|, so
+one resum (:func:`_resum`) groups the live modes by the exact integer
+|kappa|^2 and contracts one profile call per group against the torus phases
+e^{i y.kappa} (products of per-axis powers of e^{i y_a}) of its modes, for
+the reconstruction (:func:`~polyshannon.shannon1d.spline_series`, or
+:func:`~polyshannon.shannon1d.cardinal_series` on kernel tables when a
+``kernel`` is given) and the synthetic generator (its TB translates) alike.
+:class:`StripField` is stored as one binary ``PSSF`` record (:mod:`polyshannon.records`).
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from .shannon1d import (
     synthesize_kernel,
     tb_superposition,
 )
-from .records import finite_values, read_record, write_record
+from .records import FormatError, finite_values, read_record, write_record
 from .spectrum import SpectrumVector, strip_spectrum
 from .tbspline import check_queries
 
@@ -109,18 +106,32 @@ class _TorusPhases:
         return out
 
 
+def _mode_groups(modes, rows: np.ndarray) -> dict[int, list[int]]:
+    """Indices of the modes whose ``rows`` row is not all zero, grouped by
+    the exact integer |kappa|^2 (no float drift between (3, 4) and (5, 0))."""
+    groups: dict[int, list[int]] = {}
+    for i in np.flatnonzero(np.any(rows, axis=1)):
+        groups.setdefault(sum(c * c for c in modes[i]), []).append(i)
+    return groups
+
+
+def _resum(modes, rows: np.ndarray, ys: np.ndarray, cutoff: int, profiles) -> np.ndarray:
+    """sum_kappa w_kappa e^{i y.kappa} (complex) over the :func:`_mode_groups`,
+    w = profiles(|kappa|^2, the group's rows), one row per mode; the twin of
+    :func:`polyshannon.spherical._resum`.  ValueError for a live mode beyond
+    ``cutoff``."""
+    phases = _TorusPhases(ys, cutoff)
+    acc = np.zeros(len(ys), dtype=complex)
+    for ksq, idx in _mode_groups(modes, rows).items():
+        acc += np.einsum(
+            "ij,ij->j", profiles(ksq, rows[idx]), phases([modes[i] for i in idx])
+        )
+    return acc
+
+
 def _norm_key(k: float) -> float:
     """Cache key |kappa|^2 rounded to kill last-bit drift in sqrt routes."""
     return round(k * k, 9)
-
-
-def _norm_groups(modes, active) -> dict[float, list[int]]:
-    """Indices of the modes flagged in ``active``, grouped by |kappa|^2 key."""
-    groups: dict[float, list[int]] = {}
-    for i, kappa in enumerate(modes):
-        if active[i]:
-            groups.setdefault(_norm_key(math.hypot(*kappa)), []).append(i)
-    return groups
 
 
 @functools.lru_cache(maxsize=None)
@@ -143,7 +154,8 @@ _STRIP_HEAD = "<4sHHIIIiQQ"
 
 
 def _check_modes(modes, dimension: int, cutoff: int, path) -> None:
-    """ValueError unless ``modes`` is ``torus_modes(dimension, cutoff)``.
+    """:class:`~polyshannon.records.FormatError` unless ``modes`` is
+    ``torus_modes(dimension, cutoff)``.
 
     Decided without enumerating the cube [-cutoff, cutoff]^dimension, whose
     size a corrupt header can make astronomical: the list must be in
@@ -162,7 +174,7 @@ def _check_modes(modes, dimension: int, cutoff: int, path) -> None:
         or keys[-1][0] > cutoff * cutoff
         or any(a >= b for a, b in zip(keys, keys[1:]))
     ):
-        raise ValueError(f"field file {path}: modes are not torus_modes"
+        raise FormatError(f"field file {path}: modes are not torus_modes"
                          f"({dimension}, {cutoff})")
     held = set(modes)
     for kappa in modes:
@@ -170,7 +182,7 @@ def _check_modes(modes, dimension: int, cutoff: int, path) -> None:
             for step in (-1, 1):
                 nb = kappa[:axis] + (kappa[axis] + step,) + kappa[axis + 1 :]
                 if nb not in held and norm(nb) <= cutoff * cutoff:
-                    raise ValueError(f"field file {path}: mode {nb} is missing")
+                    raise FormatError(f"field file {path}: mode {nb} is missing")
 
 
 @dataclass(frozen=True)
@@ -217,14 +229,14 @@ class StripField:
 
     @classmethod
     def load(cls, path) -> "StripField":
-        """Read :meth:`save` output; ValueError on any malformed file,
+        """Read :meth:`save` output; FormatError on any malformed file,
         a mode list other than :func:`torus_modes` included."""
         (_, dim, p, cutoff, j_min, n_planes, n_modes), data = read_record(
             path, _STRIP_MAGIC, _STRIP_HEAD
         )
         size = 4 * n_modes * dim + 16 * n_planes * n_modes
         if len(data) != size:
-            raise ValueError(
+            raise FormatError(
                 f"field file {path} holds {len(data)} body bytes, "
                 f"its header says {size}"
             )
@@ -250,34 +262,26 @@ class SyntheticStripField:
     modes: tuple[tuple[int, ...], ...]
     coeffs: np.ndarray  # complex, (n_modes, n_i)
 
-    def _profile_matrix(self, t: np.ndarray) -> np.ndarray:
-        """(n_modes, len(t)) complex mode profiles at t.
-
-        Modes of one |kappa| share a spectrum, so the TB translates are
-        evaluated once per distinct |kappa|.
-        """
-        out = np.zeros((len(self.modes), len(t)), dtype=complex)
-        groups = _norm_groups(self.modes, np.any(self.coeffs, axis=1))
-        for key, idx in groups.items():
-            sv = strip_spectrum(math.sqrt(key), self.smoothness)
-            out[idx] = tb_superposition(sv, self.i_min, self.coeffs[idx], t)
-        return out
+    def _profiles(self, ksq: int, block: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The profiles at t of one |kappa| group's modes, coefficient rows
+        ``block``: its TB translates evaluated once."""
+        sv = strip_spectrum(math.sqrt(ksq), self.smoothness)
+        return tb_superposition(sv, self.i_min, block, t)
 
     def eval(self, t, ys) -> np.ndarray:
         """Field values at (t_q, y_q); real for conjugate-symmetric coefficients."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         y_arr = np.atleast_2d(np.asarray(ys, dtype=float))
-        profiles = self._profile_matrix(t_arr)
-        phases = _TorusPhases(y_arr, self.cutoff)
-        acc = np.zeros(len(t_arr), dtype=complex)
-        for i, kappa in enumerate(self.modes):
-            if np.any(self.coeffs[i]):
-                acc += profiles[i] * phases([kappa])[0]
-        return acc.real
+        return _resum(
+            self.modes, self.coeffs, y_arr, self.cutoff,
+            lambda ksq, block: self._profiles(ksq, block, t_arr),
+        ).real
 
     def plane_field(self, j_min: int, j_max: int) -> StripField:
         js = np.arange(j_min, j_max + 1, dtype=float)
-        samples = self._profile_matrix(js).T.copy()
+        samples = np.zeros((len(js), len(self.modes)), dtype=complex)
+        for ksq, idx in _mode_groups(self.modes, self.coeffs).items():
+            samples[:, idx] = self._profiles(ksq, self.coeffs[idx], js).T
         return StripField(
             dimension=self.dimension, smoothness=self.smoothness,
             cutoff=self.cutoff, j_min=j_min, modes=self.modes,
@@ -394,17 +398,14 @@ def _reconstruct_complex(
         raise ValueError("need one torus point per t value")
     check_queries(y_arr)
     check_cardinal_data(fld.samples, fld.j_min, t_arr)
-    phases = _TorusPhases(y_arr, fld.cutoff)
-    acc = np.zeros(len(t_arr), dtype=complex)
-    for key, idx in _norm_groups(fld.modes, np.any(fld.samples, axis=0)).items():
-        sv = strip_spectrum(math.sqrt(key), fld.smoothness)
-        rows = fld.samples[:, idx].T
+
+    def profiles(ksq: int, block: np.ndarray) -> np.ndarray:
+        sv = strip_spectrum(math.sqrt(ksq), fld.smoothness)
         if kernel is not None:
-            profiles = cardinal_series(kernel(sv), fld.j_min, rows, t_arr)
-        else:
-            profiles = spline_series(sv, fld.j_min, rows, t_arr)
-        acc += np.einsum("ij,ij->j", profiles, phases([fld.modes[i] for i in idx]))
-    return acc
+            return cardinal_series(kernel(sv), fld.j_min, block, t_arr)
+        return spline_series(sv, fld.j_min, block, t_arr)
+
+    return _resum(fld.modes, fld.samples.T, y_arr, fld.cutoff, profiles)
 
 
 def reconstruct_strip(

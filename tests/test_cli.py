@@ -148,6 +148,21 @@ def test_kernel1d_outputs_and_cache(tmp_path, capsys):
     assert "cache hit" in capsys.readouterr().out
 
 
+def test_kernel1d_tail_ratio_sees_the_cut_kernel(tmp_path, capsys):
+    # classical N = 16 decays slowly: on the last unit interval of the
+    # default support |S_0| is still about 2e-5 of its maximum, while at the
+    # integer ends themselves it vanishes by cardinality
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text("frequencies = " + " ".join(["0"] * 16) + "\n")
+    out = tmp_path / "run"
+    assert main(["kernel1d", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    label = "tail ratio (last unit interval max|S_0| / max|S_0|) "
+    lines = (out / "kernel1d-summary.txt").read_text().splitlines()
+    (line,) = [line for line in lines if line.startswith(label)]
+    assert float(line[len(label):]) >= 1e-6
+
+
 def test_kernel1d_cache_is_bit_stable(tmp_path):
     out = tmp_path / "run"
     main(["kernel1d", "--out", str(out)])
@@ -315,15 +330,21 @@ def test_reconstruct_strip_small(tmp_path, capsys):
 
 
 def test_reconstruct_sphere_deterministic_but_for_runtime(tmp_path, capsys):
+    # both reconstruct commands: the error row but for its runtime column,
+    # and the error plot byte for byte
     cfg = tmp_path / "s.cfg"
-    cfg.write_text("K = 2\nqueries = 40\nj_min = -4\nj_max = 4\n")
-    rows = []
-    for d in ("a", "b"):
-        main(["reconstruct-sphere", "--config", str(cfg), "--out", str(tmp_path / d)])
-        capsys.readouterr()
-        rows.append((tmp_path / d / "recon-sphere.csv").read_text().strip().splitlines()[1])
-    first, second = (r.split(",") for r in rows)
-    assert first[:4] == second[:4]  # everything except the runtime column
+    cfg.write_text("K = 2\nqueries = 40\nj_min = -5\nj_max = 5\n")
+    for name in ("sphere", "strip"):
+        rows, plots = [], []
+        for d in ("a", "b"):
+            out = tmp_path / name / d
+            main([f"reconstruct-{name}", "--config", str(cfg), "--out", str(out)])
+            capsys.readouterr()
+            rows.append((out / f"recon-{name}.csv").read_text().strip().splitlines()[1])
+            plots.append((out / f"recon-{name}-plot.dat").read_bytes())
+        first, second = (r.split(",") for r in rows)
+        assert first[:4] == second[:4]  # everything except the runtime column
+        assert plots[0] == plots[1]
 
 
 def test_reconstruct_strip_uses_the_kernel_cache(tmp_path, capsys, monkeypatch):

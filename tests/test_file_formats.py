@@ -1,9 +1,9 @@
-"""The on-disk formats: damaged files load or fail with ValueError, the
+"""The on-disk formats: damaged files load or fail with FormatError, the
 layouts stay put, and saves are atomic.
 
 In the fuzz test a few bytes of a valid file are flipped at random; whatever
 the loader makes of the result, it must either return an object or raise
-ValueError (the loaders' documented failure), never another exception type
+FormatError (the loaders' documented failure), never another exception type
 or a hang.
 """
 
@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from polyshannon.records import FormatError
 from polyshannon.shannon1d import KernelTable, SamplingGrid, synthesize_kernel
 from polyshannon.spectrum import SpectrumVector
 from polyshannon.spherical import PolysplineField, random_polyspline_field
@@ -70,7 +71,7 @@ def test_flipped_bytes_load_or_raise_value_error(tmp_path, fmt):
         path.write_bytes(bytes(damaged))
         try:
             load(path)
-        except ValueError:
+        except FormatError:
             pass
 
     check()

@@ -22,6 +22,7 @@ from polyshannon.shannon1d import (
     synthesize_kernel,
     tb_superposition,
 )
+from polyshannon.records import FormatError
 from polyshannon.spectrum import SpectrumVector
 from polyshannon.tbspline import tb_exact, tb_fourier
 
@@ -375,7 +376,7 @@ def test_dual_table_roundtrip(tmp_path):
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.pskt"
     path.write_bytes(b"not a kernel table at all, sorry" * 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError):
         KernelTable.load(path)
 
 
@@ -397,7 +398,7 @@ def test_load_rejects_malformed_tables_with_value_error(tmp_path, damage):
     path = tmp_path / "kernel.pskt"
     tab.save(path)
     path.write_bytes(damage(path.read_bytes()))
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError):
         KernelTable.load(path)
 
 

@@ -28,8 +28,10 @@ from polyshannon.spherical import (
     synthesize_directions,
     synthesize_sphere,
     zonal,
-    _harmonic_table,
+    _harmonic_stream,
+    _order_block,
 )
+from polyshannon.records import FormatError
 
 
 def _random_directions(rng, count):
@@ -101,21 +103,21 @@ def test_quadrature_orthonormality():
 
 def test_harmonic_table_is_orthonormal_at_the_grid_cap():
     # the streamed recurrence at degree 64, the largest SphereGrid: the
-    # quadrature Gram matrix of all 4225 tabulated harmonics, a row slab at
-    # a time (upper triangle only) to bound the working set
+    # quadrature Gram matrix of all 4225 harmonics (285 MB tabulated here,
+    # block by block from the stream), a row slab at a time (upper triangle
+    # only) to bound the working set
     grid = SphereGrid(64)
-    table = _harmonic_table(64)
-    try:
-        flat = table.reshape(table.shape[0], -1)
-        w = grid.quad_weights().ravel()
-        worst = 0.0
-        for lo in range(0, len(flat), 512):
-            rows = flat[lo : lo + 512]
-            gram = (rows * w) @ flat[lo:].T
-            gram[:, : len(rows)] -= np.eye(len(rows))
-            worst = max(worst, float(np.max(np.abs(gram))))
-    finally:
-        _harmonic_table.cache_clear()  # the table alone is 285 MB
+    pts = grid.points()
+    flat = np.empty((mode_count(64), pts.shape[0] * pts.shape[1]))
+    for k, factors in _harmonic_stream(pts, 64):
+        flat[k * k : (k + 1) ** 2] = _order_block(factors).reshape(2 * k + 1, -1)
+    w = grid.quad_weights().ravel()
+    worst = 0.0
+    for lo in range(0, len(flat), 512):
+        rows = flat[lo : lo + 512]
+        gram = (rows * w) @ flat[lo:].T
+        gram[:, : len(rows)] -= np.eye(len(rows))
+        worst = max(worst, float(np.max(np.abs(gram))))
     assert worst < 1e-12
 
 
@@ -351,6 +353,23 @@ def test_kernel_eval_at_unit_radius():
     assert abs(kernel.eval(1.0, cosg) - want) < 1e-10
 
 
+def test_kernel_evaluators_reject_bad_queries():
+    # a NaN or infinite log-radius coordinate, r <= 0, and cos(gamma) that
+    # is NaN or beyond [-1, 1] by more than roundoff
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        radial_kernel(1, 3, 1)(np.array([math.nan, math.inf, 0.5]))
+    kernel = ShannonPolysplineKernel.build(2, 3, 1)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        kernel.eval([0.0, -1.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+        kernel.eval(1.0, 1.5)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        kernel.eval(1.0, math.nan)
+    for edge in (1.0, -1.0):  # roundoff beyond the edge is accepted
+        got = kernel.eval(1.0, edge * (1.0 + 1e-13))
+        assert got == pytest.approx(kernel.eval(1.0, edge), rel=1e-11)
+
+
 def test_boundary_warning():
     fld = PolysplineField(3, 1, 1, -3, np.ones((7, mode_count(1))))
     d = np.array([[0.0, 0.0, 1.0]])
@@ -439,7 +458,7 @@ def test_field_binary_roundtrip(tmp_path):
 def test_field_load_rejects_garbage(tmp_path):
     bad = tmp_path / "junk.bin"
     bad.write_bytes(b"\x00" * 64)
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError):
         PolysplineField.load(bad)
 
 
@@ -463,17 +482,17 @@ def test_truncated_field_files_fail_cleanly(tmp_path, fmt):
         path.write_bytes(raw[:size])
         try:
             back = load(path)
-        except ValueError:
+        except FormatError:
             continue
         assert _same_field(back, fld), size
     path.write_bytes(raw + b"\0")
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError):
         load(path)
     for bad in (math.nan, math.inf, -math.inf):
         samples = fld.samples.copy()
         samples[4, 3] = bad
         PolysplineField(3, 2, 1, -2, samples).save(path)
-        with pytest.raises(ValueError, match="NaN or infinite"):
+        with pytest.raises(FormatError, match="NaN or infinite"):
             load(path)
 
 
@@ -484,13 +503,14 @@ def test_sphere_fields_need_dimension_3(tmp_path):
             random_polyspline_field(rng, n=n, p=1, degree_max=1)
         with pytest.raises(ValueError, match="n = 3"):
             PolysplineField(n, 1, 1, -3, np.ones((7, mode_count(1))))
-    # the loader builds through the constructor, so it inherits the check
+    # the loader builds through the constructor, so it inherits the check,
+    # raised as a format error
     fld = PolysplineField(3, 1, 1, -3, np.ones((7, mode_count(1))))
     path = tmp_path / "f.pspf"
     fld.save(path)
     raw = bytearray(path.read_bytes())
     raw[8:12] = (4).to_bytes(4, "little")
     path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="n = 3"):
+    with pytest.raises(FormatError, match="n = 3"):
         PolysplineField.load(path)
 

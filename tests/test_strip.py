@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from polyshannon.records import FormatError
 from polyshannon.shannon1d import SamplingGrid, synthesize_kernel, tb_superposition
 from polyshannon.spectrum import SpectrumVector, strip_spectrum
 from polyshannon.spherical import BoundaryTailWarning
@@ -291,7 +292,7 @@ def test_strip_field_binary_roundtrip(tmp_path):
 def test_strip_field_load_rejects_garbage(tmp_path):
     bad = tmp_path / "junk.bin"
     bad.write_bytes(b"\xff" * 80)
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError):
         StripField.load(bad)
 
 
@@ -308,11 +309,11 @@ def test_strip_loaders_check_the_mode_list(tmp_path, fmt):
         (modes[1], modes[0]) + modes[2:],  # out of canonical order
     ):
         StripField(2, 1, 2, -2, bad, samples).save(path)
-        with pytest.raises(ValueError, match="mode"):
+        with pytest.raises(FormatError, match="mode"):
             load(path)
     # the whole list under a header that claims a larger cutoff
     StripField(2, 1, 3, -2, modes, samples).save(path)
-    with pytest.raises(ValueError, match="mode"):
+    with pytest.raises(FormatError, match="mode"):
         load(path)
 
 
@@ -338,15 +339,15 @@ def test_truncated_strip_files_fail_cleanly(tmp_path, fmt):
         path.write_bytes(raw[:size])
         try:
             back = load(path)
-        except ValueError:
+        except FormatError:
             continue
         assert _same_strip(back, fld), size
     path.write_bytes(raw + b"\0")
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError):
         load(path)
     for bad in (math.nan, complex(0.0, math.inf), -math.inf):
         bad_samples = samples.copy()
         bad_samples[4, 2] = bad
         StripField(2, 1, 1, -2, modes, bad_samples).save(path)
-        with pytest.raises(ValueError, match="NaN or infinite"):
+        with pytest.raises(FormatError, match="NaN or infinite"):
             load(path)
