@@ -96,8 +96,8 @@ class ExperimentConfig:
     p: int = 1
     dim: int = 2
     K: int = 4
-    per_unit: int = 64
-    half_width: int = 30
+    per_unit: int = SamplingGrid.per_unit
+    half_width: int = SamplingGrid.half_width
     j_min: int = -6
     j_max: int = 6
     queries: int = 1000
@@ -429,8 +429,21 @@ def cmd_decay(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _sphere_queries(rng, count):
-    r = np.exp(rng.uniform(-2.0, 2.0, size=count))
+def _query_band(cfg: ExperimentConfig, reach: float) -> tuple[float, float]:
+    """[-reach, reach] cut to the safe band [j_min + 2, j_max - 2], outside
+    which :func:`check_cardinal_data` warns that kernel tails are cut."""
+    lo, hi = max(-reach, cfg.j_min + 2), min(reach, cfg.j_max - 2)
+    if lo > hi:
+        raise ConfigError(
+            f"no query band: [{-reach}, {reach}] misses the safe band "
+            f"[{cfg.j_min + 2}, {cfg.j_max - 2}] of samples "
+            f"{cfg.j_min}..{cfg.j_max}"
+        )
+    return lo, hi
+
+
+def _sphere_queries(rng, count, lo, hi):
+    r = np.exp(rng.uniform(lo, hi, size=count))
     d = rng.normal(size=(count, 3))
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     return r, d
@@ -463,12 +476,13 @@ def cmd_reconstruct_sphere(cfg: ExperimentConfig, out: Path) -> int:
         raise ConfigError(
             f"reconstruct-sphere needs K <= {DEGREE_CAP}, got K = {cfg.K}"
         )
+    lo, hi = _query_band(cfg, 2.0)
     rng = np.random.default_rng(cfg.seed)
     gen = random_polyspline_field(
         rng, n=cfg.n, p=cfg.p, degree_max=cfg.K, j_min=cfg.j_min, j_max=cfg.j_max
     )
     fld = gen.sphere_field(cfg.j_min, cfg.j_max)
-    r, d = _sphere_queries(rng, cfg.queries)
+    r, d = _sphere_queries(rng, cfg.queries, lo, hi)
     got = reconstruct_spherical(fld, r, d, kernel=_kernel_source(cfg, out))
     want = gen.eval(r, d)
     scale = float(np.max(np.abs(want)))
@@ -486,13 +500,14 @@ def cmd_reconstruct_sphere(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_reconstruct_strip(cfg: ExperimentConfig, out: Path) -> int:
     t0 = time.perf_counter()
+    lo, hi = _query_band(cfg, 3.0)
     rng = np.random.default_rng(cfg.seed)
     gen = random_strip_field(
         rng, dimension=cfg.dim, p=cfg.p, cutoff=cfg.K, j_min=cfg.j_min,
         j_max=cfg.j_max,
     )
     fld = gen.plane_field(cfg.j_min, cfg.j_max)
-    t = rng.uniform(-3.0, 3.0, size=cfg.queries)
+    t = rng.uniform(lo, hi, size=cfg.queries)
     ys = rng.uniform(0.0, 2.0 * math.pi, size=(cfg.queries, cfg.dim))
     got = reconstruct_strip(fld, t, ys, kernel=_kernel_source(cfg, out))
     want = gen.eval(t, ys)
@@ -617,8 +632,8 @@ def _biorthogonality_deviation(sv: SpectrumVector) -> float:
     return worst
 
 
-def _reconstruction_residual(sv: SpectrumVector, grid: SamplingGrid, rng) -> float:
-    tab = synthesize_kernel(sv, grid)
+def _reconstruction_residual(tab: KernelTable, rng) -> float:
+    sv = tab.spectrum
     coeffs = rng.uniform(-1.0, 1.0, size=17)
     ts = np.linspace(-3.0, 3.0, 601)
     exact = tb_superposition(sv, -8, coeffs, ts)
@@ -630,17 +645,13 @@ def _reconstruction_residual(sv: SpectrumVector, grid: SamplingGrid, rng) -> flo
 
 
 def _kernel_residuals(grid: SamplingGrid, rng) -> tuple[float, float, float]:
-    cubic = SpectrumVector.from_frequencies([0.0, 0.0, 0.0, 0.0])
-    cardinal = _cardinal_residual(synthesize_kernel(cubic, grid))
-
-    recon = _reconstruction_residual(cubic, grid, rng)
+    cubic = synthesize_kernel(SpectrumVector.from_frequencies([0.0] * 4), grid)
     # The cubic kernel is piecewise polynomial, which the table stencil
     # reproduces at any resolution; an exponential pair is the honest probe
     # of whether the configured grid resolves off-lattice evaluation.
-    stiff = _reconstruction_residual(
-        SpectrumVector.from_frequencies([3.0, -3.0]), grid, rng
-    )
-    return cardinal, recon, stiff
+    stiff = synthesize_kernel(SpectrumVector.from_frequencies([3.0, -3.0]), grid)
+    return (_cardinal_residual(cubic), _reconstruction_residual(cubic, rng),
+            _reconstruction_residual(stiff, rng))
 
 
 def run_verify(cfg: ExperimentConfig) -> RunReport:
@@ -690,7 +701,7 @@ def run_verify(cfg: ExperimentConfig) -> RunReport:
     gen = random_polyspline_field(rng, n=3, p=1, degree_max=4, j_min=-5,
                                   j_max=5)
     fld = gen.sphere_field(-5, 5)
-    r, d = _sphere_queries(rng, 200)
+    r, d = _sphere_queries(rng, 200, -2.0, 2.0)
     r = np.clip(r, math.exp(-1.5), math.exp(1.5))
     got = reconstruct_spherical(fld, r, d)
     want = gen.eval(r, d)

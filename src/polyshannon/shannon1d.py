@@ -132,9 +132,10 @@ class SymbolMargin:
         return self.min_abs / self.max_abs if self.max_abs > 0.0 else 0.0
 
 
-def symbol_margin(spectrum: SpectrumVector, n_grid: int = 4096) -> SymbolMargin:
-    """min/max of |phi*| over a uniform circle grid (the sampling margin m*)."""
-    xi = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
+def symbol_margin(spectrum: SpectrumVector) -> SymbolMargin:
+    """min/max of |phi*| over 4096 equispaced points of the circle (the
+    sampling margin m*)."""
+    xi = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
     vals = np.abs(sampled_symbol(spectrum, xi))
     return SymbolMargin(float(np.min(vals)), float(np.max(vals)))
 

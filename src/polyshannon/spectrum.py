@@ -1,4 +1,4 @@
-"""Frequency multisets and their characteristic polynomials.
+"""Frequency multisets and the two structured families of the paper.
 
 The basic datum of the library is a finite multiset of real frequencies
 ``Lambda = [lambda_1, ..., lambda_N]`` (listed with multiplicity), which fixes
@@ -13,7 +13,9 @@ Two structured families are provided:
 * ``radial_spectrum(k, n, p)``: the frequencies that arise when the p-th power
   of the spherical-harmonic-reduced Laplacian in n variables is written in the
   log-radius variable ``v = log r``.  Entries ``k + 2j`` and ``-n - k + 2 + 2j``
-  for ``j = 0..p-1``, collected with multiplicity.
+  for ``j = 0..p-1``, collected with multiplicity: the roots of the indicial
+  polynomial prod_{j<p} q(z - 2j), q(w) = w(w + n - 2) - k(k + n - 2), of
+  Delta^p acting on r^z Y_k.
 * ``strip_spectrum(k, p)``: ``{-k, +k}`` each with multiplicity p, the
   frequency content of ``(d^2/dt^2 - k^2)^p``.  ``k = 0`` reproduces the
   classical polynomial-spline operator ``(d/dt)^{2p}``.
@@ -23,19 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Iterable
 
 __all__ = [
     "SpectrumVector",
-    "CharPoly",
     "radial_spectrum",
     "strip_spectrum",
-    "radial_operator_poly",
-    "char_poly",
-    "r_value",
-    "s_value",
 ]
 
 #: absolute tolerance below which two user-supplied frequencies are merged
@@ -68,13 +63,13 @@ class SpectrumVector:
             raise ValueError("entries must be strictly increasing in frequency")
 
     @classmethod
-    def from_frequencies(cls, freqs: Iterable[float], tol: float = MERGE_TOL) -> "SpectrumVector":
+    def from_frequencies(cls, freqs: Iterable[float]) -> "SpectrumVector":
         vals = sorted(float(f) for f in freqs)
         if not vals:
             raise ValueError("spectrum must contain at least one frequency")
         merged: list[list[float]] = [[vals[0], 1]]
         for v in vals[1:]:
-            if abs(v - merged[-1][0]) <= tol:
+            if abs(v - merged[-1][0]) <= MERGE_TOL:
                 merged[-1][1] += 1
             else:
                 merged.append([v, 1])
@@ -106,13 +101,13 @@ class SpectrumVector:
         """The multiset union of the spectrum with its negation (order doubles)."""
         return SpectrumVector.from_frequencies(self.expand() + self.negated().expand())
 
-    def is_symmetric(self, tol: float = MERGE_TOL) -> bool:
-        """True when the multiset equals its own negation."""
+    def is_symmetric(self) -> bool:
+        """True when the multiset equals its own negation (to ``MERGE_TOL``)."""
         neg = self.negated()
         if len(neg.entries) != len(self.entries):
             return False
         return all(
-            abs(a[0] - b[0]) <= tol and a[1] == b[1]
+            abs(a[0] - b[0]) <= MERGE_TOL and a[1] == b[1]
             for a, b in zip(self.entries, neg.entries)
         )
 
@@ -122,29 +117,6 @@ class SpectrumVector:
             text = f"{v:g}" if v == int(v) else repr(v)
             parts.append(text if m == 1 else f"{text}x{m}")
         return "{" + ", ".join(parts) + "}"
-
-
-@dataclass(frozen=True)
-class CharPoly:
-    """Monic characteristic polynomial prod (z - lambda_j), highest degree first."""
-
-    coeffs: tuple[float, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, z):
-        return np.polyval(np.asarray(self.coeffs), z)
-
-    def roots(self) -> np.ndarray:
-        return np.sort(np.roots(np.asarray(self.coeffs)))
-
-
-def char_poly(spectrum: SpectrumVector) -> CharPoly:
-    """Monic polynomial with the spectrum's frequencies as roots (with multiplicity)."""
-    coeffs = np.atleast_1d(np.poly(np.asarray(spectrum.expand())))
-    return CharPoly(tuple(float(c) for c in coeffs))
 
 
 def radial_spectrum(k: int, n: int, p: int) -> SpectrumVector:
@@ -177,29 +149,3 @@ def strip_spectrum(k: float, p: int) -> SpectrumVector:
         raise ValueError("power p must be >= 1")
     return SpectrumVector.from_frequencies([-k] * p + [k] * p)
 
-
-def radial_operator_poly(k: int, p: int, n: int) -> CharPoly:
-    """Characteristic polynomial prod_{j<p} (z - k - 2j)(z + n + k - 2 - 2j).
-
-    Its roots are exactly the entries of ``radial_spectrum(k, n, p)``, which is
-    how the two constructions are cross-checked.
-    """
-    roots = [k + 2 * j for j in range(p)] + [-(n + k - 2 - 2 * j) for j in range(p)]
-    coeffs = np.atleast_1d(np.poly(np.asarray(sorted(roots), dtype=float)))
-    return CharPoly(tuple(float(c) for c in coeffs))
-
-
-def r_value(spectrum: SpectrumVector, lam: complex) -> complex:
-    """prod_j (e^{lambda_j} - lam), over all N entries with multiplicity."""
-    out: complex = 1.0
-    for v, m in spectrum.entries:
-        out *= (math.exp(v) - lam) ** m
-    return out
-
-
-def s_value(spectrum: SpectrumVector, lam: complex) -> complex:
-    """prod_j (e^{-lambda_j} - lam).  Equals ``r_value`` when the spectrum is symmetric."""
-    out: complex = 1.0
-    for v, m in spectrum.entries:
-        out *= (math.exp(-v) - lam) ** m
-    return out

@@ -30,8 +30,8 @@ other):
   each point to its N live translates.  :func:`tb_exact` stays the
   independent reference it is tested against.
 * :func:`tb_tabulate`  -- FFT inversion of the Fourier form with an asymptotic
-  correction for the truncated spectral tail.  No cancellation at any
-  stiffness, which is exactly why it exists.
+  correction for the truncated spectral tail, to ``TABULATE_RTOL``.  No
+  cancellation at any stiffness, which is exactly why it exists.
 * :func:`tb_fourier`   -- the symbol itself.
 
 On top of these sit the exponential Euler spline
@@ -71,7 +71,6 @@ __all__ = [
     "euler_frobenius",
     "euler_spline",
     "euler_spline_resolvent",
-    "green_power_sum",
     "tb_chebyshev",
     "tb_exact",
     "tb_fourier",
@@ -369,17 +368,14 @@ def tb_fourier(spectrum: SpectrumVector, xi):
 class TbTable:
     """TB-spline tabulated on a uniform grid over its support [0, N].
 
-    ``values[l] = Q_N(l / per_unit)``.  ``err_bound`` is the *absolute* bound
-    on the tabulation error (spectral truncation + aliasing) that the adaptive
-    driver in :func:`tb_tabulate` guaranteed; interpolation between grid nodes
-    through :meth:`__call__` adds O((lambda*h)^6) on top of it.
+    ``values[l] = Q_N(l / per_unit)``, to the ``TABULATE_RTOL`` that
+    :func:`tb_tabulate` guarantees; interpolation between grid nodes through
+    :meth:`__call__` adds O((lambda*h)^6) on top of it.
     """
 
     spectrum: SpectrumVector
     per_unit: int
     values: np.ndarray
-    cutoff: float  # spectral truncation radius Xi actually used
-    err_bound: float
 
     @property
     def grid(self) -> np.ndarray:
@@ -391,11 +387,12 @@ class TbTable:
         return interp6(self.values, 0.0, 1.0 / self.per_unit, t, knot_every=self.per_unit)
 
 
-def tb_tabulate(
-    spectrum: SpectrumVector,
-    per_unit: int = 64,
-    rtol: float = 1e-8,
-) -> TbTable:
+#: bound on the tabulation error (spectral truncation + aliasing) relative
+#: to the mean level of Q_N
+TABULATE_RTOL = 1e-8
+
+
+def tb_tabulate(spectrum: SpectrumVector, per_unit: int = 64) -> TbTable:
     """Tabulate Q_N by FFT of its symbol plus an asymptotic tail correction.
 
     The Fourier integral over |xi| <= Xi is done by FFT on a grid fine enough
@@ -403,10 +400,10 @@ def tb_tabulate(
     the |xi| > Xi remainder is added back analytically from the asymptotic
     expansion of integrals e^{i xi u}/(i xi - l)^{s+1} at large Xi.  Both
     error terms are bounded a priori and the spectral radius is grown until
-    they sit below ``rtol`` relative to the mean level of Q_N, which makes
-    this route immune to the cancellation that kills :func:`tb_exact` for
-    stiff spectra.  Requires N >= 2 (first-order kernels have a closed form
-    and a non-integrable symbol tail).
+    they sit below ``TABULATE_RTOL`` relative to the mean level of Q_N,
+    which makes this route immune to the cancellation that kills
+    :func:`tb_exact` for stiff spectra.  Requires N >= 2 (first-order
+    kernels have a closed form and a non-integrable symbol tail).
     """
     n = spectrum.order
     if n < 2:
@@ -421,7 +418,7 @@ def tb_tabulate(
     for li, mult in spectrum.entries:
         c_hat *= (1.0 + math.exp(-li)) ** mult
     qhat0 = tb_fourier(spectrum, 0.0).real
-    tol_abs = rtol * qhat0 / n
+    tol_abs = TABULATE_RTOL * qhat0 / n
 
     series_len = 14
     abs_beta = sum(abs(b) for b in beta)
@@ -438,7 +435,9 @@ def tb_tabulate(
         if alias <= tol_abs and series_err <= tol_abs:
             break
     else:
-        raise ValueError(f"cannot reach rtol={rtol} for {spectrum} by tabulation")
+        raise ValueError(
+            f"cannot reach rtol={TABULATE_RTOL} for {spectrum} by tabulation"
+        )
 
     # FFT part: trapezoid over [-Xi, Xi].  The left-endpoint rectangle sum
     # differs from the trapezoid only in an imaginary component that the final
@@ -454,13 +453,7 @@ def tb_tabulate(
     tail = _spectral_tail(entries, beta, cutoff, per_unit, n, series_len)
     values = main + tail
     values.flags.writeable = False
-    return TbTable(
-        spectrum=spectrum,
-        per_unit=per_unit,
-        values=values,
-        cutoff=cutoff,
-        err_bound=alias + series_err,
-    )
+    return TbTable(spectrum=spectrum, per_unit=per_unit, values=values)
 
 
 def _spectral_tail(entries, beta, cutoff, per_unit, n, series_len):
@@ -825,11 +818,14 @@ def _field_exp_float(v):
     return cmath.exp(v) if isinstance(v, complex) else math.exp(v)
 
 
-def _resolvent(spectrum: SpectrumVector, x: float, lam, with_b: bool,
-               stiff_exact: bool = False):
-    """sum_{j>=0} lam^{-j} g(x + j), times B(lam) = sum_k beta_k lam^{-k} if ``with_b``.
+def _resolvent(spectrum: SpectrumVector, x: float, lam, stiff_exact: bool = False):
+    """Phi(x; lam) for x in [0, 1): B(lam) * sum_{j>=0} lam^{-j} g(x + j),
+    with B(lam) = sum_k beta_k lam^{-k}.
 
-    The one body behind every resolvent route.  It runs in float64 unless
+    ``g`` is the causal Green's function of the operator.  The geometric-type
+    series converges only for |lam| large, but each pole contributes a
+    rational function of e^{lambda_i}/lam, which continues the sum to every
+    ``lam`` off the points e^{lambda_i} (and 0).  It runs in float64 unless
     ``lam`` sits so close to a pole node e^{lambda_i} that the closed form
     would cancel more than ``_RESOLVENT_FLOAT_LOSS_MAX`` digits, or
     ``stiff_exact`` is set and the spectrum is stiffer than
@@ -848,38 +844,24 @@ def _resolvent(spectrum: SpectrumVector, x: float, lam, with_b: bool,
         if dps is not None:
             x, lam, exp = mp.mpf(x), mp.mpmathify(lam), mp.exp
         val = _power_sum_field(entries, x, lam, exp)
-        if with_b:
-            val = sum(bj * lam ** (-j) for j, bj in enumerate(beta)) * val
+        val = sum(bj * lam ** (-j) for j, bj in enumerate(beta)) * val
         return complex(val) if isinstance(val, (complex, mp.mpc)) else float(val)
 
 
-def green_power_sum(spectrum: SpectrumVector, x: float, lam: complex):
-    """Analytic continuation of sum_{j>=0} lam^{-j} g(x + j).
-
-    ``g`` is the causal Green's function of the operator.  The geometric-type
-    series converges only for |lam| large, but each pole contributes a
-    rational function of e^{lambda_i}/lam, which continues the sum to every
-    ``lam`` off the points e^{lambda_i} (and 0).  Precision escalates as
-    ``lam`` approaches one of those nodes, where the closed form cancels.
-    This is the engine behind the resolvent route to the Euler spline.
-    """
-    return _resolvent(spectrum, x, lam, with_b=False)
-
-
 def euler_spline_resolvent(spectrum: SpectrumVector, x: float, lam: complex):
-    """Phi(x; lam) by the one-sided resolvent: B(lam) * green_power_sum.
+    """Phi(x; lam) by the one-sided resolvent continuation.
 
     For x in [0,1), Phi(x;lam) = [sum_k beta_k lam^{-k}] * sum_{j>=0} lam^{-j} g(x+j);
     general x reduces by the functional equation Phi(x+1) = lam * Phi(x).
     Entirely independent of pointwise TB values, which is the point: it
     cross-examines :func:`euler_spline` and the Euler-Frobenius coefficients.
-    Like :func:`green_power_sum` it escalates precision when ``lam`` sits
-    close to a pole node e^{lambda_i}.  Scalar only; raises ValueError on a
-    NaN or infinite ``x``.
+    Precision escalates when ``lam`` sits close to a pole node e^{lambda_i},
+    where the closed form cancels.  Scalar only; raises ValueError on a NaN
+    or infinite ``x``.
     """
     check_queries(x)
     k = math.floor(x)
-    return _resolvent(spectrum, x - k, lam, with_b=True) * lam**k
+    return _resolvent(spectrum, x - k, lam) * lam**k
 
 
 # --------------------------------------------------------------------------
@@ -904,9 +886,6 @@ class EFPolynomial:
 
     def __call__(self, lam):
         return np.polyval(np.asarray(self.coeffs), lam)
-
-    def zeros(self) -> np.ndarray:
-        return ef_zeros(self.spectrum)
 
 
 @lru_cache(maxsize=None)
@@ -941,7 +920,7 @@ def _ef_reference_value(spectrum: SpectrumVector, lam: float) -> float:
     """P(lam) via the resolvent identity, in mpmath when stiffness demands."""
     n = spectrum.order
     sign = -1.0 if n % 2 == 0 else 1.0
-    phi = _resolvent(spectrum, 0.0, lam, with_b=True, stiff_exact=True)
+    phi = _resolvent(spectrum, 0.0, lam, stiff_exact=True)
     return sign * math.exp(spectrum.freq_sum()) * lam ** (n - 1) * phi
 
 
@@ -978,12 +957,11 @@ def ef_zeros(spectrum: SpectrumVector) -> np.ndarray:
 # contour route
 # --------------------------------------------------------------------------
 
-def ef_contour(
-    spectrum: SpectrumVector,
-    x: float,
-    lam: complex,
-    rtol: float = 1e-11,
-):
+#: relative agreement of two consecutive quadrature orders in :func:`ef_contour`
+CONTOUR_RTOL = 1e-11
+
+
+def ef_contour(spectrum: SpectrumVector, x: float, lam: complex):
     """Phi(x; lam) by a contour integral around the operator spectrum.
 
     For x in [0, 1),
@@ -996,7 +974,7 @@ def ef_contour(
     positive real and its logarithm falls inside the frequency window there is
     no admissible rectangle and :class:`ContourDomainError` is raised.
     General x reduces by Phi(x+1) = lam Phi(x).  Gauss-Legendre per edge,
-    order-doubled until two consecutive answers agree to ``rtol``.
+    order-doubled until two consecutive answers agree to ``CONTOUR_RTOL``.
     """
     if lam == 0:
         raise ValueError("lam must be nonzero")
@@ -1051,7 +1029,7 @@ def ef_contour(
     prev = loop_integral(32)
     for order in (64, 128, 256, 512, 1024):
         cur = loop_integral(order)
-        if abs(cur - prev) <= rtol * max(1.0, abs(cur)):
+        if abs(cur - prev) <= CONTOUR_RTOL * max(1.0, abs(cur)):
             prev = cur
             break
         prev = cur

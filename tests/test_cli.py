@@ -8,13 +8,14 @@ installed console script.
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from polyshannon import cli, ef_zeros, spherical, SpectrumVector
-from polyshannon.shannon1d import SamplingGrid
+from polyshannon.shannon1d import BoundaryTailWarning, SamplingGrid
 from polyshannon.cli import (
     ConfigError,
     DEFAULT_SEED,
@@ -31,6 +32,7 @@ def test_no_config_gives_defaults():
     cfg = parse_config(None)
     assert cfg == ExperimentConfig()
     assert cfg.seed == DEFAULT_SEED
+    assert cfg.grid == SamplingGrid()
 
 
 def test_flat_config_parses_types_and_comments(tmp_path):
@@ -367,6 +369,28 @@ def test_reconstruct_strip_uses_the_kernel_cache(tmp_path, capsys, monkeypatch):
     second = (out / "recon-strip.csv").read_text().splitlines()[1].split(",")
     assert first[2:4] == second[2:4]  # max_err and rms_err
     assert [path.read_bytes() for path in entries] == blobs
+
+
+def test_reconstruct_queries_stay_in_the_safe_band(tmp_path, capsys):
+    # queries are drawn where no kernel tail is cut, [j_min + 2, j_max - 2],
+    # so a -4..4 run stays silent; a range with no such band is bad input
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text("K = 2\nqueries = 40\nj_min = -4\nj_max = 4\n")
+    for name, coord in (("sphere", np.log), ("strip", lambda t: t)):
+        out = tmp_path / name
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BoundaryTailWarning)
+            assert main([f"reconstruct-{name}", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        t = coord(np.loadtxt(out / f"recon-{name}-plot.dat")[:, 0])
+        assert -2.0 <= t.min() and t.max() <= 2.0
+    for j_min, j_max in ((-1, 2), (5, 12)):
+        cfg.write_text(f"K = 2\nqueries = 40\nj_min = {j_min}\nj_max = {j_max}\n")
+        for name in ("sphere", "strip"):
+            argv = [f"reconstruct-{name}", "--config", str(cfg),
+                    "--out", str(tmp_path / "empty")]
+            assert main(argv) == 2
+            assert "no query band" in capsys.readouterr().err
 
 
 # --- verify -------------------------------------------------------------------

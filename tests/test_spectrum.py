@@ -1,20 +1,10 @@
-"""Frequency-multiset construction, structured families, characteristic polynomials."""
-
-import math
+"""Frequency-multiset construction and the structured families."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from polyshannon.spectrum import (
-    SpectrumVector,
-    char_poly,
-    r_value,
-    radial_operator_poly,
-    radial_spectrum,
-    s_value,
-    strip_spectrum,
-)
+from polyshannon.spectrum import SpectrumVector, radial_spectrum, strip_spectrum
 
 
 def test_from_frequencies_merges_repeats():
@@ -84,82 +74,36 @@ def test_strip_spectrum_always_symmetric(k, p):
     assert sv.order == 2 * p
 
 
-def test_radial_operator_poly_examples():
-    # p=1, n=3: roots {k, -k-1} -> z^2 + z - k(k+1)
-    m01 = radial_operator_poly(0, 1, 3)
-    assert m01.coeffs == pytest.approx((1.0, 1.0, 0.0))
-    m21 = radial_operator_poly(2, 1, 3)
-    assert m21.coeffs == pytest.approx((1.0, 1.0, -6.0))
+def _indicial_poly(k, n, p):
+    """prod_{j<p} q(z - 2j), q(w) = w (w + n - 2) - k (k + n - 2): Delta^p
+    applied to r^z Y_k is this polynomial times r^(z - 2p) Y_k."""
+    out = np.array([1.0])
+    for j in range(p):
+        # q(z - 2j) = z^2 + (n - 2 - 4j) z + 2j (2j - n + 2) - k (k + n - 2)
+        const = 2 * j * (2 * j - n + 2) - k * (k + n - 2)
+        out = np.polymul(out, [1.0, n - 2.0 - 4 * j, const])
+    return out
 
 
-def test_radial_operator_poly_matches_radial_spectrum():
-    for k in range(0, 9):
-        for p in (1, 2):
-            for n in (2, 3, 4):
-                mp = radial_operator_poly(k, p, n)
+def test_indicial_polynomial_example():
+    # n = 3, p = 1: z^2 + z - k(k + 1), rooted at k and -k - 1
+    for k in range(6):
+        assert list(_indicial_poly(k, 3, 1)) == [1.0, 1.0, -k * (k + 1.0)]
+
+
+def test_radial_spectrum_roots_the_indicial_polynomial():
+    # every entry of radial_spectrum is a root of Delta^p's indicial
+    # polynomial on r^z Y_k, of exactly its multiplicity, and the
+    # multiplicities add up to the degree 2p
+    for n in (2, 3, 4):
+        for p in (1, 2, 3):
+            for k in range(9):
+                poly = _indicial_poly(k, n, p)
                 sv = radial_spectrum(k, n, p)
-                got = np.sort(mp.roots().real)
-                want = np.array(sv.expand())
-                assert np.allclose(got, want, atol=1e-9)
-
-
-# --- characteristic polynomial ------------------------------------------------
-
-def test_char_poly_is_monic_with_correct_roots():
-    sv = SpectrumVector.from_frequencies([2.0, -3.0, -3.0])
-    cp = char_poly(sv)
-    assert cp.coeffs[0] == 1.0
-    assert cp.degree == 3
-    roots = np.sort(cp.roots().real)
-    assert np.allclose(roots, [-3.0, -3.0, 2.0], atol=1e-8)
-
-
-def test_char_poly_evaluation():
-    sv = SpectrumVector.from_frequencies([1.0, -1.0])
-    cp = char_poly(sv)  # z^2 - 1
-    assert cp(0.0) == pytest.approx(-1.0)
-    assert cp(2.0) == pytest.approx(3.0)
-
-
-@given(
-    freqs=st.lists(
-        st.floats(-5.0, 5.0).map(lambda x: round(x, 3)), min_size=1, max_size=5
-    )
-)
-def test_char_poly_vanishes_at_frequencies(freqs):
-    # root *extraction* is ill-conditioned for clustered roots, so probe the
-    # well-conditioned direction: the polynomial must vanish at each frequency
-    sv = SpectrumVector.from_frequencies(freqs)
-    cp = char_poly(sv)
-    scale = sum(abs(c) for c in cp.coeffs)
-    for lam in sv.expand():
-        assert abs(cp(lam)) <= 1e-10 * scale * max(1.0, abs(lam)) ** cp.degree
-
-
-# --- r and s products ---------------------------------------------------------
-
-def test_r_value_examples():
-    sv = SpectrumVector.from_frequencies([-1.0, 1.0])
-    got = r_value(sv, 1.0)
-    want = (math.exp(-1.0) - 1.0) * (math.exp(1.0) - 1.0)
-    assert got == pytest.approx(want)
-    assert got == pytest.approx(-1.0861612696304874)
-
-
-def test_r_equals_s_for_classical_quartic():
-    sv = SpectrumVector.from_frequencies([0.0] * 4)
-    assert r_value(sv, -1.0) == pytest.approx(16.0)
-    assert s_value(sv, -1.0) == pytest.approx(16.0)
-
-
-@given(
-    freqs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
-    lam_re=st.floats(-2.0, 2.0),
-    lam_im=st.floats(-2.0, 2.0),
-)
-def test_s_equals_r_for_symmetric(freqs, lam_re, lam_im):
-    sv = SpectrumVector.from_frequencies(freqs).symmetrized()
-    lam = complex(lam_re, lam_im)
-    r = r_value(sv, lam)
-    s = s_value(sv, lam)
-    assert abs(r - s) <= 1e-9 * max(1.0, abs(r))
+                assert len(poly) - 1 == 2 * p == sv.order
+                for lam, mult in sv.entries:
+                    derivs = [np.polyder(poly, m) for m in range(mult + 1)]
+                    scale = [np.polyval(np.abs(d), abs(lam)) for d in derivs]
+                    vals = [abs(np.polyval(d, lam)) for d in derivs]
+                    assert all(v <= 1e-12 * c for v, c in zip(vals[:mult], scale))
+                    assert vals[mult] > 1e-6 * scale[mult]

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import eval_legendre, sph_harm_y
 
 from polyshannon.shannon1d import SamplingGrid, synthesize_kernel
-from polyshannon.spectrum import radial_operator_poly, radial_spectrum
+from polyshannon.spectrum import radial_spectrum
 from polyshannon.spherical import (
     DEGREE_CAP,
     BoundaryTailWarning,
@@ -215,14 +215,6 @@ def test_confluent_radial_kernel():
     for j in range(-3, 4):
         want = 1.0 if j == 0 else 0.0
         assert abs(tab(float(j)) - want) < 1e-11
-
-
-def test_radial_operator_annihilates_channel_exponentials():
-    for k, n, p in ((0, 3, 1), (4, 3, 2), (2, 2, 2), (7, 4, 1)):
-        poly = radial_operator_poly(k, p, n)
-        scale = np.sum(np.abs(poly.coeffs))
-        for lam, _ in radial_spectrum(k, n, p).entries:
-            assert abs(poly(lam)) < 1e-8 * scale * max(1.0, abs(lam)) ** poly.degree
 
 
 def test_decay_rows_match_plain_kernels():

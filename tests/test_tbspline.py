@@ -33,7 +33,6 @@ from polyshannon.tbspline import (
     euler_frobenius,
     euler_spline,
     euler_spline_resolvent,
-    green_power_sum,
     tb_chebyshev,
     tb_exact,
     tb_fourier,
@@ -94,10 +93,15 @@ def test_first_order_closed_form():
     assert tb_exact(sv, -0.01) == 0.0
 
 
-def test_green_power_sum_frozen():
-    assert green_power_sum(SV([0.0]), 0.0, -1.0) == pytest.approx(0.5, abs=1e-14)
-    assert green_power_sum(SV([-1.0, 1.0]), 0.0, -1.0) == pytest.approx(
-        -0.2310585786300049, abs=1e-12
+def test_resolvent_frozen_values():
+    # Phi(0; -1) = B(-1) sum_{j>=0} (-1)^j g(j), B(-1) = prod_j (1 + e^{-lambda_j});
+    # the frozen sums are 1/2 and -0.2310585786300049
+    assert euler_spline_resolvent(SV([0.0]), 0.0, -1.0) == pytest.approx(
+        0.5 * 2.0, abs=1e-14
+    )
+    b = (1.0 + math.e) * (1.0 + 1.0 / math.e)
+    assert euler_spline_resolvent(SV([-1.0, 1.0]), 0.0, -1.0) == pytest.approx(
+        -0.2310585786300049 * b, abs=1e-12
     )
 
 
