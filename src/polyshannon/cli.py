@@ -126,8 +126,8 @@ class ExperimentConfig:
             raise ConfigError("spectral parameters out of range")
         if self.tol < 0.0:
             raise ConfigError("tol must be nonnegative")
-        if not 0 <= self.k_min <= self.k_max <= 32:
-            raise ConfigError("decay sweep requires 0 <= k_min <= k_max <= 32")
+        if not 0 <= self.k_min <= self.k_max <= DEGREE_CAP:
+            raise ConfigError(f"decay sweep requires 0 <= k_min <= k_max <= {DEGREE_CAP}")
 
     @property
     def grid(self) -> SamplingGrid:
@@ -754,6 +754,7 @@ _INPUT_NUMERICAL_ERRORS = (
     EFAccuracyError,
     EFStructureError,
     NarrowGridError,
+    NotSamplableError,
 )
 
 _COMMANDS = {
@@ -795,9 +796,6 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         return _COMMANDS[args.command](cfg, out)
-    except NotSamplableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except _INPUT_NUMERICAL_ERRORS as exc:
         # one line even when the message carries an array repr
         print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}",

@@ -76,7 +76,7 @@ class NotSamplableError(ValueError):
 
 
 class NarrowGridError(ValueError):
-    """The grid's half_width does not cover the generator support."""
+    """A grid or sample range that does not cover the generator support."""
 
 
 @dataclass(frozen=True)

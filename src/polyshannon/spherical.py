@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import eval_legendre
@@ -44,6 +44,7 @@ from scipy.special import eval_legendre
 from .shannon1d import (
     BoundaryTailWarning,
     KernelTable,
+    NarrowGridError,
     SamplingGrid,
     cardinal_series,
     check_cardinal_data,
@@ -66,7 +67,6 @@ __all__ = [
     "analyze_sphere",
     "decay_check",
     "mode_count",
-    "mode_degree",
     "radial_kernel",
     "random_polyspline_field",
     "reconstruct_spherical",
@@ -97,12 +97,6 @@ def sph_index(k: int, ell: int) -> int:
 
 def mode_count(degree_max: int) -> int:
     return (degree_max + 1) ** 2
-
-
-def mode_degree(index: int) -> tuple[int, int]:
-    """Inverse of :func:`sph_index`: flat index -> (degree, order)."""
-    k = math.isqrt(index)
-    return k, index - k * k + 1
 
 
 def _degree_blocks(rows: np.ndarray):
@@ -367,10 +361,6 @@ class ShannonPolysplineKernel:
     smoothness: int
     tables: tuple[KernelTable, ...]
 
-    @property
-    def degree_max(self) -> int:
-        return len(self.tables) - 1
-
     @classmethod
     def build(cls, degree_max: int, n: int = 3, p: int = 1) -> "ShannonPolysplineKernel":
         """The kernel from the default-grid :func:`radial_kernel` tables."""
@@ -444,7 +434,6 @@ class SyntheticPolyspline:
             degree_max=self.degree_max,
             j_min=j_min,
             samples=samples,
-            generator=self,
         )
 
 
@@ -462,26 +451,23 @@ def random_polyspline_field(
     degree_max: int = 8,
     j_min: int = -6,
     j_max: int = 6,
-    active=None,
 ) -> SyntheticPolyspline:
     """Random generator whose sphere samples vanish outside [j_min, j_max].
 
     Coefficients occupy i in [j_min, j_max - 2p], so every channel profile is
     supported inside (j_min, j_max): the finite sphere set then carries the
     *complete* cardinal data of the field and reconstruction errors measure
-    the kernels alone.  ``active`` optionally restricts the populated flat
-    mode indices (all modes by default).
+    the kernels alone.  Raises :class:`NarrowGridError` when the range is
+    shorter than the spline order 2p.
     """
     _check_dimension(n)
     order = 2 * p
     if j_max - order < j_min:
-        raise ValueError("j-range too narrow for the spline order")
-    n_modes = mode_count(degree_max)
+        raise NarrowGridError(
+            f"sample range {j_min}..{j_max} is shorter than the spline order {order}"
+        )
     n_i = j_max - order - j_min + 1
-    coeffs = np.zeros((n_modes, n_i))
-    chosen = range(n_modes) if active is None else active
-    for idx in chosen:
-        coeffs[idx] = rng.uniform(-1.0, 1.0, size=n_i)
+    coeffs = rng.uniform(-1.0, 1.0, size=(mode_count(degree_max), n_i))
     return SyntheticPolyspline(
         dimension=n, smoothness=p, degree_max=degree_max, i_min=j_min,
         coeffs=coeffs,
@@ -497,7 +483,7 @@ class PolysplineField:
     """Mode samples f_{k,ell}(e^j) on consecutive spheres j = j_min, ...
 
     ``samples`` has one row per sphere and one column per flat harmonic
-    index.  A synthetic field may carry its generator (not serialized).
+    index.
     """
 
     dimension: int
@@ -505,7 +491,6 @@ class PolysplineField:
     degree_max: int
     j_min: int
     samples: np.ndarray
-    generator: SyntheticPolyspline | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         _check_dimension(self.dimension)

@@ -22,15 +22,15 @@ the reconstruction (:func:`~polyshannon.shannon1d.spline_series`, or
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .shannon1d import (
     KernelTable,
+    NarrowGridError,
     cardinal_series,
     check_cardinal_data,
     spline_series,
@@ -57,17 +57,21 @@ def torus_modes(dimension: int, cutoff: int) -> tuple[tuple[int, ...], ...]:
     """All kappa in Z^dimension with |kappa| <= cutoff, in canonical order.
 
     Sorted by (|kappa|^2, lexicographic): deterministic, starts at 0, closed
-    under negation.
+    under negation.  Built axis by axis, each prefix extended only by the
+    coordinates its remaining radius allows, so the work follows the ball,
+    not the cube [-cutoff, cutoff]^dimension.
     """
     if dimension < 1:
         raise ValueError("torus dimension must be positive")
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    modes = [
-        kappa
-        for kappa in itertools.product(range(-cutoff, cutoff + 1), repeat=dimension)
-        if sum(c * c for c in kappa) <= cutoff * cutoff
-    ]
+    modes = [()]
+    for _ in range(dimension):
+        grown = []
+        for prefix in modes:
+            reach = math.isqrt(cutoff * cutoff - sum(c * c for c in prefix))
+            grown.extend(prefix + (c,) for c in range(-reach, reach + 1))
+        modes = grown
     modes.sort(key=lambda kappa: (sum(c * c for c in kappa), kappa))
     return tuple(modes)
 
@@ -200,18 +204,19 @@ class StripField:
     j_min: int
     modes: tuple[tuple[int, ...], ...]
     samples: np.ndarray
-    generator: "SyntheticStripField | None" = field(default=None, compare=False)
 
     @property
     def j_max(self) -> int:
         return self.j_min + self.samples.shape[0] - 1
 
-    def is_conjugate_symmetric(self, tol: float = 1e-12) -> bool:
+    def is_conjugate_symmetric(self) -> bool:
+        """f_{-kappa} = conj(f_kappa) for every mode kappa, to 1e-12 of
+        max(1, max|samples|)."""
         lookup = {kappa: i for i, kappa in enumerate(self.modes)}
-        scale = max(1.0, float(np.max(np.abs(self.samples))))
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(self.samples))))
         for kappa, i in lookup.items():
             j = lookup[tuple(-c for c in kappa)]
-            if np.max(np.abs(self.samples[:, i] - np.conj(self.samples[:, j]))) > tol * scale:
+            if np.max(np.abs(self.samples[:, i] - np.conj(self.samples[:, j]))) > tol:
                 return False
         return True
 
@@ -285,7 +290,7 @@ class SyntheticStripField:
         return StripField(
             dimension=self.dimension, smoothness=self.smoothness,
             cutoff=self.cutoff, j_min=j_min, modes=self.modes,
-            samples=samples, generator=self,
+            samples=samples,
         )
 
     def plane_grid_values(self, j_min: int, j_max: int, grid_size: int) -> np.ndarray:
@@ -311,10 +316,14 @@ def random_strip_field(
 
     Coefficients occupy i in [j_min, j_max - 2p] so hyperplane traces vanish
     outside [j_min, j_max] and the finite plane set is complete cardinal data.
+    Raises :class:`NarrowGridError` when the range is shorter than the
+    spline order 2p.
     """
     order = 2 * p
     if j_max - order < j_min:
-        raise ValueError("j-range too narrow for the spline order")
+        raise NarrowGridError(
+            f"sample range {j_min}..{j_max} is shorter than the spline order {order}"
+        )
     modes = torus_modes(dimension, cutoff)
     n_i = j_max - order - j_min + 1
     coeffs = np.zeros((len(modes), n_i), dtype=complex)

@@ -39,6 +39,7 @@ from polyshannon import (
     tb_tabulate,
 )
 from polyshannon.cli import main
+from polyshannon.spherical import SyntheticPolyspline
 
 SEED = 20260822
 
@@ -259,10 +260,9 @@ def test_spherical_field_reconstruction():
 
     # a single active harmonic channel must not leak into any other channel
     idx0 = sph_index(3, 4)
-    lone = random_polyspline_field(
-        np.random.default_rng(5), n=3, p=2, degree_max=8, j_min=-6, j_max=6,
-        active=[idx0],
-    )
+    coeffs = np.zeros((81, 9))  # degree <= 8; i = -6..2
+    coeffs[idx0] = np.random.default_rng(5).uniform(-1.0, 1.0, size=9)
+    lone = SyntheticPolyspline(3, 2, 8, -6, coeffs)
     grid = SphereGrid(8)
     pts = grid.points().reshape(-1, 3)
     vals = reconstruct_spherical(

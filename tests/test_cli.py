@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from polyshannon import cli, ef_zeros, spherical, SpectrumVector
-from polyshannon.shannon1d import BoundaryTailWarning, SamplingGrid
+from polyshannon.shannon1d import BoundaryTailWarning, NotSamplableError, SamplingGrid
 from polyshannon.cli import (
     ConfigError,
     DEFAULT_SEED,
@@ -80,6 +80,35 @@ def test_threads_key_is_unknown(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("mode = bogus", "unknown mode 'bogus'"),
+    ("seed = 18446744073709551616", "unsigned 64-bit"),
+    ("queries = 0", "queries must be >= 1"),
+    ("csv_step = 0", "csv_step must be >= 1"),
+    ("j_min = 3\nj_max = 3", "j_max must exceed j_min"),
+    ("p = 0", "spectral parameters out of range"),
+    ("n = 1", "spectral parameters out of range"),
+    ("k = -1", "spectral parameters out of range"),
+    ("K = -1", "spectral parameters out of range"),
+    ("dim = 0", "spectral parameters out of range"),
+    ("tol = -1e-3", "tol must be nonnegative"),
+    ("tol = small", "tol must be a number"),
+    ("k_min = 5\nk_max = 4", "decay sweep requires"),
+    (f"k_max = {spherical.DEGREE_CAP + 1}",
+     f"k_max <= {spherical.DEGREE_CAP}"),
+    ("K 4", "expected 'key = value'"),
+    (None, "config file not found"),
+])
+def test_config_errors_exit_2_with_one_line(tmp_path, capsys, text, message):
+    cfg = tmp_path / "c.cfg"
+    if text is not None:
+        cfg.write_text(text + "\n")
+    assert main(["zeros", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_config_digest_tracks_every_field(tmp_path):
     base = ExperimentConfig()
     assert config_digest(base) != config_digest(replace(base, seed=1))
@@ -130,6 +159,17 @@ def test_overflowing_spectrum_exits_2_at_once(tmp_path, capsys, freqs):
     err = capsys.readouterr().err
     assert err.startswith("error: ConditioningError: ")
     assert "overflow float64" in err and err.count("\n") == 1
+
+
+def test_not_samplable_spectrum_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    def vanishing(sv, grid):
+        raise NotSamplableError(f"sampled symbol of {sv} vanishes\non the circle")
+
+    monkeypatch.setattr(cli, "synthesize_kernel", vanishing)
+    assert main(["kernel1d", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: NotSamplableError: sampled symbol of ")
+    assert err.count("\n") == 1
 
 
 # --- kernel1d -----------------------------------------------------------------
@@ -281,6 +321,16 @@ def test_half_width_below_the_order_exits_2(tmp_path, capsys, command):
     assert err.startswith("error: NarrowGridError:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["reconstruct-sphere", "reconstruct-strip"])
+def test_sample_range_below_the_order_exits_2(tmp_path, capsys, command):
+    # j_max - j_min = 4 planes or spheres apart, order 2p = 6
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("j_min = -2\nj_max = 2\np = 3\nqueries = 5\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: NarrowGridError:") and err.count("\n") == 1
+
+
 def test_reconstruct_sphere_rejects_n_other_than_3(tmp_path, capsys):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("n = 2\nK = 1\nqueries = 5\nk_min = 0\nk_max = 2\n")
@@ -329,6 +379,17 @@ def test_reconstruct_strip_small(tmp_path, capsys):
     header, row = (out / "recon-strip.csv").read_text().strip().splitlines()
     assert header == "K,j_range,max_err,rms_err,runtime"
     assert float(row.split(",")[2]) < 1e-5
+
+
+def test_reconstruct_strip_in_high_dimension(tmp_path, capsys):
+    # the 61 modes of the cutoff-1 ball in 30 transverse dimensions, found
+    # without walking the 3^30 cube
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("dim = 30\nK = 1\nqueries = 50\n")
+    out = tmp_path / "o"
+    assert main(["reconstruct-strip", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert len((out / "recon-strip-plot.dat").read_text().splitlines()) == 50
 
 
 def test_reconstruct_sphere_deterministic_but_for_runtime(tmp_path, capsys):

@@ -32,13 +32,6 @@ def test_kernel_gallery(tmp_path):
     assert f"wrote {out} ({len(cols)} rows)" in text
 
 
-def test_degree_sweep():
-    text = _run("degree_sweep.py", "--k-max", "4")
-    rows = [line.split() for line in text.splitlines()[1:6]]
-    assert [row[0] for row in rows] == ["0", "1", "2", "3", "4"]
-    assert "k*sup_fourier spread" in text
-
-
 def test_sphere_shells():
     text = _run("sphere_shells.py", "--degree-max", "2", "--queries", "50")
     assert "50 queries" in text

@@ -14,10 +14,10 @@ from polyshannon.spherical import (
     PolysplineField,
     ShannonPolysplineKernel,
     SphereGrid,
+    SyntheticPolyspline,
     analyze_sphere,
     decay_check,
     mode_count,
-    mode_degree,
     radial_kernel,
     random_polyspline_field,
     reconstruct_spherical,
@@ -37,6 +37,16 @@ from polyshannon.records import FormatError
 def _random_directions(rng, count):
     d = rng.normal(size=(count, 3))
     return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+def _channel_field(rng, p, degree_max, j_min, j_max, rows):
+    """A generator populated only in the flat harmonic ``rows``, each drawn
+    from ``rng`` in that order as :func:`random_polyspline_field` draws."""
+    n_i = j_max - 2 * p - j_min + 1
+    coeffs = np.zeros((mode_count(degree_max), n_i))
+    for idx in rows:
+        coeffs[idx] = rng.uniform(-1.0, 1.0, size=n_i)
+    return SyntheticPolyspline(3, p, degree_max, j_min, coeffs)
 
 
 # --------------------------------------------------------------------------
@@ -78,10 +88,11 @@ def test_degree_one_harmonics_near_the_poles():
     assert sph_harm_degree(0, np.zeros((4, 2, 3))).shape == (1, 4, 2)
 
 
-def test_mode_indexing_roundtrip():
-    for k in range(6):
-        for ell in range(1, 2 * k + 2):
-            assert mode_degree(sph_index(k, ell)) == (k, ell)
+def test_mode_indexing_is_one_to_one():
+    for degree_max in range(6):
+        flat = [sph_index(k, ell)
+                for k in range(degree_max + 1) for ell in range(1, 2 * k + 2)]
+        assert sorted(flat) == list(range(mode_count(degree_max)))
     assert mode_count(8) == 81
     with pytest.raises(ValueError):
         sph_index(2, 6)
@@ -94,9 +105,9 @@ def test_quadrature_orthonormality():
     n_modes = mode_count(8)
     flat = pts.reshape(-1, 3)
     ys = np.empty((n_modes, flat.shape[0]))
-    for idx in range(n_modes):
-        k, ell = mode_degree(idx)
-        ys[idx] = sph_harm(k, ell, flat)
+    for k in range(9):
+        for ell in range(1, 2 * k + 2):
+            ys[sph_index(k, ell)] = sph_harm(k, ell, flat)
     gram = (ys * w.reshape(1, -1)) @ ys.T
     assert np.max(np.abs(gram - np.eye(n_modes))) < 1e-10
 
@@ -244,13 +255,9 @@ def test_decay_check_rejects_beyond_cap():
 
 def test_single_mode_field_reduces_to_1d():
     # radial profile = one basis spline, constant-direction channel
-    rng = np.random.default_rng(0)
-    gen = random_polyspline_field(rng, n=3, p=1, degree_max=2, j_min=-4,
-                                  j_max=4, active=[])
-    coeffs = gen.coeffs.copy()
+    coeffs = np.zeros((mode_count(2), 7))  # i = -4..2
     coeffs[sph_index(0, 1), 2] = 1.0  # profile Q(v - i), one-hot
-    gen = type(gen)(gen.dimension, gen.smoothness, gen.degree_max, gen.i_min,
-                    coeffs)
+    gen = SyntheticPolyspline(3, 1, 2, -4, coeffs)
     fld = gen.sphere_field(-4, 4)
     rng2 = np.random.default_rng(5)
     r = np.exp(rng2.uniform(-1.5, 1.5, size=40))
@@ -270,8 +277,7 @@ def test_zero_field_reconstructs_to_zero():
 def test_mode_decoupling_leakage():
     rng = np.random.default_rng(23)
     active = [sph_index(2, 3)]
-    gen = random_polyspline_field(rng, n=3, p=1, degree_max=4, j_min=-5,
-                                  j_max=5, active=active)
+    gen = _channel_field(rng, p=1, degree_max=4, j_min=-5, j_max=5, rows=active)
     fld = gen.sphere_field(-5, 5)
     grid = SphereGrid(4)
     pts = grid.points().reshape(-1, 3)
@@ -394,8 +400,8 @@ def test_non_finite_samples_are_rejected():
 
 def test_kernel_source_selects_the_tables():
     rng = np.random.default_rng(29)
-    gen = random_polyspline_field(rng, n=3, p=1, degree_max=3, j_min=-5,
-                                  j_max=5, active=[0, 1, 2, 3, 9, 11])
+    gen = _channel_field(rng, p=1, degree_max=3, j_min=-5, j_max=5,
+                         rows=[0, 1, 2, 3, 9, 11])
     fld = gen.sphere_field(-5, 5)
     r = np.exp(rng.uniform(-1.0, 1.0, size=60))
     d = _random_directions(rng, 60)

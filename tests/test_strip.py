@@ -1,5 +1,6 @@
 """Torus modes, strip kernels, hyperplane analysis, strip reconstruction."""
 
+import itertools
 import math
 
 import numpy as np
@@ -35,6 +36,21 @@ def test_torus_mode_set_structure():
         if a * a + b * b <= 16
     )
     assert len(modes) == brute
+
+
+def test_torus_modes_match_the_filtered_cube():
+    # the ball built axis by axis equals the cube filter, tuple for tuple
+    for dim in range(1, 5):
+        for cutoff in range(7):
+            cube = [
+                kappa
+                for kappa in itertools.product(range(-cutoff, cutoff + 1), repeat=dim)
+                if sum(c * c for c in kappa) <= cutoff * cutoff
+            ]
+            cube.sort(key=lambda kappa: (sum(c * c for c in kappa), kappa))
+            assert torus_modes(dim, cutoff) == tuple(cube), (dim, cutoff)
+    # a high-dimensional ball stays small: 2 dim + 1 modes at cutoff 1
+    assert len(torus_modes(30, 1)) == 61
 
 
 def test_torus_modes_validation():
