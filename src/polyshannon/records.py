@@ -3,8 +3,11 @@
 A record is a 4-byte magic, a u16 version (1), the rest of a fixed
 little-endian header, then a body whose size the header determines.  Kernel
 tables ("PSKT"), sphere fields ("PSPF") and strip fields ("PSSF") are such
-records.  Loaders raise :class:`FormatError` on any malformed file, header
-values the object rejects included; a write replaces its target atomically.
+records.  A loader checks only the bytes (the header, the body size) and
+then builds its object through :func:`checked`, so the constructor's checks
+are the loader's: it raises :class:`FormatError` on any malformed file, on
+values the object rejects included.  A write replaces its target
+atomically.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ from __future__ import annotations
 import os
 import struct
 from pathlib import Path
-
-import numpy as np
 
 VERSION = 1
 
@@ -39,6 +40,12 @@ def read_record(path, magic: bytes, head: str) -> tuple[list, bytes]:
     return fields, raw[head_size:]
 
 
+def check_size(path, body: bytes, size: int) -> None:
+    """FormatError unless ``body`` holds the ``size`` bytes its header implies."""
+    if len(body) != size:
+        raise FormatError(f"{path}: {len(body)} body bytes, the header says {size}")
+
+
 def write_record(path, magic: bytes, head: str, fields, body: bytes) -> None:
     """Write the record ``magic``, version, ``fields`` (the rest of ``head``)
     and ``body`` to ``path``: into a temporary sibling, then renamed over
@@ -51,13 +58,6 @@ def write_record(path, magic: bytes, head: str, fields, body: bytes) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-
-
-def finite_values(values: np.ndarray, path) -> np.ndarray:
-    """``values``, or FormatError if a loaded value is NaN or infinite."""
-    if not np.all(np.isfinite(values)):
-        raise FormatError(f"{path} holds NaN or infinite values")
-    return values
 
 
 def checked(path, build, *args):

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import FormatError, checked, finite_values, read_record, write_record
+from .records import FormatError, check_size, checked, read_record, write_record
 from .spectrum import SpectrumVector
 from .tables import interp6
 from .tbspline import check_queries, tb_chebyshev, tb_fourier, tb_integer_values
@@ -59,6 +59,7 @@ __all__ = [
     "autocorrelation",
     "cardinal_series",
     "check_cardinal_data",
+    "check_samples",
     "dual_fourier",
     "gram_symbol",
     "kernel_fourier",
@@ -177,8 +178,10 @@ class KernelTable:
     """A synthesized kernel on the uniform grid t_min + l/per_unit.
 
     ``kind`` is "interp" (cardinal Shannon-type kernel) or "dual" (the
-    biorthogonal generator).  Evaluation interpolates with a 6-point stencil
-    confined between the integer knots; grid nodes reproduce stored values
+    biorthogonal generator); ValueError for another kind, a grid
+    :class:`SamplingGrid` rejects, or other than 2 (-t_min) per_unit + 1
+    finite values.  Evaluation interpolates with a 6-point stencil confined
+    between the integer knots; grid nodes reproduce stored values
     bit-exactly, queries beyond the table return 0, and a NaN or infinite
     query raises ValueError.
     """
@@ -188,6 +191,16 @@ class KernelTable:
     per_unit: int
     t_min: int
     values: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.kind not in _KERNEL_KINDS:
+            raise ValueError(f"unknown kernel kind {self.kind!r}")
+        SamplingGrid(self.per_unit, -self.t_min)
+        nodes = 2 * -self.t_min * self.per_unit + 1
+        if np.shape(self.values) != (nodes,):
+            raise ValueError(f"{nodes} grid nodes, values {np.shape(self.values)}")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("table values contain NaN or infinite values")
 
     def __call__(self, t):
         check_queries(t)
@@ -219,41 +232,24 @@ class KernelTable:
         """Read a table written by :meth:`save`.
 
         Raises :class:`~polyshannon.records.FormatError` on any malformed
-        file: short header, wrong magic or version, unknown kind, a grid or
-        spectrum its class rejects, a value count other than the grid's
-        2 (-t_min) per_unit + 1 nodes, a length that disagrees with the
-        header, or a NaN or infinite value.
+        file: short header, wrong magic or version, unknown kind, a length
+        that disagrees with the header, or a spectrum or table its class
+        rejects.
         """
         (kind_idx, _, n_entries, _, per_unit, t_min, n_values), body = read_record(
             path, _MAGIC, _HEAD
         )
         if kind_idx >= len(_KERNEL_KINDS):
             raise FormatError(f"kernel table {path} has unknown kind {kind_idx}")
-        checked(path, SamplingGrid, per_unit, -t_min)
-        if n_values != 2 * -t_min * per_unit + 1:
-            raise FormatError(
-                f"kernel table {path} holds {n_values} values, its grid "
-                f"(per_unit {per_unit}, t_min {t_min}) has "
-                f"{2 * -t_min * per_unit + 1} nodes"
-            )
-        size = 16 * n_entries + 8 * n_values
-        if len(body) != size:
-            raise FormatError(
-                f"kernel table {path} holds {len(body)} body bytes, "
-                f"its header says {size}"
-            )
+        check_size(path, body, 16 * n_entries + 8 * n_values)
         entries = [
             struct.unpack_from("<dII", body, 16 * i)[:2] for i in range(n_entries)
         ]
         values = np.frombuffer(body, dtype="<f8", offset=16 * n_entries).copy()
         values.flags.writeable = False
-        return cls(
-            spectrum=checked(path, SpectrumVector, tuple(entries)),
-            kind=_KERNEL_KINDS[kind_idx],
-            per_unit=per_unit,
-            t_min=t_min,
-            values=finite_values(values, path),
-        )
+        spectrum = checked(path, SpectrumVector, tuple(entries))
+        kind = _KERNEL_KINDS[kind_idx]
+        return checked(path, cls, spectrum, kind, per_unit, t_min, values)
 
 
 def _lattice_inverse(spectrum: SpectrumVector, kind: str, reach: int) -> np.ndarray:
@@ -331,14 +327,21 @@ class BoundaryTailWarning(UserWarning):
     """Query too close to the edge of the sampled range; kernel tails truncated."""
 
 
-def check_cardinal_data(samples, j_min: int, t) -> None:
-    """Guard a cardinal series over sample rows j = j_min, j_min+1, ...: raise
-    ValueError on a NaN or infinite sample or query coordinate ``t``, and warn
-    (:class:`BoundaryTailWarning`) when a query lies within two units of the
-    first or last sample."""
-    samples = np.asarray(samples)
+def check_samples(samples) -> None:
+    """ValueError unless ``samples`` is a 2-D array of finite values."""
+    if np.ndim(samples) != 2:
+        raise ValueError(f"samples must be 2-D, got shape {np.shape(samples)}")
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples contain NaN or infinite values")
+
+
+def check_cardinal_data(samples, j_min: int, t) -> None:
+    """Guard a cardinal series over sample rows j = j_min, j_min+1, ...: raise
+    ValueError as :func:`check_samples` and on a NaN or infinite ``t``, and
+    warn (:class:`BoundaryTailWarning`) when a query lies within two units
+    of the first or last sample."""
+    samples = np.asarray(samples)
+    check_samples(samples)
     check_queries(t)
     lo, hi = j_min + 2, j_min + samples.shape[0] - 3
     if np.any(t < lo) or np.any(t > hi):

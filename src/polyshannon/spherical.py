@@ -24,8 +24,8 @@ on kernel tables (:func:`~polyshannon.shannon1d.cardinal_series`).  This
 module supplies the sphere quadrature (Gauss-Legendre colatitudes x uniform
 longitudes), the real harmonics, the per-degree kernels, the truncated zonal
 kernel, the mode-wise and quadrature-form reconstructions, and the field
-container :class:`PolysplineField`, stored as one binary ``PSPF`` record
-(:mod:`polyshannon.records`).
+container :class:`PolysplineField` (its degree K read from its (K+1)^2
+channels), stored as one binary ``PSPF`` record (:mod:`polyshannon.records`).
 
 Only n = 3 harmonics are implemented, so sphere fields require n = 3; the
 radial kernels accept any n >= 2 (confluent spectra included).
@@ -48,12 +48,13 @@ from .shannon1d import (
     SamplingGrid,
     cardinal_series,
     check_cardinal_data,
+    check_samples,
     sampled_symbol,
     spline_series,
     synthesize_kernel,
     tb_superposition,
 )
-from .records import FormatError, checked, finite_values, read_record, write_record
+from .records import check_size, checked, read_record, write_record
 from .spectrum import SpectrumVector, radial_spectrum
 from .tbspline import check_queries, tb_fourier
 
@@ -99,6 +100,14 @@ def mode_count(degree_max: int) -> int:
     return (degree_max + 1) ** 2
 
 
+def _degree_max(channels: int) -> int:
+    """K of (K+1)^2 harmonic channels; ValueError for any other count."""
+    root = math.isqrt(channels)
+    if channels < 1 or root * root != channels:
+        raise ValueError(f"{channels} channels are not (K+1)^2 for any degree K")
+    return root - 1
+
+
 def _degree_blocks(rows: np.ndarray):
     """(k, rows[k^2 : (k+1)^2]) for every degree k whose rows are not all zero."""
     for k in range(math.isqrt(len(rows)) + 1):
@@ -122,8 +131,11 @@ def _harmonic_stream(directions, degree_max: int):
     three-term recurrence in k.  Only the two latest degrees are kept, so
     P directions take O(K P) memory and O(K^2 P) work.  P_k is the stream's
     working state, overwritten two steps later: use it before advancing.
+    Raises ValueError unless the directions have 3 coordinates.
     """
     d = np.asarray(directions, dtype=float)
+    if d.shape[-1:] != (3,):
+        raise ValueError(f"sphere directions need 3 coordinates, not {d.shape}")
     theta = np.arctan2(np.hypot(d[..., 0], d[..., 1]), d[..., 2])
     phi = np.arctan2(d[..., 1], d[..., 0])
     cos_theta, sin_theta = np.cos(theta), np.sin(theta)
@@ -179,11 +191,10 @@ def _resum(rows: np.ndarray, directions, profiles) -> np.ndarray:
     out = np.zeros(len(directions))
     live = dict(_degree_blocks(rows))
     stream = _harmonic_stream(directions, max(live, default=0))
-    for k, block in live.items():
-        weights = profiles(k, block)
-        for degree, (legendre, cos_m, sin_m) in stream:  # advance to degree k
-            if degree == k:
-                break
+    for k, (legendre, cos_m, sin_m) in stream:
+        if k not in live:
+            continue
+        weights = profiles(k, live[k])
         out += legendre[0] * weights[k]
         for m in range(1, k + 1):
             term = cos_m[m - 1] * weights[k + m]
@@ -355,17 +366,15 @@ def decay_check(
 
 @dataclass(frozen=True)
 class ShannonPolysplineKernel:
-    """Degree-truncated zonal reconstruction kernel sum_k S_0^(k)(log r) Z_k."""
+    """Degree-truncated zonal reconstruction kernel sum_k S_0^(k)(log r) Z_k,
+    one radial table per degree k."""
 
-    dimension: int
-    smoothness: int
     tables: tuple[KernelTable, ...]
 
     @classmethod
     def build(cls, degree_max: int, n: int = 3, p: int = 1) -> "ShannonPolysplineKernel":
         """The kernel from the default-grid :func:`radial_kernel` tables."""
-        tabs = tuple(radial_kernel(k, n, p) for k in range(degree_max + 1))
-        return cls(dimension=n, smoothness=p, tables=tabs)
+        return cls(tuple(radial_kernel(k, n, p) for k in range(degree_max + 1)))
 
     def eval(self, r, cos_gamma):
         """Kernel value at radius ratio r and angular separation cos(gamma);
@@ -395,14 +404,21 @@ class SyntheticPolyspline:
 
     Channel (k, ell) has log-radius profile sum_i c_i Q_{Lambda_k}(v - i)
     with i starting at ``i_min``; this is the ground-truth generator used to
-    manufacture sphere data and to score reconstructions.
+    manufacture sphere data and to score reconstructions.  ``coeffs`` has
+    one row per channel of the degrees k <= K.
     """
 
     dimension: int
     smoothness: int
-    degree_max: int
     i_min: int
     coeffs: np.ndarray  # (mode_count, n_i)
+
+    def __post_init__(self) -> None:
+        _degree_max(len(self.coeffs))
+
+    @property
+    def degree_max(self) -> int:
+        return _degree_max(len(self.coeffs))
 
     def spectrum(self, k: int) -> SpectrumVector:
         return radial_spectrum(k, self.dimension, self.smoothness)
@@ -428,13 +444,7 @@ class SyntheticPolyspline:
             samples[:, k * k : (k + 1) ** 2] = tb_superposition(
                 self.spectrum(k), self.i_min, block, js
             ).T
-        return PolysplineField(
-            dimension=self.dimension,
-            smoothness=self.smoothness,
-            degree_max=self.degree_max,
-            j_min=j_min,
-            samples=samples,
-        )
+        return PolysplineField(self.dimension, self.smoothness, j_min, samples)
 
 
 def _check_dimension(n: int) -> None:
@@ -468,10 +478,7 @@ def random_polyspline_field(
         )
     n_i = j_max - order - j_min + 1
     coeffs = rng.uniform(-1.0, 1.0, size=(mode_count(degree_max), n_i))
-    return SyntheticPolyspline(
-        dimension=n, smoothness=p, degree_max=degree_max, i_min=j_min,
-        coeffs=coeffs,
-    )
+    return SyntheticPolyspline(dimension=n, smoothness=p, i_min=j_min, coeffs=coeffs)
 
 
 _FIELD_MAGIC = b"PSPF"
@@ -483,17 +490,22 @@ class PolysplineField:
     """Mode samples f_{k,ell}(e^j) on consecutive spheres j = j_min, ...
 
     ``samples`` has one row per sphere and one column per flat harmonic
-    index.
+    index of the degrees k <= K, all finite; ValueError otherwise.
     """
 
     dimension: int
     smoothness: int
-    degree_max: int
     j_min: int
     samples: np.ndarray
 
     def __post_init__(self) -> None:
         _check_dimension(self.dimension)
+        check_samples(self.samples)
+        _degree_max(self.samples.shape[1])
+
+    @property
+    def degree_max(self) -> int:
+        return _degree_max(self.samples.shape[1])
 
     @property
     def j_max(self) -> int:
@@ -512,20 +524,15 @@ class PolysplineField:
 
     @classmethod
     def load(cls, path) -> "PolysplineField":
-        """Read :meth:`save` output; FormatError on any malformed file."""
+        """Read :meth:`save` output; FormatError on any malformed file, a
+        field the constructor rejects included."""
         (_, n, p, degree_max, j_min, n_spheres), data = read_record(
             path, _FIELD_MAGIC, _FIELD_HEAD
         )
         shape = (n_spheres, mode_count(degree_max))
-        if len(data) != 8 * shape[0] * shape[1]:
-            raise FormatError(
-                f"field file {path} holds {len(data)} data bytes, "
-                f"its header says {8 * shape[0] * shape[1]}"
-            )
+        check_size(path, data, 8 * shape[0] * shape[1])
         samples = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
-        return checked(
-            path, cls, n, p, degree_max, j_min, finite_values(samples, path)
-        )
+        return checked(path, cls, n, p, j_min, samples)
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,8 @@ e^{i y.kappa} (products of per-axis powers of e^{i y_a}) of its modes, for
 the reconstruction (:func:`~polyshannon.shannon1d.spline_series`, or
 :func:`~polyshannon.shannon1d.cardinal_series` on kernel tables when a
 ``kernel`` is given) and the synthetic generator (its TB translates) alike.
-:class:`StripField` is stored as one binary ``PSSF`` record (:mod:`polyshannon.records`).
+:class:`StripField` (one column per mode of ``torus_modes(dimension, cutoff)``)
+is stored as one binary ``PSSF`` record (:mod:`polyshannon.records`).
 """
 
 from __future__ import annotations
@@ -33,11 +34,12 @@ from .shannon1d import (
     NarrowGridError,
     cardinal_series,
     check_cardinal_data,
+    check_samples,
     spline_series,
     synthesize_kernel,
     tb_superposition,
 )
-from .records import FormatError, finite_values, read_record, write_record
+from .records import FormatError, check_size, checked, read_record, write_record
 from .spectrum import SpectrumVector, strip_spectrum
 from .tbspline import check_queries
 
@@ -53,13 +55,15 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
 def torus_modes(dimension: int, cutoff: int) -> tuple[tuple[int, ...], ...]:
     """All kappa in Z^dimension with |kappa| <= cutoff, in canonical order.
 
     Sorted by (|kappa|^2, lexicographic): deterministic, starts at 0, closed
     under negation.  Built axis by axis, each prefix extended only by the
     coordinates its remaining radius allows, so the work follows the ball,
-    not the cube [-cutoff, cutoff]^dimension.
+    not the cube [-cutoff, cutoff]^dimension; built once per (dimension,
+    cutoff).
     """
     if dimension < 1:
         raise ValueError("torus dimension must be positive")
@@ -77,15 +81,19 @@ def torus_modes(dimension: int, cutoff: int) -> tuple[tuple[int, ...], ...]:
 
 
 class _TorusPhases:
-    """e^{i y.kappa} at fixed torus points y, for modes with |kappa_a| <= cutoff.
+    """e^{i y.kappa} at fixed torus points y (rows of ``ys``), for modes with
+    |kappa_a| <= cutoff.
 
     The per-axis powers (e^{i y_a})^j, j = 0..cutoff, come by repeated
     multiplication and their conjugates stand in for negative j, so a mode
     costs products of table rows where a direct evaluation costs one complex
-    exponential per point.
+    exponential per point.  ValueError unless each point has ``dimension``
+    coordinates.
     """
 
-    def __init__(self, ys: np.ndarray, cutoff: int) -> None:
+    def __init__(self, ys: np.ndarray, dimension: int, cutoff: int) -> None:
+        if ys.shape[1:] != (dimension,):
+            raise ValueError(f"torus points need {dimension} coordinates: {ys.shape}")
         base = np.exp(1j * ys.T)  # (dimension, points)
         powers = np.empty((cutoff + 1,) + base.shape, dtype=complex)
         powers[0] = 1.0
@@ -98,12 +106,9 @@ class _TorusPhases:
         return row if j >= 0 else row.conj()
 
     def __call__(self, modes) -> np.ndarray:
-        """(len(modes), points) phases; ValueError for a mode beyond the cutoff."""
-        cutoff = len(self.powers) - 1
+        """(len(modes), points) phases."""
         out = np.empty((len(modes), self.powers.shape[-1]), dtype=complex)
         for row, kappa in zip(out, modes):
-            if max(map(abs, kappa)) > cutoff:
-                raise ValueError(f"mode {kappa} lies beyond the cutoff {cutoff}")
             row[:] = self._axis(0, kappa[0])
             for axis, j in enumerate(kappa[1:], start=1):
                 row *= self._axis(axis, j)
@@ -119,12 +124,12 @@ def _mode_groups(modes, rows: np.ndarray) -> dict[int, list[int]]:
     return groups
 
 
-def _resum(modes, rows: np.ndarray, ys: np.ndarray, cutoff: int, profiles) -> np.ndarray:
-    """sum_kappa w_kappa e^{i y.kappa} (complex) over the :func:`_mode_groups`,
-    w = profiles(|kappa|^2, the group's rows), one row per mode; the twin of
-    :func:`polyshannon.spherical._resum`.  ValueError for a live mode beyond
-    ``cutoff``."""
-    phases = _TorusPhases(ys, cutoff)
+def _resum(fld, rows: np.ndarray, ys: np.ndarray, profiles) -> np.ndarray:
+    """sum_kappa w_kappa e^{i y.kappa} (complex) over the :func:`_mode_groups`
+    of ``fld.modes``, w = profiles(|kappa|^2, the group's rows), one row per
+    mode; the twin of :func:`polyshannon.spherical._resum`."""
+    modes = fld.modes
+    phases = _TorusPhases(ys, fld.dimension, fld.cutoff)
     acc = np.zeros(len(ys), dtype=complex)
     for ksq, idx in _mode_groups(modes, rows).items():
         acc += np.einsum(
@@ -189,36 +194,41 @@ def _check_modes(modes, dimension: int, cutoff: int, path) -> None:
                     raise FormatError(f"field file {path}: mode {nb} is missing")
 
 
+class _OnTorusModes:
+    """Arrays over the modes ``torus_modes(dimension, cutoff)``."""
+
+    @property
+    def modes(self) -> tuple[tuple[int, ...], ...]:
+        return torus_modes(self.dimension, self.cutoff)
+
+    def _check_mode_count(self, count: int) -> None:
+        if count != len(self.modes):
+            raise ValueError(f"{count} entries for the {len(self.modes)} modes of "
+                             f"torus_modes({self.dimension}, {self.cutoff})")
+
+
 @dataclass(frozen=True)
-class StripField:
+class StripField(_OnTorusModes):
     """Per-mode samples f_kappa(j) on hyperplanes t = j_min, j_min+1, ...
 
-    ``modes`` lists the kappa multi-indices (canonical torus_modes order);
-    ``samples`` is complex with one row per hyperplane, one column per mode.
-    Real-valued fields satisfy f_{-kappa} = conj(f_kappa).
+    ``samples`` is complex with one row per hyperplane and one column per
+    mode of :attr:`modes`, all finite; ValueError otherwise.  Real-valued
+    fields satisfy f_{-kappa} = conj(f_kappa).
     """
 
     dimension: int  # n - 1
     smoothness: int
     cutoff: int
     j_min: int
-    modes: tuple[tuple[int, ...], ...]
     samples: np.ndarray
+
+    def __post_init__(self) -> None:
+        check_samples(self.samples)
+        self._check_mode_count(self.samples.shape[1])
 
     @property
     def j_max(self) -> int:
         return self.j_min + self.samples.shape[0] - 1
-
-    def is_conjugate_symmetric(self) -> bool:
-        """f_{-kappa} = conj(f_kappa) for every mode kappa, to 1e-12 of
-        max(1, max|samples|)."""
-        lookup = {kappa: i for i, kappa in enumerate(self.modes)}
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(self.samples))))
-        for kappa, i in lookup.items():
-            j = lookup[tuple(-c for c in kappa)]
-            if np.max(np.abs(self.samples[:, i] - np.conj(self.samples[:, j]))) > tol:
-                return False
-        return True
 
     def save(self, path) -> None:
         """Write the field to ``path``: magic "PSSF", u16 version=1, u16 pad,
@@ -234,38 +244,34 @@ class StripField:
 
     @classmethod
     def load(cls, path) -> "StripField":
-        """Read :meth:`save` output; FormatError on any malformed file,
-        a mode list other than :func:`torus_modes` included."""
+        """Read :meth:`save` output; FormatError on any malformed file, a
+        mode list other than :func:`torus_modes` and a field the constructor
+        rejects included."""
         (_, dim, p, cutoff, j_min, n_planes, n_modes), data = read_record(
             path, _STRIP_MAGIC, _STRIP_HEAD
         )
-        size = 4 * n_modes * dim + 16 * n_planes * n_modes
-        if len(data) != size:
-            raise FormatError(
-                f"field file {path} holds {len(data)} body bytes, "
-                f"its header says {size}"
-            )
+        check_size(path, data, 4 * n_modes * dim + 16 * n_planes * n_modes)
         off = 4 * n_modes * dim
         kap = np.frombuffer(data[:off], dtype="<i4").reshape(n_modes, dim)
         modes = tuple(tuple(int(c) for c in row) for row in kap)
         _check_modes(modes, dim, cutoff, path)
         samples = np.frombuffer(data[off:], dtype="<c16").reshape(n_planes, n_modes)
-        return cls(
-            dimension=dim, smoothness=p, cutoff=cutoff, j_min=j_min,
-            modes=modes, samples=finite_values(samples.copy(), path),
-        )
+        return checked(path, cls, dim, p, cutoff, j_min, samples.copy())
 
 
 @dataclass(frozen=True)
-class SyntheticStripField:
-    """Ground-truth generator: complex V_0 coefficients per torus mode."""
+class SyntheticStripField(_OnTorusModes):
+    """Ground-truth generator: complex V_0 coefficients, one row per mode of
+    :attr:`modes`."""
 
     dimension: int
     smoothness: int
     cutoff: int
     i_min: int
-    modes: tuple[tuple[int, ...], ...]
     coeffs: np.ndarray  # complex, (n_modes, n_i)
+
+    def __post_init__(self) -> None:
+        self._check_mode_count(len(self.coeffs))
 
     def _profiles(self, ksq: int, block: np.ndarray, t: np.ndarray) -> np.ndarray:
         """The profiles at t of one |kappa| group's modes, coefficient rows
@@ -278,7 +284,7 @@ class SyntheticStripField:
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         y_arr = np.atleast_2d(np.asarray(ys, dtype=float))
         return _resum(
-            self.modes, self.coeffs, y_arr, self.cutoff,
+            self, self.coeffs, y_arr,
             lambda ksq, block: self._profiles(ksq, block, t_arr),
         ).real
 
@@ -287,21 +293,7 @@ class SyntheticStripField:
         samples = np.zeros((len(js), len(self.modes)), dtype=complex)
         for ksq, idx in _mode_groups(self.modes, self.coeffs).items():
             samples[:, idx] = self._profiles(ksq, self.coeffs[idx], js).T
-        return StripField(
-            dimension=self.dimension, smoothness=self.smoothness,
-            cutoff=self.cutoff, j_min=j_min, modes=self.modes,
-            samples=samples,
-        )
-
-    def plane_grid_values(self, j_min: int, j_max: int, grid_size: int) -> np.ndarray:
-        """Sampled traces on uniform torus grids: (planes, grid_size^dim) shaped."""
-        ys_1d = 2.0 * math.pi * np.arange(grid_size) / grid_size
-        mesh = np.stack(
-            np.meshgrid(*([ys_1d] * self.dimension), indexing="ij"), axis=-1
-        ).reshape(-1, self.dimension)
-        js = np.arange(j_min, j_max + 1, dtype=float)
-        vals = self.eval(np.repeat(js, len(mesh)), np.tile(mesh, (len(js), 1)))
-        return vals.reshape((len(js),) + (grid_size,) * self.dimension)
+        return StripField(self.dimension, self.smoothness, self.cutoff, j_min, samples)
 
 
 def random_strip_field(
@@ -337,10 +329,7 @@ def random_strip_field(
                 -1.0, 1.0, size=n_i
             )
             coeffs[index[neg]] = np.conj(coeffs[i])
-    return SyntheticStripField(
-        dimension=dimension, smoothness=p, cutoff=cutoff, i_min=j_min,
-        modes=modes, coeffs=coeffs,
-    )
+    return SyntheticStripField(dimension, p, cutoff, j_min, coeffs)
 
 
 # --------------------------------------------------------------------------
@@ -372,14 +361,8 @@ def analyze_torus(
         )
     modes = torus_modes(dimension, cutoff)
     spectra = np.fft.fftn(values, axes=tuple(range(1, dimension + 1))) / g**dimension
-    samples = np.empty((values.shape[0], len(modes)), dtype=complex)
-    for i, kappa in enumerate(modes):
-        idx = tuple(c % g for c in kappa)
-        samples[:, i] = spectra[(slice(None),) + idx]
-    return StripField(
-        dimension=dimension, smoothness=smoothness, cutoff=cutoff,
-        j_min=j_min, modes=modes, samples=samples,
-    )
+    samples = spectra[(slice(None),) + tuple(np.asarray(modes).T % g)]
+    return StripField(dimension, smoothness, cutoff, j_min, samples)
 
 
 def synthesize_torus(fld: StripField, plane: int, ys) -> np.ndarray:
@@ -387,7 +370,7 @@ def synthesize_torus(fld: StripField, plane: int, ys) -> np.ndarray:
     if not fld.j_min <= plane <= fld.j_max:
         raise ValueError(f"plane {plane} outside [{fld.j_min}, {fld.j_max}]")
     y_arr = np.atleast_2d(np.asarray(ys, dtype=float))
-    phases = _TorusPhases(y_arr, fld.cutoff)(fld.modes)
+    phases = _TorusPhases(y_arr, fld.dimension, fld.cutoff)(fld.modes)
     return (fld.samples[plane - fld.j_min] @ phases).real
 
 
@@ -414,7 +397,7 @@ def _reconstruct_complex(
             return cardinal_series(kernel(sv), fld.j_min, block, t_arr)
         return spline_series(sv, fld.j_min, block, t_arr)
 
-    return _resum(fld.modes, fld.samples.T, y_arr, fld.cutoff, profiles)
+    return _resum(fld, fld.samples.T, y_arr, profiles)
 
 
 def reconstruct_strip(
@@ -432,6 +415,7 @@ def reconstruct_strip(
     roundoff).  ``kernel`` instead maps a mode spectrum to a
     :class:`KernelTable` (e.g. through :func:`strip_kernel`) and runs the
     paper's Shannon series on it.  Raises ValueError on NaN or infinite
-    samples, ``t`` or ``ys``, and on a mode beyond the field's cutoff.
+    samples, ``t`` or ``ys``, and on torus points without ``dimension``
+    coordinates.
     """
     return _reconstruct_complex(fld, t, ys, kernel).real

@@ -262,7 +262,7 @@ def test_spherical_field_reconstruction():
     idx0 = sph_index(3, 4)
     coeffs = np.zeros((81, 9))  # degree <= 8; i = -6..2
     coeffs[idx0] = np.random.default_rng(5).uniform(-1.0, 1.0, size=9)
-    lone = SyntheticPolyspline(3, 2, 8, -6, coeffs)
+    lone = SyntheticPolyspline(3, 2, -6, coeffs)
     grid = SphereGrid(8)
     pts = grid.points().reshape(-1, 3)
     vals = reconstruct_spherical(

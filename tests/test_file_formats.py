@@ -1,5 +1,6 @@
-"""The on-disk formats: damaged files load or fail with FormatError, the
-layouts stay put, and saves are atomic.
+"""The on-disk formats: every constructible record loads back equal, an
+inconsistent one is not constructible, damaged files load or fail with
+FormatError, the layouts stay put, and saves are atomic.
 
 In the fuzz test a few bytes of a valid file are flipped at random; whatever
 the loader makes of the result, it must either return an object or raise
@@ -7,6 +8,7 @@ FormatError (the loaders' documented failure), never another exception type
 or a hang.
 """
 
+import dataclasses
 import os
 
 import numpy as np
@@ -15,15 +17,31 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from polyshannon.records import FormatError
-from polyshannon.shannon1d import KernelTable, SamplingGrid, synthesize_kernel
+from polyshannon.shannon1d import (
+    KernelTable,
+    SamplingGrid,
+    synthesize_dual,
+    synthesize_kernel,
+)
 from polyshannon.spectrum import SpectrumVector
-from polyshannon.spherical import PolysplineField, random_polyspline_field
-from polyshannon.strip import StripField, random_strip_field, torus_modes
+from polyshannon.spherical import (
+    PolysplineField,
+    SyntheticPolyspline,
+    mode_count,
+    random_polyspline_field,
+)
+from polyshannon.strip import (
+    StripField,
+    SyntheticStripField,
+    random_strip_field,
+    torus_modes,
+)
+
+SV = SpectrumVector.from_frequencies([3.0, -3.0])
 
 
 def _kernel(path):
-    sv = SpectrumVector.from_frequencies([3.0, -3.0])
-    synthesize_kernel(sv, SamplingGrid(8, 4)).save(path)
+    synthesize_kernel(SV, SamplingGrid(8, 4)).save(path)
     return KernelTable.load
 
 
@@ -46,6 +64,88 @@ FORMATS = {
     "sphere-binary": _sphere,
     "strip-binary": _strip,
 }
+
+def _records():
+    """Small records of every type: both kernel kinds on two grids, sphere
+    fields of degree K = 0..3, strip fields of dimension 1..3, cutoff 0..2."""
+    rng = np.random.default_rng(11)
+    for synthesize in (synthesize_kernel, synthesize_dual):
+        for grid in (SamplingGrid(8, 4), SamplingGrid(16, 6)):
+            yield synthesize(SV, grid)
+    for degree in range(4):
+        yield PolysplineField(3, 2, -2, rng.normal(size=(5, mode_count(degree))))
+    for dim in (1, 2, 3):
+        for cutoff in range(3):
+            shape = (4, len(torus_modes(dim, cutoff)), 2)
+            yield StripField(dim, 1, cutoff, -2, rng.normal(size=shape) @ [1.0, 1j])
+
+
+def _same(a, b) -> bool:
+    """Same type and fields, arrays equal element for element."""
+    if type(a) is not type(b):
+        return False
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if not (np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y):
+            return False
+    return True
+
+
+def test_every_record_loads_back_equal(tmp_path):
+    path = tmp_path / "record"
+    for obj in _records():
+        obj.save(path)
+        assert _same(type(obj).load(path), obj), obj
+
+
+# A header that disagreed with the arrays used to save and then fail to
+# load: a sphere field whose degree K disagreed with its column count, a
+# strip field whose cutoff disagreed with its mode list.  Both are read
+# from the arrays now, and a shape no K or cutoff fits is not constructible.
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: KernelTable(SV, "cardinal", 8, -4, np.zeros(65)),
+                 id="pskt-unknown-kind"),
+    pytest.param(lambda: KernelTable(SV, "interp", 4, -4, np.zeros(33)),
+                 id="pskt-per-unit-below-8"),
+    pytest.param(lambda: KernelTable(SV, "interp", 8, 0, np.zeros(1)),
+                 id="pskt-t-min-not-negative"),
+    pytest.param(lambda: KernelTable(SV, "interp", 8, -4, np.zeros(64)),
+                 id="pskt-one-value-short"),
+    pytest.param(lambda: KernelTable(SV, "interp", 8, -4, np.zeros((65, 1))),
+                 id="pskt-values-not-1d"),
+    pytest.param(lambda: KernelTable(SV, "dual", 8, -4, np.full(65, np.inf)),
+                 id="pskt-infinite-values"),
+    pytest.param(lambda: PolysplineField(3, 1, -3, np.ones((7, 5))),
+                 id="pspf-5-channels"),
+    pytest.param(lambda: PolysplineField(3, 1, -3, np.ones((7, 0))),
+                 id="pspf-no-channels"),
+    pytest.param(lambda: PolysplineField(3, 1, -3, np.ones(4)),
+                 id="pspf-samples-not-2d"),
+    pytest.param(lambda: PolysplineField(3, 1, -3, np.full((7, 4), np.nan)),
+                 id="pspf-nan-samples"),
+    pytest.param(lambda: PolysplineField(2, 1, -3, np.ones((7, 4))),
+                 id="pspf-n-2"),
+    pytest.param(lambda: SyntheticPolyspline(3, 1, -3, np.ones((3, 5))),
+                 id="sphere-generator-3-rows"),
+    pytest.param(lambda: StripField(2, 1, 2, -2, np.ones((5, 5), complex)),
+                 id="pssf-cutoff-2-with-5-columns"),
+    pytest.param(lambda: StripField(2, 1, 1, -2, np.ones((5, 13), complex)),
+                 id="pssf-cutoff-1-with-13-columns"),
+    pytest.param(lambda: StripField(0, 1, 1, -2, np.ones((5, 1), complex)),
+                 id="pssf-dimension-0"),
+    pytest.param(lambda: StripField(2, 1, -1, -2, np.ones((5, 0), complex)),
+                 id="pssf-negative-cutoff"),
+    pytest.param(lambda: StripField(2, 1, 1, -2, np.ones(5, complex)),
+                 id="pssf-samples-not-2d"),
+    pytest.param(lambda: StripField(2, 1, 1, -2, np.full((5, 5), 1j * np.inf)),
+                 id="pssf-infinite-samples"),
+    pytest.param(lambda: SyntheticStripField(2, 1, 1, -2, np.ones((13, 3), complex)),
+                 id="strip-generator-13-rows"),
+])
+def test_inconsistent_or_non_finite_records_are_not_constructible(build):
+    with pytest.raises(ValueError):
+        build()
+
 
 flips = st.lists(
     st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 255)),
@@ -87,14 +187,13 @@ def test_layouts_are_pinned(tmp_path):
         "00000000000008c0" "01000000" "00000000"  # entry -3.0, multiplicity 1
         "0000000000000840" "01000000" "00000000"  # entry 3.0, multiplicity 1
     )
-    PolysplineField(3, 1, 1, -3, np.zeros((7, 4))).save(path)
+    PolysplineField(3, 1, -3, np.zeros((7, 4))).save(path)
     assert path.read_bytes() == bytes.fromhex(
         "50535046" "0100" "0000"  # PSPF v1, pad
         "03000000" "01000000" "01000000"  # n 3, p 1, K 1
         "fdffffff" "0700000000000000"  # j_min -3, 7 spheres
     ) + bytes(7 * 4 * 8)
-    modes = torus_modes(2, 1)
-    StripField(2, 1, 1, -2, modes, np.zeros((5, 5), dtype=complex)).save(path)
+    StripField(2, 1, 1, -2, np.zeros((5, 5), dtype=complex)).save(path)
     assert path.read_bytes()[:40] == bytes.fromhex(
         "50535346" "0100" "0000"  # PSSF v1, pad
         "02000000" "01000000" "01000000"  # dim 2, p 1, K 1

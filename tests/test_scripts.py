@@ -1,6 +1,7 @@
-"""The example scripts run end to end on tiny arguments."""
+"""The example scripts and the README quick start run end to end."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,17 +11,21 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(script: str, *args: str) -> str:
+def _python(*argv: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     res = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
+        [sys.executable, *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert res.returncode == 0, res.stderr
     return res.stdout
+
+
+def _run(script: str, *args: str) -> str:
+    return _python(str(ROOT / "scripts" / script), *args)
 
 
 def test_kernel_gallery(tmp_path):
@@ -30,6 +35,13 @@ def test_kernel_gallery(tmp_path):
     cols = np.loadtxt(out)
     assert cols.shape == (2 * 30 * 64 + 1, 3)  # default half_width and per_unit
     assert f"wrote {out} ({len(cols)} rows)" in text
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert block, "README has no python block"
+    _python("-c", block.group(1))
 
 
 def test_sphere_shells():

@@ -1,6 +1,7 @@
 """Sphere quadrature, harmonics, per-degree kernels, spherical reconstruction."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ def _channel_field(rng, p, degree_max, j_min, j_max, rows):
     coeffs = np.zeros((mode_count(degree_max), n_i))
     for idx in rows:
         coeffs[idx] = rng.uniform(-1.0, 1.0, size=n_i)
-    return SyntheticPolyspline(3, p, degree_max, j_min, coeffs)
+    return SyntheticPolyspline(3, p, j_min, coeffs)
 
 
 # --------------------------------------------------------------------------
@@ -257,7 +258,7 @@ def test_single_mode_field_reduces_to_1d():
     # radial profile = one basis spline, constant-direction channel
     coeffs = np.zeros((mode_count(2), 7))  # i = -4..2
     coeffs[sph_index(0, 1), 2] = 1.0  # profile Q(v - i), one-hot
-    gen = SyntheticPolyspline(3, 1, 2, -4, coeffs)
+    gen = SyntheticPolyspline(3, 1, -4, coeffs)
     fld = gen.sphere_field(-4, 4)
     rng2 = np.random.default_rng(5)
     r = np.exp(rng2.uniform(-1.5, 1.5, size=40))
@@ -268,7 +269,7 @@ def test_single_mode_field_reduces_to_1d():
 
 
 def test_zero_field_reconstructs_to_zero():
-    fld = PolysplineField(3, 1, 2, -3, np.zeros((7, mode_count(2))))
+    fld = PolysplineField(3, 1, -3, np.zeros((7, mode_count(2))))
     r = np.array([0.7, 1.0, 2.1])
     d = np.tile(np.array([0.0, 0.0, 1.0]), (3, 1))
     assert np.max(np.abs(reconstruct_spherical(fld, r, d))) == 0.0
@@ -369,7 +370,7 @@ def test_kernel_evaluators_reject_bad_queries():
 
 
 def test_boundary_warning():
-    fld = PolysplineField(3, 1, 1, -3, np.ones((7, mode_count(1))))
+    fld = PolysplineField(3, 1, -3, np.ones((7, mode_count(1))))
     d = np.array([[0.0, 0.0, 1.0]])
     with pytest.warns(BoundaryTailWarning):
         reconstruct_spherical(fld, np.array([math.exp(2.9)]), d)
@@ -379,11 +380,15 @@ def test_non_finite_samples_are_rejected():
     for bad in (math.nan, math.inf, -math.inf):
         samples = np.ones((7, mode_count(1)))
         samples[3, 2] = bad
-        fld = PolysplineField(3, 1, 1, -3, samples)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            PolysplineField(3, 1, -3, samples)
+        # the arrays stay mutable, so the reconstruction checks them again
+        fld = PolysplineField(3, 1, -3, np.ones((7, mode_count(1))))
+        fld.samples[3, 2] = bad
         with pytest.raises(ValueError, match="NaN or infinite"):
             reconstruct_spherical(fld, np.array([1.0]), np.array([[0.0, 0.0, 1.0]]))
     # radii whose log is not finite are queries off every sphere, not zeros
-    fld = PolysplineField(3, 1, 1, -3, np.ones((7, mode_count(1))))
+    fld = PolysplineField(3, 1, -3, np.ones((7, mode_count(1))))
     for bad in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="NaN or infinite"):
             reconstruct_spherical(fld, np.array([1.0, bad]),
@@ -396,6 +401,23 @@ def test_non_finite_samples_are_rejected():
                                   np.array([[0.0, 0.0, 1.0], [0.6, bad, 0.8]]))
     with pytest.raises(ValueError, match="nonzero length"):
         reconstruct_spherical(fld, np.ones(2), np.array([[0.0, 0.0, 1.0], [0.0] * 3]))
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_directions_need_three_coordinates(width):
+    rng = np.random.default_rng(71)
+    gen = random_polyspline_field(rng, n=3, p=1, degree_max=2, j_min=-4, j_max=4)
+    fld = gen.sphere_field(-4, 4)
+    zero = PolysplineField(3, 1, -4, np.zeros_like(fld.samples))
+    r, d = np.ones(3), np.ones((3, width))
+    for call in (
+        lambda: reconstruct_spherical(fld, r, d),
+        lambda: reconstruct_spherical(zero, r, d),
+        lambda: gen.eval(r, d),
+        lambda: synthesize_directions(gen.coeffs[:, 0], d),
+    ):
+        with pytest.raises(ValueError, match="3 coordinates"):
+            call()
 
 
 def test_kernel_source_selects_the_tables():
@@ -428,7 +450,7 @@ def test_kernel_source_selects_the_tables():
 def test_degree_cap_holds_on_both_routes():
     samples = np.zeros((7, mode_count(33)))
     samples[:, 33 * 33] = 1.0  # one channel of degree 33
-    fld = PolysplineField(3, 1, 33, -3, samples)
+    fld = PolysplineField(3, 1, -3, samples)
     r, d = np.array([1.0]), np.array([[0.0, 0.0, 1.0]])
     for kernel in (None, synthesize_kernel):
         with pytest.raises(ValueError, match="cancellation guard 32"):
@@ -470,7 +492,7 @@ def _same_field(a: PolysplineField, b: PolysplineField) -> bool:
 def test_truncated_field_files_fail_cleanly(tmp_path, fmt):
     # random samples: every row, the last included, is nonzero throughout
     rng = np.random.default_rng(61)
-    fld = PolysplineField(3, 2, 1, -2, rng.uniform(-1.0, 1.0, size=(5, 4)))
+    fld = PolysplineField(3, 2, -2, rng.uniform(-1.0, 1.0, size=(5, 4)))
     path = tmp_path / "field"
     fld.save(path)
     raw = path.read_bytes()
@@ -486,10 +508,8 @@ def test_truncated_field_files_fail_cleanly(tmp_path, fmt):
     path.write_bytes(raw + b"\0")
     with pytest.raises(FormatError):
         load(path)
-    for bad in (math.nan, math.inf, -math.inf):
-        samples = fld.samples.copy()
-        samples[4, 3] = bad
-        PolysplineField(3, 2, 1, -2, samples).save(path)
+    for bad in (math.nan, math.inf, -math.inf):  # in the last sample, [4, 3]
+        path.write_bytes(raw[:-8] + struct.pack("<d", bad))
         with pytest.raises(FormatError, match="NaN or infinite"):
             load(path)
 
@@ -500,10 +520,10 @@ def test_sphere_fields_need_dimension_3(tmp_path):
         with pytest.raises(ValueError, match="n = 3"):
             random_polyspline_field(rng, n=n, p=1, degree_max=1)
         with pytest.raises(ValueError, match="n = 3"):
-            PolysplineField(n, 1, 1, -3, np.ones((7, mode_count(1))))
+            PolysplineField(n, 1, -3, np.ones((7, mode_count(1))))
     # the loader builds through the constructor, so it inherits the check,
     # raised as a format error
-    fld = PolysplineField(3, 1, 1, -3, np.ones((7, mode_count(1))))
+    fld = PolysplineField(3, 1, -3, np.ones((7, mode_count(1))))
     path = tmp_path / "f.pspf"
     fld.save(path)
     raw = bytearray(path.read_bytes())

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from polyshannon.strip import (
     synthesize_torus,
     torus_modes,
 )
+
+_STRIP_HEAD = 40  # bytes before the mode list of a PSSF file
 
 
 def test_torus_mode_set_structure():
@@ -118,15 +121,18 @@ def test_analyze_cosine_mode():
 def test_analyze_synthesize_roundtrip():
     rng = np.random.default_rng(61)
     gen = random_strip_field(rng, dimension=2, p=1, cutoff=3, j_min=-4, j_max=4)
-    values = gen.plane_grid_values(-4, 4, 16)
+    # the traces of the planes j = -4..4 on a 16 x 16 torus grid
+    ys = 2.0 * math.pi * np.arange(16) / 16
+    yy1, yy2 = np.meshgrid(ys, ys, indexing="ij")
+    pts = np.column_stack([yy1.ravel(), yy2.ravel()])
+    js = np.arange(-4.0, 5.0)
+    values = gen.eval(np.repeat(js, len(pts)), np.tile(pts, (len(js), 1)))
+    values = values.reshape(len(js), 16, 16)
     fld = analyze_torus(values, 2, 3, 1, j_min=-4)
     direct = gen.plane_field(-4, 4)
     assert fld.modes == direct.modes
     assert np.max(np.abs(fld.samples - direct.samples)) < 1e-10
     # and back out to torus points
-    ys = 2.0 * math.pi * np.arange(16) / 16
-    yy1, yy2 = np.meshgrid(ys, ys, indexing="ij")
-    pts = np.column_stack([yy1.ravel(), yy2.ravel()])
     resynth = synthesize_torus(fld, 0, pts).reshape(16, 16)
     assert np.max(np.abs(resynth - values[4])) < 1e-10
 
@@ -148,7 +154,10 @@ def test_strip_field_conjugate_symmetry():
     rng = np.random.default_rng(67)
     gen = random_strip_field(rng, dimension=2, p=1, cutoff=3, j_min=-5, j_max=5)
     fld = gen.plane_field(-5, 5)
-    assert fld.is_conjugate_symmetric()
+    # f_{-kappa} = conj(f_kappa) for every mode, to 1e-12 of max(1, max|f|)
+    mirror = [fld.modes.index(tuple(-c for c in kappa)) for kappa in fld.modes]
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(fld.samples))))
+    assert np.max(np.abs(fld.samples[:, mirror] - np.conj(fld.samples))) <= tol
 
 
 def test_reconstruction_matches_generator():
@@ -175,8 +184,7 @@ def test_reconstruction_is_real_for_symmetric_fields():
 
 
 def test_zero_field_and_boundary_warning():
-    modes = torus_modes(2, 1)
-    fld = StripField(2, 1, 1, -3, modes, np.zeros((7, len(modes)), complex))
+    fld = StripField(2, 1, 1, -3, np.zeros((7, len(torus_modes(2, 1))), complex))
     t = np.array([0.0, 0.5])
     ys = np.zeros((2, 2))
     assert np.max(np.abs(reconstruct_strip(fld, t, ys))) == 0.0
@@ -198,16 +206,26 @@ def test_torus_phases_match_direct_exponentials():
     for dim, cutoff in ((1, 5), (2, 8), (3, 3)):
         ys = rng.uniform(0.0, 2.0 * math.pi, size=(300, dim))
         modes = torus_modes(dim, cutoff)
-        got = _TorusPhases(ys, cutoff)(modes)
+        got = _TorusPhases(ys, dim, cutoff)(modes)
         want = np.exp(1j * (ys @ np.asarray(modes).T)).T
         assert np.max(np.abs(got - want)) < 1e-13
 
 
-def test_mode_beyond_the_cutoff_is_rejected():
-    modes = torus_modes(2, 1)[:-1] + ((400, 0),)
-    fld = StripField(2, 1, 1, -3, modes, np.ones((7, len(modes)), complex))
-    with pytest.raises(ValueError, match="beyond the cutoff"):
-        reconstruct_strip(fld, np.array([0.0]), np.zeros((1, 2)))
+@pytest.mark.parametrize("width", [1, 3])
+def test_torus_points_need_dimension_coordinates(width):
+    rng = np.random.default_rng(89)
+    gen = random_strip_field(rng, dimension=2, p=1, cutoff=2, j_min=-4, j_max=4)
+    fld = gen.plane_field(-4, 4)
+    zero = StripField(2, 1, 2, -4, np.zeros_like(fld.samples))
+    t, ys = np.zeros(3), np.ones((3, width))
+    for call in (
+        lambda: reconstruct_strip(fld, t, ys),
+        lambda: reconstruct_strip(zero, t, ys),
+        lambda: gen.eval(t, ys),
+        lambda: synthesize_torus(fld, 0, ys),
+    ):
+        with pytest.raises(ValueError, match="2 coordinates"):
+            call()
 
 
 def test_single_cubic_profile_zero_mode():
@@ -219,7 +237,7 @@ def test_single_cubic_profile_zero_mode():
     coeffs[modes.index((0, 0))] = rng.uniform(-1.0, 1.0, size=n_i)
     from polyshannon.strip import SyntheticStripField
 
-    gen = SyntheticStripField(2, 2, 2, -6, modes, coeffs)
+    gen = SyntheticStripField(2, 2, 2, -6, coeffs)
     fld = gen.plane_field(-6, 6)
     t = np.linspace(-2.5, 2.5, 101)
     ys = np.zeros((101, 2))
@@ -252,10 +270,14 @@ def test_non_finite_samples_are_rejected():
     for bad in (math.nan, complex(0.0, math.inf)):
         samples = np.ones((7, len(modes)), dtype=complex)
         samples[2, 1] = bad
-        fld = StripField(2, 1, 1, -3, modes, samples)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            StripField(2, 1, 1, -3, samples)
+        # the arrays stay mutable, so the reconstruction checks them again
+        fld = StripField(2, 1, 1, -3, np.ones((7, len(modes)), dtype=complex))
+        fld.samples[2, 1] = bad
         with pytest.raises(ValueError, match="NaN or infinite"):
             reconstruct_strip(fld, np.array([0.0]), np.zeros((1, 2)))
-    fld = StripField(2, 1, 1, -3, modes, np.ones((7, len(modes)), dtype=complex))
+    fld = StripField(2, 1, 1, -3, np.ones((7, len(modes)), dtype=complex))
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="NaN or infinite"):
             reconstruct_strip(fld, np.array([0.0, bad]), np.zeros((2, 2)))
@@ -314,9 +336,12 @@ def test_strip_field_load_rejects_garbage(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["binary"])
 def test_strip_loaders_check_the_mode_list(tmp_path, fmt):
+    # the stored mode list of a valid file, patched in place
     modes = torus_modes(2, 2)
-    samples = np.ones((5, len(modes)), dtype=complex)
     path = tmp_path / "strip"
+    StripField(2, 1, 2, -2, np.ones((5, len(modes)), dtype=complex)).save(path)
+    raw = path.read_bytes()
+    head, samples = raw[:_STRIP_HEAD], raw[_STRIP_HEAD + 8 * len(modes) :]
     load = StripField.load
     for bad in (
         modes[:-1] + ((400, 0),),  # a mode far beyond the cutoff
@@ -324,11 +349,11 @@ def test_strip_loaders_check_the_mode_list(tmp_path, fmt):
         modes[:-1] + (modes[-2],),  # a repeat in place of a mode
         (modes[1], modes[0]) + modes[2:],  # out of canonical order
     ):
-        StripField(2, 1, 2, -2, bad, samples).save(path)
+        path.write_bytes(head + np.asarray(bad, dtype="<i4").tobytes() + samples)
         with pytest.raises(FormatError, match="mode"):
             load(path)
     # the whole list under a header that claims a larger cutoff
-    StripField(2, 1, 3, -2, modes, samples).save(path)
+    path.write_bytes(raw[:16] + struct.pack("<I", 3) + raw[20:])
     with pytest.raises(FormatError, match="mode"):
         load(path)
 
@@ -345,7 +370,7 @@ def test_truncated_strip_files_fail_cleanly(tmp_path, fmt):
     rng = np.random.default_rng(107)
     modes = torus_modes(2, 1)
     samples = rng.uniform(-1.0, 1.0, size=(5, len(modes), 2)) @ np.array([1.0, 1j])
-    fld = StripField(2, 1, 1, -2, modes, samples)
+    fld = StripField(2, 1, 1, -2, samples)
     path = tmp_path / "strip"
     fld.save(path)
     raw = path.read_bytes()
@@ -361,9 +386,8 @@ def test_truncated_strip_files_fail_cleanly(tmp_path, fmt):
     path.write_bytes(raw + b"\0")
     with pytest.raises(FormatError):
         load(path)
-    for bad in (math.nan, complex(0.0, math.inf), -math.inf):
-        bad_samples = samples.copy()
-        bad_samples[4, 2] = bad
-        StripField(2, 1, 1, -2, modes, bad_samples).save(path)
+    for bad in (math.nan, complex(0.0, math.inf), -math.inf):  # in sample [4, 2]
+        bad_bytes = np.asarray([bad], dtype="<c16").tobytes()
+        path.write_bytes(raw[: -3 * 16] + bad_bytes + raw[-2 * 16 :])
         with pytest.raises(FormatError, match="NaN or infinite"):
             load(path)
