@@ -301,7 +301,8 @@ def cached_kernel(
     """Load the kernel for (spectrum, grid) from disk or synthesize and store.
 
     One file per (spectrum-hash, grid-hash); a stale, foreign or malformed
-    file (FormatError) at the expected name is ignored and rewritten.
+    file (FormatError) at the expected name, a dual table included, is
+    ignored and rewritten.
     """
     cache_dir.mkdir(parents=True, exist_ok=True)
     name = f"{_spectrum_hash(sv)}-{_grid_hash(grid)}.pskt"
@@ -313,6 +314,7 @@ def cached_kernel(
             tab = None
         if (
             tab is not None
+            and tab.kind == "interp"
             and tab.spectrum == sv
             and tab.per_unit == grid.per_unit
             and tab.t_min == -grid.half_width

@@ -34,6 +34,14 @@ roundoff where the 6-point table stencils of :func:`cardinal_series` stop
 at their interpolation error; the table route stays as the paper's literal
 Shannon series.  A :class:`KernelTable` is stored as one binary ``PSKT``
 record (:mod:`polyshannon.records`).
+
+The sphere and strip pipelines run this series per channel group and sum
+it back over an angular basis, through one core: :func:`check_channel_queries`
+checks the queries, :func:`channel_series` reconstructs (the one choice
+between the coefficient and table routes), and :func:`channel_values` and
+:func:`channel_samples` evaluate and sample the ground-truth generators.  A
+geometry supplies ``groups(rows)``, ``spectrum(key)`` and ``resum(rows,
+points, profiles)``.
 """
 
 from __future__ import annotations
@@ -58,8 +66,13 @@ __all__ = [
     "SamplingGrid",
     "autocorrelation",
     "cardinal_series",
+    "channel_samples",
+    "channel_series",
+    "channel_values",
     "check_cardinal_data",
+    "check_channel_queries",
     "check_samples",
+    "coefficient_count",
     "dual_fourier",
     "gram_symbol",
     "kernel_fourier",
@@ -350,7 +363,7 @@ def check_cardinal_data(samples, j_min: int, t) -> None:
             f"queries leave [{lo}, {hi}]: kernel tails truncated by the "
             f"sampled range (data scale {scale:.3g})",
             BoundaryTailWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of the reconstruction, via channel_series
         )
 
 
@@ -429,3 +442,73 @@ def tb_superposition(spectrum: SpectrumVector, j_min: int, coeffs, t):
     q = tb_chebyshev(spectrum).translates(j_min, c.shape[-1], t_arr)
     out = (c @ q).reshape(c.shape[:-1] + t_arr.shape)
     return out.item() if out.ndim == 0 else out
+
+
+# --------------------------------------------------------------------------
+# the channel core of the sphere and strip pipelines
+# --------------------------------------------------------------------------
+
+def coefficient_count(j_min: int, j_max: int, order: int) -> int:
+    """Count of the coefficients i = j_min..j_max - order, whose order-N
+    translates vanish outside [j_min, j_max]; NarrowGridError if none."""
+    if j_max - order < j_min:
+        raise NarrowGridError(
+            f"sample range {j_min}..{j_max} is shorter than the spline order {order}"
+        )
+    return j_max - order - j_min + 1
+
+
+def check_channel_queries(t, points) -> tuple[np.ndarray, np.ndarray]:
+    """Query coordinates t, shape (P,), and angular points, P rows, as float
+    arrays; ValueError unless the counts agree and every value is finite."""
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if len(pts) != len(t_arr):
+        raise ValueError(f"need one angular point per query: {len(pts)} for {len(t_arr)}")
+    check_queries(t_arr)
+    check_queries(pts)
+    return t_arr, pts
+
+
+def channel_series(fld, t, points, kernel=None) -> np.ndarray:
+    """Shannon reconstruction of a channel field at the (t, points) of
+    :func:`check_channel_queries`.
+
+    ``fld.samples`` has one row per j = ``fld.j_min``, ... and one column per
+    channel.  ``fld.resum(rows, points, profiles)`` sums profiles(key,
+    block), the series at t of each live channel group (rows ``block``,
+    spectrum ``fld.spectrum(key)``), against the angular basis.  The series
+    is :func:`spline_series`, or :func:`cardinal_series` on the table
+    ``kernel(spectrum)`` when ``kernel`` is given.  Raises and warns as
+    :func:`check_cardinal_data`.
+    """
+    check_cardinal_data(fld.samples, fld.j_min, t)
+
+    def profiles(key, block: np.ndarray) -> np.ndarray:
+        sv = fld.spectrum(key)
+        if kernel is not None:
+            return cardinal_series(kernel(sv), fld.j_min, block, t)
+        return spline_series(sv, fld.j_min, block, t)
+
+    return fld.resum(fld.samples.T, points, profiles)
+
+
+def channel_values(gen, t, points) -> np.ndarray:
+    """A generator's field at the (t, points) of :func:`check_channel_queries`,
+    resummed as in :func:`channel_series` from its V_0 coefficient rows
+    ``gen.coeffs`` (i from ``gen.i_min``): one TB evaluation per group."""
+    return gen.resum(
+        gen.coeffs, points,
+        lambda key, block: tb_superposition(gen.spectrum(key), gen.i_min, block, t),
+    )
+
+
+def channel_samples(gen, j_min: int, j_max: int) -> np.ndarray:
+    """Samples of a generator's channels (columns) at t = j_min..j_max (rows),
+    one TB evaluation per group of ``gen.groups(rows)``, (key, index) pairs."""
+    js = np.arange(j_min, j_max + 1, dtype=float)
+    out = np.zeros((len(js), len(gen.coeffs)), np.result_type(gen.coeffs, float))
+    for key, idx in gen.groups(gen.coeffs):
+        sv = gen.spectrum(key)
+        out[:, idx] = tb_superposition(sv, gen.i_min, gen.coeffs[idx], js).T
+    return out

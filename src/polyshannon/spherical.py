@@ -8,24 +8,20 @@ frequencies are the homogeneity exponents
 
     {k + 2i} u {2 - n - k + 2i},   i = 0..p-1,
 
-so reconstruction from sphere data is: analyze each sphere in an orthonormal
-real harmonic basis, run the 1-D Shannon-type cardinal series per channel
-for that channel's spectrum, and resum.  The 2k+1 channels of degree k share
-one spectrum, so the mode-wise reconstruction makes one series call per
-degree and resums it against all harmonics of that degree at once.  Every
-harmonic user reads one stream (:func:`_harmonic_stream`): one trig table
-for all orders and one normalized associated-Legendre recurrence stepped
-degree by degree; no table is kept.  The resum contracts each degree's
-profiles against it row by row (:func:`synthesize_sphere` too);
-:func:`analyze_sphere` and :func:`sph_harm_degree` form its blocks.  The
-series is evaluated in the coefficient domain by default
-(:func:`~polyshannon.shannon1d.spline_series`, exact in V_0 to roundoff), or
-on kernel tables (:func:`~polyshannon.shannon1d.cardinal_series`).  This
-module supplies the sphere quadrature (Gauss-Legendre colatitudes x uniform
-longitudes), the real harmonics, the per-degree kernels, the truncated zonal
-kernel, the mode-wise and quadrature-form reconstructions, and the field
-container :class:`PolysplineField` (its degree K read from its (K+1)^2
-channels), stored as one binary ``PSPF`` record (:mod:`polyshannon.records`).
+so reconstruction from sphere data is the channel core of
+:mod:`polyshannon.shannon1d`: one 1-D series per degree k for its 2k+1
+harmonics, which share that spectrum, then a resum.  :class:`_OnHarmonics`
+gives the core the degree groups, their spectra (capped at ``DEGREE_CAP``)
+and the resum, which contracts each degree's profiles row by row against
+one harmonic stream (:func:`_harmonic_stream`): one trig table for all
+orders and one normalized associated-Legendre recurrence stepped degree by
+degree, so no harmonic table is kept.  This module also supplies the
+sphere quadrature (Gauss-Legendre colatitudes x uniform longitudes) with
+its analysis and synthesis, the real harmonics, the per-degree kernels,
+the truncated zonal kernel, the quadrature-form reconstruction, and the
+field container :class:`PolysplineField` (its degree K read from its
+(K+1)^2 channels), stored as one binary ``PSPF`` record
+(:mod:`polyshannon.records`).
 
 Only n = 3 harmonics are implemented, so sphere fields require n = 3; the
 radial kernels accept any n >= 2 (confluent spectra included).
@@ -44,15 +40,15 @@ from scipy.special import eval_legendre
 from .shannon1d import (
     BoundaryTailWarning,
     KernelTable,
-    NarrowGridError,
     SamplingGrid,
-    cardinal_series,
-    check_cardinal_data,
+    channel_samples,
+    channel_series,
+    channel_values,
+    check_channel_queries,
     check_samples,
+    coefficient_count,
     sampled_symbol,
-    spline_series,
     synthesize_kernel,
-    tb_superposition,
 )
 from .records import check_size, checked, read_record, write_record
 from .spectrum import SpectrumVector, radial_spectrum
@@ -106,14 +102,6 @@ def _degree_max(channels: int) -> int:
     if channels < 1 or root * root != channels:
         raise ValueError(f"{channels} channels are not (K+1)^2 for any degree K")
     return root - 1
-
-
-def _degree_blocks(rows: np.ndarray):
-    """(k, rows[k^2 : (k+1)^2]) for every degree k whose rows are not all zero."""
-    for k in range(math.isqrt(len(rows)) + 1):
-        block = rows[k * k : (k + 1) ** 2]
-        if np.any(block):
-            yield k, block
 
 
 def _harmonic_stream(directions, degree_max: int):
@@ -178,31 +166,45 @@ def _order_block(factors) -> np.ndarray:
     return out
 
 
-def _resum(rows: np.ndarray, directions, profiles) -> np.ndarray:
-    """sum_k sum_ell w_ell Y_{k,ell}(directions), w = profiles(k, block), over
-    the degrees k whose ``rows`` block is not all zero.
+class _OnHarmonics:
+    """Rows over the real harmonics of the degrees k <= K: the channels of
+    :func:`~polyshannon.shannon1d.channel_series`, grouped by degree."""
 
-    ``profiles(k, block)`` gives 2k+1 rows, one per harmonic, of one value
-    per direction (or of one value broadcast to all).  The harmonics come
-    from one :func:`_harmonic_stream` and are contracted row by row, never
-    formed: a dense query set holds one degree's profiles beside the
-    stream's own state.
-    """
-    out = np.zeros(len(directions))
-    live = dict(_degree_blocks(rows))
-    stream = _harmonic_stream(directions, max(live, default=0))
-    for k, (legendre, cos_m, sin_m) in stream:
-        if k not in live:
-            continue
-        weights = profiles(k, live[k])
-        out += legendre[0] * weights[k]
-        for m in range(1, k + 1):
-            term = cos_m[m - 1] * weights[k + m]
-            term += sin_m[m - 1] * weights[k - m]
-            term *= legendre[m]
-            out += term
-        del weights
-    return out
+    @staticmethod
+    def groups(rows: np.ndarray):
+        """(k, slice of its 2k+1 rows) for each degree k with a nonzero row."""
+        for k in range(math.isqrt(len(rows))):
+            idx = slice(k * k, (k + 1) ** 2)
+            if np.any(rows[idx]):
+                yield k, idx
+
+    def spectrum(self, k: int) -> SpectrumVector:
+        """Radial spectrum of degree k; ValueError beyond ``DEGREE_CAP``."""
+        _check_degree(k)
+        return radial_spectrum(k, self.dimension, self.smoothness)
+
+    @classmethod
+    def resum(cls, rows: np.ndarray, directions, profiles) -> np.ndarray:
+        """sum_k sum_ell w_ell Y_{k,ell}(directions) over the :meth:`groups`
+        of ``rows``, w = profiles(k, block): 2k+1 rows of one value per
+        direction (or one broadcast to all).  The harmonics of one
+        :func:`_harmonic_stream` are contracted row by row, never formed, so
+        a dense query set holds one degree's profiles beside the stream."""
+        out = np.zeros(len(directions))
+        live = dict(cls.groups(rows))
+        stream = _harmonic_stream(directions, max(live, default=0))
+        for k, (legendre, cos_m, sin_m) in stream:
+            if k not in live:
+                continue
+            weights = profiles(k, rows[live[k]])
+            out += legendre[0] * weights[k]
+            for m in range(1, k + 1):
+                term = cos_m[m - 1] * weights[k + m]
+                term += sin_m[m - 1] * weights[k - m]
+                term *= legendre[m]
+                out += term
+            del weights
+        return out
 
 
 def sph_harm_degree(k: int, direction) -> np.ndarray:
@@ -312,7 +314,7 @@ def synthesize_directions(coeffs: np.ndarray, directions) -> np.ndarray:
     d = np.atleast_2d(np.asarray(directions, dtype=float))
     full = np.zeros(math.ceil(math.sqrt(len(coeffs))) ** 2)
     full[: len(coeffs)] = coeffs  # a last degree given in part is zero-filled
-    return _resum(full, d, lambda k, block: block[:, None])
+    return _OnHarmonics.resum(full, d, lambda k, block: block[:, None])
 
 
 # --------------------------------------------------------------------------
@@ -399,7 +401,7 @@ class ShannonPolysplineKernel:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SyntheticPolyspline:
+class SyntheticPolyspline(_OnHarmonics):
     """A field given by explicit V_0 coefficients per harmonic channel.
 
     Channel (k, ell) has log-radius profile sum_i c_i Q_{Lambda_k}(v - i)
@@ -420,30 +422,15 @@ class SyntheticPolyspline:
     def degree_max(self) -> int:
         return _degree_max(len(self.coeffs))
 
-    def spectrum(self, k: int) -> SpectrumVector:
-        return radial_spectrum(k, self.dimension, self.smoothness)
-
     def eval(self, r, directions) -> np.ndarray:
-        """Field values at radii r (array) and unit vectors (same count).
-
-        All channels of one degree share a spectrum, so the TB translates are
-        evaluated once per degree -- this is what keeps dense query sets
-        affordable for stiff high-degree spectra.
-        """
-        v = np.log(np.atleast_1d(np.asarray(r, dtype=float)))
-        d = np.atleast_2d(np.asarray(directions, dtype=float))
-        return _resum(
-            self.coeffs, d,
-            lambda k, block: tb_superposition(self.spectrum(k), self.i_min, block, v),
-        )
+        """Field values at radii r (array) and unit vectors (same count),
+        checked as in :func:`reconstruct_spherical`; the TB translates are
+        evaluated once per degree, which keeps dense query sets affordable
+        for stiff high-degree spectra."""
+        return channel_values(self, *_sphere_queries(r, directions))
 
     def sphere_field(self, j_min: int, j_max: int) -> "PolysplineField":
-        js = np.arange(j_min, j_max + 1, dtype=float)
-        samples = np.zeros((len(js), self.coeffs.shape[0]))
-        for k, block in _degree_blocks(self.coeffs):
-            samples[:, k * k : (k + 1) ** 2] = tb_superposition(
-                self.spectrum(k), self.i_min, block, js
-            ).T
+        samples = channel_samples(self, j_min, j_max)
         return PolysplineField(self.dimension, self.smoothness, j_min, samples)
 
 
@@ -467,16 +454,12 @@ def random_polyspline_field(
     Coefficients occupy i in [j_min, j_max - 2p], so every channel profile is
     supported inside (j_min, j_max): the finite sphere set then carries the
     *complete* cardinal data of the field and reconstruction errors measure
-    the kernels alone.  Raises :class:`NarrowGridError` when the range is
+    the kernels alone.  Raises
+    :class:`~polyshannon.shannon1d.NarrowGridError` when the range is
     shorter than the spline order 2p.
     """
     _check_dimension(n)
-    order = 2 * p
-    if j_max - order < j_min:
-        raise NarrowGridError(
-            f"sample range {j_min}..{j_max} is shorter than the spline order {order}"
-        )
-    n_i = j_max - order - j_min + 1
+    n_i = coefficient_count(j_min, j_max, 2 * p)
     coeffs = rng.uniform(-1.0, 1.0, size=(mode_count(degree_max), n_i))
     return SyntheticPolyspline(dimension=n, smoothness=p, i_min=j_min, coeffs=coeffs)
 
@@ -486,7 +469,7 @@ _FIELD_HEAD = "<4sHHIIIiQ"
 
 
 @dataclass(frozen=True)
-class PolysplineField:
+class PolysplineField(_OnHarmonics):
     """Mode samples f_{k,ell}(e^j) on consecutive spheres j = j_min, ...
 
     ``samples`` has one row per sphere and one column per flat harmonic
@@ -540,21 +523,14 @@ class PolysplineField:
 # --------------------------------------------------------------------------
 
 def _sphere_queries(r, directions) -> tuple[np.ndarray, np.ndarray]:
-    """Query radii and directions as float arrays of shapes (P,) and (P, 3).
-
-    Raises ValueError on a count mismatch, on radii whose log is not finite
-    (r <= 0, NaN or inf), and on NaN, infinite or zero-length directions.
-    """
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    d = np.atleast_2d(np.asarray(directions, dtype=float))
-    if d.shape[0] != r_arr.shape[0]:
-        raise ValueError("need one direction per radius")
+    """Log radii and directions through :func:`check_channel_queries`
+    (ValueError also for r <= 0) and ValueError on a zero-length direction."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        check_queries(np.log(r_arr))
-    check_queries(d)
+        v = np.log(np.atleast_1d(np.asarray(r, dtype=float)))
+    v, d = check_channel_queries(v, directions)
     if not np.all(np.any(d, axis=-1)):
         raise ValueError("directions must have nonzero length")
-    return r_arr, d
+    return v, d
 
 
 def reconstruct_spherical(
@@ -565,31 +541,14 @@ def reconstruct_spherical(
 ) -> np.ndarray:
     """Mode-wise Shannon reconstruction at radii ``r``, unit vectors ``directions``.
 
-    Each degree runs one 1-D cardinal series over the sphere indices for its
-    2k+1 channels; the harmonic sum then reassembles the field.  By default
-    the series is evaluated in the coefficient domain
-    (:func:`~polyshannon.shannon1d.spline_series`, exact in V_0 to
-    roundoff).  ``kernel`` instead maps a channel spectrum to a
-    :class:`KernelTable` (e.g. :func:`radial_kernel`, tables loaded from a
-    cache, another grid) and runs the paper's Shannon series on it.
-    Raises ValueError on NaN or infinite samples, on radii whose log is
-    not finite (r <= 0, NaN or inf), on a NaN, infinite or zero-length
-    direction, and, on either route, on a nonzero degree beyond
-    ``DEGREE_CAP``.
+    :func:`~polyshannon.shannon1d.channel_series` over the degree groups:
+    exact in V_0 to roundoff by default, the paper's Shannon series on the
+    tables ``kernel(spectrum)`` (e.g. :func:`radial_kernel`, tables loaded
+    from a cache, another grid) when ``kernel`` is given.  Raises ValueError
+    on NaN or infinite samples, on bad queries (:func:`_sphere_queries`),
+    and on a nonzero degree beyond ``DEGREE_CAP``.
     """
-    r_arr, d = _sphere_queries(r, directions)
-    v = np.log(r_arr)
-    check_cardinal_data(field.samples, field.j_min, v)
-    n, p = field.dimension, field.smoothness
-
-    def profiles(k: int, block: np.ndarray) -> np.ndarray:
-        _check_degree(k)
-        sv = radial_spectrum(k, n, p)
-        if kernel is not None:
-            return cardinal_series(kernel(sv), field.j_min, block, v)
-        return spline_series(sv, field.j_min, block, v)
-
-    return _resum(field.samples.T, d, profiles)
+    return channel_series(field, *_sphere_queries(r, directions), kernel)
 
 
 def reconstruct_spherical_integral(
@@ -607,7 +566,8 @@ def reconstruct_spherical_integral(
     Directions of non-unit length are normalized; the queries are checked
     as in :func:`reconstruct_spherical`.
     """
-    r_arr, d = _sphere_queries(r, directions)
+    _, d = _sphere_queries(r, directions)
+    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     d = d / np.linalg.norm(d, axis=1, keepdims=True)
     pts = grid.points()
     w = grid.quad_weights()

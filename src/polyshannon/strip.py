@@ -5,19 +5,14 @@ piecewise polyharmonic on every strip j < t < j+1 splits over torus Fourier
 modes kappa in Z^{n-1}: each mode profile f_kappa(t) is a cardinal
 exponential spline for the symmetric spectrum {+-|kappa|, each with
 multiplicity p}, coming from the operator (d^2/dt^2 - |kappa|^2)^p.
-Reconstruction from hyperplane traces t = j is therefore a 1-D Shannon
-cardinal series per mode followed by a Fourier resum in y.
-
 Symmetric spectra always satisfy the non-zero sampling condition, so every
-mode kernel exists.  The kernel depends on kappa only through |kappa|, so
-one resum (:func:`_resum`) groups the live modes by the exact integer
-|kappa|^2 and contracts one profile call per group against the torus phases
-e^{i y.kappa} (products of per-axis powers of e^{i y_a}) of its modes, for
-the reconstruction (:func:`~polyshannon.shannon1d.spline_series`, or
-:func:`~polyshannon.shannon1d.cardinal_series` on kernel tables when a
-``kernel`` is given) and the synthetic generator (its TB translates) alike.
-:class:`StripField` (one column per mode of ``torus_modes(dimension, cutoff)``)
-is stored as one binary ``PSSF`` record (:mod:`polyshannon.records`).
+mode kernel exists.  Reconstruction from hyperplane traces t = j is the
+channel core of :mod:`polyshannon.shannon1d` with the torus modes as
+channels: :class:`_OnTorusModes` groups the live modes by the exact integer
+|kappa|^2, gives each group its spectrum, and resums it against the torus
+phases e^{i y.kappa} (products of per-axis powers of e^{i y_a}).
+:class:`StripField` (one column per mode of ``torus_modes(dimension,
+cutoff)``) is stored as one binary ``PSSF`` record (:mod:`polyshannon.records`).
 """
 
 from __future__ import annotations
@@ -31,17 +26,16 @@ import numpy as np
 
 from .shannon1d import (
     KernelTable,
-    NarrowGridError,
-    cardinal_series,
-    check_cardinal_data,
+    channel_samples,
+    channel_series,
+    channel_values,
+    check_channel_queries,
     check_samples,
-    spline_series,
+    coefficient_count,
     synthesize_kernel,
-    tb_superposition,
 )
 from .records import FormatError, check_size, checked, read_record, write_record
 from .spectrum import SpectrumVector, strip_spectrum
-from .tbspline import check_queries
 
 __all__ = [
     "StripField",
@@ -115,29 +109,6 @@ class _TorusPhases:
         return out
 
 
-def _mode_groups(modes, rows: np.ndarray) -> dict[int, list[int]]:
-    """Indices of the modes whose ``rows`` row is not all zero, grouped by
-    the exact integer |kappa|^2 (no float drift between (3, 4) and (5, 0))."""
-    groups: dict[int, list[int]] = {}
-    for i in np.flatnonzero(np.any(rows, axis=1)):
-        groups.setdefault(sum(c * c for c in modes[i]), []).append(i)
-    return groups
-
-
-def _resum(fld, rows: np.ndarray, ys: np.ndarray, profiles) -> np.ndarray:
-    """sum_kappa w_kappa e^{i y.kappa} (complex) over the :func:`_mode_groups`
-    of ``fld.modes``, w = profiles(|kappa|^2, the group's rows), one row per
-    mode; the twin of :func:`polyshannon.spherical._resum`."""
-    modes = fld.modes
-    phases = _TorusPhases(ys, fld.dimension, fld.cutoff)
-    acc = np.zeros(len(ys), dtype=complex)
-    for ksq, idx in _mode_groups(modes, rows).items():
-        acc += np.einsum(
-            "ij,ij->j", profiles(ksq, rows[idx]), phases([modes[i] for i in idx])
-        )
-    return acc
-
-
 def _norm_key(k: float) -> float:
     """Cache key |kappa|^2 rounded to kill last-bit drift in sqrt routes."""
     return round(k * k, 9)
@@ -195,11 +166,35 @@ def _check_modes(modes, dimension: int, cutoff: int, path) -> None:
 
 
 class _OnTorusModes:
-    """Arrays over the modes ``torus_modes(dimension, cutoff)``."""
+    """Rows over the modes ``torus_modes(dimension, cutoff)``: the channels of
+    :func:`~polyshannon.shannon1d.channel_series`, grouped by |kappa|."""
 
     @property
     def modes(self) -> tuple[tuple[int, ...], ...]:
         return torus_modes(self.dimension, self.cutoff)
+
+    def groups(self, rows: np.ndarray):
+        """(|kappa|^2, indices) of the modes with a nonzero row, grouped by the
+        exact integer |kappa|^2 (no float drift between (3, 4) and (5, 0))."""
+        groups: dict[int, list[int]] = {}
+        for i in np.flatnonzero(np.any(rows, axis=1)):
+            groups.setdefault(sum(c * c for c in self.modes[i]), []).append(i)
+        return groups.items()
+
+    def spectrum(self, ksq: int) -> SpectrumVector:
+        return strip_spectrum(math.sqrt(ksq), self.smoothness)
+
+    def resum(self, rows: np.ndarray, ys: np.ndarray, profiles) -> np.ndarray:
+        """sum_kappa w_kappa e^{i y.kappa} (complex) over the :meth:`groups` of
+        ``rows``, w = profiles(|kappa|^2, the group's rows): a row per mode."""
+        modes = self.modes
+        phases = _TorusPhases(ys, self.dimension, self.cutoff)
+        acc = np.zeros(len(ys), dtype=complex)
+        for ksq, idx in self.groups(rows):
+            acc += np.einsum(
+                "ij,ij->j", profiles(ksq, rows[idx]), phases([modes[i] for i in idx])
+            )
+        return acc
 
     def _check_mode_count(self, count: int) -> None:
         if count != len(self.modes):
@@ -273,26 +268,13 @@ class SyntheticStripField(_OnTorusModes):
     def __post_init__(self) -> None:
         self._check_mode_count(len(self.coeffs))
 
-    def _profiles(self, ksq: int, block: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """The profiles at t of one |kappa| group's modes, coefficient rows
-        ``block``: its TB translates evaluated once."""
-        sv = strip_spectrum(math.sqrt(ksq), self.smoothness)
-        return tb_superposition(sv, self.i_min, block, t)
-
     def eval(self, t, ys) -> np.ndarray:
-        """Field values at (t_q, y_q); real for conjugate-symmetric coefficients."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        y_arr = np.atleast_2d(np.asarray(ys, dtype=float))
-        return _resum(
-            self, self.coeffs, y_arr,
-            lambda ksq, block: self._profiles(ksq, block, t_arr),
-        ).real
+        """Field values at (t_q, y_q), checked as in :func:`reconstruct_strip`;
+        real for conjugate-symmetric coefficients."""
+        return channel_values(self, *check_channel_queries(t, ys)).real
 
     def plane_field(self, j_min: int, j_max: int) -> StripField:
-        js = np.arange(j_min, j_max + 1, dtype=float)
-        samples = np.zeros((len(js), len(self.modes)), dtype=complex)
-        for ksq, idx in _mode_groups(self.modes, self.coeffs).items():
-            samples[:, idx] = self._profiles(ksq, self.coeffs[idx], js).T
+        samples = channel_samples(self, j_min, j_max)
         return StripField(self.dimension, self.smoothness, self.cutoff, j_min, samples)
 
 
@@ -308,16 +290,11 @@ def random_strip_field(
 
     Coefficients occupy i in [j_min, j_max - 2p] so hyperplane traces vanish
     outside [j_min, j_max] and the finite plane set is complete cardinal data.
-    Raises :class:`NarrowGridError` when the range is shorter than the
-    spline order 2p.
+    Raises :class:`~polyshannon.shannon1d.NarrowGridError` when the range
+    is shorter than the spline order 2p.
     """
-    order = 2 * p
-    if j_max - order < j_min:
-        raise NarrowGridError(
-            f"sample range {j_min}..{j_max} is shorter than the spline order {order}"
-        )
+    n_i = coefficient_count(j_min, j_max, 2 * p)
     modes = torus_modes(dimension, cutoff)
-    n_i = j_max - order - j_min + 1
     coeffs = np.zeros((len(modes), n_i), dtype=complex)
     index = {kappa: i for i, kappa in enumerate(modes)}
     for i, kappa in enumerate(modes):
@@ -378,28 +355,6 @@ def synthesize_torus(fld: StripField, plane: int, ys) -> np.ndarray:
 # reconstruction
 # --------------------------------------------------------------------------
 
-def _reconstruct_complex(
-    fld: StripField,
-    t,
-    ys,
-    kernel: Callable[[SpectrumVector], KernelTable] | None = None,
-) -> np.ndarray:
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    y_arr = np.atleast_2d(np.asarray(ys, dtype=float))
-    if y_arr.shape[0] != t_arr.shape[0]:
-        raise ValueError("need one torus point per t value")
-    check_queries(y_arr)
-    check_cardinal_data(fld.samples, fld.j_min, t_arr)
-
-    def profiles(ksq: int, block: np.ndarray) -> np.ndarray:
-        sv = strip_spectrum(math.sqrt(ksq), fld.smoothness)
-        if kernel is not None:
-            return cardinal_series(kernel(sv), fld.j_min, block, t_arr)
-        return spline_series(sv, fld.j_min, block, t_arr)
-
-    return _resum(fld, fld.samples.T, y_arr, profiles)
-
-
 def reconstruct_strip(
     fld: StripField,
     t,
@@ -408,14 +363,12 @@ def reconstruct_strip(
 ) -> np.ndarray:
     """Mode-wise Shannon reconstruction at (t_q, y_q); real part returned.
 
-    Modes sharing |kappa| share one cardinal series; the imaginary residue
-    of a conjugate-symmetric field is roundoff-level.  By default the series
-    is evaluated in the coefficient domain
-    (:func:`~polyshannon.shannon1d.spline_series`, exact in V_0 to
-    roundoff).  ``kernel`` instead maps a mode spectrum to a
-    :class:`KernelTable` (e.g. through :func:`strip_kernel`) and runs the
-    paper's Shannon series on it.  Raises ValueError on NaN or infinite
-    samples, ``t`` or ``ys``, and on torus points without ``dimension``
-    coordinates.
+    :func:`~polyshannon.shannon1d.channel_series` over the |kappa| groups:
+    exact in V_0 to roundoff by default, the paper's Shannon series on the
+    tables ``kernel(spectrum)`` (e.g. through :func:`strip_kernel`) when
+    ``kernel`` is given.  The imaginary residue of a conjugate-symmetric
+    field is roundoff-level.  Raises ValueError on NaN or infinite samples,
+    ``t`` or ``ys``, on a count mismatch between them, and on torus points
+    without ``dimension`` coordinates.
     """
-    return _reconstruct_complex(fld, t, ys, kernel).real
+    return channel_series(fld, *check_channel_queries(t, ys), kernel).real

@@ -39,7 +39,8 @@ from polyshannon import (
     tb_tabulate,
 )
 from polyshannon.cli import main
-from polyshannon.spherical import SyntheticPolyspline
+from polyshannon.spherical import SyntheticPolyspline, synthesize_directions
+from polyshannon.strip import synthesize_torus
 
 SEED = 20260822
 
@@ -321,6 +322,37 @@ def test_v0_fields_reconstruct_to_roundoff():
     assert strip <= 1e-13
     print(f"acceptance[V_0 reconstruction]: sphere K=16 {sphere:.2e}, "
           f"strip cutoff 8 {strip:.2e}")
+
+
+@pytest.mark.parametrize("kernel", [None, synthesize_kernel],
+                         ids=["coefficients", "tables"])
+@pytest.mark.parametrize("seed", range(5))
+def test_reconstructions_interpolate_the_sample_nodes(seed, kernel):
+    # at r = e^j (t = j) both reconstructions return the data of sphere
+    # (plane) j, on either route
+    rng = np.random.default_rng(seed)
+    js = np.repeat(np.arange(-4, 5), 12)
+    gen = random_polyspline_field(rng, n=3, p=2, degree_max=6, j_min=-6, j_max=6)
+    fld = gen.sphere_field(-6, 6)
+    d = rng.normal(size=(len(js), 3))
+    got = reconstruct_spherical(fld, np.exp(js.astype(float)), d, kernel=kernel)
+    want = np.concatenate([
+        synthesize_directions(fld.samples[j - fld.j_min], d[js == j])
+        for j in range(-4, 5)
+    ])
+    sphere = float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+
+    sgen = random_strip_field(rng, dimension=2, p=2, cutoff=4, j_min=-6, j_max=6)
+    sfld = sgen.plane_field(-6, 6)
+    ys = rng.uniform(0.0, 2.0 * np.pi, size=(len(js), 2))
+    sgot = reconstruct_strip(sfld, js.astype(float), ys, kernel=kernel)
+    swant = np.concatenate([
+        synthesize_torus(sfld, j, ys[js == j]) for j in range(-4, 5)
+    ])
+    strip = float(np.max(np.abs(sgot - swant))) / float(np.max(np.abs(swant)))
+    assert sphere <= 1e-13 and strip <= 1e-13
+    print(f"acceptance[interpolation at the nodes]: sphere {sphere:.2e}, "
+          f"strip {strip:.2e}")
 
 
 def test_cli_reports_and_kernel_files_are_stable(tmp_path):

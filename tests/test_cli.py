@@ -244,6 +244,21 @@ def test_non_finite_cache_entry_is_rebuilt(tmp_path):
     assert cli.cached_kernel(sv, SamplingGrid(16, 12), cache)[2]
 
 
+def test_dual_cache_entry_is_rebuilt(tmp_path):
+    sv = SpectrumVector.from_frequencies([3.0, -3.0])
+    cache = tmp_path / "kernels"
+    first, path, _ = cli.cached_kernel(sv, SamplingGrid(16, 12), cache)
+    good = path.read_bytes()
+    raw = bytearray(good)
+    raw[6] = 1  # the kind byte: "dual"
+    path.write_bytes(bytes(raw))
+    tab, _, hit = cli.cached_kernel(sv, SamplingGrid(16, 12), cache)
+    assert not hit
+    assert tab.kind == "interp"
+    assert np.array_equal(tab.values, first.values)
+    assert path.read_bytes() == good
+
+
 # --- zeros --------------------------------------------------------------------
 
 def test_zeros_csv_matches_library(tmp_path, capsys):

@@ -24,6 +24,8 @@ from polyshannon.shannon1d import (
 )
 from polyshannon.records import FormatError
 from polyshannon.spectrum import SpectrumVector
+from polyshannon.spherical import random_polyspline_field, reconstruct_spherical
+from polyshannon.strip import random_strip_field, reconstruct_strip
 from polyshannon.tbspline import tb_exact, tb_fourier
 
 CUBIC = SpectrumVector.from_frequencies([0.0, 0.0, 0.0, 0.0])
@@ -409,3 +411,34 @@ def test_sampling_grid_validation():
         SamplingGrid(half_width=0)
     with pytest.raises(NarrowGridError):
         synthesize_kernel(CUBIC, SamplingGrid(half_width=2))
+
+
+# --------------------------------------------------------------------------
+# the channel core
+# --------------------------------------------------------------------------
+
+def _entry_points():
+    """(call, point width) of both oracles and both reconstructions."""
+    sgen = random_polyspline_field(np.random.default_rng(5), p=1, degree_max=2,
+                                   j_min=-4, j_max=4)
+    sfld = sgen.sphere_field(-4, 4)
+    tgen = random_strip_field(np.random.default_rng(5), dimension=2, p=1,
+                              cutoff=2, j_min=-4, j_max=4)
+    tfld = tgen.plane_field(-4, 4)
+    return {
+        "sphere oracle": (sgen.eval, 3),
+        "sphere reconstruction": (lambda r, d: reconstruct_spherical(sfld, r, d), 3),
+        "strip oracle": (tgen.eval, 2),
+        "strip reconstruction": (lambda t, ys: reconstruct_strip(tfld, t, ys), 2),
+    }
+
+
+@pytest.mark.parametrize("coords", [1, 3])
+@pytest.mark.parametrize("entry", [
+    "sphere oracle", "sphere reconstruction", "strip oracle", "strip reconstruction",
+])
+def test_every_entry_point_refuses_a_query_count_mismatch(entry, coords):
+    call, width = _entry_points()[entry]
+    with pytest.raises(ValueError) as info:
+        call(np.ones(coords), np.full((5, width), 0.5))
+    assert str(info.value) == f"need one angular point per query: 5 for {coords}"

@@ -455,6 +455,9 @@ def test_degree_cap_holds_on_both_routes():
     for kernel in (None, synthesize_kernel):
         with pytest.raises(ValueError, match="cancellation guard 32"):
             reconstruct_spherical(fld, r, d, kernel=kernel)
+    gen = SyntheticPolyspline(3, 1, -3, samples.T.copy())
+    with pytest.raises(ValueError, match="cancellation guard 32"):
+        gen.eval(r, d)
 
 
 # --------------------------------------------------------------------------
