@@ -118,14 +118,16 @@ class ExperimentConfig:
             raise ConfigError("csv_step must be >= 1")
         try:
             self.grid  # SamplingGrid checks per_unit and half_width
+            if self.frequencies is not None:
+                SpectrumVector.from_frequencies(self.frequencies)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.j_max <= self.j_min:
             raise ConfigError("j_max must exceed j_min")
         if self.p < 1 or self.n < 2 or self.k < 0 or self.K < 0 or self.dim < 1:
             raise ConfigError("spectral parameters out of range")
-        if self.tol < 0.0:
-            raise ConfigError("tol must be nonnegative")
+        if not self.tol >= 0.0:
+            raise ConfigError(f"tol must be nonnegative, got {self.tol!r}")
         if not 0 <= self.k_min <= self.k_max <= DEGREE_CAP:
             raise ConfigError(f"decay sweep requires 0 <= k_min <= k_max <= {DEGREE_CAP}")
 
@@ -144,12 +146,13 @@ def _coerce(key: str, value) -> object:
     if key == "mode":
         return str(value)
     if key == "frequencies":
-        if isinstance(value, str):
-            parts = value.replace(",", " ").split()
-            value = [float(tok) for tok in parts]
-        return tuple(float(v) for v in value)
+        parts = value.replace(",", " ").split() if isinstance(value, str) else value
+        try:
+            return tuple(float(v) for v in parts)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"frequencies must be numbers, got {value!r}") from None
     if key in _INT_KEYS:
-        if isinstance(value, bool) or (isinstance(value, float) and value != int(value)):
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
             raise ConfigError(f"{key} must be an integer, got {value!r}")
         try:
             return int(value)
@@ -158,7 +161,7 @@ def _coerce(key: str, value) -> object:
     if key in _FLOAT_KEYS:
         try:
             return float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{key} must be a number, got {value!r}") from None
     raise ConfigError(f"unknown config key {key!r}")
 
@@ -170,12 +173,16 @@ def parse_config(path: Path | str | None) -> ExperimentConfig:
         cfg.validate()
         return cfg
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
     updates: dict[str, object] = {}
     if path.suffix == ".json":
         try:
-            payload = json.loads(path.read_text())
+            payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON config: {exc}") from None
         if not isinstance(payload, dict):
@@ -183,7 +190,7 @@ def parse_config(path: Path | str | None) -> ExperimentConfig:
         items = payload.items()
     else:
         items = []
-        for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -393,6 +400,10 @@ def _cardinal_residual(tab: KernelTable) -> float:
 
 def cmd_zeros(cfg: ExperimentConfig, out: Path) -> int:
     sv = _config_spectrum(cfg)
+    if sv.order < 2:
+        print(f"error: Euler-Frobenius zeros need order N >= 2; got N = "
+              f"{sv.order} for {sv}", file=sys.stderr)
+        return 2
     zeros = ef_zeros(sv)
     rows = [[str(i), repr(float(z))] for i, z in enumerate(zeros)]
     _write_csv(out / "zeros.csv", ["index", "zero"], rows)
@@ -795,7 +806,11 @@ def main(argv=None) -> int:
         return 2
 
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot use --out {out}: {exc}", file=sys.stderr)
+        return 2
     try:
         return _COMMANDS[args.command](cfg, out)
     except _INPUT_NUMERICAL_ERRORS as exc:

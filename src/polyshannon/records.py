@@ -1,13 +1,13 @@
-"""The binary record layout shared by every polyshannon file.
+"""The binary record layout of the one polyshannon file, the kernel table.
 
 A record is a 4-byte magic, a u16 version (1), the rest of a fixed
 little-endian header, then a body whose size the header determines.  Kernel
-tables ("PSKT"), sphere fields ("PSPF") and strip fields ("PSSF") are such
-records.  A loader checks only the bytes (the header, the body size) and
-then builds its object through :func:`checked`, so the constructor's checks
-are the loader's: it raises :class:`FormatError` on any malformed file, on
-values the object rejects included.  A write replaces its target
-atomically.
+tables ("PSKT", :class:`~polyshannon.shannon1d.KernelTable`) are the only
+such records; fields and generators live in memory only.  A loader checks
+only the bytes (the header, the body size) and then builds its object
+through :func:`checked`, so the constructor's checks are the loader's: it
+raises :class:`FormatError` on any malformed file, on values the object
+rejects included.  A write replaces its target atomically.
 """
 
 from __future__ import annotations

@@ -73,7 +73,6 @@ __all__ = [
     "check_channel_queries",
     "check_samples",
     "coefficient_count",
-    "dual_fourier",
     "gram_symbol",
     "kernel_fourier",
     "sampled_symbol",
@@ -170,11 +169,6 @@ def gram_symbol(spectrum: SpectrumVector, xi):
 def autocorrelation(spectrum: SpectrumVector, tau: int) -> float:
     """<Q, Q(. - tau)> = e^{-sum lambda} Q_{2N}[sym](tau + N), a coefficient of G."""
     return _divisor(spectrum, "dual").get(tau, 0.0)
-
-
-def dual_fourier(spectrum: SpectrumVector, xi):
-    """Fourier transform of the dual generator: Q^(xi) / G(xi)."""
-    return tb_fourier(spectrum, xi) / gram_symbol(spectrum, xi)
 
 
 # --------------------------------------------------------------------------

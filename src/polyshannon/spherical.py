@@ -19,9 +19,8 @@ degree, so no harmonic table is kept.  This module also supplies the
 sphere quadrature (Gauss-Legendre colatitudes x uniform longitudes) with
 its analysis and synthesis, the real harmonics, the per-degree kernels,
 the truncated zonal kernel, the quadrature-form reconstruction, and the
-field container :class:`PolysplineField` (its degree K read from its
-(K+1)^2 channels), stored as one binary ``PSPF`` record
-(:mod:`polyshannon.records`).
+in-memory field container :class:`PolysplineField` (its degree K read from
+its (K+1)^2 channels).
 
 Only n = 3 harmonics are implemented, so sphere fields require n = 3; the
 radial kernels accept any n >= 2 (confluent spectra included).
@@ -50,7 +49,6 @@ from .shannon1d import (
     sampled_symbol,
     synthesize_kernel,
 )
-from .records import check_size, checked, read_record, write_record
 from .spectrum import SpectrumVector, radial_spectrum
 from .tbspline import check_queries, tb_fourier
 
@@ -464,10 +462,6 @@ def random_polyspline_field(
     return SyntheticPolyspline(dimension=n, smoothness=p, i_min=j_min, coeffs=coeffs)
 
 
-_FIELD_MAGIC = b"PSPF"
-_FIELD_HEAD = "<4sHHIIIiQ"
-
-
 @dataclass(frozen=True)
 class PolysplineField(_OnHarmonics):
     """Mode samples f_{k,ell}(e^j) on consecutive spheres j = j_min, ...
@@ -493,29 +487,6 @@ class PolysplineField(_OnHarmonics):
     @property
     def j_max(self) -> int:
         return self.j_min + self.samples.shape[0] - 1
-
-    def save(self, path) -> None:
-        """Write the field to ``path``: magic "PSPF", u16 version=1, u16 pad,
-        u32 n, u32 p, u32 K, i32 j_min, u64 sphere count, then the row-major
-        f64 matrix."""
-        fields = (
-            0, self.dimension, self.smoothness, self.degree_max, self.j_min,
-            self.samples.shape[0],
-        )
-        data = np.ascontiguousarray(self.samples, dtype="<f8").tobytes()
-        write_record(path, _FIELD_MAGIC, _FIELD_HEAD, fields, data)
-
-    @classmethod
-    def load(cls, path) -> "PolysplineField":
-        """Read :meth:`save` output; FormatError on any malformed file, a
-        field the constructor rejects included."""
-        (_, n, p, degree_max, j_min, n_spheres), data = read_record(
-            path, _FIELD_MAGIC, _FIELD_HEAD
-        )
-        shape = (n_spheres, mode_count(degree_max))
-        check_size(path, data, 8 * shape[0] * shape[1])
-        samples = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
-        return checked(path, cls, n, p, j_min, samples)
 
 
 # --------------------------------------------------------------------------

@@ -11,8 +11,8 @@ channel core of :mod:`polyshannon.shannon1d` with the torus modes as
 channels: :class:`_OnTorusModes` groups the live modes by the exact integer
 |kappa|^2, gives each group its spectrum, and resums it against the torus
 phases e^{i y.kappa} (products of per-axis powers of e^{i y_a}).
-:class:`StripField` (one column per mode of ``torus_modes(dimension,
-cutoff)``) is stored as one binary ``PSSF`` record (:mod:`polyshannon.records`).
+:class:`StripField` holds the samples in memory, one column per mode of
+``torus_modes(dimension, cutoff)``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .shannon1d import (
     coefficient_count,
     synthesize_kernel,
 )
-from .records import FormatError, check_size, checked, read_record, write_record
 from .spectrum import SpectrumVector, strip_spectrum
 
 __all__ = [
@@ -129,42 +128,6 @@ def strip_kernel(k: float, p: int) -> KernelTable:
 # fields
 # --------------------------------------------------------------------------
 
-_STRIP_MAGIC = b"PSSF"
-_STRIP_HEAD = "<4sHHIIIiQQ"
-
-
-def _check_modes(modes, dimension: int, cutoff: int, path) -> None:
-    """:class:`~polyshannon.records.FormatError` unless ``modes`` is
-    ``torus_modes(dimension, cutoff)``.
-
-    Decided without enumerating the cube [-cutoff, cutoff]^dimension, whose
-    size a corrupt header can make astronomical: the list must be in
-    canonical order without repeats, start at 0, stay in the ball, and hold
-    every ball point one axis step from a point it holds.  The lattice
-    points of the ball are connected by such steps, so that is all of them.
-    """
-    def norm(kappa):
-        return sum(c * c for c in kappa)
-
-    keys = [(norm(kappa), kappa) for kappa in modes]
-    if (
-        dimension < 1
-        or not keys
-        or keys[0][0] != 0
-        or keys[-1][0] > cutoff * cutoff
-        or any(a >= b for a, b in zip(keys, keys[1:]))
-    ):
-        raise FormatError(f"field file {path}: modes are not torus_modes"
-                         f"({dimension}, {cutoff})")
-    held = set(modes)
-    for kappa in modes:
-        for axis in range(dimension):
-            for step in (-1, 1):
-                nb = kappa[:axis] + (kappa[axis] + step,) + kappa[axis + 1 :]
-                if nb not in held and norm(nb) <= cutoff * cutoff:
-                    raise FormatError(f"field file {path}: mode {nb} is missing")
-
-
 class _OnTorusModes:
     """Rows over the modes ``torus_modes(dimension, cutoff)``: the channels of
     :func:`~polyshannon.shannon1d.channel_series`, grouped by |kappa|."""
@@ -224,34 +187,6 @@ class StripField(_OnTorusModes):
     @property
     def j_max(self) -> int:
         return self.j_min + self.samples.shape[0] - 1
-
-    def save(self, path) -> None:
-        """Write the field to ``path``: magic "PSSF", u16 version=1, u16 pad,
-        u32 dim, u32 p, u32 K, i32 j_min, u64 planes, u64 modes; then the
-        mode multi-indices as i32s; then the row-major complex128 matrix."""
-        fields = (
-            0, self.dimension, self.smoothness, self.cutoff, self.j_min,
-            self.samples.shape[0], len(self.modes),
-        )
-        mode_bytes = np.asarray(self.modes, dtype="<i4").tobytes()
-        data = np.ascontiguousarray(self.samples, dtype="<c16").tobytes()
-        write_record(path, _STRIP_MAGIC, _STRIP_HEAD, fields, mode_bytes + data)
-
-    @classmethod
-    def load(cls, path) -> "StripField":
-        """Read :meth:`save` output; FormatError on any malformed file, a
-        mode list other than :func:`torus_modes` and a field the constructor
-        rejects included."""
-        (_, dim, p, cutoff, j_min, n_planes, n_modes), data = read_record(
-            path, _STRIP_MAGIC, _STRIP_HEAD
-        )
-        check_size(path, data, 4 * n_modes * dim + 16 * n_planes * n_modes)
-        off = 4 * n_modes * dim
-        kap = np.frombuffer(data[:off], dtype="<i4").reshape(n_modes, dim)
-        modes = tuple(tuple(int(c) for c in row) for row in kap)
-        _check_modes(modes, dim, cutoff, path)
-        samples = np.frombuffer(data[off:], dtype="<c16").reshape(n_planes, n_modes)
-        return checked(path, cls, dim, p, cutoff, j_min, samples.copy())
 
 
 @dataclass(frozen=True)

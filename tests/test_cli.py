@@ -93,6 +93,18 @@ def test_threads_key_is_unknown(tmp_path):
     ("dim = 0", "spectral parameters out of range"),
     ("tol = -1e-3", "tol must be nonnegative"),
     ("tol = small", "tol must be a number"),
+    ("tol = nan", "tol must be nonnegative"),
+    ("frequencies = a b", "frequencies must be numbers"),
+    ("frequencies =", "at least one frequency"),
+    ("frequencies = nan nan", "frequency must be finite"),
+    ("frequencies = 1e400 0", "frequency must be finite"),
+    ('{"frequencies": 5}', "frequencies must be numbers"),
+    ('{"frequencies": ["x"]}', "frequencies must be numbers"),
+    ('{"k": Infinity}', "k must be an integer"),
+    pytest.param('{"frequencies": [1%s]}' % ("0" * 400),
+                 "frequencies must be numbers", id="json-frequency-beyond-float"),
+    pytest.param('{"tol": 1%s}' % ("0" * 400), "tol must be a number",
+                 id="json-tol-beyond-float"),
     ("k_min = 5\nk_max = 4", "decay sweep requires"),
     (f"k_max = {spherical.DEGREE_CAP + 1}",
      f"k_max <= {spherical.DEGREE_CAP}"),
@@ -100,7 +112,8 @@ def test_threads_key_is_unknown(tmp_path):
     (None, "config file not found"),
 ])
 def test_config_errors_exit_2_with_one_line(tmp_path, capsys, text, message):
-    cfg = tmp_path / "c.cfg"
+    # a text starting with "{" is a JSON config
+    cfg = tmp_path / ("c.json" if text and text.startswith("{") else "c.cfg")
     if text is not None:
         cfg.write_text(text + "\n")
     assert main(["zeros", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -136,6 +149,33 @@ def test_odd_order_spectrum_exits_2(tmp_path, capsys):
     code = main(["kernel1d", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "even order N = 2p" in capsys.readouterr().err
+
+
+def test_first_order_zeros_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "first.cfg"
+    cfg.write_text("frequencies = 0\n")
+    code = main(["zeros", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "N >= 2" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["config-is-a-directory", "config-not-utf-8",
+                                   "out-is-a-file"])
+def test_unusable_paths_exit_2_with_one_line(tmp_path, capsys, where):
+    cfg, out = tmp_path / "c.cfg", tmp_path / "o"
+    if where == "config-is-a-directory":
+        cfg.mkdir()
+    elif where == "config-not-utf-8":
+        cfg.write_bytes(b"mode = z\xe9ros\n")
+    else:
+        cfg.write_text("mode = zeros\n")
+        out.write_text("a file")
+    assert main(["zeros", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert (err.startswith("error: cannot use --out") if where == "out-is-a-file"
+            else err.startswith("config error: cannot read"))
 
 
 def test_near_coincident_frequencies_exit_2_without_traceback(tmp_path, capsys):

@@ -1,10 +1,12 @@
-"""The on-disk formats: every constructible record loads back equal, an
-inconsistent one is not constructible, damaged files load or fail with
-FormatError, the layouts stay put, and saves are atomic.
+"""The one on-disk format, the PSKT kernel table: every constructible table
+loads back equal, damaged files load or fail with FormatError, the layout
+stays put, and saves are atomic.  Fields and generators have no file form;
+their constructors reject inconsistent or non-finite values as the table's
+does, so those cases are checked here beside the table's.
 
 In the fuzz test a few bytes of a valid file are flipped at random; whatever
 the loader makes of the result, it must either return an object or raise
-FormatError (the loaders' documented failure), never another exception type
+FormatError (the loader's documented failure), never another exception type
 or a hang.
 """
 
@@ -24,18 +26,8 @@ from polyshannon.shannon1d import (
     synthesize_kernel,
 )
 from polyshannon.spectrum import SpectrumVector
-from polyshannon.spherical import (
-    PolysplineField,
-    SyntheticPolyspline,
-    mode_count,
-    random_polyspline_field,
-)
-from polyshannon.strip import (
-    StripField,
-    SyntheticStripField,
-    random_strip_field,
-    torus_modes,
-)
+from polyshannon.spherical import PolysplineField, SyntheticPolyspline
+from polyshannon.strip import StripField, SyntheticStripField
 
 SV = SpectrumVector.from_frequencies([3.0, -3.0])
 
@@ -45,39 +37,14 @@ def _kernel(path):
     return KernelTable.load
 
 
-def _sphere(path):
-    rng = np.random.default_rng(5)
-    gen = random_polyspline_field(rng, n=3, p=1, degree_max=2, j_min=-3, j_max=3)
-    gen.sphere_field(-3, 3).save(path)
-    return PolysplineField.load
+FORMATS = {"pskt": _kernel}
 
-
-def _strip(path):
-    rng = np.random.default_rng(6)
-    gen = random_strip_field(rng, dimension=2, p=1, cutoff=2, j_min=-3, j_max=3)
-    gen.plane_field(-3, 3).save(path)
-    return StripField.load
-
-
-FORMATS = {
-    "pskt": _kernel,
-    "sphere-binary": _sphere,
-    "strip-binary": _strip,
-}
 
 def _records():
-    """Small records of every type: both kernel kinds on two grids, sphere
-    fields of degree K = 0..3, strip fields of dimension 1..3, cutoff 0..2."""
-    rng = np.random.default_rng(11)
+    """Small kernel tables: both kinds on two grids."""
     for synthesize in (synthesize_kernel, synthesize_dual):
         for grid in (SamplingGrid(8, 4), SamplingGrid(16, 6)):
             yield synthesize(SV, grid)
-    for degree in range(4):
-        yield PolysplineField(3, 2, -2, rng.normal(size=(5, mode_count(degree))))
-    for dim in (1, 2, 3):
-        for cutoff in range(3):
-            shape = (4, len(torus_modes(dim, cutoff)), 2)
-            yield StripField(dim, 1, cutoff, -2, rng.normal(size=shape) @ [1.0, 1j])
 
 
 def _same(a, b) -> bool:
@@ -98,10 +65,8 @@ def test_every_record_loads_back_equal(tmp_path):
         assert _same(type(obj).load(path), obj), obj
 
 
-# A header that disagreed with the arrays used to save and then fail to
-# load: a sphere field whose degree K disagreed with its column count, a
-# strip field whose cutoff disagreed with its mode list.  Both are read
-# from the arrays now, and a shape no K or cutoff fits is not constructible.
+# A sphere field's degree K and a strip field's mode list are read from the
+# sample columns, so a shape no K or cutoff fits is not constructible.
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: KernelTable(SV, "cardinal", 8, -4, np.zeros(65)),
                  id="pskt-unknown-kind"),
@@ -116,29 +81,29 @@ def test_every_record_loads_back_equal(tmp_path):
     pytest.param(lambda: KernelTable(SV, "dual", 8, -4, np.full(65, np.inf)),
                  id="pskt-infinite-values"),
     pytest.param(lambda: PolysplineField(3, 1, -3, np.ones((7, 5))),
-                 id="pspf-5-channels"),
+                 id="sphere-field-5-channels"),
     pytest.param(lambda: PolysplineField(3, 1, -3, np.ones((7, 0))),
-                 id="pspf-no-channels"),
+                 id="sphere-field-no-channels"),
     pytest.param(lambda: PolysplineField(3, 1, -3, np.ones(4)),
-                 id="pspf-samples-not-2d"),
+                 id="sphere-field-samples-not-2d"),
     pytest.param(lambda: PolysplineField(3, 1, -3, np.full((7, 4), np.nan)),
-                 id="pspf-nan-samples"),
+                 id="sphere-field-nan-samples"),
     pytest.param(lambda: PolysplineField(2, 1, -3, np.ones((7, 4))),
-                 id="pspf-n-2"),
+                 id="sphere-field-n-2"),
     pytest.param(lambda: SyntheticPolyspline(3, 1, -3, np.ones((3, 5))),
                  id="sphere-generator-3-rows"),
     pytest.param(lambda: StripField(2, 1, 2, -2, np.ones((5, 5), complex)),
-                 id="pssf-cutoff-2-with-5-columns"),
+                 id="strip-field-cutoff-2-with-5-columns"),
     pytest.param(lambda: StripField(2, 1, 1, -2, np.ones((5, 13), complex)),
-                 id="pssf-cutoff-1-with-13-columns"),
+                 id="strip-field-cutoff-1-with-13-columns"),
     pytest.param(lambda: StripField(0, 1, 1, -2, np.ones((5, 1), complex)),
-                 id="pssf-dimension-0"),
+                 id="strip-field-dimension-0"),
     pytest.param(lambda: StripField(2, 1, -1, -2, np.ones((5, 0), complex)),
-                 id="pssf-negative-cutoff"),
+                 id="strip-field-negative-cutoff"),
     pytest.param(lambda: StripField(2, 1, 1, -2, np.ones(5, complex)),
-                 id="pssf-samples-not-2d"),
+                 id="strip-field-samples-not-2d"),
     pytest.param(lambda: StripField(2, 1, 1, -2, np.full((5, 5), 1j * np.inf)),
-                 id="pssf-infinite-samples"),
+                 id="strip-field-infinite-samples"),
     pytest.param(lambda: SyntheticStripField(2, 1, 1, -2, np.ones((13, 3), complex)),
                  id="strip-generator-13-rows"),
 ])
@@ -178,7 +143,7 @@ def test_flipped_bytes_load_or_raise_value_error(tmp_path, fmt):
 
 
 def test_layouts_are_pinned(tmp_path):
-    # written out by hand, so a drift in any header or entry layout shows
+    # written out by hand, so a drift in the header or entry layout shows
     path = tmp_path / "f"
     _kernel(path)
     assert path.read_bytes()[:60] == bytes.fromhex(
@@ -186,18 +151,6 @@ def test_layouts_are_pinned(tmp_path):
         "08000000" "fcffffff" "4100000000000000"  # per_unit 8, t_min -4, 65 values
         "00000000000008c0" "01000000" "00000000"  # entry -3.0, multiplicity 1
         "0000000000000840" "01000000" "00000000"  # entry 3.0, multiplicity 1
-    )
-    PolysplineField(3, 1, -3, np.zeros((7, 4))).save(path)
-    assert path.read_bytes() == bytes.fromhex(
-        "50535046" "0100" "0000"  # PSPF v1, pad
-        "03000000" "01000000" "01000000"  # n 3, p 1, K 1
-        "fdffffff" "0700000000000000"  # j_min -3, 7 spheres
-    ) + bytes(7 * 4 * 8)
-    StripField(2, 1, 1, -2, np.zeros((5, 5), dtype=complex)).save(path)
-    assert path.read_bytes()[:40] == bytes.fromhex(
-        "50535346" "0100" "0000"  # PSSF v1, pad
-        "02000000" "01000000" "01000000"  # dim 2, p 1, K 1
-        "feffffff" "0500000000000000" "0500000000000000"  # j_min -2, 5 planes, 5 modes
     )
 
 

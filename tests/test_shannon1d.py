@@ -12,7 +12,6 @@ from polyshannon.shannon1d import (
     SamplingGrid,
     autocorrelation,
     cardinal_series,
-    dual_fourier,
     gram_symbol,
     kernel_fourier,
     sampled_symbol,
@@ -312,14 +311,6 @@ def test_autocorrelation_matrix_is_positive_definite():
                          for k in range(7)] for j in range(7)])
         eig = np.linalg.eigvalsh(mat)
         assert eig.min() > 1e-12 * eig.max()
-
-
-def test_dual_fourier_consistency():
-    xi = np.linspace(-7.0, 7.0, 15)
-    for sv in (SYM4, EXP2):
-        lhs = dual_fourier(sv, xi) * gram_symbol(sv, xi)
-        rhs = tb_fourier(sv, xi)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(rhs))
 
 
 def test_dual_table_biorthogonality():

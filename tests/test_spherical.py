@@ -1,7 +1,6 @@
 """Sphere quadrature, harmonics, per-degree kernels, spherical reconstruction."""
 
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -32,7 +31,6 @@ from polyshannon.spherical import (
     _harmonic_stream,
     _order_block,
 )
-from polyshannon.records import FormatError
 
 
 def _random_directions(rng, count):
@@ -460,78 +458,10 @@ def test_degree_cap_holds_on_both_routes():
         gen.eval(r, d)
 
 
-# --------------------------------------------------------------------------
-# field files
-# --------------------------------------------------------------------------
-
-def test_field_binary_roundtrip(tmp_path):
-    rng = np.random.default_rng(59)
-    gen = random_polyspline_field(rng, n=3, p=2, degree_max=2, j_min=-5,
-                                  j_max=5)
-    fld = gen.sphere_field(-5, 5)
-    path = tmp_path / "field.pspf"
-    fld.save(path)
-    back = PolysplineField.load(path)
-    assert (back.dimension, back.smoothness, back.degree_max, back.j_min) == (
-        3, 2, 2, -5,
-    )
-    assert np.array_equal(back.samples, fld.samples)
-
-
-def test_field_load_rejects_garbage(tmp_path):
-    bad = tmp_path / "junk.bin"
-    bad.write_bytes(b"\x00" * 64)
-    with pytest.raises(FormatError):
-        PolysplineField.load(bad)
-
-
-def _same_field(a: PolysplineField, b: PolysplineField) -> bool:
-    return (a.dimension, a.smoothness, a.degree_max, a.j_min) == (
-        b.dimension, b.smoothness, b.degree_max, b.j_min,
-    ) and np.array_equal(a.samples, b.samples)
-
-
-@pytest.mark.parametrize("fmt", ["binary"])
-def test_truncated_field_files_fail_cleanly(tmp_path, fmt):
-    # random samples: every row, the last included, is nonzero throughout
-    rng = np.random.default_rng(61)
-    fld = PolysplineField(3, 2, -2, rng.uniform(-1.0, 1.0, size=(5, 4)))
-    path = tmp_path / "field"
-    fld.save(path)
-    raw = path.read_bytes()
-    load = PolysplineField.load
-    assert _same_field(load(path), fld)
-    for size in range(len(raw)):
-        path.write_bytes(raw[:size])
-        try:
-            back = load(path)
-        except FormatError:
-            continue
-        assert _same_field(back, fld), size
-    path.write_bytes(raw + b"\0")
-    with pytest.raises(FormatError):
-        load(path)
-    for bad in (math.nan, math.inf, -math.inf):  # in the last sample, [4, 3]
-        path.write_bytes(raw[:-8] + struct.pack("<d", bad))
-        with pytest.raises(FormatError, match="NaN or infinite"):
-            load(path)
-
-
-def test_sphere_fields_need_dimension_3(tmp_path):
+def test_sphere_fields_need_dimension_3():
     rng = np.random.default_rng(67)
     for n in (2, 4):
         with pytest.raises(ValueError, match="n = 3"):
             random_polyspline_field(rng, n=n, p=1, degree_max=1)
         with pytest.raises(ValueError, match="n = 3"):
             PolysplineField(n, 1, -3, np.ones((7, mode_count(1))))
-    # the loader builds through the constructor, so it inherits the check,
-    # raised as a format error
-    fld = PolysplineField(3, 1, -3, np.ones((7, mode_count(1))))
-    path = tmp_path / "f.pspf"
-    fld.save(path)
-    raw = bytearray(path.read_bytes())
-    raw[8:12] = (4).to_bytes(4, "little")
-    path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="n = 3"):
-        PolysplineField.load(path)
-

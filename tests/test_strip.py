@@ -2,12 +2,10 @@
 
 import itertools
 import math
-import struct
 
 import numpy as np
 import pytest
 
-from polyshannon.records import FormatError
 from polyshannon.shannon1d import (
     SamplingGrid,
     channel_series,
@@ -27,8 +25,6 @@ from polyshannon.strip import (
     synthesize_torus,
     torus_modes,
 )
-
-_STRIP_HEAD = 40  # bytes before the mode list of a PSSF file
 
 
 def test_torus_mode_set_structure():
@@ -314,85 +310,3 @@ def test_kernel_source_selects_the_tables():
     assert asked == [strip_spectrum(math.sqrt(k), 1) for k in (0, 1, 2, 4)]
     assert not np.array_equal(got, default)
     assert np.max(np.abs(got - default)) < 1e-4 * np.max(np.abs(default))
-
-
-# --------------------------------------------------------------------------
-# field files
-# --------------------------------------------------------------------------
-
-def test_strip_field_binary_roundtrip(tmp_path):
-    rng = np.random.default_rng(97)
-    gen = random_strip_field(rng, dimension=3, p=1, cutoff=1, j_min=-3, j_max=3)
-    fld = gen.plane_field(-3, 3)
-    path = tmp_path / "strip.pssf"
-    fld.save(path)
-    back = StripField.load(path)
-    assert back.modes == fld.modes
-    assert back.dimension == 3
-    assert np.array_equal(back.samples, fld.samples)
-
-
-def test_strip_field_load_rejects_garbage(tmp_path):
-    bad = tmp_path / "junk.bin"
-    bad.write_bytes(b"\xff" * 80)
-    with pytest.raises(FormatError):
-        StripField.load(bad)
-
-
-@pytest.mark.parametrize("fmt", ["binary"])
-def test_strip_loaders_check_the_mode_list(tmp_path, fmt):
-    # the stored mode list of a valid file, patched in place
-    modes = torus_modes(2, 2)
-    path = tmp_path / "strip"
-    StripField(2, 1, 2, -2, np.ones((5, len(modes)), dtype=complex)).save(path)
-    raw = path.read_bytes()
-    head, samples = raw[:_STRIP_HEAD], raw[_STRIP_HEAD + 8 * len(modes) :]
-    load = StripField.load
-    for bad in (
-        modes[:-1] + ((400, 0),),  # a mode far beyond the cutoff
-        modes[:-1] + ((2, 2),),  # just beyond it
-        modes[:-1] + (modes[-2],),  # a repeat in place of a mode
-        (modes[1], modes[0]) + modes[2:],  # out of canonical order
-    ):
-        path.write_bytes(head + np.asarray(bad, dtype="<i4").tobytes() + samples)
-        with pytest.raises(FormatError, match="mode"):
-            load(path)
-    # the whole list under a header that claims a larger cutoff
-    path.write_bytes(raw[:16] + struct.pack("<I", 3) + raw[20:])
-    with pytest.raises(FormatError, match="mode"):
-        load(path)
-
-
-def _same_strip(a: StripField, b: StripField) -> bool:
-    return (a.dimension, a.smoothness, a.cutoff, a.j_min, a.modes) == (
-        b.dimension, b.smoothness, b.cutoff, b.j_min, b.modes,
-    ) and np.array_equal(a.samples, b.samples)
-
-
-@pytest.mark.parametrize("fmt", ["binary"])
-def test_truncated_strip_files_fail_cleanly(tmp_path, fmt):
-    # random samples: every row, the last included, is nonzero throughout
-    rng = np.random.default_rng(107)
-    modes = torus_modes(2, 1)
-    samples = rng.uniform(-1.0, 1.0, size=(5, len(modes), 2)) @ np.array([1.0, 1j])
-    fld = StripField(2, 1, 1, -2, samples)
-    path = tmp_path / "strip"
-    fld.save(path)
-    raw = path.read_bytes()
-    load = StripField.load
-    assert _same_strip(load(path), fld)
-    for size in range(len(raw)):
-        path.write_bytes(raw[:size])
-        try:
-            back = load(path)
-        except FormatError:
-            continue
-        assert _same_strip(back, fld), size
-    path.write_bytes(raw + b"\0")
-    with pytest.raises(FormatError):
-        load(path)
-    for bad in (math.nan, complex(0.0, math.inf), -math.inf):  # in sample [4, 2]
-        bad_bytes = np.asarray([bad], dtype="<c16").tobytes()
-        path.write_bytes(raw[: -3 * 16] + bad_bytes + raw[-2 * 16 :])
-        with pytest.raises(FormatError, match="NaN or infinite"):
-            load(path)
