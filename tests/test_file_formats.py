@@ -81,29 +81,29 @@ def test_every_record_loads_back_equal(tmp_path):
     pytest.param(lambda: KernelTable(SV, "dual", 8, -4, np.full(65, np.inf)),
                  id="pskt-infinite-values"),
     pytest.param(lambda: PolysplineField(3, 1, -3, np.ones((7, 5))),
-                 id="sphere-field-5-channels"),
+                 id="pspf-5-channels"),
     pytest.param(lambda: PolysplineField(3, 1, -3, np.ones((7, 0))),
-                 id="sphere-field-no-channels"),
+                 id="pspf-no-channels"),
     pytest.param(lambda: PolysplineField(3, 1, -3, np.ones(4)),
-                 id="sphere-field-samples-not-2d"),
+                 id="pspf-samples-not-2d"),
     pytest.param(lambda: PolysplineField(3, 1, -3, np.full((7, 4), np.nan)),
-                 id="sphere-field-nan-samples"),
+                 id="pspf-nan-samples"),
     pytest.param(lambda: PolysplineField(2, 1, -3, np.ones((7, 4))),
-                 id="sphere-field-n-2"),
+                 id="pspf-n-2"),
     pytest.param(lambda: SyntheticPolyspline(3, 1, -3, np.ones((3, 5))),
                  id="sphere-generator-3-rows"),
     pytest.param(lambda: StripField(2, 1, 2, -2, np.ones((5, 5), complex)),
-                 id="strip-field-cutoff-2-with-5-columns"),
+                 id="pssf-cutoff-2-with-5-columns"),
     pytest.param(lambda: StripField(2, 1, 1, -2, np.ones((5, 13), complex)),
-                 id="strip-field-cutoff-1-with-13-columns"),
+                 id="pssf-cutoff-1-with-13-columns"),
     pytest.param(lambda: StripField(0, 1, 1, -2, np.ones((5, 1), complex)),
-                 id="strip-field-dimension-0"),
+                 id="pssf-dimension-0"),
     pytest.param(lambda: StripField(2, 1, -1, -2, np.ones((5, 0), complex)),
-                 id="strip-field-negative-cutoff"),
+                 id="pssf-negative-cutoff"),
     pytest.param(lambda: StripField(2, 1, 1, -2, np.ones(5, complex)),
-                 id="strip-field-samples-not-2d"),
+                 id="pssf-samples-not-2d"),
     pytest.param(lambda: StripField(2, 1, 1, -2, np.full((5, 5), 1j * np.inf)),
-                 id="strip-field-infinite-samples"),
+                 id="pssf-infinite-samples"),
     pytest.param(lambda: SyntheticStripField(2, 1, 1, -2, np.ones((13, 3), complex)),
                  id="strip-generator-13-rows"),
 ])
