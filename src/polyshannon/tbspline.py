@@ -22,10 +22,11 @@ other):
   only.
 * :func:`tb_chebyshev` -- the one piecewise form: one chopped Chebyshev
   series per unit interval, sampled once per spectrum from the same data
-  reorganized in mpmath as exponential polynomials per interval, and
-  evaluated in float64 by Clenshaw.  No stiffness cap and no per-point mpmath
-  work, so every library path that needs Q_N values runs on it: kernel
-  grids and Euler splines through the callable, the series
+  reorganized as exponential polynomials per interval (assembled in mpmath,
+  sampled in exact fixed-point integers), and evaluated in float64 by
+  Clenshaw.  No stiffness cap and no per-point mpmath work, so every
+  library path that needs Q_N values runs on it: kernel grids and Euler
+  splines through the callable, the series
   sum_i c_i Q_N(t - i) through :meth:`TbChebyshev.translates`, which maps
   each point to its N live translates.  :func:`tb_exact` stays the
   independent reference it is tested against.
@@ -47,10 +48,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 from typing import Sequence
 
 import numpy as np
 from mpmath import mp
+from mpmath.libmp.libelefun import exp_fixed
 
 from .spectrum import SpectrumVector
 
@@ -202,12 +206,9 @@ def _beta_coeffs(lams: Sequence, mults: Sequence[int], one, exp) -> list:
     return poly
 
 
-def _check_float_range(spectrum: SpectrumVector, vals: np.ndarray) -> None:
-    """ConditioningError if a TB value rounded to float64 overflowed."""
-    if not np.all(np.isfinite(vals)):
-        raise ConditioningError(
-            f"values of the TB-spline of {spectrum} overflow float64"
-        )
+def _overflow(spectrum: SpectrumVector) -> ConditioningError:
+    """The error for a TB value that rounds beyond the float64 range."""
+    return ConditioningError(f"values of the TB-spline of {spectrum} overflow float64")
 
 
 def _check_gaps(spectrum: SpectrumVector) -> None:
@@ -321,21 +322,6 @@ def tb_exact(spectrum: SpectrumVector, t):
     t_arr = np.asarray(t, dtype=float)
     vals = _qn_hp_arr(spectrum, t_arr, _exact_dps(spectrum))
     return float(vals) if vals.ndim == 0 else vals
-
-
-@lru_cache(maxsize=None)
-def tb_integer_values(spectrum: SpectrumVector) -> tuple[float, ...]:
-    """(Q_N(1), ..., Q_N(N-1)): the data behind symbols and Euler-Frobenius.
-
-    The same mpmath sum as :func:`tb_exact`, without its stiffness cap.
-    Raises :class:`ConditioningError` when a value overflows float64.
-    """
-    n = spectrum.order
-    if n < 2:
-        return ()
-    vals = _qn_hp_arr(spectrum, np.arange(1.0, n), _exact_dps(spectrum))
-    _check_float_range(spectrum, vals)
-    return tuple(float(v) for v in vals)
 
 
 # --------------------------------------------------------------------------
@@ -620,14 +606,15 @@ def _local_coeffs(entries, beta, n: int) -> tuple:
     switched on; re-expanding t^s e^{l t} about u = t - m gives the local
     coefficient of u^r e^{l u}.
     """
+    growth = [[mp.exp(li * delta) for delta in range(n)] for li, _ in entries]
     pieces = []
     for m in range(n):
         blocks = []
-        for li, cvec in entries:
+        for (li, cvec), exps in zip(entries, growth):
             coeffs = [mp.mpf(0)] * len(cvec)
             for j in range(m + 1):
                 delta = m - j
-                w = beta[j] * mp.exp(li * delta)
+                w = beta[j] * exps[delta]
                 for s, cs in enumerate(cvec):
                     if cs == 0:
                         continue
@@ -638,24 +625,96 @@ def _local_coeffs(entries, beta, n: int) -> tuple:
     return tuple(pieces)
 
 
-def _sample_local(pieces, us) -> np.ndarray:
-    """Every piece's exp-polynomial at the mp points ``us``: (pieces, len(us)).
+#: fraction bits the fixed-point sampler carries beyond the pieces' precision
+_GUARD_BITS = 64
 
-    The products u^s e^{l u} are shared by all pieces, so each point costs one
-    exponential per distinct frequency and one dot product per piece.
+
+def _binary(x) -> tuple[int, int]:
+    """(man, exp) with the mpf ``x`` = man * 2**exp exactly."""
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man), exp
+
+
+def _shift(num: int, bits: int) -> int:
+    """num * 2**bits, rounded down to an integer."""
+    return num << bits if bits >= 0 else num >> -bits
+
+
+def _ratio(num: int, exp: int) -> float:
+    """num * 2**exp correctly rounded to float64; OverflowError beyond its range."""
+    return num / (1 << -exp) if exp < 0 else float(num << exp)
+
+
+@lru_cache(maxsize=None)
+def _pieces(spectrum: SpectrumVector):
+    """Q_N's local exp-polynomials, built once per spectrum, as exact binary numbers.
+
+    :func:`_local_coeffs` runs at :func:`_exact_dps`, the precision of
+    :func:`tb_exact`.  Returns ``(freqs, rows, prec)``: ``freqs`` holds
+    (lambda as ``(man, exp)``, multiplicity mu) per distinct frequency;
+    piece m is 2**low * sum_k ints[k] b_k(u) with ``(ints, low) = rows[m]``
+    and the basis b = u^r e^{l u}, r = 0..mu-1, of each frequency in turn;
+    ``prec`` is the bit precision the pieces were assembled at.
     """
-    flat = [[c for _, cs in blocks for c in cs] for blocks in pieces]
-    out = np.empty((len(pieces), len(us)))
+    dps = _exact_dps(spectrum)
+    entries, beta = _system(spectrum, dps)
+    with mp.workdps(dps):
+        blocks = _local_coeffs(entries, beta, spectrum.order)
+        prec = mp.prec
+    freqs = tuple((_binary(li), len(cs)) for li, cs in blocks[0])
+    rows = []
+    for piece in blocks:
+        terms = [_binary(c) for _, cs in piece for c in cs]
+        low = min((exp for man, exp in terms if man), default=0)
+        rows.append((tuple(_shift(man, exp - low) for man, exp in terms), low))
+    return freqs, tuple(rows), prec
+
+
+def _sample_pieces(pieces, us) -> np.ndarray:
+    """Every piece of :func:`_pieces` at the mp points ``us``: (pieces, len(us)).
+
+    Fixed-point arithmetic with ``prec + _GUARD_BITS`` fraction bits: each
+    point costs one exponential per distinct frequency, shared by all
+    pieces, then per piece an exact integer dot product and one correctly
+    rounded int/int division.  OverflowError if a value is beyond float64.
+    """
+    freqs, rows, prec = pieces
+    wp = prec + _GUARD_BITS
+    out = np.empty((len(rows), len(us)))
     for j, u in enumerate(us):
+        man, exp = _binary(u)
+        u_fixed = _shift(man, exp + wp)
         basis = []
-        for li, cs in pieces[0]:
-            e = mp.exp(li * u)
-            for _ in cs:
+        for (l_man, l_exp), mult in freqs:
+            e = exp_fixed(_shift(l_man * man, l_exp + exp + wp), wp)
+            for _ in range(mult):
                 basis.append(e)
-                e *= u
-        for m, row in enumerate(flat):
-            out[m, j] = float(mp.fdot(basis, row))
+                e = (e * u_fixed) >> wp
+        for m, (ints, low) in enumerate(rows):
+            out[m, j] = _ratio(sum(map(mul, ints, basis)), low - wp)
     return out
+
+
+@lru_cache(maxsize=None)
+def tb_integer_values(spectrum: SpectrumVector) -> tuple[float, ...]:
+    """(Q_N(1), ..., Q_N(N-1)): the data behind symbols and Euler-Frobenius.
+
+    Q_N(m) is piece m of the local exp-polynomials at u = 0, the exact sum
+    of its constant terms, rounded once to float64; the pieces are the ones
+    :func:`tb_chebyshev` samples, at :func:`tb_exact`'s precision and
+    without its stiffness cap.  Raises :class:`ConditioningError` when a
+    value overflows float64.
+    """
+    n = spectrum.order
+    if n < 2:
+        return ()
+    freqs, rows, _ = _pieces(spectrum)
+    # the basis index of each frequency's u^0 e^{l u}
+    starts = list(accumulate((mult for _, mult in freqs[:-1]), initial=0))
+    try:
+        return tuple(_ratio(sum(ints[k] for k in starts), low) for ints, low in rows[1:])
+    except OverflowError:
+        raise _overflow(spectrum) from None
 
 
 @lru_cache(maxsize=None)
@@ -673,45 +732,48 @@ def _cheb_points(deg: int, dps: int, odd: bool) -> tuple:
 def tb_chebyshev(spectrum: SpectrumVector) -> TbChebyshev:
     """Q_N as chopped Chebyshev series, sampled once per spectrum.
 
-    The local exp-polynomials of each unit interval are assembled in
-    mpmath at the precision :func:`tb_exact` would use, sampled at Chebyshev
-    points (doubling on nested points) and rounded once to float64, so there
-    is no stiffness cap and no cancellation in the float evaluation.  Each
-    interval is chopped by Chebfun's rule relative to max|Q| over the whole
-    support.  Raises :class:`ConvergenceError` if some interval is still
-    unresolved at degree ``_CHEB_MAX``, and :class:`ConditioningError` as
-    soon as a sample overflows float64.
+    The local exp-polynomials of each unit interval (:func:`_pieces`, at
+    the precision :func:`tb_exact` would use) are sampled at Chebyshev
+    points (doubling on nested points) in exact fixed-point arithmetic and
+    rounded once to float64, so there is no stiffness cap and no
+    cancellation in the float evaluation.  Each interval is chopped by
+    Chebfun's rule relative to max|Q| over the whole support.  Raises
+    :class:`ConvergenceError` if some interval is still unresolved at
+    degree ``_CHEB_MAX``, and :class:`ConditioningError` as soon as a
+    sample overflows float64.
     """
     n = spectrum.order
-    dps = _exact_dps(spectrum)
-    points_dps = -(-dps // 20) * 20
-    entries, beta = _system(spectrum, dps)
+    points_dps = -(-_exact_dps(spectrum) // 20) * 20
+    pieces = _pieces(spectrum)
     eps = np.finfo(float).eps
-    with mp.workdps(dps):
-        pieces = _local_coeffs(entries, beta, n)
-        deg = _CHEB_FIRST
-        vals = _sample_local(pieces, _cheb_points(deg, points_dps, False))
-        while True:
-            _check_float_range(spectrum, vals)
-            coeffs = _cheb_coeffs(vals)
-            local = np.max(np.abs(vals), axis=1)
-            scale = float(np.max(local))
-            cuts = [
-                _standard_chop(c, eps * max(1.0, scale / v) if v > 0.0 else 1.0)
-                for c, v in zip(coeffs, local)
-            ]
-            if None not in cuts:
-                break
-            if deg >= _CHEB_MAX:
-                raise ConvergenceError(
-                    f"Chebyshev series of {spectrum} unresolved at degree {deg}"
-                )
-            # the points of degree 2*deg are the old ones plus the odd ones
-            odd = _sample_local(pieces, _cheb_points(2 * deg, points_dps, True))
-            merged = np.empty((n, 2 * deg + 1))
-            merged[:, 0::2] = vals
-            merged[:, 1::2] = odd
-            vals, deg = merged, 2 * deg
+
+    def sample(deg: int, odd: bool) -> np.ndarray:
+        try:
+            return _sample_pieces(pieces, _cheb_points(deg, points_dps, odd))
+        except OverflowError:
+            raise _overflow(spectrum) from None
+
+    deg = _CHEB_FIRST
+    vals = sample(deg, False)
+    while True:
+        coeffs = _cheb_coeffs(vals)
+        local = np.max(np.abs(vals), axis=1)
+        scale = float(np.max(local))
+        cuts = [
+            _standard_chop(c, eps * max(1.0, scale / v) if v > 0.0 else 1.0)
+            for c, v in zip(coeffs, local)
+        ]
+        if None not in cuts:
+            break
+        if deg >= _CHEB_MAX:
+            raise ConvergenceError(
+                f"Chebyshev series of {spectrum} unresolved at degree {deg}"
+            )
+        # the points of degree 2*deg are the old ones plus the odd ones
+        merged = np.empty((n, 2 * deg + 1))
+        merged[:, 0::2] = vals
+        merged[:, 1::2] = sample(2 * deg, True)
+        vals, deg = merged, 2 * deg
     chopped = []
     for c, cut in zip(coeffs, cuts):
         c = c[:cut].copy()

@@ -376,6 +376,65 @@ def test_values_beyond_float64_fail_by_name(freqs):
             build(SV(freqs))
 
 
+def test_integer_values_match_exact_green_sum_on_battery():
+    # the pieces' constant terms against the independent pointwise Green's sum
+    classical, strips, radial = _battery()
+    for sv in classical + strips + radial:
+        if tbs.cancellation_severity(sv) > tbs.SEVERITY_EXACT_MAX:
+            continue
+        got = np.asarray(tb_integer_values(sv))
+        want = tb_exact(sv, np.arange(1.0, sv.order))
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want))), str(sv)
+
+
+def _clear_tbspline_caches():
+    for value in vars(tbs).values():
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
+
+
+def test_pieces_are_built_once_per_spectrum(monkeypatch):
+    sv = SV([1.5, -0.5, 0.0, 2.0])
+    _clear_tbspline_caches()
+    calls = []
+    build = tbs._local_coeffs
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(tbs, "_local_coeffs", counted)
+    try:
+        coeffs = tb_chebyshev(sv).coeffs
+        qm = tb_integer_values(sv)
+        assert len(calls) == 1
+        # a cold rebuild gives the same bits
+        _clear_tbspline_caches()
+        again = tb_chebyshev(sv).coeffs
+        assert len(again) == len(coeffs)
+        assert all(np.array_equal(a, b) for a, b in zip(again, coeffs))
+        assert tb_integer_values(sv) == qm
+        assert len(calls) == 2
+    finally:
+        _clear_tbspline_caches()
+
+
+@pytest.mark.parametrize("dps", [30, 300])
+@pytest.mark.parametrize("x", [-37.25, 700.5])
+def test_mpmath_fixed_point_exp_api(dps, x):
+    # the sampler's one mpmath internal: exp of a fixed-point integer with
+    # `prec` fraction bits, returned with the same scaling.  The range
+    # reduction by ln 2 costs about log2|x| bits, well inside the guard bits.
+    from mpmath import mp
+    from mpmath.libmp.libelefun import exp_fixed
+
+    with mp.workdps(dps):
+        prec = mp.prec
+        got = mp.mpf(exp_fixed(int(mp.mpf(x) * 2**prec), prec)) / 2**prec
+        want = mp.exp(x)
+        assert abs(got - want) <= (4 + 2 * abs(x)) * 2.0**-prec * max(want, 1)
+
+
 def test_superposition_complex_equals_real_plus_imaginary():
     sv = SV([-2.0, 2.0])
     rng = np.random.default_rng(9)
