@@ -41,22 +41,29 @@ checks the queries, :func:`channel_series` reconstructs (the one choice
 between the coefficient and table routes), and :func:`channel_values` and
 :func:`channel_samples` evaluate and sample the ground-truth generators.  A
 geometry supplies ``groups(rows)``, ``spectrum(key)`` and ``resum(rows,
-points, profiles)``.
+points, profiles)``.  All groups of a field share the order 2p and one
+coefficient range, so each call bins its queries once
+(:class:`~polyshannon.tbspline.Queries`) and a group costs its Clenshaw
+passes and one matrix product; the lattice taps are cached per spectrum,
+divisor and size (:func:`_lattice_taps`).
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+import sys
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .records import FormatError, check_size, checked, read_record, write_record
 from .spectrum import SpectrumVector
 from .tables import interp6
-from .tbspline import check_queries, tb_chebyshev, tb_fourier, tb_integer_values
+from .tbspline import Queries, check_queries, tb_chebyshev, tb_fourier, tb_integer_values
 
 __all__ = [
     "BoundaryTailWarning",
@@ -266,14 +273,23 @@ def _lattice_inverse(spectrum: SpectrumVector, kind: str, reach: int) -> np.ndar
     The taps decay geometrically; M = max(256, 4 * reach rounded up to a
     power of two) keeps their aliases far from every |m| <= ``reach``.
     Raises :class:`NotSamplableError` when D is not finite or (nearly)
-    vanishes on the circle.
+    vanishes on the circle.  The taps are read-only and cached
+    (:func:`_lattice_taps`).
     """
     size = max(256, 1 << (4 * reach - 1).bit_length())
+    return _lattice_taps(spectrum, tuple(_divisor(spectrum, kind).items()), size)
+
+
+@lru_cache(maxsize=None)
+def _lattice_taps(spectrum: SpectrumVector, divisor: tuple, size: int) -> np.ndarray:
+    """The M = ``size`` periodized taps of 1/D for the (m, c_m) pairs
+    ``divisor``, by two FFTs; keyed on the divisor's values, not only on
+    ``spectrum`` (named in the errors), so new integer values give new taps."""
     coeffs = np.zeros(size)
-    for m, c in _divisor(spectrum, kind).items():
+    for m, c in divisor:
         coeffs[m % size] = c
-    divisor = np.fft.fft(coeffs)
-    mags = np.abs(divisor)
+    divisor_fft = np.fft.fft(coeffs)
+    mags = np.abs(divisor_fft)
     if not np.all(np.isfinite(mags)):
         raise NotSamplableError(f"sampling symbol of {spectrum} is not finite")
     if mags.max() == 0.0 or mags.min() < 1e-9 * mags.max():
@@ -281,7 +297,9 @@ def _lattice_inverse(spectrum: SpectrumVector, kind: str, reach: int) -> np.ndar
             f"sampling symbol of {spectrum} vanishes on the circle "
             f"(relative margin {0.0 if mags.max() == 0.0 else mags.min()/mags.max():.2e})"
         )
-    return np.fft.ifft(1.0 / divisor).real
+    taps = np.fft.ifft(1.0 / divisor_fft).real.copy()
+    taps.flags.writeable = False
+    return taps
 
 
 def _synthesize(spectrum: SpectrumVector, grid: SamplingGrid, kind: str) -> KernelTable:
@@ -342,11 +360,24 @@ def check_samples(samples) -> None:
         raise ValueError("samples contain NaN or infinite values")
 
 
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _outside_level() -> int:
+    """The warnings ``stacklevel``, seen from the function calling this one,
+    of the innermost frame outside the package: the library's caller."""
+    level, frame = 2, sys._getframe(2)
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        level, frame = level + 1, frame.f_back
+    return level
+
+
 def check_cardinal_data(samples, j_min: int, t) -> None:
     """Guard a cardinal series over sample rows j = j_min, j_min+1, ...: raise
     ValueError as :func:`check_samples` and on a NaN or infinite ``t``, and
     warn (:class:`BoundaryTailWarning`) when a query lies within two units
-    of the first or last sample."""
+    of the first or last sample.  The warning points at the first caller
+    outside the package, however deep the route to this check."""
     samples = np.asarray(samples)
     check_samples(samples)
     check_queries(t)
@@ -357,7 +388,7 @@ def check_cardinal_data(samples, j_min: int, t) -> None:
             f"queries leave [{lo}, {hi}]: kernel tails truncated by the "
             f"sampled range (data scale {scale:.3g})",
             BoundaryTailWarning,
-            stacklevel=4,  # the caller of the reconstruction, via channel_series
+            stacklevel=_outside_level(),
         )
 
 
@@ -394,15 +425,18 @@ def spline_series(spectrum: SpectrumVector, j_min: int, samples, t):
     :func:`tb_superposition` sums their translates.  Coefficients stop
     ``SamplingGrid().half_width`` beyond each end of the data, the support
     of the default table, so a query farther out gets 0 as it does from a
-    table.  Same layout and return shape as :func:`cardinal_series`.
-    Raises ValueError on a NaN or infinite query coordinate, and
+    table.  Same layout and return shape as :func:`cardinal_series`; ``t``
+    may be a :class:`~polyshannon.tbspline.Queries`, whose bins then serve
+    every call with the same coefficient range and order.  Raises
+    ValueError on a NaN or infinite query coordinate, and
     :class:`NotSamplableError` when the sampled symbol vanishes on the
     circle or is not finite.
     """
     y = np.asarray(samples)
     if not np.iscomplexobj(y):
         y = y.astype(float)
-    t_arr = np.asarray(t, dtype=float)
+    queries = t if isinstance(t, Queries) else Queries(t)
+    t_arr = queries.t
     check_queries(t_arr)
     j_max = j_min + y.shape[-1] - 1
     hw = SamplingGrid().half_width
@@ -419,7 +453,7 @@ def spline_series(spectrum: SpectrumVector, j_min: int, samples, t):
     taps = _lattice_inverse(spectrum, "interp", max(hi - j_min, j_max - lo))
     shifts = np.arange(lo, hi + 1)
     c = y @ taps[(shifts[:, None] - np.arange(j_min, j_max + 1)) % len(taps)].T
-    return tb_superposition(spectrum, lo, c, t_arr)
+    return tb_superposition(spectrum, lo, c, queries)
 
 
 def tb_superposition(spectrum: SpectrumVector, j_min: int, coeffs, t):
@@ -428,13 +462,15 @@ def tb_superposition(spectrum: SpectrumVector, j_min: int, coeffs, t):
 
     Same coefficient layout as :func:`cardinal_series`.  The translates come
     from :meth:`~polyshannon.tbspline.TbChebyshev.translates`, which fills
-    only the N live at each point.  A NaN or infinite t gives 0, as Q_N
-    does there.
+    only the N live at each point; ``t`` may be a
+    :class:`~polyshannon.tbspline.Queries`, binned once for every call with
+    the same coefficient range and order.  A NaN or infinite t gives 0, as
+    Q_N does there.
     """
     c = np.asarray(coeffs)
-    t_arr = np.asarray(t, dtype=float)
-    q = tb_chebyshev(spectrum).translates(j_min, c.shape[-1], t_arr)
-    out = (c @ q).reshape(c.shape[:-1] + t_arr.shape)
+    queries = t if isinstance(t, Queries) else Queries(t)
+    q = tb_chebyshev(spectrum).translates(j_min, c.shape[-1], queries)
+    out = (c @ q).reshape(c.shape[:-1] + queries.t.shape)
     return out.item() if out.ndim == 0 else out
 
 
@@ -473,16 +509,18 @@ def channel_series(fld, t, points, kernel=None) -> np.ndarray:
     block), the series at t of each live channel group (rows ``block``,
     spectrum ``fld.spectrum(key)``), against the angular basis.  The series
     is :func:`spline_series`, or :func:`cardinal_series` on the table
-    ``kernel(spectrum)`` when ``kernel`` is given.  Raises and warns as
-    :func:`check_cardinal_data`.
+    ``kernel(spectrum)`` when ``kernel`` is given.  The groups share one
+    :class:`~polyshannon.tbspline.Queries`, so t is binned once per call.
+    Raises and warns as :func:`check_cardinal_data`.
     """
     check_cardinal_data(fld.samples, fld.j_min, t)
+    queries = Queries(t)
 
     def profiles(key, block: np.ndarray) -> np.ndarray:
         sv = fld.spectrum(key)
         if kernel is not None:
             return cardinal_series(kernel(sv), fld.j_min, block, t)
-        return spline_series(sv, fld.j_min, block, t)
+        return spline_series(sv, fld.j_min, block, queries)
 
     return fld.resum(fld.samples.T, points, profiles)
 
@@ -490,18 +528,21 @@ def channel_series(fld, t, points, kernel=None) -> np.ndarray:
 def channel_values(gen, t, points) -> np.ndarray:
     """A generator's field at the (t, points) of :func:`check_channel_queries`,
     resummed as in :func:`channel_series` from its V_0 coefficient rows
-    ``gen.coeffs`` (i from ``gen.i_min``): one TB evaluation per group."""
+    ``gen.coeffs`` (i from ``gen.i_min``): one TB evaluation per group, over
+    queries binned once."""
+    queries = Queries(t)
     return gen.resum(
         gen.coeffs, points,
-        lambda key, block: tb_superposition(gen.spectrum(key), gen.i_min, block, t),
+        lambda key, block: tb_superposition(gen.spectrum(key), gen.i_min, block, queries),
     )
 
 
 def channel_samples(gen, j_min: int, j_max: int) -> np.ndarray:
     """Samples of a generator's channels (columns) at t = j_min..j_max (rows),
-    one TB evaluation per group of ``gen.groups(rows)``, (key, index) pairs."""
-    js = np.arange(j_min, j_max + 1, dtype=float)
-    out = np.zeros((len(js), len(gen.coeffs)), np.result_type(gen.coeffs, float))
+    one TB evaluation per group of ``gen.groups(rows)``, (key, index) pairs,
+    over nodes binned once."""
+    js = Queries(np.arange(j_min, j_max + 1, dtype=float))
+    out = np.zeros((js.t.size, len(gen.coeffs)), np.result_type(gen.coeffs, float))
     for key, idx in gen.groups(gen.coeffs):
         sv = gen.spectrum(key)
         out[:, idx] = tb_superposition(sv, gen.i_min, gen.coeffs[idx], js).T

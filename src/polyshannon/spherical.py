@@ -43,6 +43,7 @@ from .shannon1d import (
     channel_samples,
     channel_series,
     channel_values,
+    check_cardinal_data,
     check_channel_queries,
     check_samples,
     coefficient_count,
@@ -534,10 +535,12 @@ def reconstruct_spherical_integral(
     sum_j int_{S^2} S_0(r e^{-j}, theta.psi) f(e^j theta) dtheta, with the
     integral replaced by the grid quadrature.  Agrees with the mode-wise
     pipeline once the grid is alias-free for the field's degree content.
-    Directions of non-unit length are normalized; the queries are checked
-    as in :func:`reconstruct_spherical`.
+    Directions of non-unit length are normalized; the queries are checked,
+    and log r near the edge of the sampled spheres warned about, as in
+    :func:`reconstruct_spherical`.
     """
-    _, d = _sphere_queries(r, directions)
+    v, d = _sphere_queries(r, directions)
+    check_cardinal_data(field.samples, field.j_min, v)
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     d = d / np.linalg.norm(d, axis=1, keepdims=True)
     pts = grid.points()

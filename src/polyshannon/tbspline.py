@@ -28,8 +28,10 @@ other):
   library path that needs Q_N values runs on it: kernel grids and Euler
   splines through the callable, the series
   sum_i c_i Q_N(t - i) through :meth:`TbChebyshev.translates`, which maps
-  each point to its N live translates.  :func:`tb_exact` stays the
-  independent reference it is tested against.
+  each point to its N live translates.  A :class:`Queries` bins the points
+  once per translate range, so sums over many spectra of one order at the
+  same t (the channels of a field) share the binning.  :func:`tb_exact`
+  stays the independent reference it is tested against.
 * :func:`tb_tabulate`  -- FFT inversion of the Fourier form with an asymptotic
   correction for the truncated spectral tail, to ``TABULATE_RTOL``.  No
   cancellation at any stiffness, which is exactly why it exists.
@@ -66,6 +68,7 @@ __all__ = [
     "EFAccuracyError",
     "EFStructureError",
     "EFPolynomial",
+    "Queries",
     "TbChebyshev",
     "TbTable",
     "cancellation_severity",
@@ -505,6 +508,42 @@ _CHEB_FIRST = 16
 _CHEB_MAX = 1024
 
 
+class Queries:
+    """Query coordinates t of translate sums, binned once per translate range.
+
+    :meth:`TbChebyshev.translates` takes one in place of t.  The bins of a
+    range (first, count, order) are computed on first use and shared by
+    every later call with that range, whatever the spectrum: all channel
+    groups of a field have one order and one coefficient range, so a
+    reconstruction bins its queries once.
+    """
+
+    def __init__(self, t) -> None:
+        self.t = np.asarray(t, dtype=float)
+        self._bins: dict[tuple[int, int, int], list] = {}
+
+    def bins(self, first: int, count: int, order: int) -> list:
+        """(m, x, at) per piece m < ``order`` that some point reaches: the
+        Chebyshev abscissae 2u - 1 of the points whose live translate
+        i = floor(t) - m lies in first..first+count-1, and the flat indices
+        of those entries in the (count, t.size) translate matrix.  A
+        non-finite t is in no bin."""
+        key = (first, count, order)
+        if key not in self._bins:
+            flat = self.t.reshape(-1)
+            cell = np.floor(np.where(np.isfinite(flat), flat, first - 1.0))
+            # row of piece m is rel - m; clipping keeps far points out of every row
+            rel = np.clip(cell - first, -1, count + order - 1).astype(np.int64)
+            x = 2.0 * (flat - cell) - 1.0
+            bins = []
+            for m in range(order):
+                sel = np.flatnonzero((rel >= m) & (rel - m < count))
+                if sel.size:
+                    bins.append((m, x[sel], (rel[sel] - m) * flat.size + sel))
+            self._bins[key] = bins
+        return self._bins[key]
+
+
 @dataclass(frozen=True, eq=False)
 class TbChebyshev:
     """Q_N as one Chebyshev series per unit interval [m, m+1), m = 0..N-1.
@@ -526,31 +565,34 @@ class TbChebyshev:
     def translates(self, first: int, count: int, t) -> np.ndarray:
         """Q_N(t - i) for i = first..first+count-1: a (count, t.size) matrix.
 
-        At each point only the N translates i = floor(t) - m, m = 0..N-1,
-        are live, and they take piece m at u = t - floor(t); so each piece
-        fills its entries with one Clenshaw pass.  A non-finite t gives a
-        zero column.
+        ``t`` is an array or a :class:`Queries`.  At each point only the N
+        translates i = floor(t) - m, m = 0..N-1, are live, and they take
+        piece m at u = t - floor(t); so each piece fills its bin of
+        :meth:`Queries.bins` with one Clenshaw pass.  A non-finite t gives
+        a zero column.
         """
-        flat = np.asarray(t, dtype=float).reshape(-1)
-        out = np.zeros((count, flat.size))
-        cell = np.floor(np.where(np.isfinite(flat), flat, first - 1.0))
-        # row of piece m is rel - m; clipping keeps far points out of every row
-        rel = np.clip(cell - first, -1, count + len(self.coeffs) - 1).astype(np.int64)
-        x = 2.0 * (flat - cell) - 1.0
-        for m, c in enumerate(self.coeffs):
-            sel = np.flatnonzero((rel >= m) & (rel - m < count))
-            out[rel[sel] - m, sel] = _clenshaw(c, x[sel])
+        queries = t if isinstance(t, Queries) else Queries(t)
+        out = np.zeros((count, queries.t.size))
+        for m, x, at in queries.bins(first, count, len(self.coeffs)):
+            out.put(at, _clenshaw(self.coeffs[m], x))
         return out
 
 
 def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k c_k T_k(x) by Clenshaw's recurrence."""
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
+    """sum_k c_k T_k(x) by Clenshaw's recurrence, b_k = c_k + 2x b_{k+1} -
+    b_{k+2}, in three rotating buffers.  Addition commutes exactly in
+    IEEE arithmetic, so this gives the bits of the textbook expression."""
+    b1, b2, tmp = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
     two_x = 2.0 * x
     for ck in c[:0:-1]:
-        b1, b2 = ck + two_x * b1 - b2, b1
-    return c[0] + x * b1 - b2
+        np.multiply(two_x, b1, out=tmp)
+        tmp += ck
+        tmp -= b2
+        b1, b2, tmp = tmp, b1, b2
+    np.multiply(x, b1, out=tmp)
+    tmp += c[0]
+    tmp -= b2
+    return tmp
 
 
 def _cheb_coeffs(vals: np.ndarray) -> np.ndarray:

@@ -1,17 +1,21 @@
 """Shannon-type kernels: symbols, synthesis, duals, cardinal reconstruction."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from polyshannon import shannon1d
 from polyshannon.shannon1d import (
+    BoundaryTailWarning,
     KernelTable,
     NarrowGridError,
     NotSamplableError,
     SamplingGrid,
     autocorrelation,
     cardinal_series,
+    channel_series,
     gram_symbol,
     kernel_fourier,
     sampled_symbol,
@@ -23,8 +27,15 @@ from polyshannon.shannon1d import (
 )
 from polyshannon.records import FormatError
 from polyshannon.spectrum import SpectrumVector
-from polyshannon.spherical import random_polyspline_field, reconstruct_spherical
-from polyshannon.strip import random_strip_field, reconstruct_strip
+from polyshannon.spherical import (
+    PolysplineField,
+    ShannonPolysplineKernel,
+    SphereGrid,
+    random_polyspline_field,
+    reconstruct_spherical,
+    reconstruct_spherical_integral,
+)
+from polyshannon.strip import StripField, random_strip_field, reconstruct_strip
 from polyshannon.tbspline import tb_exact, tb_fourier
 
 CUBIC = SpectrumVector.from_frequencies([0.0, 0.0, 0.0, 0.0])
@@ -241,6 +252,19 @@ def test_spline_series_rejects_unsamplable_spaces(monkeypatch):
         spline_series(CUBIC, 0, np.ones(8), np.array([3.5]))
 
 
+def test_lattice_taps_are_cached_and_read_only():
+    y, t = np.arange(8.0), np.array([3.5, 4.25])
+    first = spline_series(CUBIC, 0, y, t)
+    before = shannon1d._lattice_taps.cache_info()
+    assert np.array_equal(spline_series(CUBIC, 0, y, t), first)
+    after = shannon1d._lattice_taps.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    taps = shannon1d._lattice_inverse(CUBIC, "interp", 8)
+    assert not taps.flags.writeable
+    with pytest.raises(ValueError):
+        taps[0] = 1.0
+
+
 def test_fourier_route_matches_table():
     # invert S_0^ by brute-force panel quadrature at a few points
     sv = SYM4
@@ -433,3 +457,59 @@ def test_every_entry_point_refuses_a_query_count_mismatch(entry, coords):
     with pytest.raises(ValueError) as info:
         call(np.ones(coords), np.full((5, width), 0.5))
     assert str(info.value) == f"need one angular point per query: 5 for {coords}"
+
+
+def _edge_routes():
+    """Each reconstruction route, called at a query beyond the safe band."""
+    sfld = PolysplineField(3, 1, -3, np.ones((7, 4)))
+    r, d = np.array([math.exp(2.9)]), np.array([[0.0, 0.0, 1.0]])
+    tfld = StripField(2, 1, 1, -3, np.ones((7, 5), dtype=complex))
+    t, ys = np.array([2.7]), np.zeros((1, 2))
+    return {
+        "sphere coefficients": lambda: reconstruct_spherical(sfld, r, d),
+        "sphere tables": lambda: reconstruct_spherical(sfld, r, d, synthesize_kernel),
+        "sphere integral": lambda: reconstruct_spherical_integral(
+            sfld, ShannonPolysplineKernel.build(1), SphereGrid(1), r, d),
+        "strip coefficients": lambda: reconstruct_strip(tfld, t, ys),
+        "strip tables": lambda: reconstruct_strip(tfld, t, ys, synthesize_kernel),
+    }
+
+
+@pytest.mark.parametrize("route", [
+    "sphere coefficients", "sphere tables", "sphere integral",
+    "strip coefficients", "strip tables",
+])
+def test_boundary_warning_points_at_the_caller(route):
+    call = _edge_routes()[route]
+    with pytest.warns(BoundaryTailWarning) as record:
+        call()
+    assert [w.filename for w in record if w.category is BoundaryTailWarning] == [__file__]
+
+
+def _per_group_series(fld, t, points):
+    """channel_series' coefficient route with every group binning t afresh."""
+    return fld.resum(
+        fld.samples.T, points,
+        lambda key, block: spline_series(fld.spectrum(key), fld.j_min, block, t),
+    )
+
+
+def test_shared_bins_match_per_group_series_bit_for_bit():
+    rng = np.random.default_rng(71)
+    t = rng.uniform(-4.0, 3.0, size=300)
+    sfld = random_polyspline_field(rng, p=2, degree_max=3, j_min=-6, j_max=6).sphere_field(-6, 6)
+    samples = sfld.samples.copy()
+    samples[:, 4:9] = 0.0  # degree 2 drops out
+    sfld = dataclasses.replace(sfld, samples=samples)
+    d = rng.normal(size=(len(t), 3))
+    tfld = random_strip_field(rng, dimension=2, p=1, cutoff=2, j_min=-6, j_max=6).plane_field(-6, 6)
+    samples = tfld.samples.copy()
+    samples[:, [i for i, mode in enumerate(tfld.modes) if sum(map(abs, mode)) == 1]] = 0.0
+    tfld = dataclasses.replace(tfld, samples=samples)
+    ys = rng.uniform(0.0, 2.0 * math.pi, size=(len(t), 2))
+    # the strip's |kappa| = 0 group is one row; |kappa| = 1 is all zero
+    assert [len(idx) for ksq, idx in tfld.groups(tfld.samples.T) if ksq == 0] == [1]
+    assert 1 not in dict(tfld.groups(tfld.samples.T))
+    for fld, points in ((sfld, d), (tfld, ys)):
+        got = channel_series(fld, t, points)
+        assert np.array_equal(got, _per_group_series(fld, t, points))

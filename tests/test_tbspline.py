@@ -349,6 +349,52 @@ def test_translates_match_exact_translates():
     assert np.all(got[:, :20] == 0.0) and np.all(got[:, -4:] == 0.0)
 
 
+def _textbook_clenshaw(c, x):
+    b1, b2, two_x = np.zeros_like(x), np.zeros_like(x), 2.0 * x
+    for ck in c[:0:-1]:
+        b1, b2 = ck + two_x * b1 - b2, b1
+    return c[0] + x * b1 - b2
+
+
+@pytest.mark.parametrize("points", [0, 1, 8, 20000])
+@pytest.mark.parametrize("length", [1, 2, 25])
+def test_clenshaw_matches_the_textbook_recurrence(length, points):
+    rng = np.random.default_rng(100 * length + points)
+    c, x = rng.standard_normal(length), rng.uniform(-1.0, 1.0, points)
+    assert np.array_equal(tbs._clenshaw(c, x), _textbook_clenshaw(c, x))
+
+
+def test_binned_translates_are_the_pointwise_pieces_bit_for_bit():
+    sv = SV([2.0, -3.0, 0.5])
+    cheb = tb_chebyshev(sv)
+    rng = np.random.default_rng(59)
+    # dyadic points and integer knots keep t - i exact, so the callable at
+    # t - i sees the same piece and abscissa as the translate matrix
+    dyadic = np.concatenate([rng.integers(-5 * 1024, 10 * 1024, 150) / 1024.0,
+                             np.arange(-4.0, 10.0)])
+    far = np.array([-1e300, -1e6, 1e6, 1e300, math.nan, math.inf, -math.inf])
+    t = np.concatenate([dyadic, far, rng.uniform(-5.0, 10.0, 50)])
+    first, count = -1, 6
+    got = cheb.translates(first, count, t)
+    assert got.shape == (count, len(t))
+    assert np.all(got[:, len(dyadic):len(dyadic) + len(far)] == 0.0)
+    for row, i in zip(got, range(first, first + count)):
+        want = np.zeros(len(t))
+        for p, tp in enumerate(t):
+            m = math.floor(tp) - i if math.isfinite(tp) else -1
+            if 0 <= m < sv.order:
+                x = np.array([2.0 * (tp - math.floor(tp)) - 1.0])
+                want[p] = _textbook_clenshaw(cheb.coeffs[m], x)[0]
+        assert np.array_equal(row, want)
+        scalar = [cheb(float(tp - i)) for tp in t[:len(dyadic) + len(far)]]
+        assert np.array_equal(row[:len(dyadic) + len(far)], scalar)
+    shared = tbs.Queries(t)  # one binning per range, reused in any order
+    for lo, rows in ((first, count), (0, 2), (first, count), (first, 0)):
+        assert np.array_equal(cheb.translates(lo, rows, shared), cheb.translates(lo, rows, t))
+    assert cheb.translates(first, 0, t).shape == (0, len(t))
+    assert np.array_equal(cheb.translates(first, count, np.array([])), np.zeros((count, 0)))
+
+
 def test_chebyshev_is_cached_per_spectrum():
     assert tb_chebyshev(SV([1.0, -1.0])) is tb_chebyshev(SV([-1.0, 1.0]))
 
