@@ -11,15 +11,17 @@ Commands (``polyshannon <command> --config <path> [--out <dir>] [--seed <u64>]``
 * ``reconstruct-strip``  synthetic hyperplane-data experiment.
 * ``verify``            deterministic invariant suite; exit 1 on any failure.
 
-Configs are flat ``key = value`` text (primary) or a JSON object (when the
-path ends in ``.json``); unknown keys are rejected.  All randomness flows
-from one 64-bit seed (default printed in every summary).  CSV output is
-RFC-4180 style: CRLF line endings, header row mandatory, floats rendered
+Configs are flat ``key = value`` text (``#`` comments), each value read as
+the type of its key's default; unknown keys are rejected.  All randomness
+flows from one 64-bit seed (default printed in every summary).  CSV output
+is RFC-4180 style: CRLF line endings, header row mandatory, floats rendered
 with ``repr`` so identical runs are byte-identical.  The ``verify`` report
 contains no wall-clock fields — timing goes to stdout — so criterion-grade
 determinism holds; the reconstruction error tables do include a runtime
 column and are documented as nondeterministic in that one column.  Kernel
-files live in ``<out>/kernels/<spectrum-hash>-<grid-hash>.pskt``.
+files live in ``<out>/kernels/<spectrum-hash>-<grid-hash>.pskt``.  Exit
+code 2, with one stderr line, means bad input: a config, an unusable
+``--out`` or kernel cache, or a spectrum; 1 means a numerical bound failed.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import json
 import math
 import sys
 import time
@@ -37,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .shannon1d import (
+    FormatError,
     KernelTable,
     NarrowGridError,
     NotSamplableError,
@@ -47,7 +49,6 @@ from .shannon1d import (
     synthesize_kernel,
     tb_superposition,
 )
-from .records import FormatError
 from .spectrum import SpectrumVector, radial_spectrum, strip_spectrum
 from .spherical import (
     DEGREE_CAP,
@@ -57,7 +58,6 @@ from .spherical import (
 )
 from .strip import random_strip_field, reconstruct_strip
 from .tbspline import (
-    CancellationError,
     ConditioningError,
     ConvergenceError,
     EFAccuracyError,
@@ -136,83 +136,62 @@ class ExperimentConfig:
         return SamplingGrid(self.per_unit, self.half_width)
 
 
-_INT_KEYS = {"k", "n", "p", "dim", "K", "per_unit", "half_width",
-             "j_min", "j_max", "queries", "seed", "csv_step",
-             "k_min", "k_max"}
-_FLOAT_KEYS = {"tol"}
+#: each key's default, whose type is the type of its values
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
-def _coerce(key: str, value) -> object:
+def _coerce(key: str, value: str) -> object:
     if key == "mode":
-        return str(value)
+        return value
     if key == "frequencies":
-        parts = value.replace(",", " ").split() if isinstance(value, str) else value
         try:
-            return tuple(float(v) for v in parts)
-        except (TypeError, ValueError, OverflowError):
+            return tuple(float(v) for v in value.replace(",", " ").split())
+        except ValueError:
             raise ConfigError(f"frequencies must be numbers, got {value!r}") from None
-    if key in _INT_KEYS:
-        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key} must be an integer, got {value!r}") from None
-    if key in _FLOAT_KEYS:
-        try:
-            return float(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"{key} must be a number, got {value!r}") from None
-    raise ConfigError(f"unknown config key {key!r}")
+    kind = type(_DEFAULTS[key])
+    try:
+        return kind(value)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {what}, got {value!r}") from None
 
 
 def parse_config(path: Path | str | None) -> ExperimentConfig:
-    """Load an ExperimentConfig; missing path means all defaults."""
-    cfg = ExperimentConfig()
-    if path is None:
-        cfg.validate()
-        return cfg
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
+    """Load an ExperimentConfig from flat ``key = value`` text; missing path
+    means all defaults."""
     updates: dict[str, object] = {}
-    if path.suffix == ".json":
+    if path is not None:
+        path = Path(path)
         try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON config: {exc}") from None
-        if not isinstance(payload, dict):
-            raise ConfigError("JSON config must be an object")
-        items = payload.items()
-    else:
-        items = []
+            text = path.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from None
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            items.append((key.strip(), value.strip()))
-    known = {f.name for f in fields(ExperimentConfig)}
-    for key, value in items:
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
-        updates[key] = _coerce(key, value)
-    cfg = replace(cfg, **updates)
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _DEFAULTS:
+                raise ConfigError(f"unknown config key {key!r}")
+            updates[key] = _coerce(key, value)
+    cfg = ExperimentConfig(**updates)
     cfg.validate()
     return cfg
 
 
-def config_digest(cfg: ExperimentConfig) -> str:
-    canon = "|".join(
-        f"{f.name}={getattr(cfg, f.name)!r}" for f in fields(ExperimentConfig)
-    )
+def _digest(canon: str) -> str:
+    """The first 16 hex digits of the sha256 of ``canon``."""
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def config_digest(cfg: ExperimentConfig) -> str:
+    return _digest("|".join(
+        f"{f.name}={getattr(cfg, f.name)!r}" for f in fields(ExperimentConfig)
+    ))
 
 
 # --------------------------------------------------------------------------
@@ -293,13 +272,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 # --------------------------------------------------------------------------
 
 def _spectrum_hash(sv: SpectrumVector) -> str:
-    canon = "|".join(f"{repr(v)}x{m}" for v, m in sv.entries)
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+    return _digest("|".join(f"{repr(v)}x{m}" for v, m in sv.entries))
 
 
 def _grid_hash(grid: SamplingGrid) -> str:
-    canon = f"{grid.per_unit}|{grid.half_width}|interp"
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+    return _digest(f"{grid.per_unit}|{grid.half_width}|interp")
 
 
 def cached_kernel(
@@ -407,10 +384,7 @@ def cmd_zeros(cfg: ExperimentConfig, out: Path) -> int:
     zeros = ef_zeros(sv)
     rows = [[str(i), repr(float(z))] for i, z in enumerate(zeros)]
     _write_csv(out / "zeros.csv", ["index", "zero"], rows)
-    recip = 0.0
-    if sv.is_symmetric() and len(zeros) > 0:
-        prods = [zeros[i] * zeros[len(zeros) - 1 - i] for i in range(len(zeros))]
-        recip = max(abs(float(p) - 1.0) for p in prods)
+    recip = _pairing_residual(zeros) if sv.is_symmetric() else 0.0
     summary = [
         f"spectrum {sv}",
         f"order {sv.order}",
@@ -422,6 +396,24 @@ def cmd_zeros(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
+def _pairing_residual(zeros) -> float:
+    """max |z_i z_{m-1-i} - 1|: how far the zeros of a symmetric spectrum
+    are from pairing reciprocally; 0.0 for no zeros."""
+    return max((abs(float(a * b) - 1.0) for a, b in zip(zeros, zeros[::-1])),
+               default=0.0)
+
+
+def _decay_ratios(sweep, k_min: int, k_max: int):
+    """(max/min of k sup|S^_k|, max/median of sup|S_k|) over the degrees
+    k_min..k_max, k > 0, of a :func:`decay_check` sweep; None for none."""
+    window = [r for r in sweep if k_min <= r.degree <= k_max and r.degree > 0]
+    if not window:
+        return None
+    prods = [r.degree * r.sup_fourier for r in window]
+    sups = [r.sup_time for r in window]
+    return max(prods) / min(prods), max(sups) / float(np.median(sups))
+
+
 def cmd_decay(cfg: ExperimentConfig, out: Path) -> int:
     rows_out = []
     sweep = decay_check(cfg.n, cfg.p, cfg.k_max, cfg.grid)
@@ -430,13 +422,11 @@ def cmd_decay(cfg: ExperimentConfig, out: Path) -> int:
             [str(row.degree), repr(row.sup_fourier), repr(row.sup_time)]
         )
     _write_csv(out / "decay.csv", ["k", "sup_fourier", "sup_time"], rows_out)
-    window = [r for r in sweep if cfg.k_min <= r.degree <= cfg.k_max and r.degree > 0]
     summary = [f"n {cfg.n}  p {cfg.p}  k range [{cfg.k_min}, {cfg.k_max}]"]
-    if window:
-        prods = [r.degree * r.sup_fourier for r in window]
-        sups = [r.sup_time for r in window]
-        summary.append(f"k*sup_fourier max/min {max(prods) / min(prods)!r}")
-        summary.append(f"sup_time max/median {max(sups) / float(np.median(sups))!r}")
+    ratios = _decay_ratios(sweep, cfg.k_min, cfg.k_max)
+    if ratios is not None:
+        summary.append(f"k*sup_fourier max/min {ratios[0]!r}")
+        summary.append(f"sup_time max/median {ratios[1]!r}")
     (out / "decay-summary.txt").write_text("\n".join(summary) + "\n")
     print("\n".join(summary))
     return 0
@@ -564,9 +554,7 @@ def _zeros_deviation(sv: SpectrumVector) -> float:
     for z in zeros:
         dev = max(dev, 0.0 if z < 0.0 else abs(z) + 1e-6)
     if sv.is_symmetric():
-        m = len(zeros)
-        for i in range(m):
-            dev = max(dev, abs(zeros[i] * zeros[m - 1 - i] - 1.0))
+        dev = max(dev, _pairing_residual(zeros))
     return dev
 
 
@@ -704,12 +692,9 @@ def run_verify(cfg: ExperimentConfig) -> RunReport:
     report.add("kernel/reconstruction", recon, 1e-7)
     report.add("kernel/stiff-reconstruction", stiff, 1e-7)
 
-    sweep = decay_check(3, 1, 16)
-    window = [r for r in sweep if 8 <= r.degree <= 16]
-    prods = [r.degree * r.sup_fourier for r in window]
-    sups = [r.sup_time for r in window]
-    report.add("decay/fourier-ratio", max(prods) / min(prods), 4.0)
-    report.add("decay/time-ratio", max(sups) / float(np.median(sups)), 3.0)
+    fourier_ratio, time_ratio = _decay_ratios(decay_check(3, 1, 16), 8, 16)
+    report.add("decay/fourier-ratio", fourier_ratio, 4.0)
+    report.add("decay/time-ratio", time_ratio, 3.0)
 
     gen = random_polyspline_field(rng, n=3, p=1, degree_max=4, j_min=-5,
                                   j_max=5)
@@ -761,7 +746,6 @@ def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
 
 #: numerical failures that the input spectrum or configuration causes: exit 2
 _INPUT_NUMERICAL_ERRORS = (
-    CancellationError,
     ConditioningError,
     ConvergenceError,
     EFAccuracyError,
@@ -808,11 +792,12 @@ def main(argv=None) -> int:
     out = args.out
     try:
         out.mkdir(parents=True, exist_ok=True)
+        return _COMMANDS[args.command](cfg, out)
     except OSError as exc:
+        # commands touch files only under --out: it, its kernel cache or an
+        # entry there is not a usable path
         print(f"error: cannot use --out {out}: {exc}", file=sys.stderr)
         return 2
-    try:
-        return _COMMANDS[args.command](cfg, out)
     except _INPUT_NUMERICAL_ERRORS as exc:
         # one line even when the message carries an array repr
         print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}",

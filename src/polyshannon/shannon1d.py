@@ -33,7 +33,8 @@ translates, which the ground-truth oracles use too.  It is exact to
 roundoff where the 6-point table stencils of :func:`cardinal_series` stop
 at their interpolation error; the table route stays as the paper's literal
 Shannon series.  A :class:`KernelTable` is stored as one binary ``PSKT``
-record (:mod:`polyshannon.records`).
+record, the package's only file, which the class alone reads and writes;
+a malformed one fails to load with :class:`FormatError`.
 
 The sphere and strip pipelines run this series per channel group and sum
 it back over an angular basis, through one core: :func:`check_channel_queries`
@@ -57,16 +58,17 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
-from .records import FormatError, check_size, checked, read_record, write_record
 from .spectrum import SpectrumVector
 from .tables import interp6
 from .tbspline import Queries, check_queries, tb_chebyshev, tb_fourier, tb_integer_values
 
 __all__ = [
     "BoundaryTailWarning",
+    "FormatError",
     "KernelTable",
     "NarrowGridError",
     "NotSamplableError",
@@ -182,9 +184,14 @@ def autocorrelation(spectrum: SpectrumVector, tau: int) -> float:
 # kernel tables
 # --------------------------------------------------------------------------
 
+class FormatError(ValueError):
+    """A file is not a well-formed kernel table."""
+
+
 _KERNEL_KINDS = ("interp", "dual")
-_MAGIC = b"PSKT"
-_HEAD = "<4sHBBHHIiQ"
+_MAGIC, _VERSION = b"PSKT", 1
+_HEAD = struct.Struct("<4sHBBHHIiQ")  # the layout is in KernelTable.save
+_ENTRY = struct.Struct("<dII")
 
 
 @dataclass(frozen=True)
@@ -224,46 +231,60 @@ class KernelTable:
         )
 
     def save(self, path) -> None:
-        """Write the table to ``path`` (documented little-endian layout).
+        """Write the table to ``path`` (documented little-endian layout):
+        into a temporary sibling, then renamed over ``path``.
 
         Header: magic "PSKT", u16 version=1, u8 kind, u8 pad, u16 entry
         count, u16 pad, u32 per_unit, i32 t_min, u64 value count; then per
         frequency entry (f64 value, u32 multiplicity, u32 pad); then the raw
         f64 values.  Floats round-trip bit-exactly.
         """
-        fields = (
-            _KERNEL_KINDS.index(self.kind), 0, len(self.spectrum.entries), 0,
-            self.per_unit, self.t_min, len(self.values),
+        head = _HEAD.pack(
+            _MAGIC, _VERSION, _KERNEL_KINDS.index(self.kind), 0,
+            len(self.spectrum.entries), 0, self.per_unit, self.t_min, len(self.values),
         )
-        body = b"".join(
-            struct.pack("<dII", v, m, 0) for v, m in self.spectrum.entries
-        )
+        entries = b"".join(_ENTRY.pack(v, m, 0) for v, m in self.spectrum.entries)
         data = np.ascontiguousarray(self.values, dtype="<f8").tobytes()
-        write_record(path, _MAGIC, _HEAD, fields, body + data)
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_bytes(head + entries + data)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     @classmethod
     def load(cls, path) -> "KernelTable":
         """Read a table written by :meth:`save`.
 
-        Raises :class:`~polyshannon.records.FormatError` on any malformed
-        file: short header, wrong magic or version, unknown kind, a length
-        that disagrees with the header, or a spectrum or table its class
-        rejects.
+        Raises :class:`FormatError` on any malformed file: short header,
+        wrong magic or version, unknown kind, a length that disagrees with
+        the header, or a spectrum or table its class rejects.
         """
-        (kind_idx, _, n_entries, _, per_unit, t_min, n_values), body = read_record(
-            path, _MAGIC, _HEAD
+        raw = Path(path).read_bytes()
+        if len(raw) < _HEAD.size:
+            raise FormatError(f"{path} is shorter than its header")
+        magic, version, kind_idx, _, n_entries, _, per_unit, t_min, n_values = (
+            _HEAD.unpack_from(raw)
         )
+        if magic != _MAGIC or version != _VERSION:
+            raise FormatError(f"not a PSKT version {_VERSION} file: {path}")
         if kind_idx >= len(_KERNEL_KINDS):
             raise FormatError(f"kernel table {path} has unknown kind {kind_idx}")
-        check_size(path, body, 16 * n_entries + 8 * n_values)
-        entries = [
-            struct.unpack_from("<dII", body, 16 * i)[:2] for i in range(n_entries)
-        ]
-        values = np.frombuffer(body, dtype="<f8", offset=16 * n_entries).copy()
-        values.flags.writeable = False
-        spectrum = checked(path, SpectrumVector, tuple(entries))
+        values_at = _HEAD.size + _ENTRY.size * n_entries
+        if len(raw) != values_at + 8 * n_values:
+            raise FormatError(
+                f"{path}: {len(raw)} bytes, the header says {values_at + 8 * n_values}"
+            )
+        entries = _ENTRY.iter_unpack(raw[_HEAD.size:values_at])
         kind = _KERNEL_KINDS[kind_idx]
-        return checked(path, cls, spectrum, kind, per_unit, t_min, values)
+        values = np.frombuffer(raw, dtype="<f8", offset=values_at).copy()
+        values.flags.writeable = False
+        try:
+            spectrum = SpectrumVector(tuple((v, m) for v, m, _ in entries))
+            return cls(spectrum, kind, per_unit, t_min, values)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
 
 def _lattice_inverse(spectrum: SpectrumVector, kind: str, reach: int) -> np.ndarray:

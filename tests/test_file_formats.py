@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from polyshannon.records import FormatError
+from polyshannon.shannon1d import FormatError
 from polyshannon.shannon1d import (
     KernelTable,
     SamplingGrid,

@@ -25,7 +25,7 @@ from polyshannon.shannon1d import (
     synthesize_kernel,
     tb_superposition,
 )
-from polyshannon.records import FormatError
+from polyshannon.shannon1d import FormatError
 from polyshannon.spectrum import SpectrumVector
 from polyshannon.spherical import (
     PolysplineField,

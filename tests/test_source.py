@@ -1,9 +1,15 @@
-"""Static checks of the package source."""
+"""Static checks of the package source, and of the names the benchmark
+harness binds in it."""
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "polyshannon"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "polyshannon"
+BENCHMARKS = ROOT / "benchmarks"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -85,3 +91,71 @@ def test_every_lru_cache_is_module_level():
         if (lines := _unshared_caches(path.read_text()))
     }
     assert misplaced == {}
+
+
+#: the package modules the benchmark harness reads attributes of
+BENCHMARKED = ("cli", "shannon1d", "spherical", "strip", "tables", "tbspline")
+
+
+def _library_names(source: str) -> set[str]:
+    """Every ``polyshannon.<module>.<attr>...`` the source reads as
+    ``<module>.<attr>...`` for a module of :data:`BENCHMARKED`, or imports
+    with ``from polyshannon... import``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("polyshannon"):
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+        chain, base = [], node
+        while isinstance(base, ast.Attribute):
+            chain.append(base.attr)
+            base = base.value
+        if chain and isinstance(base, ast.Name) and base.id in BENCHMARKED:
+            names.add(".".join(["polyshannon", base.id, *reversed(chain)]))
+    return names
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether the dotted name is a module, or an attribute path of one."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for depth, attr in enumerate(parts[1:], start=2):
+        if not hasattr(obj, attr):
+            try:  # a submodule not imported yet
+                importlib.import_module(".".join(parts[:depth]))
+            except ImportError:
+                return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def _load(path: Path):
+    """The module at ``path``, run under a private name (registered while it
+    runs, as its dataclasses need)."""
+    name = f"_benchmark_{path.stem}"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[name]
+    return module
+
+
+def test_every_library_name_the_benchmark_binds_resolves():
+    assert _library_names(
+        "from polyshannon.spectrum import radial_spectrum\n"
+        "cli.main(x)\nshannon1d.KernelTable.load(p)\nspherical.f(x).y\nother.z\n"
+    ) == {"polyshannon.spectrum.radial_spectrum", "polyshannon.cli.main",
+          "polyshannon.shannon1d.KernelTable", "polyshannon.shannon1d.KernelTable.load",
+          "polyshannon.spherical.f"}
+    assert _resolves("polyshannon.shannon1d.KernelTable.load")
+    assert not _resolves("polyshannon.shannon1d.KernelTable.no_such_method")
+    assert not _resolves("polyshannon.no_such_module.name")
+
+    importlib.import_module("polyshannon.cli")  # every module the table names
+    layers = _load(BENCHMARKS / "tracer.py")._layer_table()
+    names = {f"{module}.{path}" for module, path, *_ in layers}
+    for name in ("tracer.py", "workloads.py"):
+        names |= _library_names((BENCHMARKS / name).read_text())
+    assert [name for name in sorted(names) if not _resolves(name)] == []
