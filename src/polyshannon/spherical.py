@@ -15,10 +15,12 @@ gives the core the degree groups, their spectra (capped at ``DEGREE_CAP``)
 and the resum, which contracts each degree's profiles row by row against
 one harmonic stream (:func:`_harmonic_stream`): one trig table for all
 orders and one normalized associated-Legendre recurrence stepped degree by
-degree, so no harmonic table is kept.  This module also supplies the
-sphere quadrature (Gauss-Legendre colatitudes x uniform longitudes) with
-its analysis and synthesis, the real harmonics, the per-degree kernels,
-the truncated zonal kernel, the quadrature-form reconstruction, and the
+degree, so no harmonic table is kept.  That recurrence is the package's
+only Legendre code: the zonal harmonics Z_k are its order-0 rows on a
+meridian (:func:`_zonal_stream`).  This module also supplies the sphere
+quadrature (Gauss-Legendre colatitudes x uniform longitudes) with its
+analysis and synthesis, the real harmonics, the per-degree kernels, the
+truncated zonal kernel, the quadrature-form reconstruction, and the
 in-memory field container :class:`PolysplineField` (its degree K read from
 its (K+1)^2 channels).
 
@@ -34,7 +36,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_legendre
 
 from .shannon1d import (
     BoundaryTailWarning,
@@ -230,9 +231,30 @@ def sph_harm(k: int, ell: int, direction):
     return float(vals) if vals.ndim == 0 else vals
 
 
+def _zonal_stream(cos_gamma, degree_max: int):
+    """Yield (k, Z_k(cos_gamma)), k = 0..degree_max: sqrt((2k+1)/4pi) times
+    the order-0 row of :func:`_harmonic_stream` on the meridian (sin gamma,
+    0, cos gamma), whose angle may move cos(gamma) by an ulp.  ValueError
+    unless cos(gamma) is finite, |cos(gamma)| <= 1 + 1e-12 (then clipped)."""
+    cg = np.asarray(cos_gamma, dtype=float)
+    check_queries(cg)
+    if np.any(np.abs(cg) > 1.0 + 1e-12):
+        raise ValueError("cos(gamma) must lie in [-1, 1]")
+    cg = np.clip(cg, -1.0, 1.0)
+    meridian = np.stack([np.sqrt(1.0 - cg * cg), np.zeros_like(cg), cg], axis=-1)
+    for k, (legendre, _, _) in _harmonic_stream(meridian, degree_max):
+        yield k, math.sqrt((2 * k + 1) / (4.0 * math.pi)) * legendre[0]
+
+
 def zonal(k: int, cos_gamma):
-    """Zonal harmonic Z_k: reproducing kernel of degree k, ((2k+1)/4pi) P_k."""
-    return (2 * k + 1) / (4.0 * math.pi) * eval_legendre(k, cos_gamma)
+    """Zonal harmonic Z_k = ((2k+1)/4pi) P_k, the degree-k reproducing kernel
+    (float for a scalar cos(gamma)), from :func:`_zonal_stream`, which also
+    checks cos(gamma); ValueError unless k is an integer >= 0."""
+    if not isinstance(k, (int, np.integer)) or k < 0:
+        raise ValueError(f"degree must be an integer >= 0, got {k!r}")
+    for _, values in _zonal_stream(cos_gamma, k):
+        pass
+    return float(values) if values.ndim == 0 else values
 
 
 # --------------------------------------------------------------------------
@@ -386,12 +408,10 @@ class ShannonPolysplineKernel:
             v = np.log(np.atleast_1d(r_arr))
         cg = np.atleast_1d(np.asarray(cos_gamma, dtype=float))
         v, cg = np.broadcast_arrays(v, cg)
-        check_queries((v, cg))
-        if np.any(np.abs(cg) > 1.0 + 1e-12):  # roundoff allowed
-            raise ValueError("cos(gamma) must lie in [-1, 1]")
+        check_queries(v)
         out = np.zeros(v.shape)
-        for k, tab in enumerate(self.tables):
-            out += tab(v) * zonal(k, cg)
+        for k, values in _zonal_stream(cg, len(self.tables) - 1):
+            out += self.tables[k](v) * values
         return float(out.flat[0]) if scalar else out
 
 

@@ -1,11 +1,17 @@
-"""Static checks of the package source, and of the names the benchmark
-harness binds in it."""
+"""Static checks of the package source and of the names the benchmark
+harness binds in it, and a run on the declared runtime dependencies only."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
+
+from polyshannon import cli
+from polyshannon.spherical import ShannonPolysplineKernel
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "polyshannon"
@@ -159,3 +165,72 @@ def test_every_library_name_the_benchmark_binds_resolves():
     for name in ("tracer.py", "workloads.py"):
         names |= _library_names((BENCHMARKS / name).read_text())
     assert [name for name in sorted(names) if not _resolves(name)] == []
+
+
+def _absolute_imports(source: str) -> set[str]:
+    """Top-level names of every absolute import in the source."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def _runtime_dependencies(pyproject: str) -> set[str]:
+    """Import names of ``[project].dependencies`` (flat TOML, read by hand)."""
+    project = re.search(r"^\[project\]$(.*?)^\[", pyproject, re.M | re.S).group(1)
+    listed = re.search(r"^dependencies = \[(.*?)\]", project, re.M | re.S).group(1)
+    return {
+        re.match(r"[\w.-]+", req).group().lower().replace("-", "_")
+        for req in re.findall(r'"([^"]+)"', listed)
+    }
+
+
+def test_every_import_is_stdlib_or_a_declared_dependency():
+    assert _absolute_imports(
+        "import os.path, numpy as np\nfrom scipy.special import f\n"
+        "from . import x\ndef g():\n    import mpmath\n"
+    ) == {"os", "numpy", "scipy", "mpmath"}
+    declared = _runtime_dependencies((ROOT / "pyproject.toml").read_text())
+    assert declared == {"numpy", "mpmath"}
+    undeclared = {
+        path.name: sorted(names)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := _absolute_imports(path.read_text())
+            - set(sys.stdlib_module_names) - declared - {"polyshannon"})
+    }
+    assert undeclared == {}
+
+
+_WITHOUT_SCIPY = """
+import importlib, pkgutil, sys
+sys.modules["scipy"] = None  # any import of scipy now fails
+import polyshannon
+for info in pkgutil.iter_modules(polyshannon.__path__):
+    importlib.import_module(f"polyshannon.{info.name}")
+from polyshannon import cli
+from polyshannon.spherical import ShannonPolysplineKernel
+print(repr(ShannonPolysplineKernel.build(2).eval(1.3, 0.4)))
+sys.exit(cli.main(["verify", "--seed", "21", "--out", sys.argv[1]]))
+"""
+
+
+def test_package_runs_without_scipy(tmp_path, capsys):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")])
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path / "bare")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    value = res.stdout.splitlines()[0]
+    assert value == repr(ShannonPolysplineKernel.build(2).eval(1.3, 0.4))
+    assert cli.main(["verify", "--seed", "21", "--out", str(tmp_path / "full")]) == 0
+    capsys.readouterr()
+    for name in ("verify-report.csv", "verify-report.txt"):
+        bare, full = ((tmp_path / run / name).read_bytes() for run in ("bare", "full"))
+        assert bare == full, name

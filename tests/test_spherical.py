@@ -149,6 +149,51 @@ def test_zonal_frozen_values():
     assert abs(zonal(1, 1.0) - 3.0 / (4.0 * math.pi)) < 1e-15
 
 
+@pytest.mark.parametrize("k, cos_gamma", [
+    (-1, 0.3),                     # negative degree
+    (2.5, 0.3),                    # non-integer degree
+    (2, 1.5),                      # beyond [-1, 1] by more than roundoff
+    (2, -1.5),
+    (2, math.nan),
+    (2, math.inf),
+    (2, np.array([0.1, math.nan])),
+])
+def test_zonal_rejects_bad_inputs(k, cos_gamma):
+    with pytest.raises(ValueError):
+        zonal(k, cos_gamma)
+
+
+def test_zonal_matches_scipy_legendre():
+    x = np.concatenate([
+        np.linspace(-1.0, 1.0, 2001),  # holds -1, 0 and 1
+        np.random.default_rng(61).uniform(-1.0, 1.0, 2000),
+    ])
+    # within 1e-12 of +-1 the stream reads cos(gamma) back through an angle,
+    # which may move it by an ulp: an error of up to eps |P_k'| <= eps k(k+1)/2
+    gaps = np.logspace(-16, -12, 50)
+    ends = np.concatenate([1.0 - gaps, gaps - 1.0])
+    for k in range(65):
+        scale = (2 * k + 1) / (4.0 * math.pi)
+        err = np.abs(zonal(k, x) - scale * eval_legendre(k, x))
+        assert np.max(err) <= 1e-13 * scale, k
+        err = np.abs(zonal(k, ends) - scale * eval_legendre(k, ends))
+        assert np.max(err) <= (1e-13 + 2.3e-16 * k * (k + 1) / 2) * scale, k
+    assert isinstance(zonal(3, 0.25), float)
+
+
+def test_kernel_eval_matches_scipy_legendre_sum():
+    kernel = ShannonPolysplineKernel.build(8, 3, 2)
+    rng = np.random.default_rng(67)
+    r = np.exp(rng.uniform(-2.0, 2.0, 500))
+    cosg = np.concatenate([rng.uniform(-1.0, 1.0, 497), [-1.0, 0.0, 1.0]])
+    want = sum(
+        tab(np.log(r)) * (2 * k + 1) / (4.0 * math.pi) * eval_legendre(k, cosg)
+        for k, tab in enumerate(kernel.tables)
+    )
+    got = kernel.eval(r, cosg)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_zonal_reproduces_harmonics():
     grid = SphereGrid(6)
     pts = grid.points()
