@@ -8,11 +8,11 @@ multiplicity p}, coming from the operator (d^2/dt^2 - |kappa|^2)^p.
 Symmetric spectra always satisfy the non-zero sampling condition, so every
 mode kernel exists.  Reconstruction from hyperplane traces t = j is the
 channel core of :mod:`polyshannon.shannon1d` with the torus modes as
-channels: :class:`_OnTorusModes` groups the live modes by the exact integer
-|kappa|^2, gives each group its spectrum, and resums it against the torus
-phases e^{i y.kappa} (products of per-axis powers of e^{i y_a}).
-:class:`StripField` holds the samples in memory, one column per mode of
-``torus_modes(dimension, cutoff)``.
+channels: :class:`_OnTorusModes` maps each +-kappa pair of the complex
+samples (one column per mode of ``torus_modes(dimension, cutoff)``) onto a
+real cos/sin pair, groups the live pairs by the exact integer |kappa|^2 and
+resums each group's real series against cos and sin of y.kappa, the parts
+of one torus phase e^{i y.kappa} per pair.
 """
 
 from __future__ import annotations
@@ -71,6 +71,17 @@ def torus_modes(dimension: int, cutoff: int) -> tuple[tuple[int, ...], ...]:
         modes = grown
     modes.sort(key=lambda kappa: (sum(c * c for c in kappa), kappa))
     return tuple(modes)
+
+
+@functools.lru_cache(maxsize=None)
+def _torus_pairs(dimension: int, cutoff: int):
+    """(partner, lead, trail) over ``torus_modes(dimension, cutoff)``: index of
+    -kappa, masks of kappa > -kappa and kappa < -kappa (tuple order)."""
+    modes = torus_modes(dimension, cutoff)
+    index = {kappa: i for i, kappa in enumerate(modes)}
+    partner = np.array([index[tuple(-c for c in kappa)] for kappa in modes])
+    lead = np.array([kappa > tuple(-c for c in kappa) for kappa in modes])
+    return partner, lead, ~lead & (partner != np.arange(len(modes)))
 
 
 class _TorusPhases:
@@ -148,15 +159,28 @@ class _OnTorusModes:
         return strip_spectrum(math.sqrt(ksq), self.smoothness)
 
     def resum(self, rows: np.ndarray, ys: np.ndarray, profiles) -> np.ndarray:
-        """sum_kappa w_kappa e^{i y.kappa} (complex) over the :meth:`groups` of
-        ``rows``, w = profiles(|kappa|^2, the group's rows): a row per mode."""
-        modes = self.modes
-        phases = _TorusPhases(ys, self.dimension, self.cutoff)
-        acc = np.zeros(len(ys), dtype=complex)
-        for ksq, idx in self.groups(rows):
-            acc += np.einsum(
-                "ij,ij->j", profiles(ksq, rows[idx]), phases([modes[i] for i in idx])
-            )
+        """Re sum_kappa w_kappa e^{i y.kappa} (float) over complex rows c, a row
+        per mode, w = profiles(|kappa|^2, real rows), exactly as
+        Re(c_kappa e^{it} + c_{-kappa} e^{-it}) = (Re c_kappa + Re c_{-kappa})
+        cos t + (Im c_{-kappa} - Im c_kappa) sin t for kappa > -kappa: row kappa
+        carries the cos coefficient, row -kappa the sin one, kappa = 0 keeps
+        Re c_0.  Each |kappa|^2 group of pairs with a nonzero row gets one
+        profiles call, on its [cos rows; sin rows], and one phase per pair."""
+        partner, lead, trail = _torus_pairs(self.dimension, self.cutoff)
+        real = np.real(rows).astype(float)
+        real[lead] += real[partner[lead]]
+        imag = np.imag(rows)
+        real[trail] = imag[trail] - imag[partner[trail]]
+        nonzero = np.any(real, axis=1)
+        heads = (nonzero | nonzero[partner]) & ~trail  # the cos row of each live pair
+        modes, phases = self.modes, _TorusPhases(ys, self.dimension, self.cutoff)
+        acc = np.zeros(len(ys))
+        for ksq, cos in self.groups(heads[:, None]):
+            sin = partner[cos][lead[cos]]
+            w = profiles(ksq, real[np.concatenate([cos, sin])])
+            ph = phases([modes[i] for i in cos])
+            acc += np.einsum("ij,ij->j", w[: len(cos)], ph.real)
+            acc += np.einsum("ij,ij->j", w[len(cos):], ph.imag[: len(sin)])
         return acc
 
     def _check_mode_count(self, count: int) -> None:
@@ -204,9 +228,10 @@ class SyntheticStripField(_OnTorusModes):
         self._check_mode_count(len(self.coeffs))
 
     def eval(self, t, ys) -> np.ndarray:
-        """Field values at (t_q, y_q), checked as in :func:`reconstruct_strip`;
-        real for conjugate-symmetric coefficients."""
-        return channel_values(self, *check_channel_queries(t, ys)).real
+        """Real field values Re sum_kappa c_kappa(t_q) e^{i y_q.kappa} at
+        (t_q, y_q), checked as in :func:`reconstruct_strip`: the field itself
+        for conjugate-symmetric coefficients."""
+        return channel_values(self, *check_channel_queries(t, ys))
 
     def plane_field(self, j_min: int, j_max: int) -> StripField:
         samples = channel_samples(self, j_min, j_max)
@@ -296,14 +321,14 @@ def reconstruct_strip(
     ys,
     kernel: Callable[[SpectrumVector], KernelTable] | None = None,
 ) -> np.ndarray:
-    """Mode-wise Shannon reconstruction at (t_q, y_q); real part returned.
+    """Mode-wise Shannon reconstruction at (t_q, y_q), real: the real part of
+    the complex mode sum, computed in the cos/sin basis of the +-kappa pairs.
 
     :func:`~polyshannon.shannon1d.channel_series` over the |kappa| groups:
     exact in V_0 to roundoff by default, the paper's Shannon series on the
     tables ``kernel(spectrum)`` (e.g. through :func:`strip_kernel`) when
-    ``kernel`` is given.  The imaginary residue of a conjugate-symmetric
-    field is roundoff-level.  Raises ValueError on NaN or infinite samples,
+    ``kernel`` is given.  Raises ValueError on NaN or infinite samples,
     ``t`` or ``ys``, on a count mismatch between them, and on torus points
     without ``dimension`` coordinates.
     """
-    return channel_series(fld, *check_channel_queries(t, ys), kernel).real
+    return channel_series(fld, *check_channel_queries(t, ys), kernel)

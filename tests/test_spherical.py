@@ -181,6 +181,19 @@ def test_zonal_matches_scipy_legendre():
     assert isinstance(zonal(3, 0.25), float)
 
 
+def test_zonal_ends_match_mpmath_legendre():
+    # the 100 points within 1e-12 of +-1, against an exact reference
+    import mpmath
+
+    gaps = np.logspace(-16, -12, 50)
+    ends = np.concatenate([1.0 - gaps, gaps - 1.0])
+    with mpmath.workdps(40):
+        for k in range(65):
+            scale = (2 * k + 1) / (4.0 * math.pi)
+            want = np.array([scale * float(mpmath.legendre(k, mpmath.mpf(x))) for x in ends])
+            assert np.max(np.abs(zonal(k, ends) - want)) <= 2e-13 * scale, k
+
+
 def test_kernel_eval_matches_scipy_legendre_sum():
     kernel = ShannonPolysplineKernel.build(8, 3, 2)
     rng = np.random.default_rng(67)

@@ -6,10 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from polyshannon import shannon1d, strip
 from polyshannon.shannon1d import (
     SamplingGrid,
+    cardinal_series,
     channel_series,
     check_channel_queries,
+    spline_series,
     synthesize_kernel,
     tb_superposition,
 )
@@ -17,6 +20,7 @@ from polyshannon.spectrum import SpectrumVector, strip_spectrum
 from polyshannon.spherical import BoundaryTailWarning
 from polyshannon.strip import (
     StripField,
+    SyntheticStripField,
     _TorusPhases,
     analyze_torus,
     random_strip_field,
@@ -310,3 +314,112 @@ def test_kernel_source_selects_the_tables():
     assert asked == [strip_spectrum(math.sqrt(k), 1) for k in (0, 1, 2, 4)]
     assert not np.array_equal(got, default)
     assert np.max(np.abs(got - default)) < 1e-4 * np.max(np.abs(default))
+
+
+def _complex_rows(rng, modes, count, kind):
+    """(modes, count) complex rows: random and not conjugate-symmetric, only
+    one member of some +-kappa pairs nonzero, kappa = 0 only (complex, so
+    Im c_0 must drop out), or zero."""
+    rows = np.zeros((len(modes), count), dtype=complex)
+    if kind == "random":
+        rows[:] = rng.uniform(-1.0, 1.0, rows.shape) + 1j * rng.uniform(-1.0, 1.0, rows.shape)
+    elif kind == "one-sided":
+        for kappa in ((1, 0), (-2, 1), (0, -3), (1, 1)):
+            rows[modes.index(kappa)] = rng.uniform(-1.0, 1.0, count) + 1j * rng.uniform(
+                -1.0, 1.0, count
+            )
+    elif kind == "zero-mode":
+        rows[0] = rng.uniform(-1.0, 1.0, count) + 1j * rng.uniform(-1.0, 1.0, count)
+    return rows
+
+
+def _mode_sum(modes, ys, profile):
+    """sum_kappa profile(i, kappa) e^{i y.kappa}, mode by mode, complex."""
+    acc = np.zeros(len(ys), dtype=complex)
+    for i, kappa in enumerate(modes):
+        acc += profile(i, kappa) * np.exp(1j * (ys @ np.asarray(kappa, dtype=float)))
+    return acc
+
+
+def _close(got, want):
+    assert got.dtype == np.float64
+    if not np.any(want):
+        assert not np.any(got)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", ["random", "symmetric", "one-sided", "zero-mode", "zero"])
+def test_real_basis_is_exact_for_any_complex_rows(kind):
+    # the cos/sin pairing equals Re of the complex mode sum, conjugate
+    # symmetry or not, against a mode-by-mode np.exp reference
+    rng = np.random.default_rng(127)
+    p, cutoff = 2, 3
+    modes = torus_modes(2, cutoff)
+    t = rng.uniform(-2.0, 2.0, size=60)
+    ys = rng.uniform(0.0, 2.0 * math.pi, size=(60, 2))
+    if kind == "symmetric":
+        gen = random_strip_field(rng, dimension=2, p=p, cutoff=cutoff, j_min=-7, j_max=7)
+        fld = gen.plane_field(-7, 7)
+    else:
+        gen = SyntheticStripField(2, p, cutoff, -7, _complex_rows(rng, modes, 11, kind))
+        fld = StripField(2, p, cutoff, -7, _complex_rows(rng, modes, 15, kind).T)
+
+    def spectrum(kappa):
+        return strip_spectrum(math.hypot(*kappa), p)
+
+    series = _mode_sum(
+        modes, ys, lambda i, k: spline_series(spectrum(k), -7, fld.samples[:, i], t)
+    )
+    tables = _mode_sum(
+        modes, ys,
+        lambda i, k: cardinal_series(synthesize_kernel(spectrum(k)), -7, fld.samples[:, i], t),
+    )
+    values = _mode_sum(
+        modes, ys, lambda i, k: tb_superposition(spectrum(k), -7, gen.coeffs[i], t)
+    )
+    _close(reconstruct_strip(fld, t, ys), series.real)
+    _close(reconstruct_strip(fld, t, ys, kernel=synthesize_kernel), tables.real)
+    _close(gen.eval(t, ys), values.real)
+    if kind in ("symmetric", "zero"):
+        # real fields: the complex sum's imaginary part is roundoff
+        for want in (series, tables, values):
+            assert np.max(np.abs(want.imag)) <= 1e-14 * max(1.0, np.max(np.abs(want.real)))
+
+
+def test_strip_series_and_phases_run_real(monkeypatch):
+    rng = np.random.default_rng(131)
+    gen = random_strip_field(rng, dimension=2, p=1, cutoff=4, j_min=-6, j_max=6)
+    fld = gen.plane_field(-6, 6)
+    t = rng.uniform(-2.0, 2.0, size=40)
+    ys = rng.uniform(0.0, 2.0 * math.pi, size=(40, 2))
+    dtypes, asked = [], []
+
+    def spy(name):
+        original = getattr(shannon1d, name)
+
+        def wrapped(spectrum, j_min, coeffs, t):
+            dtypes.append((name, np.asarray(coeffs).dtype))
+            return original(spectrum, j_min, coeffs, t)
+
+        monkeypatch.setattr(shannon1d, name, wrapped)
+
+    spy("tb_superposition")
+    spy("cardinal_series")
+    phases = strip._TorusPhases.__call__
+
+    def counted(self, modes):
+        asked[-1] += len(modes)
+        return phases(self, modes)
+
+    monkeypatch.setattr(strip._TorusPhases, "__call__", counted)
+    for run in (
+        lambda: reconstruct_strip(fld, t, ys),
+        lambda: reconstruct_strip(fld, t, ys, kernel=synthesize_kernel),
+        lambda: gen.eval(t, ys),
+    ):
+        asked.append(0)
+        run()
+        assert 0 < asked[-1] <= (len(fld.modes) + 1) // 2
+    assert {name for name, _ in dtypes} == {"tb_superposition", "cardinal_series"}
+    assert all(dtype == np.float64 for _, dtype in dtypes), dtypes
