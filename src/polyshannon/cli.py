@@ -531,11 +531,6 @@ def cmd_reconstruct_strip(cfg: ExperimentConfig, out: Path) -> int:
 # the verify suite
 # --------------------------------------------------------------------------
 
-def _gl(f, a, b):
-    x = 0.5 * (b - a) * _GL_X + 0.5 * (b + a)
-    return 0.5 * (b - a) * float(np.dot(_GL_W, f(x)))
-
-
 def _battery():
     classical = [SpectrumVector.from_frequencies([0.0] * (2 * p))
                  for p in range(1, 5)]
@@ -580,25 +575,26 @@ def _identity_residuals(svs, rng) -> tuple[float, float]:
     # form against the finite TB-spline sum.  Same-route comparisons would be
     # term-by-term identical and prove nothing.  Residuals are scaled by the
     # all-positive sum at |lambda|, which majorizes every signed variant.
-    # The resolvent stays one call per draw (its precision follows lambda);
-    # each Euler-spline term is one batched call over a spectrum's 20 draws.
+    # Each route is one batched call over all of a spectrum's draws; the
+    # resolvent still picks its precision per lambda.
     shift = half = 0.0
     for sv in svs:
         n = sv.order
         x, lam = np.array(
             [(float(rng.uniform(0.0, 1.0)), _draw_lam(rng)) for _ in range(20)]
         ).T
-        a = np.array([euler_spline_resolvent(sv, xi, li)
-                      for xi, li in zip(x + 1.0, lam)])
-        b = lam * euler_spline(sv, x, lam)
-        den = euler_spline(sv, x + 1.0, np.abs(lam))
-        shift = max(shift, float(np.max(np.abs(a - b) / den)))
-        if sv.is_symmetric() and n % 2 == 0:
-            c = np.array([euler_spline_resolvent(sv, n / 2.0, li) for li in lam])
+        even = sv.is_symmetric() and n % 2 == 0
+        mid = np.full(20, n / 2.0)
+        # rows x + 1 and, for even symmetric spectra, n/2, both at lambda
+        a = euler_spline_resolvent(sv, np.stack([x + 1.0, mid][:1 + even]), lam)
+        # rows (x, lambda), (x + 1, |lambda|), (0, lambda), (n/2, |lambda|)
+        phi = euler_spline(sv, np.stack([x, x + 1.0, np.zeros(20), mid][:2 + 2 * even]),
+                           np.stack([lam, np.abs(lam)] * (1 + even)))
+        shift = max(shift, float(np.max(np.abs(a[0] - lam * phi[0]) / phi[1])))
+        if even:
             # scalar powers, as in euler_spline, not numpy's SIMD array power
-            d = np.array([li ** (n // 2) for li in lam]) * euler_spline(sv, 0.0, lam)
-            den = euler_spline(sv, n / 2.0, np.abs(lam))
-            half = max(half, float(np.max(np.abs(c - d) / den)))
+            d = np.array([li ** (n // 2) for li in lam]) * phi[2]
+            half = max(half, float(np.max(np.abs(a[1] - d) / phi[3])))
     return shift, half
 
 
@@ -609,27 +605,27 @@ def _symmetry_residual(svs, rng) -> float:
             continue
         n = sv.order
         lam = np.array([_draw_lam(rng) for _ in range(20)])
-        a = np.array([euler_spline_resolvent(sv, n / 2.0, li) for li in lam])
-        b = euler_spline(sv, n / 2.0, 1.0 / lam)
-        den = euler_spline(sv, n / 2.0, np.abs(lam))
+        a = euler_spline_resolvent(sv, n / 2.0, lam)
+        b, den = euler_spline(sv, n / 2.0, np.stack([1.0 / lam, np.abs(lam)]))
         worst = max(worst, float(np.max(np.abs(a - b) / den)))
     return worst
 
 
 def _biorthogonality_deviation(sv: SpectrumVector) -> float:
+    # Gauss-Legendre on the unit panels [tau + m, tau + m + 1], m < n, whose
+    # half-width is exactly 0.5: one dual and one TB evaluation over every
+    # panel, then one dot per panel (a matrix product may sum in another
+    # order), accumulated per tau
     n = sv.order
-    dual = synthesize_dual(sv)
-    tb = tb_chebyshev(sv)
+    taus = np.arange(-3.0, 4.0)[:, None, None]
+    t = 0.5 * _GL_X + (taus + np.arange(float(n))[:, None] + 0.5)
+    rows = synthesize_dual(sv)(t) * tb_chebyshev(sv)(t - taus)
     worst = 0.0
-    for tau in range(-3, 4):
+    for tau, panels in zip(range(-3, 4), rows):
         acc = 0.0
-        for m in range(n):
-            acc += _gl(
-                lambda t: dual(t) * tb(t - tau),
-                float(tau + m), float(tau + m + 1),
-            )
-        want = 1.0 if tau == 0 else 0.0
-        worst = max(worst, abs(acc - want))
+        for row in panels:
+            acc += 0.5 * float(np.dot(_GL_W, row))
+        worst = max(worst, abs(acc - (1.0 if tau == 0 else 0.0)))
     return worst
 
 

@@ -831,8 +831,9 @@ def tb_chebyshev(spectrum: SpectrumVector) -> TbChebyshev:
 #: lam ** m elementwise through Python's scalar pow, i.e. the C library's.
 #: numpy's SIMD array power rounds about 3% of real powers differently in
 #: the last bit on an AVX-512 machine, almost always less accurately, and
-#: that moves verify residuals in their last digits.
+#: that moves verify residuals in their last digits.  Likewise exp.
 _scalar_pow = np.frompyfunc(pow, 2, 1)
+_scalar_exp = np.frompyfunc(math.exp, 1, 1)
 
 
 def euler_spline(spectrum: SpectrumVector, x, lam):
@@ -872,30 +873,34 @@ def _eulerian_coeffs(r: int) -> tuple[int, ...]:
     return tuple(a)
 
 
-def _geom_moment(r: int, mu):
+def _geom_moment(r: int, mu, pow=pow):
     """G_r(mu) = sum_{j>=0} j^r mu^j continued to all mu != 1."""
     coeffs = _eulerian_coeffs(r)
     num = 0 * mu
     for c in reversed(coeffs):
         num = num * mu + c
-    return num / (1 - mu) ** (r + 1)
+    return num / pow(1 - mu, r + 1)
 
 
-def _power_sum_field(entries, x, lam, exp):
-    """sum_{j>=0} lam^{-j} g(x+j) continued past |e^l/lam| = 1, generic field."""
+def _power_sum_field(system, x, lam, exp, pow=pow):
+    """B(lam) * sum_{j>=0} lam^{-j} g(x+j) continued past |e^l/lam| = 1, in
+    any field; float64 arrays need elementwise scalar ``exp`` and ``pow``."""
+    entries, beta = system
     total = 0 * lam
     for li, cvec in entries:
         mu = exp(li) / lam
-        if abs(mu - 1) < 1e-12:
-            raise ValueError(f"lam = {lam} sits on the pole e^{{lambda_j}}, lambda_j = {li}")
+        pole = abs(mu - 1) < 1e-12
+        if np.any(pole):
+            raise ValueError(f"lam = {np.extract(pole, lam)[0]} sits on the pole "
+                             f"e^{{lambda_j}}, lambda_j = {li}")
         block = 0 * lam
         for s, cs in enumerate(cvec):
             t_s = 0 * lam
             for r in range(s + 1):
-                t_s = t_s + math.comb(s, r) * x ** (s - r) * _geom_moment(r, mu)
+                t_s = t_s + math.comb(s, r) * pow(x, s - r) * _geom_moment(r, mu, pow)
             block = block + cs * t_s
         total = total + exp(li * x) * block
-    return total
+    return sum(bj * pow(lam, -j) for j, bj in enumerate(beta)) * total
 
 
 def _pole_proximity_digits(entries, lam) -> float:
@@ -922,6 +927,19 @@ def _field_exp_float(v):
     return cmath.exp(v) if isinstance(v, complex) else math.exp(v)
 
 
+def _resolvent_dps(spectrum: SpectrumVector, lam, stiff_exact: bool = False):
+    """mpmath digits for :func:`_resolvent` at one Python-scalar ``lam``, or
+    None for float64: escalate when ``lam`` is so close to a pole node
+    e^{lambda_i} that the closed form would cancel more than
+    ``_RESOLVENT_FLOAT_LOSS_MAX`` digits, or when ``stiff_exact`` is set and
+    the spectrum is stiffer than ``SEVERITY_FLOAT_MAX``."""
+    loss = _pole_proximity_digits(_system(spectrum)[0], lam)
+    dps = 30 + int(loss) if loss > _RESOLVENT_FLOAT_LOSS_MAX else None
+    if stiff_exact and cancellation_severity(spectrum) > SEVERITY_FLOAT_MAX:
+        dps = max(dps or 0, _exact_dps(spectrum))
+    return dps
+
+
 def _resolvent(spectrum: SpectrumVector, x: float, lam, stiff_exact: bool = False):
     """Phi(x; lam) for x in [0, 1): B(lam) * sum_{j>=0} lam^{-j} g(x + j),
     with B(lam) = sum_k beta_k lam^{-k}.
@@ -929,43 +947,54 @@ def _resolvent(spectrum: SpectrumVector, x: float, lam, stiff_exact: bool = Fals
     ``g`` is the causal Green's function of the operator.  The geometric-type
     series converges only for |lam| large, but each pole contributes a
     rational function of e^{lambda_i}/lam, which continues the sum to every
-    ``lam`` off the points e^{lambda_i} (and 0).  It runs in float64 unless
-    ``lam`` sits so close to a pole node e^{lambda_i} that the closed form
-    would cancel more than ``_RESOLVENT_FLOAT_LOSS_MAX`` digits, or
-    ``stiff_exact`` is set and the spectrum is stiffer than
-    ``SEVERITY_FLOAT_MAX``; then it runs in mpmath at a precision covering
-    the loss.
+    ``lam`` off the points e^{lambda_i} (and 0), in the field
+    :func:`_resolvent_dps` picks.
     """
     if lam == 0:
         raise ValueError("lam must be nonzero")
-    loss = _pole_proximity_digits(_system(spectrum)[0], lam)
-    dps = 30 + int(loss) if loss > _RESOLVENT_FLOAT_LOSS_MAX else None
-    if stiff_exact and cancellation_severity(spectrum) > SEVERITY_FLOAT_MAX:
-        dps = max(dps or 0, _exact_dps(spectrum))
-    entries, beta = _system(spectrum, dps)
+    dps = _resolvent_dps(spectrum, lam, stiff_exact)
+    system = _system(spectrum, dps)
     x, exp = float(x), _field_exp_float
     with mp.workdps(dps or mp.dps):
         if dps is not None:
             x, lam, exp = mp.mpf(x), mp.mpmathify(lam), mp.exp
-        val = _power_sum_field(entries, x, lam, exp)
-        val = sum(bj * lam ** (-j) for j, bj in enumerate(beta)) * val
+        val = _power_sum_field(system, x, lam, exp)
         return complex(val) if isinstance(val, (complex, mp.mpc)) else float(val)
 
 
-def euler_spline_resolvent(spectrum: SpectrumVector, x: float, lam: complex):
+def euler_spline_resolvent(spectrum: SpectrumVector, x, lam):
     """Phi(x; lam) by the one-sided resolvent continuation.
 
     For x in [0,1), Phi(x;lam) = [sum_k beta_k lam^{-k}] * sum_{j>=0} lam^{-j} g(x+j);
     general x reduces by the functional equation Phi(x+1) = lam * Phi(x).
     Entirely independent of pointwise TB values, which is the point: it
     cross-examines :func:`euler_spline` and the Euler-Frobenius coefficients.
-    Precision escalates when ``lam`` sits close to a pole node e^{lambda_i},
-    where the closed form cancels.  Scalar only; raises ValueError on a NaN
-    or infinite ``x``.
+    ``x`` and ``lam`` broadcast; scalars give a ``float`` (``complex`` for a
+    complex ``lam``).  Precision is chosen per ``lam``: the real float64
+    draws run as one array pass of the closed form, with scalar C ``pow``
+    and ``exp`` per element so that they keep the scalar bits; mpmath draws
+    and complex ``lam`` run one scalar call each.  Raises ValueError on a
+    NaN or infinite ``x``, a zero ``lam`` or a ``lam`` on a pole node.
     """
+    x, lam = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(lam))
+    if np.any(lam == 0):
+        raise ValueError("lam must be nonzero")
     check_queries(x)
-    k = math.floor(x)
-    return _resolvent(spectrum, x - k, lam) * lam**k
+    shape, x, lam = x.shape, x.ravel(), lam.ravel()
+    k = np.floor(x)
+    u, lams = x - k, lam.tolist()
+    fast = np.array([isinstance(v, float) and _resolvent_dps(spectrum, v) is None
+                     for v in lams], dtype=bool)
+    out = np.empty(len(lams), np.result_type(lam, np.float64))
+    if fast.any():
+        lf = lam[fast].astype(np.float64)
+        pow_ = lambda a, b: _scalar_pow(a, b).astype(np.float64)
+        exp_ = lambda v: np.asarray(_scalar_exp(v), dtype=np.float64)
+        val = _power_sum_field(_system(spectrum), u[fast], lf, exp_, pow_)
+        out[fast] = val * pow_(lf, k[fast])
+    for i in np.flatnonzero(~fast):
+        out[i] = _resolvent(spectrum, u[i], lams[i]) * lams[i] ** int(k[i])
+    return out.reshape(shape) if shape else out.item()
 
 
 # --------------------------------------------------------------------------

@@ -546,6 +546,23 @@ def test_verify_batches_its_euler_splines(monkeypatch):
     assert 0 < len(calls) <= 6 * len(battery)
 
 
+def test_verify_batches_its_resolvent(monkeypatch):
+    # one resolvent call per battery spectrum in _identity_residuals and one
+    # per symmetric spectrum in _symmetry_residual, each over all of its
+    # draws; one call per draw would make thousands
+    calls = []
+    resolvent = cli.euler_spline_resolvent
+
+    def counting(sv, x, lam):
+        calls.append(sv)
+        return resolvent(sv, x, lam)
+
+    monkeypatch.setattr(cli, "euler_spline_resolvent", counting)
+    assert cli.run_verify(ExperimentConfig()).all_passed()
+    battery = [sv for group in cli._battery() for sv in group]
+    assert 0 < len(calls) <= 2 * len(battery)
+
+
 def test_verify_detects_degraded_grid(tmp_path, capsys):
     cfg = tmp_path / "degr.cfg"
     cfg.write_text("per_unit = 8\n")

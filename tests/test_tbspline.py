@@ -21,7 +21,7 @@ from scipy.interpolate import BSpline
 
 from polyshannon.cli import _battery
 from polyshannon.shannon1d import tb_superposition
-from polyshannon.spectrum import SpectrumVector
+from polyshannon.spectrum import SpectrumVector, radial_spectrum
 from polyshannon import tbspline as tbs
 from polyshannon.tbspline import (
     CancellationError,
@@ -588,6 +588,58 @@ def test_euler_spline_rejects_a_bad_element_anywhere():
         euler_spline(SV([0.0, 0.0]), 0.5, np.array([1.0, 0.0, 2.0]))
     with pytest.raises(ValueError, match="NaN or infinite"):
         euler_spline(SV([0.0, 0.0]), np.array([0.5, math.nan]), 2.0)
+
+
+def test_euler_spline_resolvent_array_equals_scalar_loop():
+    # the array route against the scalar closed form on Python scalars, bit
+    # for bit: real float64 draws run as one array pass, draws within 1e-6
+    # of a pole node take the mpmath route, complex lam stays scalar
+    xs = np.array([-3.7, -3.0, -1.0, -0.25, 0.0, 0.4, 1.0, 1.7, 2.999, 5.5])
+
+    def scalar(sv, x, lam):
+        k = math.floor(x)
+        return tbs._resolvent(sv, x - k, lam) * lam**k
+
+    for sv in (SV([0.5, -1.0, 0.0, 2.0]), radial_spectrum(3, 3, 2), SV([0, 0, 0, 0])):
+        nodes = [math.exp(li) for li, _ in sv.entries]
+        lams = np.array([-4.0, -2.5, -0.35, 0.2, 1.3, 4.0]
+                        + [e * (1.0 + d) for e in nodes for d in (1e-6, -1e-6)])
+        assert any(tbs._resolvent_dps(sv, float(lam)) for lam in lams)
+        grid = euler_spline_resolvent(sv, xs[:, None], lams[None, :])
+        loop = np.array([[scalar(sv, float(x), float(lam)) for lam in lams] for x in xs])
+        assert grid.shape == (len(xs), len(lams)) and grid.dtype == np.float64
+        assert np.array_equal(grid, loop)
+        # broadcasting a scalar against an array, both ways round
+        assert np.array_equal(euler_spline_resolvent(sv, 1.7, lams), loop[7])
+        assert np.array_equal(euler_spline_resolvent(sv, xs, lams[2]), loop[:, 2])
+        cplx = np.array([2.0 + 1.5j, -0.2 - 0.8j, 1.3j, -1.0 + 0j])
+        grid = euler_spline_resolvent(sv, xs[:, None], cplx[None, :])
+        loop = np.array([[scalar(sv, float(x), complex(lam)) for lam in cplx] for x in xs])
+        assert np.array_equal(grid, loop)
+
+    # values of the scalar route before it took arrays, so that the route
+    # and its reference cannot drift together
+    sv = SV([0.5, -1.0, 0.0, 2.0])
+    for spectrum, x, lam, want in (
+        (sv, -3.7, -2.5, "-0x1.71bde085f5d5cp-16"),
+        (radial_spectrum(3, 3, 2), 1.7, 0.35, "0x1.18db144e5093bp+2"),
+        (SV([0, 0, 0, 0]), 2.3, -1.7, "-0x1.6e010cedcc9aap-6"),
+        (sv, 0.4, math.exp(2.0) * (1.0 + 1e-6), "0x1.2082077568a58p-5"),
+    ):
+        got = euler_spline_resolvent(spectrum, x, lam)
+        assert type(got) is float and got.hex() == want
+    assert type(euler_spline_resolvent(sv, 0.4, 2.0 + 1.5j)) is complex
+
+
+def test_euler_spline_resolvent_rejects_a_bad_element_anywhere():
+    sv = SV([0.5, -1.0])
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        euler_spline_resolvent(sv, np.array([0.5, math.nan]), 2.0)
+    with pytest.raises(ValueError, match="lam must be nonzero"):
+        euler_spline_resolvent(sv, 0.5, np.array([1.0, 0.0, 2.0]))
+    node = math.exp(0.5)
+    with pytest.raises(ValueError, match=f"lam = {node!r} sits on the pole"):
+        euler_spline_resolvent(sv, 0.5, np.array([2.0, node, -1.0]))
 
 
 def test_contour_rejects_pole_on_axis():
