@@ -419,19 +419,21 @@ def cardinal_series(table, j_min: int, coeffs, t):
     ``table`` is a :class:`KernelTable` (which handles decay) or any other
     vectorized callable of t.  ``coeffs`` holds c_{j_min}, c_{j_min+1}, ... along
     its last axis and may be complex; a 2-D array gives one series per row,
-    shape (rows,) + t.shape.  K is evaluated once per shift whose
-    coefficients are not all zero, and the rows are multiplied by that
-    (shifts x points) matrix.
+    shape (rows,) + t.shape.  K is evaluated once, on the (shifts x points)
+    grid t - j of every shift j whose coefficients are not all zero, and the
+    rows are multiplied by that matrix.  Raises ValueError on 0-d
+    coefficients and on a NaN or infinite query.
     """
     c = np.asarray(coeffs)
+    if c.ndim == 0:
+        raise ValueError("coefficients need a last axis over the shifts j")
     if not np.iscomplexobj(c):
         c = c.astype(float)
     t_arr = np.asarray(t, dtype=float)
+    check_queries(t_arr)
     flat = t_arr.reshape(-1)
-    live = np.flatnonzero(np.any(c.reshape(-1, c.shape[-1]) != 0, axis=0))
-    weights = np.empty((len(live), flat.size))
-    for row, offset in zip(weights, live):
-        row[:] = table(flat - (j_min + offset))
+    live = np.flatnonzero(np.any(c != 0, axis=tuple(range(c.ndim - 1))))
+    weights = table(flat[None, :] - (j_min + live)[:, None])
     out = (c[..., live] @ weights).reshape(c.shape[:-1] + t_arr.shape)
     return out.item() if out.ndim == 0 else out
 
@@ -449,11 +451,13 @@ def spline_series(spectrum: SpectrumVector, j_min: int, samples, t):
     table.  Same layout and return shape as :func:`cardinal_series`; ``t``
     may be a :class:`~polyshannon.tbspline.Queries`, whose bins then serve
     every call with the same coefficient range and order.  Raises
-    ValueError on a NaN or infinite query coordinate, and
+    ValueError on 0-d samples and on a NaN or infinite query coordinate, and
     :class:`NotSamplableError` when the sampled symbol vanishes on the
     circle or is not finite.
     """
     y = np.asarray(samples)
+    if y.ndim == 0:
+        raise ValueError("samples need a last axis over the shifts j")
     if not np.iscomplexobj(y):
         y = y.astype(float)
     queries = t if isinstance(t, Queries) else Queries(t)

@@ -470,25 +470,31 @@ def test_reconstruct_sphere_deterministic_but_for_runtime(tmp_path, capsys):
 
 
 def test_reconstruct_strip_uses_the_kernel_cache(tmp_path, capsys, monkeypatch):
+    # and the sphere command: one table per |kappa|^2 in {0, 1, 2, 4}, per k <= 2
     cfg = tmp_path / "t.cfg"
     cfg.write_text("K = 2\nqueries = 40\nj_min = -5\nj_max = 5\n")
-    out = tmp_path / "o"
-    argv = ["reconstruct-strip", "--config", str(cfg), "--out", str(out)]
-    assert main(argv) == 0
-    first = (out / "recon-strip.csv").read_text().splitlines()[1].split(",")
-    entries = sorted((out / "kernels").glob("*.pskt"))
-    assert len(entries) == 4  # |kappa|^2 in {0, 1, 2, 4}
-    blobs = [path.read_bytes() for path in entries]
 
     def no_synthesis(*args, **kwargs):
         raise AssertionError("kernel synthesized despite a filled cache")
 
-    monkeypatch.setattr(cli, "synthesize_kernel", no_synthesis)
-    assert main(argv) == 0
-    capsys.readouterr()
-    second = (out / "recon-strip.csv").read_text().splitlines()[1].split(",")
-    assert first[2:4] == second[2:4]  # max_err and rms_err
-    assert [path.read_bytes() for path in entries] == blobs
+    for name, tables in (("strip", 4), ("sphere", 3)):
+        out = tmp_path / name
+        argv = [f"reconstruct-{name}", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        first = (out / f"recon-{name}.csv").read_text().splitlines()[1].split(",")
+        plot = (out / f"recon-{name}-plot.dat").read_bytes()
+        entries = sorted((out / "kernels").glob("*.pskt"))
+        assert len(entries) == tables
+        blobs = [path.read_bytes() for path in entries]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "synthesize_kernel", no_synthesis)
+            assert main(argv) == 0
+        capsys.readouterr()
+        second = (out / f"recon-{name}.csv").read_text().splitlines()[1].split(",")
+        assert first[2:4] == second[2:4]  # max_err and rms_err
+        assert (out / f"recon-{name}-plot.dat").read_bytes() == plot
+        assert [path.read_bytes() for path in entries] == blobs
 
 
 def test_reconstruct_queries_stay_in_the_safe_band(tmp_path, capsys):

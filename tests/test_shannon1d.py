@@ -36,7 +36,7 @@ from polyshannon.spherical import (
     reconstruct_spherical_integral,
 )
 from polyshannon.strip import StripField, random_strip_field, reconstruct_strip
-from polyshannon.tbspline import tb_exact, tb_fourier
+from polyshannon.tbspline import tb_chebyshev, tb_exact, tb_fourier
 
 CUBIC = SpectrumVector.from_frequencies([0.0, 0.0, 0.0, 0.0])
 LINEAR = SpectrumVector.from_frequencies([0.0, 0.0])
@@ -171,10 +171,10 @@ def test_cardinal_series_rows_match_single_series():
 
 def test_cardinal_series_evaluates_live_shifts_only():
     tab = synthesize_kernel(CUBIC)
-    shifts_seen = []
+    calls = []
 
     def kernel(t):
-        shifts_seen.append(float(t[0] - grid[0]))
+        calls.append(t.copy())
         return tab(t)
 
     grid = np.linspace(-2.0, 2.0, 41)
@@ -182,9 +182,71 @@ def test_cardinal_series_evaluates_live_shifts_only():
     coeffs[0, 2] = 1.0
     coeffs[2, 5] = -2.0
     got = cardinal_series(kernel, -4, coeffs, grid)
-    assert sorted(shifts_seen) == [-1.0, 2.0]  # t - j for j = -2 and j = 1
+    # one call, on the blocks t - j of j = -2 and j = 1 only
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], [grid + 2.0, grid - 1.0])
     assert np.array_equal(got[1], np.zeros(41))
     assert isinstance(cardinal_series(tab, -4, coeffs[0], 0.5), float)
+
+
+def _per_shift_series(table, j_min, coeffs, t):
+    """The cardinal series with one kernel call per live shift: the reference
+    for the batched evaluation of :func:`cardinal_series`."""
+    c = np.asarray(coeffs)
+    if not np.iscomplexobj(c):
+        c = c.astype(float)
+    t_arr = np.asarray(t, dtype=float)
+    flat = t_arr.reshape(-1)
+    live = np.flatnonzero(np.any(c.reshape(-1, c.shape[-1]) != 0, axis=0))
+    weights = np.empty((len(live), flat.size))
+    for row, offset in zip(weights, live):
+        row[:] = table(flat - (j_min + offset))
+    out = (c[..., live] @ weights).reshape(c.shape[:-1] + t_arr.shape)
+    return out.item() if out.ndim == 0 else out
+
+
+@pytest.mark.parametrize("sv", [EXP2, SKEW])
+def test_cardinal_series_keeps_the_bits_of_the_per_shift_loop(sv):
+    rng = np.random.default_rng(41)
+    real = rng.uniform(-1.0, 1.0, size=(4, 13))
+    real[:, [0, 5, 12]] = 0.0  # shifts every row skips
+    real[2] = 0.0  # a row that is zero throughout
+    both = real + 1j * rng.uniform(-1.0, 1.0, size=real.shape) * (real != 0)
+    queries = (0.37, rng.uniform(-5.0, 5.0, size=(7, 9)), np.empty(0))
+    for kernel in (synthesize_kernel(sv), tb_chebyshev(sv)):
+        for rows in (real, both, real[0], np.zeros((3, 13))):
+            for t in queries:
+                got = cardinal_series(kernel, -6, rows, t)
+                want = _per_shift_series(kernel, -6, rows, t)
+                assert type(got) is type(want) and np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want), (kernel, rows.shape, np.shape(t))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cardinal_series_rejects_non_finite_queries_without_live_shifts(bad):
+    t = np.array([0.5, bad])
+    for series in (
+        lambda rows: cardinal_series(synthesize_kernel(CUBIC), 0, rows, t),
+        lambda rows: cardinal_series(tb_chebyshev(CUBIC), 0, rows, t),
+        lambda rows: spline_series(CUBIC, 0, rows, t),
+    ):
+        with pytest.raises(ValueError, match="query coordinates contain NaN or infinite"):
+            series(np.zeros((2, 8)))
+
+
+def test_cardinal_series_checks_coefficients_as_spline_series_does():
+    tab = synthesize_kernel(CUBIC)
+    t = np.array([[0.5, 1.5], [2.5, 3.5]])
+    # no shifts at all: zeros of the series' shape, from both routes
+    for rows in (np.zeros((3, 0)), np.zeros((3, 0), complex)):
+        for got in (cardinal_series(tab, 0, rows, t), spline_series(CUBIC, 0, rows, t)):
+            assert got.shape == (3, 2, 2) and got.dtype == rows.dtype
+            assert np.all(got == 0.0)
+    # 0-d coefficients name no shift: a typed error from both routes
+    for call in (lambda: cardinal_series(tab, 0, 1.0, t),
+                 lambda: spline_series(CUBIC, 0, 1.0, t)):
+        with pytest.raises(ValueError, match="last axis"):
+            call()
 
 
 def test_spline_series_is_exact_on_v0():

@@ -503,6 +503,26 @@ def test_kernel_source_selects_the_tables():
     assert np.max(np.abs(got - default)) < 1e-4 * np.max(np.abs(default))
 
 
+def test_kernel_route_calls_each_degree_table_once():
+    rng = np.random.default_rng(31)
+    fld = random_polyspline_field(rng, n=3, p=2, degree_max=4).sphere_field(-6, 6)
+    r = np.exp(rng.uniform(-2.0, 2.0, size=150))
+    d = _random_directions(rng, 150)
+    calls = {}
+
+    def counting(sv):
+        tab = synthesize_kernel(sv)
+
+        def table(t):
+            calls[sv] = calls.get(sv, 0) + 1
+            return tab(t)
+
+        return table
+
+    reconstruct_spherical(fld, r, d, kernel=counting)
+    assert calls == {radial_spectrum(k, 3, 2): 1 for k in range(5)}
+
+
 def test_degree_cap_holds_on_both_routes():
     samples = np.zeros((7, mode_count(33)))
     samples[:, 33 * 33] = 1.0  # one channel of degree 33
