@@ -550,29 +550,42 @@ def reconstruct_spherical_integral(
     r,
     directions,
 ) -> np.ndarray:
-    """The theorem-shaped route: quadrature of the zonal kernel against sphere data.
+    """The paper's Shannon formula f(r psi) = sum_j int_{S^2} S(r e^{-j},
+    theta.psi) f(e^j theta) dtheta, integrated by the ``grid`` quadrature
+    against the sphere values the field's harmonic samples synthesize.
 
-    sum_j int_{S^2} S_0(r e^{-j}, theta.psi) f(e^j theta) dtheta, with the
-    integral replaced by the grid quadrature.  Agrees with the mode-wise
-    pipeline once the grid is alias-free for the field's degree content.
-    Directions of non-unit length are normalized; the queries are checked,
-    and log r near the edge of the sampled spheres warned about, as in
-    :func:`reconstruct_spherical`.
+    With the weighted values W (J spheres x G points) and the factorization
+    S(r e^{-j}, c) = sum_{k<=K} S_0^(k)(log r - j) Z_k(c), it sums the row
+    sums of S_0^(k)(log r - j) * (Z_k @ W.T): one :func:`_zonal_stream` pass
+    over the P x G query-point cosines, one table call per degree on the
+    P x J shifts.  Cost O(K P G J) plus the stream's O(K^2 P G); memory
+    O(K P G).  Queries are checked, normalized and warned about as in
+    :func:`reconstruct_spherical`.  ValueError unless ``kernel`` has a table
+    with the field's spectrum for every degree k <= K (only those are
+    summed) and the grid's degree is at least K (exact through 2K).
     """
     v, d = _sphere_queries(r, directions)
     check_cardinal_data(field.samples, field.j_min, v)
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     d = d / np.linalg.norm(d, axis=1, keepdims=True)
-    pts = grid.points()
-    w = grid.quad_weights()
-    sphere_values = [synthesize_sphere(grid, row) for row in field.samples]
-    out = np.zeros(len(r_arr))
-    for q in range(len(r_arr)):
-        cosg = np.tensordot(pts, d[q], axes=(2, 0))
-        acc = 0.0
-        for row, j in zip(sphere_values, range(field.j_min, field.j_max + 1)):
-            acc += float(
-                np.sum(w * row * kernel.eval(r_arr[q] * math.exp(-j), cosg))
-            )
-        out[q] = acc
+    degree = field.degree_max
+    if len(kernel.tables) <= degree or any(
+        kernel.tables[k].spectrum != field.spectrum(k) for k in range(degree + 1)
+    ):
+        raise ValueError(
+            f"kernel tables of degrees 0..{len(kernel.tables) - 1} do not carry "
+            f"the radial spectra of degrees 0..{degree} with n = "
+            f"{field.dimension}, p = {field.smoothness}"
+        )
+    if grid.degree_max < degree:
+        raise ValueError(
+            f"a degree-{grid.degree_max} sphere grid is not exact for a "
+            f"degree-{degree} field"
+        )
+    pts = grid.points().reshape(-1, 3)
+    harmonics = [_order_block(f) for _, f in _harmonic_stream(pts, degree)]
+    weighted = field.samples @ np.concatenate(harmonics) * grid.quad_weights().ravel()
+    shifts = v[:, None] - np.arange(field.j_min, field.j_max + 1)
+    out = np.zeros(len(v))
+    for k, zonal_k in _zonal_stream(d @ pts.T, degree):
+        out += np.sum(kernel.tables[k](shifts) * (zonal_k @ weighted.T), axis=1)
     return out

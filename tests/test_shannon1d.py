@@ -495,7 +495,8 @@ def test_sampling_grid_validation():
 # --------------------------------------------------------------------------
 
 def _entry_points():
-    """(call, point width) of both oracles and both reconstructions."""
+    """(call, point width) of both oracles, both reconstructions and the
+    sphere integral route."""
     sgen = random_polyspline_field(np.random.default_rng(5), p=1, degree_max=2,
                                    j_min=-4, j_max=4)
     sfld = sgen.sphere_field(-4, 4)
@@ -507,12 +508,15 @@ def _entry_points():
         "sphere reconstruction": (lambda r, d: reconstruct_spherical(sfld, r, d), 3),
         "strip oracle": (tgen.eval, 2),
         "strip reconstruction": (lambda t, ys: reconstruct_strip(tfld, t, ys), 2),
+        "sphere integral": (lambda r, d: reconstruct_spherical_integral(
+            sfld, ShannonPolysplineKernel.build(2), SphereGrid(2), r, d), 3),
     }
 
 
 @pytest.mark.parametrize("coords", [1, 3])
 @pytest.mark.parametrize("entry", [
     "sphere oracle", "sphere reconstruction", "strip oracle", "strip reconstruction",
+    "sphere integral",
 ])
 def test_every_entry_point_refuses_a_query_count_mismatch(entry, coords):
     call, width = _entry_points()[entry]

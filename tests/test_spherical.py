@@ -384,6 +384,86 @@ def test_integral_route_matches_mode_wise():
             reconstruct_spherical_integral(fld, kernel, grid, [bad_r], [bad_d])
 
 
+def _literal_formula(fld, kernel, grid, r, directions):
+    """sum_j sum_g w_g f(e^j theta_g) S(r e^{-j}, theta_g.psi), one query and
+    one sphere at a time, through ShannonPolysplineKernel.eval."""
+    pts = grid.points().reshape(-1, 3)
+    w = grid.quad_weights().reshape(-1)
+    sphere_values = [synthesize_directions(row, pts) for row in fld.samples]
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    d = np.atleast_2d(np.asarray(directions, dtype=float))
+    out = np.zeros(len(r))
+    for q in range(len(r)):
+        psi = d[q] / np.linalg.norm(d[q])
+        for j, values in enumerate(sphere_values, start=fld.j_min):
+            out[q] += np.sum(w * values * kernel.eval(r[q] * math.exp(-j), pts @ psi))
+    return out
+
+
+@pytest.mark.parametrize("degree, p, j_max, queries", [(4, 1, 4, 20), (8, 2, 6, 8)])
+def test_integral_route_is_the_literal_formula(degree, p, j_max, queries):
+    rng = np.random.default_rng(53 + degree)
+    fld = random_polyspline_field(rng, n=3, p=p, degree_max=degree, j_min=-j_max,
+                                  j_max=j_max).sphere_field(-j_max, j_max)
+    kernel = ShannonPolysplineKernel.build(degree, 3, p)
+    grid = SphereGrid(degree)
+    r = np.exp(rng.uniform(-1.5, 1.5, size=queries))
+    d = 1.7 * _random_directions(rng, queries)
+    want = _literal_formula(fld, kernel, grid, r, d)
+    scale = np.max(np.abs(want))
+    got = reconstruct_spherical_integral(fld, kernel, grid, r, d)
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    one = reconstruct_spherical_integral(fld, kernel, grid, r[0], d[0])
+    assert one.shape == (1,)
+    assert abs(one[0] - _literal_formula(fld, kernel, grid, r[0], d[0])[0]) <= 1e-12 * scale
+
+
+def _integral_case():
+    rng = np.random.default_rng(59)
+    fld = random_polyspline_field(rng, n=3, p=2, degree_max=3, j_min=-5,
+                                  j_max=5).sphere_field(-5, 5)
+    r = np.exp(rng.uniform(-1.0, 1.0, size=6))
+    return fld, r, _random_directions(rng, 6)
+
+
+def test_integral_route_refuses_a_kernel_of_another_order():
+    fld, r, d = _integral_case()
+    with pytest.raises(ValueError, match="p = 2"):
+        reconstruct_spherical_integral(
+            fld, ShannonPolysplineKernel.build(3, 3, 1), SphereGrid(3), r, d)
+
+
+def test_integral_route_refuses_a_kernel_short_of_the_field_degree():
+    fld, r, d = _integral_case()
+    with pytest.raises(ValueError, match=r"degrees 0\.\.1 .* degrees 0\.\.3"):
+        reconstruct_spherical_integral(
+            fld, ShannonPolysplineKernel.build(1, 3, 2), SphereGrid(3), r, d)
+
+
+def test_integral_route_sums_only_the_field_degrees():
+    fld, r, d = _integral_case()
+    exact = reconstruct_spherical_integral(
+        fld, ShannonPolysplineKernel.build(3, 3, 2), SphereGrid(3), r, d)
+    longer = reconstruct_spherical_integral(
+        fld, ShannonPolysplineKernel.build(6, 3, 2), SphereGrid(3), r, d)
+    assert np.array_equal(longer, exact)
+
+
+def test_integral_route_refuses_a_grid_below_the_field_degree():
+    fld, r, d = _integral_case()
+    with pytest.raises(ValueError, match="degree-2 sphere grid .* degree-3 field"):
+        reconstruct_spherical_integral(
+            fld, ShannonPolysplineKernel.build(3, 3, 2), SphereGrid(2), r, d)
+
+
+def test_integral_route_accepts_a_finer_grid():
+    fld, r, d = _integral_case()
+    kernel = ShannonPolysplineKernel.build(3, 3, 2)
+    exact = reconstruct_spherical_integral(fld, kernel, SphereGrid(3), r, d)
+    finer = reconstruct_spherical_integral(fld, kernel, SphereGrid(5), r, d)
+    assert np.max(np.abs(finer - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
 def test_kernel_eval_consistency_with_zonal_projection():
     kernel = ShannonPolysplineKernel.build(4, n=3, p=1)
     grid = SphereGrid(4)
