@@ -44,9 +44,11 @@ between the coefficient and table routes), and :func:`channel_values` and
 geometry supplies ``groups(rows)``, ``spectrum(key)`` and ``resum(rows,
 points, profiles)``.  All groups of a field share the order 2p and one
 coefficient range, so each call bins its queries once
-(:class:`~polyshannon.tbspline.Queries`) and a group costs its Clenshaw
-passes and one matrix product; the lattice taps are cached per spectrum,
-divisor and size (:func:`_lattice_taps`).
+(:class:`~polyshannon.tbspline.Queries`), handing it every live group's
+:func:`~polyshannon.tbspline.tb_chebyshev`: each reached piece is
+evaluated for all groups at once from one Chebyshev basis, and a group
+costs its ``put`` and one matrix product; the lattice taps are cached per
+spectrum, divisor and size (:func:`_lattice_taps`).
 """
 
 from __future__ import annotations
@@ -525,6 +527,13 @@ def check_channel_queries(t, points) -> tuple[np.ndarray, np.ndarray]:
     return t_arr, pts
 
 
+def _shared_queries(geometry, rows: np.ndarray, t) -> Queries:
+    """t as :class:`~polyshannon.tbspline.Queries` shared by the TB-splines
+    of the live groups of ``rows``."""
+    shared = [tb_chebyshev(geometry.spectrum(key)) for key, _ in geometry.groups(rows)]
+    return Queries(t, shared)
+
+
 def channel_series(fld, t, points, kernel=None) -> np.ndarray:
     """Shannon reconstruction of a channel field at the (t, points) of
     :func:`check_channel_queries`.
@@ -535,11 +544,12 @@ def channel_series(fld, t, points, kernel=None) -> np.ndarray:
     spectrum ``fld.spectrum(key)``), against the angular basis.  The series
     is :func:`spline_series`, or :func:`cardinal_series` on the table
     ``kernel(spectrum)`` when ``kernel`` is given.  The groups share one
-    :class:`~polyshannon.tbspline.Queries`, so t is binned once per call.
-    Raises and warns as :func:`check_cardinal_data`.
+    :class:`~polyshannon.tbspline.Queries`, so t is binned once per call
+    and each reached piece is evaluated for all groups at once.  Raises and
+    warns as :func:`check_cardinal_data`.
     """
     check_cardinal_data(fld.samples, fld.j_min, t)
-    queries = Queries(t)
+    queries = None if kernel is not None else _shared_queries(fld, fld.samples.T, t)
 
     def profiles(key, block: np.ndarray) -> np.ndarray:
         sv = fld.spectrum(key)
@@ -554,8 +564,8 @@ def channel_values(gen, t, points) -> np.ndarray:
     """A generator's field at the (t, points) of :func:`check_channel_queries`,
     resummed as in :func:`channel_series` from its V_0 coefficient rows
     ``gen.coeffs`` (i from ``gen.i_min``): one TB evaluation per group, over
-    queries binned once."""
-    queries = Queries(t)
+    queries binned once and pieces evaluated for all groups at once."""
+    queries = _shared_queries(gen, gen.coeffs, t)
     return gen.resum(
         gen.coeffs, points,
         lambda key, block: tb_superposition(gen.spectrum(key), gen.i_min, block, queries),
@@ -565,8 +575,8 @@ def channel_values(gen, t, points) -> np.ndarray:
 def channel_samples(gen, j_min: int, j_max: int) -> np.ndarray:
     """Samples of a generator's channels (columns) at t = j_min..j_max (rows),
     one TB evaluation per group of ``gen.groups(rows)``, (key, index) pairs,
-    over nodes binned once."""
-    js = Queries(np.arange(j_min, j_max + 1, dtype=float))
+    over nodes binned once and pieces evaluated for all groups at once."""
+    js = _shared_queries(gen, gen.coeffs, np.arange(j_min, j_max + 1, dtype=float))
     out = np.zeros((js.t.size, len(gen.coeffs)), np.result_type(gen.coeffs, float))
     for key, idx in gen.groups(gen.coeffs):
         sv = gen.spectrum(key)

@@ -15,14 +15,14 @@ gives the core the degree groups, their spectra (capped at ``DEGREE_CAP``)
 and the resum, which contracts each degree's profiles row by row against
 one harmonic stream (:func:`_harmonic_stream`): one trig table for all
 orders and one normalized associated-Legendre recurrence stepped degree by
-degree, so no harmonic table is kept.  That recurrence is the package's
-only Legendre code: the zonal harmonics Z_k are its order-0 rows on a
-meridian (:func:`_zonal_stream`).  This module also supplies the sphere
-quadrature (Gauss-Legendre colatitudes x uniform longitudes) with its
-analysis and synthesis, the real harmonics, the per-degree kernels, the
-truncated zonal kernel, the quadrature-form reconstruction, and the
-in-memory field container :class:`PolysplineField` (its degree K read from
-its (K+1)^2 channels).
+degree, so no harmonic table is kept.  The zonal harmonics Z_k need no
+order m >= 1 and no trig table: they step the Legendre polynomials by
+their own three-term recurrence (:func:`_zonal_stream`).  This module also
+supplies the sphere quadrature (Gauss-Legendre colatitudes x uniform
+longitudes) with its analysis and synthesis, the real harmonics, the
+per-degree kernels, the truncated zonal kernel, the quadrature-form
+reconstruction, and the in-memory field container :class:`PolysplineField`
+(its degree K read from its (K+1)^2 channels).
 
 Only n = 3 harmonics are implemented, so sphere fields require n = 3; the
 radial kernels accept any n >= 2 (confluent spectra included).
@@ -232,18 +232,22 @@ def sph_harm(k: int, ell: int, direction):
 
 
 def _zonal_stream(cos_gamma, degree_max: int):
-    """Yield (k, Z_k(cos_gamma)), k = 0..degree_max: sqrt((2k+1)/4pi) times
-    the order-0 row of :func:`_harmonic_stream` on the meridian (sin gamma,
-    0, cos gamma), whose angle may move cos(gamma) by an ulp.  ValueError
-    unless cos(gamma) is finite, |cos(gamma)| <= 1 + 1e-12 (then clipped)."""
+    """Yield (k, Z_k(cos_gamma)), k = 0..degree_max: (2k+1)/4pi times the
+    Legendre polynomial P_k, stepped by Bonnet's recurrence (k+1) P_{k+1} =
+    (2k+1) x P_k - k P_{k-1} in the form P_{k+1} = x P_k + k/(k+1) (x P_k -
+    P_{k-1}), whose correction term is small near +-1.  ValueError unless
+    cos(gamma) is finite, |cos(gamma)| <= 1 + 1e-12 (then clipped)."""
     cg = np.asarray(cos_gamma, dtype=float)
     check_queries(cg)
     if np.any(np.abs(cg) > 1.0 + 1e-12):
         raise ValueError("cos(gamma) must lie in [-1, 1]")
-    cg = np.clip(cg, -1.0, 1.0)
-    meridian = np.stack([np.sqrt(1.0 - cg * cg), np.zeros_like(cg), cg], axis=-1)
-    for k, (legendre, _, _) in _harmonic_stream(meridian, degree_max):
-        yield k, math.sqrt((2 * k + 1) / (4.0 * math.pi)) * legendre[0]
+    x = np.clip(cg, -1.0, 1.0)
+    older, prev = np.zeros_like(x), np.ones_like(x)
+    for k in range(degree_max + 1):
+        yield k, (2 * k + 1) / (4.0 * math.pi) * prev
+        if k < degree_max:
+            xp = x * prev
+            older, prev = prev, xp + k / (k + 1) * (xp - older)
 
 
 def zonal(k: int, cos_gamma):
@@ -558,7 +562,7 @@ def reconstruct_spherical_integral(
     S(r e^{-j}, c) = sum_{k<=K} S_0^(k)(log r - j) Z_k(c), it sums the row
     sums of S_0^(k)(log r - j) * (Z_k @ W.T): one :func:`_zonal_stream` pass
     over the P x G query-point cosines, one table call per degree on the
-    P x J shifts.  Cost O(K P G J) plus the stream's O(K^2 P G); memory
+    P x J shifts.  Cost O(K P G J) plus the stream's O(K P G); memory
     O(K P G).  Queries are checked, normalized and warned about as in
     :func:`reconstruct_spherical`.  ValueError unless ``kernel`` has a table
     with the field's spectrum for every degree k <= K (only those are

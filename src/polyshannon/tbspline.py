@@ -23,14 +23,16 @@ other):
 * :func:`tb_chebyshev` -- the one piecewise form: one chopped Chebyshev
   series per unit interval, sampled once per spectrum from the same data
   reorganized as exponential polynomials per interval (assembled in mpmath,
-  sampled in exact fixed-point integers), and evaluated in float64 by
-  Clenshaw.  No stiffness cap and no per-point mpmath work, so every
-  library path that needs Q_N values runs on it: kernel grids and Euler
-  splines through the callable, the series
+  sampled in exact fixed-point integers), and evaluated in float64 as a
+  sum over an explicit T_k basis (Trefethen, *Approximation Theory and
+  Approximation Practice*, ch. 3).  No stiffness cap and no per-point
+  mpmath work, so every library path that needs Q_N values runs on it:
+  kernel grids and Euler splines through the callable, the series
   sum_i c_i Q_N(t - i) through :meth:`TbChebyshev.translates`, which maps
   each point to its N live translates.  A :class:`Queries` bins the points
   once per translate range, so sums over many spectra of one order at the
-  same t (the channels of a field) share the binning.  :func:`tb_exact`
+  same t (the channels of a field) share the binning, and, when it is
+  told the spectra, one T_k basis per bin for all of them.  :func:`tb_exact`
   stays the independent reference it is tested against.
 * :func:`tb_tabulate`  -- FFT inversion of the Fourier form with an asymptotic
   correction for the truncated spectral tail, to ``TABULATE_RTOL``.  No
@@ -508,6 +510,10 @@ _CHEB_FIRST = 16
 _CHEB_MAX = 1024
 
 
+#: points per block of the Chebyshev basis that :func:`_chebyshev_sums` forms
+_BASIS_CHUNK = 2048
+
+
 class Queries:
     """Query coordinates t of translate sums, binned once per translate range.
 
@@ -516,11 +522,19 @@ class Queries:
     every later call with that range, whatever the spectrum: all channel
     groups of a field have one order and one coefficient range, so a
     reconstruction bins its queries once.
+
+    ``shared`` lists the :class:`TbChebyshev` of the groups that will be
+    evaluated here.  The first :meth:`pieces` call for one of them
+    evaluates the pieces of all those of its order at once, from one
+    Chebyshev basis per bin, and keeps each other group's values until its
+    own call takes them.
     """
 
-    def __init__(self, t) -> None:
+    def __init__(self, t, shared=()) -> None:
         self.t = np.asarray(t, dtype=float)
         self._bins: dict[tuple[int, int, int], list] = {}
+        self._shared = list(shared)
+        self._values: dict[tuple[TbChebyshev, int, int], list] = {}
 
     def bins(self, first: int, count: int, order: int) -> list:
         """(m, x, at) per piece m < ``order`` that some point reaches: the
@@ -543,16 +557,35 @@ class Queries:
             self._bins[key] = bins
         return self._bins[key]
 
+    def pieces(self, cheb: TbChebyshev, first: int, count: int) -> list:
+        """(at, values) per bin of :meth:`bins` for ``cheb``'s order: the
+        flat indices and the values there of the pieces of ``cheb``.  Values
+        evaluated with the other ``shared`` groups are handed out once."""
+        order = len(cheb.coeffs)
+        bins = self.bins(first, count, order)
+        values = self._values.pop((cheb, first, count), None)
+        if values is None:
+            group = [cheb]
+            if cheb in self._shared:
+                group += [c for c in self._shared if c is not cheb and len(c.coeffs) == order]
+                self._shared = [c for c in self._shared if c not in group]
+            stacks = [_chebyshev_sums([c.coeffs[m] for c in group], x) for m, x, _ in bins]
+            for g, other in enumerate(group[1:], 1):
+                self._values[other, first, count] = [s[g] for s in stacks]
+            values = [s[0] for s in stacks]
+        return [(at, v) for (_, _, at), v in zip(bins, values)]
+
 
 @dataclass(frozen=True, eq=False)
 class TbChebyshev:
     """Q_N as one Chebyshev series per unit interval [m, m+1), m = 0..N-1.
 
     ``coeffs[m][k]`` multiplies T_k(2u - 1) with u = t - m.  Evaluation is
-    float64 Clenshaw and keeps :func:`tb_exact`'s conventions: zero outside
-    [0, N) and at a NaN or infinite t, left-closed knots, a float for a
-    scalar argument.  The callable is the single translate i = 0 of
-    :meth:`translates`, so both give the same bits at a point.
+    the float64 sum over an explicit T_k basis (:func:`_chebyshev_sums`)
+    and keeps :func:`tb_exact`'s conventions: zero outside [0, N) and at a
+    NaN or infinite t, left-closed knots, a float for a scalar argument.
+    The callable is the single translate i = 0 of :meth:`translates`, so
+    both give the same bits at a point.
     """
 
     spectrum: SpectrumVector
@@ -568,31 +601,51 @@ class TbChebyshev:
         ``t`` is an array or a :class:`Queries`.  At each point only the N
         translates i = floor(t) - m, m = 0..N-1, are live, and they take
         piece m at u = t - floor(t); so each piece fills its bin of
-        :meth:`Queries.bins` with one Clenshaw pass.  A non-finite t gives
-        a zero column.
+        :meth:`Queries.bins` with the values of :meth:`Queries.pieces`,
+        shared with the other groups of the queries or on their own.  A
+        non-finite t gives a zero column.
         """
         queries = t if isinstance(t, Queries) else Queries(t)
         out = np.zeros((count, queries.t.size))
-        for m, x, at in queries.bins(first, count, len(self.coeffs)):
-            out.put(at, _clenshaw(self.coeffs[m], x))
+        for at, values in queries.pieces(self, first, count):
+            out.put(at, values)
         return out
 
 
-def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k c_k T_k(x) by Clenshaw's recurrence, b_k = c_k + 2x b_{k+1} -
-    b_{k+2}, in three rotating buffers.  Addition commutes exactly in
-    IEEE arithmetic, so this gives the bits of the textbook expression."""
-    b1, b2, tmp = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
-    two_x = 2.0 * x
-    for ck in c[:0:-1]:
-        np.multiply(two_x, b1, out=tmp)
-        tmp += ck
-        tmp -= b2
-        b1, b2, tmp = tmp, b1, b2
-    np.multiply(x, b1, out=tmp)
-    tmp += c[0]
-    tmp -= b2
-    return tmp
+def _chebyshev_sums(series, x: np.ndarray) -> np.ndarray:
+    """sum_k c_k T_k(x) for each coefficient row c of ``series``: a
+    (len(series), x.size) array.
+
+    The basis T_0..T_{K-1}(x), K the longest row, comes from the recurrence
+    T_k = 2x T_{k-1} - T_{k-2}, one block of ``_BASIS_CHUNK`` points at a
+    time, and one einsum contracts it with the rows zero-padded to K.  Over
+    two or more columns einsum adds the terms in ascending k at each point,
+    so every value has the bits of its own textbook sum, whatever the
+    batch; over one column it sums in another order, so a 1-point block
+    is padded to two.  A BLAS product would be faster, but its bits vary
+    with the batch shape.
+    """
+    k_max = max(map(len, series))
+    rows = np.zeros((len(series), k_max))
+    for row, c in zip(rows, series):
+        row[: len(c)] = c
+    out = np.empty((len(series), x.size))
+    for start in range(0, x.size, _BASIS_CHUNK):
+        block = x[start : start + _BASIS_CHUNK]
+        n = block.size
+        if n == 1:
+            block = np.repeat(block, 2)
+        basis = np.empty((k_max, block.size))
+        basis[0] = 1.0
+        if k_max > 1:
+            basis[1] = block
+        two_x = 2.0 * block
+        for k in range(2, k_max):
+            np.multiply(two_x, basis[k - 1], out=basis[k])
+            basis[k] -= basis[k - 2]
+        out[:, start : start + n] = np.einsum("gk,kn->gn", rows, basis)[:, :n]
+        del basis
+    return out
 
 
 def _cheb_coeffs(vals: np.ndarray) -> np.ndarray:

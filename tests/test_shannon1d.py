@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from polyshannon import shannon1d
+from polyshannon import shannon1d, tbspline
 from polyshannon.shannon1d import (
     BoundaryTailWarning,
     KernelTable,
@@ -579,3 +580,34 @@ def test_shared_bins_match_per_group_series_bit_for_bit():
     for fld, points in ((sfld, d), (tfld, ys)):
         got = channel_series(fld, t, points)
         assert np.array_equal(got, _per_group_series(fld, t, points))
+    # one query; and a second query past the coefficient range, in every bin
+    # but piece 0's, which holds the first query alone
+    beyond = 6 + SamplingGrid().half_width + 1.5
+    for few, warns in ((t[:1], False), (np.array([t[0], beyond]), True)):
+        for fld, points in ((sfld, d[: len(few)]), (tfld, ys[: len(few)])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore" if warns else "error", BoundaryTailWarning)
+                got = channel_series(fld, few, points)
+                assert np.array_equal(got, _per_group_series(fld, few, points))
+
+
+def test_one_basis_contraction_per_reached_piece(monkeypatch):
+    rng = np.random.default_rng(73)
+    gen = random_polyspline_field(rng, p=2, degree_max=3, j_min=-6, j_max=6)
+    fld = gen.sphere_field(-6, 6)
+    # the last two queries reach fewer of the generator's pieces
+    v = np.concatenate([rng.uniform(-4.0, 3.0, 40), [-6.5, 5.5]])
+    d = rng.normal(size=(len(v), 3))
+    stacks = []
+    evaluate = tbspline._chebyshev_sums
+    monkeypatch.setattr(tbspline, "_chebyshev_sums",
+                        lambda series, x: stacks.append(len(series)) or evaluate(series, x))
+    groups, order = len(list(fld.groups(fld.samples.T))), fld.spectrum(0).order
+    assert groups == 4
+    with pytest.warns(BoundaryTailWarning):
+        channel_series(fld, v, d)
+    assert stacks == [groups] * order  # every query is in every bin of the series
+    stacks.clear()
+    gen.eval(np.exp(v), d)
+    reached = tbspline.Queries(v).bins(gen.i_min, gen.coeffs.shape[1], order)
+    assert 0 < len(reached) and stacks == [groups] * len(reached)

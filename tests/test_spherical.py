@@ -168,8 +168,8 @@ def test_zonal_matches_scipy_legendre():
         np.linspace(-1.0, 1.0, 2001),  # holds -1, 0 and 1
         np.random.default_rng(61).uniform(-1.0, 1.0, 2000),
     ])
-    # within 1e-12 of +-1 the stream reads cos(gamma) back through an angle,
-    # which may move it by an ulp: an error of up to eps |P_k'| <= eps k(k+1)/2
+    # within 1e-12 of +-1 eval_legendre itself errs by up to eps |P_k'| <=
+    # eps k(k+1)/2 relative; the mpmath test below holds zonal to 2e-13 there
     gaps = np.logspace(-16, -12, 50)
     ends = np.concatenate([1.0 - gaps, gaps - 1.0])
     for k in range(65):

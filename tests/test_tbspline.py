@@ -349,19 +349,29 @@ def test_translates_match_exact_translates():
     assert np.all(got[:, :20] == 0.0) and np.all(got[:, -4:] == 0.0)
 
 
-def _textbook_clenshaw(c, x):
-    b1, b2, two_x = np.zeros_like(x), np.zeros_like(x), 2.0 * x
-    for ck in c[:0:-1]:
-        b1, b2 = ck + two_x * b1 - b2, b1
-    return c[0] + x * b1 - b2
+def _textbook_basis_sum(c, x):
+    """sum_k c_k T_k(x), added in ascending k, T_k = 2x T_{k-1} - T_{k-2}."""
+    acc, prev, cur = np.zeros_like(x), np.ones_like(x), x
+    acc = acc + c[0] * prev
+    for ck in c[1:]:
+        acc = acc + ck * cur
+        prev, cur = cur, 2.0 * x * cur - prev
+    return acc
 
 
-@pytest.mark.parametrize("points", [0, 1, 8, 20000])
+@pytest.mark.parametrize("points", [0, 1, 8, 20000, tbs._BASIS_CHUNK + 1])
 @pytest.mark.parametrize("length", [1, 2, 25])
 def test_clenshaw_matches_the_textbook_recurrence(length, points):
+    # _chebyshev_sums: each row of a zero-padded stack, in blocks whose last
+    # may hold one point, has the bits of its own textbook basis sum
     rng = np.random.default_rng(100 * length + points)
     c, x = rng.standard_normal(length), rng.uniform(-1.0, 1.0, points)
-    assert np.array_equal(tbs._clenshaw(c, x), _textbook_clenshaw(c, x))
+    longer, shorter = rng.standard_normal(length + 3), c[:1]
+    got = tbs._chebyshev_sums([c, longer, shorter], x)
+    assert got.shape == (3, points)
+    for row, series in zip(got, (c, longer, shorter)):
+        assert np.array_equal(row, _textbook_basis_sum(series, x))
+    assert np.array_equal(tbs._chebyshev_sums([c], x)[0], got[0])
 
 
 def test_binned_translates_are_the_pointwise_pieces_bit_for_bit():
@@ -384,13 +394,19 @@ def test_binned_translates_are_the_pointwise_pieces_bit_for_bit():
             m = math.floor(tp) - i if math.isfinite(tp) else -1
             if 0 <= m < sv.order:
                 x = np.array([2.0 * (tp - math.floor(tp)) - 1.0])
-                want[p] = _textbook_clenshaw(cheb.coeffs[m], x)[0]
+                want[p] = _textbook_basis_sum(cheb.coeffs[m], x)[0]
         assert np.array_equal(row, want)
         scalar = [cheb(float(tp - i)) for tp in t[:len(dyadic) + len(far)]]
         assert np.array_equal(row[:len(dyadic) + len(far)], scalar)
     shared = tbs.Queries(t)  # one binning per range, reused in any order
     for lo, rows in ((first, count), (0, 2), (first, count), (first, 0)):
         assert np.array_equal(cheb.translates(lo, rows, shared), cheb.translates(lo, rows, t))
+    # pieces evaluated for several spectra at once, of this order and another;
+    # the last call finds its values handed out and evaluates them afresh
+    others = (tb_chebyshev(SV([1.0, -1.0, 4.0])), tb_chebyshev(SV([1.0, -1.0])))
+    shared = tbs.Queries(t, (cheb, *others))
+    for c in (*others, cheb, cheb):
+        assert np.array_equal(c.translates(first, count, shared), c.translates(first, count, t))
     assert cheb.translates(first, 0, t).shape == (0, len(t))
     assert np.array_equal(cheb.translates(first, count, np.array([])), np.zeros((count, 0)))
 
