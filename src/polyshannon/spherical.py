@@ -13,11 +13,12 @@ so reconstruction from sphere data is the channel core of
 harmonics, which share that spectrum, then a resum.  :class:`_OnHarmonics`
 gives the core the degree groups, their spectra (capped at ``DEGREE_CAP``)
 and the resum, which contracts each degree's profiles row by row against
-one harmonic stream (:func:`_harmonic_stream`): one trig table for all
-orders and one normalized associated-Legendre recurrence stepped degree by
-degree, so no harmonic table is kept.  The zonal harmonics Z_k need no
-order m >= 1 and no trig table: they step the Legendre polynomials by
-their own three-term recurrence (:func:`_zonal_stream`).  This module also
+one harmonic stream (:func:`_harmonic_stream`): one azimuthal table for
+all orders, stepped from e^{i phi} = (x + i y)/rho without a trig call, and
+one normalized associated-Legendre recurrence stepped degree by degree, so
+no harmonic table is kept.  The zonal harmonics Z_k need no order m >= 1
+and no azimuthal table: they step the Legendre polynomials by their own
+three-term recurrence (:func:`_zonal_stream`).  This module also
 supplies the sphere quadrature (Gauss-Legendre colatitudes x uniform
 longitudes) with its analysis and synthesis, the real harmonics, the
 per-degree kernels, the truncated zonal kernel, the quadrature-form
@@ -111,27 +112,47 @@ def _harmonic_stream(directions, degree_max: int):
     P_k holds the k+1 orthonormal associated Legendre functions
     P_k^m(cos theta), m = 0..k (Condon-Shortley phase, as scipy's
     ``sph_legendre_p``), shape (k+1,) + B.  C and S hold sqrt(2) cos(m phi)
-    and sqrt(2) sin(m phi) for m = 1..degree_max, computed once.  Then
-    Y_{k,k+1+m} = P_k^m C_m, Y_{k,k+1-m} = P_k^m S_m and Y_{k,k+1} = P_k^0
-    (:func:`_order_block`).  P_k is stepped one degree at a time (Holmes &
-    Featherstone, J. Geodesy 76, 2002): the diagonal P_k^k and the first
-    off-diagonal P_k^{k-1} from P_{k-1}^{k-1}, the lower orders by the
-    three-term recurrence in k.  Only the two latest degrees are kept, so
-    P directions take O(K P) memory and O(K^2 P) work.  P_k is the stream's
-    working state, overwritten two steps later: use it before advancing.
-    Raises ValueError unless the directions have 3 coordinates.
+    and sqrt(2) sin(m phi) for m = 1..degree_max, computed once without a
+    trig call: cos theta = z/|d|, sin theta = rho/|d| and e^{i phi} =
+    (x + i y)/rho come from the coordinates (rho = |(x, y)|), and
+    C_m + i S_m = sqrt(2) e^{i m phi} by repeated multiplication with
+    e^{i phi} in real arithmetic, as :class:`~polyshannon.strip._TorusPhases`
+    steps its phases.  Directions of any length are normalized; on the
+    z-axis phi = 0, and at the zero vector theta = 0 too, as arctan2 gives
+    them.  Then Y_{k,k+1+m} = P_k^m C_m, Y_{k,k+1-m} = P_k^m S_m and
+    Y_{k,k+1} = P_k^0 (:func:`_order_block`).  P_k is stepped one degree at
+    a time (Holmes & Featherstone, J. Geodesy 76, 2002): the diagonal P_k^k
+    and the first off-diagonal P_k^{k-1} from P_{k-1}^{k-1}, the lower
+    orders by the three-term recurrence in k.  Only the two latest degrees
+    are kept, so P directions take O(K P) memory and O(K^2 P) work.  P_k is
+    the stream's working state, overwritten two steps later: use it before
+    advancing.  Raises ValueError unless the directions have 3 coordinates.
     """
     d = np.asarray(directions, dtype=float)
     if d.shape[-1:] != (3,):
         raise ValueError(f"sphere directions need 3 coordinates, not {d.shape}")
-    theta = np.arctan2(np.hypot(d[..., 0], d[..., 1]), d[..., 2])
-    phi = np.arctan2(d[..., 1], d[..., 0])
-    cos_theta, sin_theta = np.cos(theta), np.sin(theta)
-    axes = (1,) * theta.ndim
-    m_phi = np.arange(1, degree_max + 1).reshape((-1,) + axes) * phi
-    cos_m, sin_m = _SQRT2 * np.cos(m_phi), _SQRT2 * np.sin(m_phi)
-    # between steps only the trig tables and the two latest degrees stay alive
-    del theta, phi, m_phi
+    x, y, z = d[..., 0], d[..., 1], d[..., 2]
+    rho = np.hypot(x, y)
+    length = np.hypot(rho, z)
+    # theta = 0 at the zero vector and phi = 0 on the z-axis, as arctan2 gives them
+    cos_theta = np.divide(z, length, out=np.ones_like(z), where=length > 0)
+    sin_theta = np.divide(rho, length, out=np.zeros_like(z), where=length > 0)
+    cos_phi = np.divide(x, rho, out=np.ones_like(x), where=rho > 0)
+    sin_phi = np.divide(y, rho, out=np.zeros_like(y), where=rho > 0)
+    # sqrt(2) e^{i m phi} = sqrt(2) e^{i (m-1) phi} e^{i phi}, m = 1..degree_max;
+    # [m, ...] stays an array for a single direction
+    cos_m, sin_m = np.empty((2, degree_max) + cos_phi.shape)
+    np.multiply(cos_phi, _SQRT2, out=cos_m[:1])
+    np.multiply(sin_phi, _SQRT2, out=sin_m[:1])
+    term = np.empty_like(cos_phi)
+    for m in range(1, degree_max):
+        np.multiply(cos_m[m - 1], cos_phi, out=cos_m[m, ...])
+        cos_m[m] -= np.multiply(sin_m[m - 1], sin_phi, out=term)
+        np.multiply(sin_m[m - 1], cos_phi, out=sin_m[m, ...])
+        sin_m[m] += np.multiply(cos_m[m - 1], sin_phi, out=term)
+    axes = (1,) * cos_theta.ndim
+    # between steps only the azimuthal tables and the two latest degrees stay alive
+    del x, y, z, rho, length, cos_phi, sin_phi, term
     prev = None
     legendre = np.full((1,) + cos_theta.shape, 0.5 / math.sqrt(math.pi))  # P_0^0
     for k in range(degree_max + 1):

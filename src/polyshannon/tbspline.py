@@ -32,8 +32,8 @@ other):
   each point to its N live translates.  A :class:`Queries` bins the points
   once per translate range, so sums over many spectra of one order at the
   same t (the channels of a field) share the binning, and, when it is
-  told the spectra, one T_k basis per bin for all of them.  :func:`tb_exact`
-  stays the independent reference it is tested against.
+  told the spectra, one T_k basis per point for all their pieces.
+  :func:`tb_exact` stays the independent reference it is tested against.
 * :func:`tb_tabulate`  -- FFT inversion of the Fourier form with an asymptotic
   correction for the truncated spectral tail, to ``TABULATE_RTOL``.  No
   cancellation at any stiffness, which is exactly why it exists.
@@ -337,8 +337,9 @@ def tb_fourier(spectrum: SpectrumVector, xi):
     """The TB symbol Q^(xi) = prod_j (e^{-l_j} - e^{-i xi})/(i xi - l_j).
 
     Each factor is evaluated as e^{-l} * (1 - e^{-w})/w with w = i*xi - l,
-    switching to the Taylor polynomial of (1 - e^{-w})/w for |w| < 1e-6 so
-    the removable singularity at xi = -i*l never bites.
+    switching to the Taylor polynomial of (1 - e^{-w})/w at the points with
+    |w| < 1e-6 (only there) so the removable singularity at xi = -i*l never
+    bites.
     """
     xi_arr = np.asarray(xi, dtype=float)
     scalar = xi_arr.ndim == 0
@@ -347,10 +348,10 @@ def tb_fourier(spectrum: SpectrumVector, xi):
     for li, mult in spectrum.entries:
         w = 1j * xi_arr - li
         small = np.abs(w) < 1e-6
-        w_safe = np.where(small, 1.0, w)
-        f = (1.0 - np.exp(-w_safe)) / w_safe
-        ws = np.where(small, w, 0.0)
-        f = np.where(small, 1.0 - ws / 2 + ws * ws / 6 - ws * ws * ws / 24, f)
+        ws = w[small]
+        w[small] = 1.0
+        f = (1.0 - np.exp(-w)) / w
+        f[small] = 1.0 - ws / 2 + ws * ws / 6 - ws * ws * ws / 24
         out *= (math.exp(-li) * f) ** mult
     return complex(out[0]) if scalar else out
 
@@ -521,58 +522,75 @@ class Queries:
     range (first, count, order) are computed on first use and shared by
     every later call with that range, whatever the spectrum: all channel
     groups of a field have one order and one coefficient range, so a
-    reconstruction bins its queries once.
+    reconstruction bins its queries once.  Each point keeps one Chebyshev
+    abscissa for all the pieces that reach it, since they all take it at
+    the same u = t - floor(t).
 
     ``shared`` lists the :class:`TbChebyshev` of the groups that will be
     evaluated here.  The first :meth:`pieces` call for one of them
-    evaluates the pieces of all those of its order at once, from one
-    Chebyshev basis per bin, and keeps each other group's values until its
-    own call takes them.
+    evaluates every reached piece of all those of its order at once, from
+    one Chebyshev basis per point, and keeps each other group's values
+    until its own call takes them.
     """
 
     def __init__(self, t, shared=()) -> None:
         self.t = np.asarray(t, dtype=float)
-        self._bins: dict[tuple[int, int, int], list] = {}
+        self._bins: dict[tuple[int, int, int], tuple] = {}
         self._shared = list(shared)
         self._values: dict[tuple[TbChebyshev, int, int], list] = {}
 
-    def bins(self, first: int, count: int, order: int) -> list:
-        """(m, x, at) per piece m < ``order`` that some point reaches: the
-        Chebyshev abscissae 2u - 1 of the points whose live translate
-        i = floor(t) - m lies in first..first+count-1, and the flat indices
-        of those entries in the (count, t.size) translate matrix.  A
-        non-finite t is in no bin."""
+    def bins(self, first: int, count: int, order: int) -> tuple:
+        """(x, pieces): x holds the Chebyshev abscissae 2u - 1, once each,
+        of the points that some piece m < ``order`` reaches, i.e. whose
+        live translate i = floor(t) - m lies in first..first+count-1;
+        ``pieces`` holds (m, pos, at) per reached piece: the positions in x
+        of its points (a slice when it reaches all of them) and the flat
+        indices of those entries in the (count, t.size) translate matrix.
+        A non-finite t is in no bin."""
         key = (first, count, order)
         if key not in self._bins:
             flat = self.t.reshape(-1)
             cell = np.floor(np.where(np.isfinite(flat), flat, first - 1.0))
             # row of piece m is rel - m; clipping keeps far points out of every row
             rel = np.clip(cell - first, -1, count + order - 1).astype(np.int64)
-            x = 2.0 * (flat - cell) - 1.0
-            bins = []
-            for m in range(order):
-                sel = np.flatnonzero((rel >= m) & (rel - m < count))
+            masks = [(rel >= m) & (rel - m < count) for m in range(order)]
+            reached = np.flatnonzero(np.any(masks, axis=0))
+            x = 2.0 * (flat[reached] - cell[reached]) - 1.0
+            pieces = []
+            for m, mask in enumerate(masks):
+                sel = np.flatnonzero(mask)
                 if sel.size:
-                    bins.append((m, x[sel], (rel[sel] - m) * flat.size + sel))
-            self._bins[key] = bins
+                    full = sel.size == reached.size
+                    pos = slice(None) if full else np.searchsorted(reached, sel)
+                    pieces.append((m, pos, (rel[sel] - m) * flat.size + sel))
+            self._bins[key] = x, pieces
         return self._bins[key]
 
     def pieces(self, cheb: TbChebyshev, first: int, count: int) -> list:
-        """(at, values) per bin of :meth:`bins` for ``cheb``'s order: the
-        flat indices and the values there of the pieces of ``cheb``.  Values
+        """(at, values) per reached piece of :meth:`bins` for ``cheb``'s
+        order: the flat indices and the values there of the pieces of
+        ``cheb``.  All of them come from one :func:`_chebyshev_sums` call
+        over the reached points, none when no piece is reached.  Values
         evaluated with the other ``shared`` groups are handed out once."""
         order = len(cheb.coeffs)
-        bins = self.bins(first, count, order)
+        x, bins = self.bins(first, count, order)
+        if not bins:
+            return []
         values = self._values.pop((cheb, first, count), None)
         if values is None:
             group = [cheb]
             if cheb in self._shared:
                 group += [c for c in self._shared if c is not cheb and len(c.coeffs) == order]
                 self._shared = [c for c in self._shared if c not in group]
-            stacks = [_chebyshev_sums([c.coeffs[m] for c in group], x) for m, x, _ in bins]
-            for g, other in enumerate(group[1:], 1):
-                self._values[other, first, count] = [s[g] for s in stacks]
-            values = [s[0] for s in stacks]
+            # one basis per point for every (group, piece) row
+            sums = _chebyshev_sums([c.coeffs[m] for c in group for m, _, _ in bins], x)
+            per_group = [
+                [s[pos] for s, (_, pos, _) in zip(stack, bins)]
+                for stack in sums.reshape(len(group), len(bins), x.size)
+            ]
+            for other, kept in zip(group[1:], per_group[1:]):
+                self._values[other, first, count] = kept
+            values = per_group[0]
         return [(at, v) for (_, _, at), v in zip(bins, values)]
 
 
@@ -602,7 +620,8 @@ class TbChebyshev:
         translates i = floor(t) - m, m = 0..N-1, are live, and they take
         piece m at u = t - floor(t); so each piece fills its bin of
         :meth:`Queries.bins` with the values of :meth:`Queries.pieces`,
-        shared with the other groups of the queries or on their own.  A
+        which evaluates every reached piece from one basis per point, for
+        this group alone or with the other groups of the queries.  A
         non-finite t gives a zero column.
         """
         queries = t if isinstance(t, Queries) else Queries(t)
@@ -618,12 +637,14 @@ def _chebyshev_sums(series, x: np.ndarray) -> np.ndarray:
 
     The basis T_0..T_{K-1}(x), K the longest row, comes from the recurrence
     T_k = 2x T_{k-1} - T_{k-2}, one block of ``_BASIS_CHUNK`` points at a
-    time, and one einsum contracts it with the rows zero-padded to K.  Over
-    two or more columns einsum adds the terms in ascending k at each point,
-    so every value has the bits of its own textbook sum, whatever the
-    batch; over one column it sums in another order, so a 1-point block
-    is padded to two.  A BLAS product would be faster, but its bits vary
-    with the batch shape.
+    time, and one einsum contracts it with the rows zero-padded to K.
+    :meth:`Queries.pieces` passes every (group, piece) row it serves in one
+    call, so the basis is formed once per point.  Over two or more columns
+    einsum adds the terms in ascending k at each point, so every value has
+    the bits of its own textbook sum, whatever the batch and whatever the
+    other rows; over one column it sums in another order, so a 1-point
+    block is padded to two.  A BLAS product would be faster, but its bits
+    vary with the batch shape.
     """
     k_max = max(map(len, series))
     rows = np.zeros((len(series), k_max))

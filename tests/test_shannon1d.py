@@ -600,14 +600,17 @@ def test_one_basis_contraction_per_reached_piece(monkeypatch):
     d = rng.normal(size=(len(v), 3))
     stacks = []
     evaluate = tbspline._chebyshev_sums
-    monkeypatch.setattr(tbspline, "_chebyshev_sums",
-                        lambda series, x: stacks.append(len(series)) or evaluate(series, x))
+    monkeypatch.setattr(
+        tbspline, "_chebyshev_sums",
+        lambda series, x: stacks.append((len(series), x.size)) or evaluate(series, x))
     groups, order = len(list(fld.groups(fld.samples.T))), fld.spectrum(0).order
     assert groups == 4
     with pytest.warns(BoundaryTailWarning):
         channel_series(fld, v, d)
-    assert stacks == [groups] * order  # every query is in every bin of the series
+    # every query is in every bin of the series: one basis per query
+    assert stacks == [(groups * order, len(v))]
     stacks.clear()
     gen.eval(np.exp(v), d)
-    reached = tbspline.Queries(v).bins(gen.i_min, gen.coeffs.shape[1], order)
-    assert 0 < len(reached) and stacks == [groups] * len(reached)
+    x, reached = tbspline.Queries(v).bins(gen.i_min, gen.coeffs.shape[1], order)
+    assert 0 < len(reached) and x.size == len(v) - 1  # v = -6.5 is in no bin
+    assert stacks == [(groups * len(reached), x.size)]

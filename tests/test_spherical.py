@@ -1,6 +1,7 @@
 """Sphere quadrature, harmonics, per-degree kernels, spherical reconstruction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,53 @@ def test_degree_one_harmonics_near_the_poles():
     north = sph_harm_degree(1, [1e-9, 2e-9, 1.0])
     assert abs(north[2] / (-c * 1e-9) - 1.0) < 1e-14
     assert sph_harm_degree(0, np.zeros((4, 2, 3))).shape == (1, 4, 2)
+
+
+def test_stream_azimuthal_table_matches_mpmath():
+    # sqrt(2) cos(m phi) and sqrt(2) sin(m phi), m <= 64, against phi =
+    # atan2(y, x) at 40 digits, for directions of any length
+    import mpmath
+
+    rng = np.random.default_rng(89)
+    d = rng.normal(size=(60, 3)) * rng.uniform(1e-3, 1e3, (60, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, (_, cos_m, sin_m) = next(_harmonic_stream(d, 64))
+    assert cos_m.shape == sin_m.shape == (64, 60)
+    root2 = math.sqrt(2.0)
+    with mpmath.workdps(40):
+        for p, (x, y, _) in enumerate(d):
+            phi = mpmath.atan2(x=mpmath.mpf(x), y=mpmath.mpf(y))
+            for m in range(1, 65):
+                assert abs(cos_m[m - 1, p] / root2 - float(mpmath.cos(m * phi))) < 2e-14
+                assert abs(sin_m[m - 1, p] / root2 - float(mpmath.sin(m * phi))) < 2e-14
+
+
+def test_stream_conventions_on_the_axis_at_zero_and_for_one_direction():
+    # on the z-axis phi = 0, at the zero vector theta = 0 too, as arctan2
+    # gives them; lengths are normalised; no warning anywhere
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (0, 1, 4, 9):
+            zonal_k = math.sqrt((2 * k + 1) / (4.0 * math.pi))
+            north = sph_harm_degree(k, [0.0, 0.0, 3.0])
+            south = sph_harm_degree(k, [0.0, 0.0, -0.5])
+            want = np.zeros(2 * k + 1)
+            want[k] = zonal_k
+            assert np.max(np.abs(north - want)) < 1e-14 * zonal_k
+            want[k] = zonal_k * (-1) ** k
+            assert np.max(np.abs(south - want)) < 1e-14 * zonal_k
+            assert np.array_equal(sph_harm_degree(k, np.zeros(3)), north)
+            _, (_, cos_m, sin_m) = next(_harmonic_stream(np.zeros((2, 3)), k))
+            assert np.all(cos_m == math.sqrt(2.0)) and np.all(sin_m == 0.0)
+            d = np.array([[0.3, -0.5, 0.81], [-2.0, 0.1, 0.0]])
+            batch = sph_harm_degree(k, d)
+            for row, direction in enumerate(d):
+                one = sph_harm_degree(k, direction)
+                assert one.shape == (2 * k + 1,)
+                assert np.array_equal(one, batch[:, row])
+                scaled = sph_harm_degree(k, 1e3 * direction)
+                assert np.max(np.abs(scaled - one)) < 1e-14
 
 
 def test_mode_indexing_is_one_to_one():

@@ -78,6 +78,33 @@ def test_fourier_frozen_values():
     assert tb_fourier(SV([0.0] * 3), 0.0) == pytest.approx(1.0)
 
 
+def _masked_fourier(spectrum, xi):
+    # the symbol as np.where over the whole array picks each factor's branch
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    out = np.ones(xi.shape, dtype=complex)
+    for li, mult in spectrum.entries:
+        w = 1j * xi - li
+        small = np.abs(w) < 1e-6
+        w_safe = np.where(small, 1.0, w)
+        f = (1.0 - np.exp(-w_safe)) / w_safe
+        ws = np.where(small, w, 0.0)
+        f = np.where(small, 1.0 - ws / 2 + ws * ws / 6 - ws * ws * ws / 24, f)
+        out *= (math.exp(-li) * f) ** mult
+    return out
+
+
+@pytest.mark.parametrize("freqs", [[0.0, 0.0, 1.5], [4e-7, -2.0, -2.0], [0.3, -1.1]])
+def test_fourier_taylor_branch_only_where_it_is_taken(freqs):
+    # w = i xi - l is 0 at xi = l = 0, inside the Taylor disc at the tiny xi
+    # (and for l = 4e-7 at xi = 0), generic elsewhere; the 2-D batch has none
+    sv = SV(freqs)
+    xi = np.array([0.0, 3e-7, -5e-7, 9e-7, 1e-6, 2e-6, 0.25, -1.3, 7.0, 40.0])
+    assert np.array_equal(tb_fourier(sv, xi), _masked_fourier(sv, xi))
+    grid = np.linspace(0.5, 30.0, 24).reshape(4, 6)
+    assert np.array_equal(tb_fourier(sv, grid), _masked_fourier(sv, grid))
+    assert tb_fourier(sv, 3e-7) == _masked_fourier(sv, 3e-7)[0]
+
+
 def test_exact_frozen_values():
     assert tb_exact(SV([0.0, 0.0]), 1.0) == pytest.approx(1.0, abs=1e-14)
     assert tb_exact(SV([0.0] * 4), 2.0) == pytest.approx(2.0 / 3.0, abs=1e-14)
@@ -590,6 +617,23 @@ def test_euler_spline_scalar_call_returns_a_scalar():
     cplx = euler_spline(sv, 0.4, 2.0 + 1.5j)
     assert np.ndim(real) == 0 and isinstance(real, float)
     assert np.ndim(cplx) == 0 and isinstance(cplx, complex)
+
+
+def test_euler_spline_forms_one_basis_for_all_pieces(monkeypatch):
+    # the N live translates at each x take the N pieces at one abscissa:
+    # one _chebyshev_sums call of N rows over the N entries per x
+    sv = SV([0.5, -1.0, 0.0, 2.0])
+    xs = np.array([-3.7, -1.0, 0.4, 2.999, 5.5])
+    calls = []
+    evaluate = tbs._chebyshev_sums
+    monkeypatch.setattr(
+        tbs, "_chebyshev_sums",
+        lambda series, x: calls.append((len(series), x.size)) or evaluate(series, x))
+    euler_spline(sv, xs, 0.5)
+    assert calls == [(sv.order, sv.order * len(xs))]
+    # queries that no piece reaches make no call
+    far = tb_chebyshev(sv).translates(0, 3, np.array([-5.0, 20.0, math.nan]))
+    assert calls == [(sv.order, sv.order * len(xs))] and not np.any(far)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
