@@ -29,26 +29,31 @@ prefilter, extended to exponential splines by Unser & Blu, IEEE TSP 53,
 2005), and only N translates of Q_N are live at any t.
 :func:`spline_series` evaluates it that way: it prefilters with the same
 lattice taps and hands c to :func:`tb_superposition`, the one sum of TB
-translates, which the ground-truth oracles use too.  It is exact to
-roundoff where the 6-point table stencils of :func:`cardinal_series` stop
-at their interpolation error; the table route stays as the paper's literal
-Shannon series.  A :class:`KernelTable` is stored as one binary ``PSKT``
-record, the package's only file, which the class alone reads and writes;
-a malformed one fails to load with :class:`FormatError`.
+translates, which the ground-truth oracles use too.  On a cell [j, j+1)
+that sum is a single Chebyshev series whose coefficients are sum_m
+c_{j-m} times piece m of :func:`~polyshannon.tbspline.tb_chebyshev`, so it
+is evaluated in coefficient space (:func:`_translate_sums`).  It is exact
+to roundoff where the 6-point table stencils of :func:`cardinal_series`
+stop at their interpolation error; the table route stays as the paper's
+literal Shannon series.  A :class:`KernelTable` is stored as one binary
+``PSKT`` record, the package's only file, which the class alone reads and
+writes; a malformed one fails to load with :class:`FormatError`.
 
 The sphere and strip pipelines run this series per channel group and sum
 it back over an angular basis, through one core: :func:`check_channel_queries`
 checks the queries, :func:`channel_series` reconstructs (the one choice
 between the coefficient and table routes), and :func:`channel_values` and
 :func:`channel_samples` evaluate and sample the ground-truth generators.  A
-geometry supplies ``groups(rows)``, ``spectrum(key)`` and ``resum(rows,
-points, profiles)``.  All groups of a field share the order 2p and one
-coefficient range, so each call bins its queries once
-(:class:`~polyshannon.tbspline.Queries`), handing it every live group's
-:func:`~polyshannon.tbspline.tb_chebyshev`: each reached piece is
-evaluated for all groups at once from one Chebyshev basis, and a group
-costs its ``put`` and one matrix product; the lattice taps are cached per
-spectrum, divisor and size (:func:`_lattice_taps`).
+geometry supplies ``groups(rows)``, ``spectrum(key)``, ``channels(rows)``
+(its real channel rows and their blocks) and ``contract(blocks, profiles,
+points)`` (the sum against its angular basis).  The coefficient rows of
+every block go through one :func:`_translate_sums` call: the queries are
+sorted by cell once, each chunk of them forms one Chebyshev basis and
+makes one matrix product per cell for the stacked rows of all blocks, and
+is contracted as it comes.  The node samples are the integer values
+Q_N(m) of :func:`~polyshannon.tbspline.tb_integer_values` in a Toeplitz
+product, and the lattice taps are cached per spectrum, divisor and size
+(:func:`_lattice_taps`).
 """
 
 from __future__ import annotations
@@ -66,7 +71,8 @@ import numpy as np
 
 from .spectrum import SpectrumVector
 from .tables import interp6
-from .tbspline import Queries, check_queries, tb_chebyshev, tb_fourier, tb_integer_values
+from .tbspline import _BASIS_CHUNK, _chebyshev_basis, _padded, check_queries
+from .tbspline import tb_chebyshev, tb_fourier, tb_integer_values
 
 __all__ = [
     "BoundaryTailWarning",
@@ -440,6 +446,21 @@ def cardinal_series(table, j_min: int, coeffs, t):
     return out.item() if out.ndim == 0 else out
 
 
+def _series_coeffs(spectrum: SpectrumVector, j_min: int, y: np.ndarray, t: np.ndarray):
+    """(lo, c): the coefficients c_lo.. of sum_i c_i Q_N(t - i) = the cardinal
+    series of the sample rows ``y`` (j = j_min, ...) that the finite
+    queries ``t`` touch, within the default table support; if they touch
+    none, no coefficients (c with 0 columns, from j_min)."""
+    j_max, hw = j_min + y.shape[-1] - 1, SamplingGrid().half_width
+    lo = max(math.floor(t.min()) - spectrum.order + 1, j_min - hw) if t.size else 0
+    hi = min(math.floor(t.max()), j_max + hw) if t.size else -1
+    if lo > hi:
+        return j_min, y[..., :0]
+    taps = _lattice_inverse(spectrum, "interp", max(hi - j_min, j_max - lo))
+    shifts = np.arange(lo, hi + 1)
+    return lo, y @ taps[(shifts[:, None] - np.arange(j_min, j_max + 1)) % len(taps)].T
+
+
 def spline_series(spectrum: SpectrumVector, j_min: int, samples, t):
     """sum_j y_j S_0(t - j) over samples y_j, j = j_min, j_min+1, ..., in V_0.
 
@@ -450,54 +471,84 @@ def spline_series(spectrum: SpectrumVector, j_min: int, samples, t):
     :func:`tb_superposition` sums their translates.  Coefficients stop
     ``SamplingGrid().half_width`` beyond each end of the data, the support
     of the default table, so a query farther out gets 0 as it does from a
-    table.  Same layout and return shape as :func:`cardinal_series`; ``t``
-    may be a :class:`~polyshannon.tbspline.Queries`, whose bins then serve
-    every call with the same coefficient range and order.  Raises
-    ValueError on 0-d samples and on a NaN or infinite query coordinate, and
-    :class:`NotSamplableError` when the sampled symbol vanishes on the
-    circle or is not finite.
+    table.  Same layout and return shape as :func:`cardinal_series`.
+    Raises ValueError on 0-d samples and on a NaN or infinite query
+    coordinate, and :class:`NotSamplableError` when the sampled symbol
+    vanishes on the circle or is not finite.
     """
     y = np.asarray(samples)
     if y.ndim == 0:
         raise ValueError("samples need a last axis over the shifts j")
     if not np.iscomplexobj(y):
         y = y.astype(float)
-    queries = t if isinstance(t, Queries) else Queries(t)
-    t_arr = queries.t
+    t_arr = np.asarray(t, dtype=float)
     check_queries(t_arr)
-    j_max = j_min + y.shape[-1] - 1
-    hw = SamplingGrid().half_width
-    # coefficient range the queries touch, within the default table support
-    if t_arr.size:
-        lo = max(math.floor(t_arr.min()) - spectrum.order + 1, j_min - hw)
-        hi = min(math.floor(t_arr.max()), j_max + hw)
-    else:
-        lo, hi = 0, -1
-    if lo > hi:
-        out = np.zeros(y.shape[:-1] + t_arr.shape, dtype=y.dtype)
-        return out.item() if out.ndim == 0 else out
+    return tb_superposition(spectrum, *_series_coeffs(spectrum, j_min, y, t_arr), t_arr)
 
-    taps = _lattice_inverse(spectrum, "interp", max(hi - j_min, j_max - lo))
-    shifts = np.arange(lo, hi + 1)
-    c = y @ taps[(shifts[:, None] - np.arange(j_min, j_max + 1)) % len(taps)].T
-    return tb_superposition(spectrum, lo, c, queries)
+
+def _translate_sums(terms, t: np.ndarray):
+    """Yield (at, values): the flat positions of at most ``_BASIS_CHUNK``
+    queries and, per coefficient row c of every term (cheb, first, rows)
+    (c_i at column i - first), stacked in term order, sum_i c_i Q_N(t - i).
+
+    On a cell [j, j+1) the sum is one Chebyshev series in x = 2(t - j) - 1
+    with coefficients B_j = sum_m c_{j-m} A_m, A_m piece m of Q_N.  The
+    queries are sorted once by cell (stably) and chunked in that order,
+    without those whose cell no term reaches (non-finite ones included),
+    whose sums are 0.  Each chunk forms T_k(x) once per query, to the
+    longest piece of all terms, and makes one matrix product per cell of
+    the stacked B_j with the basis of the cell's queries; its rounding
+    follows the product's shape, so a row's bits depend on its stacking.
+    """
+    flat = t.reshape(-1)
+    cells = np.floor(flat)
+    lo = min(first for _, first, _ in terms)
+    span = max(first + rows.shape[1] + len(cheb.coeffs) - 1 for cheb, first, rows in terms) - lo
+    # keys 1..span for the cells lo.., 0 before them (NaN too) and span + 1
+    # beyond: unsigned integers this small sort stably by radix
+    keys = np.fmin(np.fmax(cells - (lo - 1), 0.0), span + 1.0)
+    order = np.argsort(keys.astype(np.min_scalar_type(span + 1)), kind="stable")
+    start, stop = np.searchsorted(keys[order], [1, span + 1])
+    if start == stop:
+        return
+    c0 = int(cells[order[start]])
+    count = int(cells[order[stop - 1]]) - c0 + 1
+    k = max(len(c) for cheb, _, _ in terms for c in cheb.coeffs)
+    # B[j - c0], stacked over the rows of every term: (cells, rows, k)
+    stacked = []
+    for cheb, first, rows in terms:
+        i = np.arange(c0 - first, c0 - first + count)[:, None] - np.arange(len(cheb.coeffs))
+        i[(i < 0) | (i >= rows.shape[1])] = rows.shape[1]  # the zero column appended
+        taken = np.concatenate([rows, np.zeros((len(rows), 1))], axis=1)[:, i]
+        stacked.append(taken.transpose(1, 0, 2) @ _padded(cheb.coeffs, k))
+    cell_series = np.concatenate(stacked, axis=1)
+    for s in range(start, stop, _BASIS_CHUNK):
+        at = order[s : min(s + _BASIS_CHUNK, stop)]
+        cell = cells[at]
+        basis = _chebyshev_basis(2.0 * (flat[at] - cell) - 1.0, k)
+        values = np.empty((cell_series.shape[1], len(at)), cell_series.dtype)
+        edges = [0, *(np.flatnonzero(np.diff(cell)) + 1), len(at)]
+        for a, b in zip(edges, edges[1:]):
+            np.matmul(cell_series[int(cell[a]) - c0], basis[:, a:b], out=values[:, a:b])
+        yield at, values
 
 
 def tb_superposition(spectrum: SpectrumVector, j_min: int, coeffs, t):
     """sum_j c_j Q_N(t - j): an exact element of V_0, for ground-truth checks
     and for :func:`spline_series`.
 
-    Same coefficient layout as :func:`cardinal_series`.  The translates come
-    from :meth:`~polyshannon.tbspline.TbChebyshev.translates`, which fills
-    only the N live at each point; ``t`` may be a
-    :class:`~polyshannon.tbspline.Queries`, binned once for every call with
-    the same coefficient range and order.  A NaN or infinite t gives 0, as
-    Q_N does there.
+    Same coefficient layout as :func:`cardinal_series`, real or complex.
+    The one-term case of the channel core's :func:`_translate_sums`: per
+    cell of t one Chebyshev series, the live pieces weighted by c.  A NaN
+    or infinite t gives 0, as Q_N does there.
     """
     c = np.asarray(coeffs)
-    queries = t if isinstance(t, Queries) else Queries(t)
-    q = tb_chebyshev(spectrum).translates(j_min, c.shape[-1], queries)
-    out = (c @ q).reshape(c.shape[:-1] + queries.t.shape)
+    t_arr = np.asarray(t, dtype=float)
+    rows = c.reshape(math.prod(c.shape[:-1]), c.shape[-1])
+    out = np.zeros((len(rows), t_arr.size), np.result_type(c, float))
+    for at, values in _translate_sums([(tb_chebyshev(spectrum), j_min, rows)], t_arr):
+        out[:, at] = values
+    out = out.reshape(c.shape[:-1] + t_arr.shape)
     return out.item() if out.ndim == 0 else out
 
 
@@ -527,11 +578,16 @@ def check_channel_queries(t, points) -> tuple[np.ndarray, np.ndarray]:
     return t_arr, pts
 
 
-def _shared_queries(geometry, rows: np.ndarray, t) -> Queries:
-    """t as :class:`~polyshannon.tbspline.Queries` shared by the TB-splines
-    of the live groups of ``rows``."""
-    shared = [tb_chebyshev(geometry.spectrum(key)) for key, _ in geometry.groups(rows)]
-    return Queries(t, shared)
+def _contract_sums(geometry, blocks, terms, t: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """geometry.contract of the translate sums of ``terms``, one term per
+    block, each chunk of :func:`_translate_sums` as it comes."""
+    geometry.contract([], None, points[:0])  # checks the points, reached or not
+    out = np.zeros(len(t))
+    bounds = np.cumsum([0, *(len(rows) for _, _, rows in terms)])
+    for at, values in _translate_sums(terms, t) if terms else ():
+        out[at] = geometry.contract(
+            blocks, lambda n: values[bounds[n] : bounds[n + 1]], points[at])
+    return out
 
 
 def channel_series(fld, t, points, kernel=None) -> np.ndarray:
@@ -539,46 +595,45 @@ def channel_series(fld, t, points, kernel=None) -> np.ndarray:
     :func:`check_channel_queries`.
 
     ``fld.samples`` has one row per j = ``fld.j_min``, ... and one column per
-    channel.  ``fld.resum(rows, points, profiles)`` sums profiles(key,
-    block), the series at t of each live channel group (rows ``block``,
-    spectrum ``fld.spectrum(key)``), against the angular basis.  The series
-    is :func:`spline_series`, or :func:`cardinal_series` on the table
-    ``kernel(spectrum)`` when ``kernel`` is given.  The groups share one
-    :class:`~polyshannon.tbspline.Queries`, so t is binned once per call
-    and each reached piece is evaluated for all groups at once.  Raises and
-    warns as :func:`check_cardinal_data`.
+    channel.  ``fld.channels(rows)`` gives the channel rows and their
+    blocks, (key, index) per live group of spectrum ``fld.spectrum(key)``,
+    and ``fld.contract(blocks, profiles, points)`` sums profiles(n), the
+    series of block n's rows, against the angular basis.  The series is
+    :func:`spline_series`, all blocks summed by one :func:`_translate_sums`,
+    or :func:`cardinal_series` on the table ``kernel(spectrum)`` when
+    ``kernel`` is given.  Raises and warns as :func:`check_cardinal_data`.
     """
     check_cardinal_data(fld.samples, fld.j_min, t)
-    queries = None if kernel is not None else _shared_queries(fld, fld.samples.T, t)
-
-    def profiles(key, block: np.ndarray) -> np.ndarray:
-        sv = fld.spectrum(key)
-        if kernel is not None:
-            return cardinal_series(kernel(sv), fld.j_min, block, t)
-        return spline_series(sv, fld.j_min, block, queries)
-
-    return fld.resum(fld.samples.T, points, profiles)
+    rows, blocks = fld.channels(fld.samples.T)
+    if kernel is not None:
+        return fld.contract(blocks, lambda n: cardinal_series(
+            kernel(fld.spectrum(blocks[n][0])), fld.j_min, rows[blocks[n][1]], t), points)
+    spectra = [fld.spectrum(key) for key, _ in blocks]
+    terms = [(tb_chebyshev(sv), *_series_coeffs(sv, fld.j_min, rows[idx], t))
+             for sv, (_, idx) in zip(spectra, blocks)]
+    return _contract_sums(fld, blocks, terms, t, points)
 
 
 def channel_values(gen, t, points) -> np.ndarray:
     """A generator's field at the (t, points) of :func:`check_channel_queries`,
-    resummed as in :func:`channel_series` from its V_0 coefficient rows
-    ``gen.coeffs`` (i from ``gen.i_min``): one TB evaluation per group, over
-    queries binned once and pieces evaluated for all groups at once."""
-    queries = _shared_queries(gen, gen.coeffs, t)
-    return gen.resum(
-        gen.coeffs, points,
-        lambda key, block: tb_superposition(gen.spectrum(key), gen.i_min, block, queries),
-    )
+    summed as in :func:`channel_series` from its V_0 coefficient rows
+    ``gen.coeffs`` (i from ``gen.i_min``)."""
+    rows, blocks = gen.channels(gen.coeffs)
+    terms = [(tb_chebyshev(gen.spectrum(key)), gen.i_min, rows[idx]) for key, idx in blocks]
+    return _contract_sums(gen, blocks, terms, t, points)
 
 
 def channel_samples(gen, j_min: int, j_max: int) -> np.ndarray:
     """Samples of a generator's channels (columns) at t = j_min..j_max (rows),
-    one TB evaluation per group of ``gen.groups(rows)``, (key, index) pairs,
-    over nodes binned once and pieces evaluated for all groups at once."""
-    js = _shared_queries(gen, gen.coeffs, np.arange(j_min, j_max + 1, dtype=float))
-    out = np.zeros((js.t.size, len(gen.coeffs)), np.result_type(gen.coeffs, float))
-    for key, idx in gen.groups(gen.coeffs):
-        sv = gen.spectrum(key)
-        out[:, idx] = tb_superposition(sv, gen.i_min, gen.coeffs[idx], js).T
+    per group of ``gen.groups(rows)``, (key, index) pairs: at a node j the
+    sum of translates is sum_m c_{j-m} Q_N(m) over the integer values of
+    :func:`~polyshannon.tbspline.tb_integer_values`, the data of
+    :func:`_divisor`, and Q_N(0) = 0 (channel spectra have order 2p >= 2)."""
+    coeffs = gen.coeffs
+    out = np.zeros((j_max - j_min + 1, len(coeffs)), np.result_type(coeffs, float))
+    # node j minus coefficient index i, per (i, j)
+    lag = np.arange(j_min, j_max + 1) - np.arange(gen.i_min, gen.i_min + coeffs.shape[1])[:, None]
+    for key, idx in gen.groups(coeffs):
+        q = np.array((0.0, *tb_integer_values(gen.spectrum(key)), 0.0))
+        out[:, idx] = (coeffs[idx] @ q[np.clip(lag, 0, len(q) - 1)]).T
     return out

@@ -10,9 +10,9 @@ frequencies are the homogeneity exponents
 
 so reconstruction from sphere data is the channel core of
 :mod:`polyshannon.shannon1d`: one 1-D series per degree k for its 2k+1
-harmonics, which share that spectrum, then a resum.  :class:`_OnHarmonics`
-gives the core the degree groups, their spectra (capped at ``DEGREE_CAP``)
-and the resum, which contracts each degree's profiles row by row against
+harmonics, which share that spectrum, then a contraction against the
+harmonics.  :class:`_OnHarmonics` gives the core the degree groups, their
+spectra (capped at ``DEGREE_CAP``) and the contraction, row by row against
 one harmonic stream (:func:`_harmonic_stream`): one azimuthal table for
 all orders, stepped from e^{i phi} = (x + i y)/rho without a trig call, and
 one normalized associated-Legendre recurrence stepped degree by degree, so
@@ -150,29 +150,40 @@ def _harmonic_stream(directions, degree_max: int):
         cos_m[m] -= np.multiply(sin_m[m - 1], sin_phi, out=term)
         np.multiply(sin_m[m - 1], cos_phi, out=sin_m[m, ...])
         sin_m[m] += np.multiply(cos_m[m - 1], sin_phi, out=term)
-    axes = (1,) * cos_theta.ndim
     # between steps only the azimuthal tables and the two latest degrees stay alive
     del x, y, z, rho, length, cos_phi, sin_phi, term
-    prev = None
-    legendre = np.full((1,) + cos_theta.shape, 0.5 / math.sqrt(math.pi))  # P_0^0
+    # degree k lives in buffers[k % 2][:k + 1]; scratch holds x P_{k-1}^m
+    buffers = np.empty((2, degree_max + 1) + cos_theta.shape)
+    scratch = np.empty((max(degree_max - 1, 0),) + cos_theta.shape)
+    axes = (1,) * cos_theta.ndim
+    buffers[0, 0] = 0.5 / math.sqrt(math.pi)  # P_0^0
     for k in range(degree_max + 1):
+        legendre = buffers[k % 2, : k + 1]
         if k:
-            older, prev = prev, legendre
-            legendre = np.empty((k + 1,) + cos_theta.shape)
+            prev = buffers[(k - 1) % 2]
             if k >= 2:  # orders m <= k - 2 from degrees k - 1 and k - 2
-                m = np.arange(k - 1).reshape((-1,) + axes)
-                lower = legendre[: k - 1]
-                np.multiply(prev[: k - 1], cos_theta, out=lower)
-                lower *= np.sqrt((4 * k * k - 1) / ((k - m) * (k + m)))
-                older *= np.sqrt(
-                    (2 * k + 1) * (k + m - 1) * (k - m - 1)
-                    / ((k - m) * (k + m) * (2 * k - 3))
-                )
-                lower -= older
-            del older
-            legendre[k - 1] = math.sqrt(2 * k + 1) * cos_theta * prev[k - 1]
-            legendre[k] = -math.sqrt((2 * k + 1) / (2 * k)) * sin_theta * prev[k - 1]
+                scale, older_scale = _legendre_factors(k).reshape((2, -1) + axes)
+                lower = np.multiply(prev[: k - 1], cos_theta, out=scratch[: k - 1])
+                lower *= scale
+                older = legendre[: k - 1]  # degree k - 2, overwritten by degree k
+                older *= older_scale
+                np.subtract(lower, older, out=older)
+            np.multiply(cos_theta, math.sqrt(2 * k + 1), out=legendre[k - 1, ...])
+            legendre[k - 1] *= prev[k - 1]
+            np.multiply(sin_theta, -math.sqrt((2 * k + 1) / (2 * k)), out=legendre[k, ...])
+            legendre[k] *= prev[k - 1]
         yield k, (legendre, cos_m, sin_m)
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_factors(k: int) -> np.ndarray:
+    """(a, b), read-only, of the step P_k^m = a x P_{k-1}^m - b P_{k-2}^m of
+    :func:`_harmonic_stream`, k >= 2, m = 0..k-2."""
+    m = np.arange(k - 1)
+    out = np.sqrt([(4 * k * k - 1) / ((k - m) * (k + m)),
+                   (2 * k + 1) * (k + m - 1) * (k - m - 1) / ((k - m) * (k + m) * (2 * k - 3))])
+    out.flags.writeable = False
+    return out
 
 
 def _order_block(factors) -> np.ndarray:
@@ -205,19 +216,24 @@ class _OnHarmonics:
         return radial_spectrum(k, self.dimension, self.smoothness)
 
     @classmethod
-    def resum(cls, rows: np.ndarray, directions, profiles) -> np.ndarray:
-        """sum_k sum_ell w_ell Y_{k,ell}(directions) over the :meth:`groups`
-        of ``rows``, w = profiles(k, block): 2k+1 rows of one value per
-        direction (or one broadcast to all).  The harmonics of one
+    def channels(cls, rows: np.ndarray):
+        """(rows, blocks): the rows themselves and their :meth:`groups`."""
+        return rows, list(cls.groups(rows))
+
+    @staticmethod
+    def contract(blocks, profiles, directions) -> np.ndarray:
+        """sum_k sum_ell w_ell Y_{k,ell}(directions) over the (k, rows) blocks,
+        w = profiles(n) for block n: 2k+1 rows of one value per direction
+        (or one broadcast to all).  The harmonics of one
         :func:`_harmonic_stream` are contracted row by row, never formed, so
         a dense query set holds one degree's profiles beside the stream."""
         out = np.zeros(len(directions))
-        live = dict(cls.groups(rows))
+        live = {k: n for n, (k, _) in enumerate(blocks)}
         stream = _harmonic_stream(directions, max(live, default=0))
         for k, (legendre, cos_m, sin_m) in stream:
             if k not in live:
                 continue
-            weights = profiles(k, rows[live[k]])
+            weights = profiles(live[k])
             out += legendre[0] * weights[k]
             for m in range(1, k + 1):
                 term = cos_m[m - 1] * weights[k + m]
@@ -360,7 +376,8 @@ def synthesize_directions(coeffs: np.ndarray, directions) -> np.ndarray:
     d = np.atleast_2d(np.asarray(directions, dtype=float))
     full = np.zeros(math.ceil(math.sqrt(len(coeffs))) ** 2)
     full[: len(coeffs)] = coeffs  # a last degree given in part is zero-filled
-    return _OnHarmonics.resum(full, d, lambda k, block: block[:, None])
+    rows, blocks = _OnHarmonics.channels(full)
+    return _OnHarmonics.contract(blocks, lambda n: rows[blocks[n][1], None], d)
 
 
 # --------------------------------------------------------------------------
@@ -468,9 +485,8 @@ class SyntheticPolyspline(_OnHarmonics):
 
     def eval(self, r, directions) -> np.ndarray:
         """Field values at radii r (array) and unit vectors (same count),
-        checked as in :func:`reconstruct_spherical`; the TB translates are
-        evaluated once per degree, which keeps dense query sets affordable
-        for stiff high-degree spectra."""
+        checked as in :func:`reconstruct_spherical`, from the translate sums
+        of all degrees at once (:func:`~polyshannon.shannon1d.channel_values`)."""
         return channel_values(self, *_sphere_queries(r, directions))
 
     def sphere_field(self, j_min: int, j_max: int) -> "PolysplineField":

@@ -11,7 +11,7 @@ channel core of :mod:`polyshannon.shannon1d` with the torus modes as
 channels: :class:`_OnTorusModes` maps each +-kappa pair of the complex
 samples (one column per mode of ``torus_modes(dimension, cutoff)``) onto a
 real cos/sin pair, groups the live pairs by the exact integer |kappa|^2 and
-resums each group's real series against cos and sin of y.kappa, the parts
+contracts each group's real series with cos and sin of y.kappa, the parts
 of one torus phase e^{i y.kappa} per pair.
 """
 
@@ -158,14 +158,13 @@ class _OnTorusModes:
     def spectrum(self, ksq: int) -> SpectrumVector:
         return strip_spectrum(math.sqrt(ksq), self.smoothness)
 
-    def resum(self, rows: np.ndarray, ys: np.ndarray, profiles) -> np.ndarray:
-        """Re sum_kappa w_kappa e^{i y.kappa} (float) over complex rows c, a row
-        per mode, w = profiles(|kappa|^2, real rows), exactly as
-        Re(c_kappa e^{it} + c_{-kappa} e^{-it}) = (Re c_kappa + Re c_{-kappa})
-        cos t + (Im c_{-kappa} - Im c_kappa) sin t for kappa > -kappa: row kappa
-        carries the cos coefficient, row -kappa the sin one, kappa = 0 keeps
-        Re c_0.  Each |kappa|^2 group of pairs with a nonzero row gets one
-        profiles call, on its [cos rows; sin rows], and one phase per pair."""
+    def channels(self, rows: np.ndarray):
+        """(real, blocks): the real rows of Re sum_kappa c_kappa e^{i y.kappa}
+        for complex rows c, a row per mode, exactly as Re(c_kappa e^{it} +
+        c_{-kappa} e^{-it}) = (Re c_kappa + Re c_{-kappa}) cos t + (Im
+        c_{-kappa} - Im c_kappa) sin t for kappa > -kappa: row kappa carries
+        the cos coefficient, row -kappa the sin one, kappa = 0 keeps Re c_0;
+        one block (|kappa|^2, [cos rows, sin rows]) per live group of pairs."""
         partner, lead, trail = _torus_pairs(self.dimension, self.cutoff)
         real = np.real(rows).astype(float)
         real[lead] += real[partner[lead]]
@@ -173,14 +172,22 @@ class _OnTorusModes:
         real[trail] = imag[trail] - imag[partner[trail]]
         nonzero = np.any(real, axis=1)
         heads = (nonzero | nonzero[partner]) & ~trail  # the cos row of each live pair
+        groups = self.groups(heads[:, None])
+        return real, [(ksq, np.r_[cos, partner[cos][lead[cos]]]) for ksq, cos in groups]
+
+    def contract(self, blocks, profiles, ys: np.ndarray) -> np.ndarray:
+        """sum w_cos cos(y.kappa) + w_sin sin(y.kappa) over the pairs of the
+        :meth:`channels` blocks, w = profiles(n) on block n's rows, from one
+        torus phase per pair."""
+        trail = _torus_pairs(self.dimension, self.cutoff)[2]
         modes, phases = self.modes, _TorusPhases(ys, self.dimension, self.cutoff)
         acc = np.zeros(len(ys))
-        for ksq, cos in self.groups(heads[:, None]):
-            sin = partner[cos][lead[cos]]
-            w = profiles(ksq, real[np.concatenate([cos, sin])])
+        for n, (_, idx) in enumerate(blocks):
+            cos = idx[~trail[idx]]
+            w = profiles(n)
             ph = phases([modes[i] for i in cos])
             acc += np.einsum("ij,ij->j", w[: len(cos)], ph.real)
-            acc += np.einsum("ij,ij->j", w[len(cos):], ph.imag[: len(sin)])
+            acc += np.einsum("ij,ij->j", w[len(cos):], ph.imag[: len(idx) - len(cos)])
         return acc
 
     def _check_mode_count(self, count: int) -> None:

@@ -27,12 +27,12 @@ other):
   sum over an explicit T_k basis (Trefethen, *Approximation Theory and
   Approximation Practice*, ch. 3).  No stiffness cap and no per-point
   mpmath work, so every library path that needs Q_N values runs on it:
-  kernel grids and Euler splines through the callable, the series
-  sum_i c_i Q_N(t - i) through :meth:`TbChebyshev.translates`, which maps
-  each point to its N live translates.  A :class:`Queries` bins the points
-  once per translate range, so sums over many spectra of one order at the
-  same t (the channels of a field) share the binning, and, when it is
-  told the spectra, one T_k basis per point for all their pieces.
+  kernel grids and Euler splines through the callable, whose values have
+  the bits of their own textbook sums, and the sums of translates
+  sum_i c_i Q_N(t - i) through the pieces themselves: on a cell [j, j+1)
+  such a sum is one Chebyshev series with coefficients sum_m c_{j-m}
+  times piece m (:func:`~polyshannon.shannon1d.tb_superposition`, which
+  forms one T_k basis per point for the sums of many spectra at once).
   :func:`tb_exact` stays the independent reference it is tested against.
 * :func:`tb_tabulate`  -- FFT inversion of the Fourier form with an asymptotic
   correction for the truncated spectral tail, to ``TABULATE_RTOL``.  No
@@ -70,7 +70,6 @@ __all__ = [
     "EFAccuracyError",
     "EFStructureError",
     "EFPolynomial",
-    "Queries",
     "TbChebyshev",
     "TbTable",
     "cancellation_severity",
@@ -511,159 +510,85 @@ _CHEB_FIRST = 16
 _CHEB_MAX = 1024
 
 
-#: points per block of the Chebyshev basis that :func:`_chebyshev_sums` forms
+#: points per block of a Chebyshev basis: of :func:`_chebyshev_sums`, and
+#: of the chunks of sorted queries of the translate sums (``shannon1d``)
 _BASIS_CHUNK = 2048
-
-
-class Queries:
-    """Query coordinates t of translate sums, binned once per translate range.
-
-    :meth:`TbChebyshev.translates` takes one in place of t.  The bins of a
-    range (first, count, order) are computed on first use and shared by
-    every later call with that range, whatever the spectrum: all channel
-    groups of a field have one order and one coefficient range, so a
-    reconstruction bins its queries once.  Each point keeps one Chebyshev
-    abscissa for all the pieces that reach it, since they all take it at
-    the same u = t - floor(t).
-
-    ``shared`` lists the :class:`TbChebyshev` of the groups that will be
-    evaluated here.  The first :meth:`pieces` call for one of them
-    evaluates every reached piece of all those of its order at once, from
-    one Chebyshev basis per point, and keeps each other group's values
-    until its own call takes them.
-    """
-
-    def __init__(self, t, shared=()) -> None:
-        self.t = np.asarray(t, dtype=float)
-        self._bins: dict[tuple[int, int, int], tuple] = {}
-        self._shared = list(shared)
-        self._values: dict[tuple[TbChebyshev, int, int], list] = {}
-
-    def bins(self, first: int, count: int, order: int) -> tuple:
-        """(x, pieces): x holds the Chebyshev abscissae 2u - 1, once each,
-        of the points that some piece m < ``order`` reaches, i.e. whose
-        live translate i = floor(t) - m lies in first..first+count-1;
-        ``pieces`` holds (m, pos, at) per reached piece: the positions in x
-        of its points (a slice when it reaches all of them) and the flat
-        indices of those entries in the (count, t.size) translate matrix.
-        A non-finite t is in no bin."""
-        key = (first, count, order)
-        if key not in self._bins:
-            flat = self.t.reshape(-1)
-            cell = np.floor(np.where(np.isfinite(flat), flat, first - 1.0))
-            # row of piece m is rel - m; clipping keeps far points out of every row
-            rel = np.clip(cell - first, -1, count + order - 1).astype(np.int64)
-            masks = [(rel >= m) & (rel - m < count) for m in range(order)]
-            reached = np.flatnonzero(np.any(masks, axis=0))
-            x = 2.0 * (flat[reached] - cell[reached]) - 1.0
-            pieces = []
-            for m, mask in enumerate(masks):
-                sel = np.flatnonzero(mask)
-                if sel.size:
-                    full = sel.size == reached.size
-                    pos = slice(None) if full else np.searchsorted(reached, sel)
-                    pieces.append((m, pos, (rel[sel] - m) * flat.size + sel))
-            self._bins[key] = x, pieces
-        return self._bins[key]
-
-    def pieces(self, cheb: TbChebyshev, first: int, count: int) -> list:
-        """(at, values) per reached piece of :meth:`bins` for ``cheb``'s
-        order: the flat indices and the values there of the pieces of
-        ``cheb``.  All of them come from one :func:`_chebyshev_sums` call
-        over the reached points, none when no piece is reached.  Values
-        evaluated with the other ``shared`` groups are handed out once."""
-        order = len(cheb.coeffs)
-        x, bins = self.bins(first, count, order)
-        if not bins:
-            return []
-        values = self._values.pop((cheb, first, count), None)
-        if values is None:
-            group = [cheb]
-            if cheb in self._shared:
-                group += [c for c in self._shared if c is not cheb and len(c.coeffs) == order]
-                self._shared = [c for c in self._shared if c not in group]
-            # one basis per point for every (group, piece) row
-            sums = _chebyshev_sums([c.coeffs[m] for c in group for m, _, _ in bins], x)
-            per_group = [
-                [s[pos] for s, (_, pos, _) in zip(stack, bins)]
-                for stack in sums.reshape(len(group), len(bins), x.size)
-            ]
-            for other, kept in zip(group[1:], per_group[1:]):
-                self._values[other, first, count] = kept
-            values = per_group[0]
-        return [(at, v) for (_, _, at), v in zip(bins, values)]
 
 
 @dataclass(frozen=True, eq=False)
 class TbChebyshev:
     """Q_N as one Chebyshev series per unit interval [m, m+1), m = 0..N-1.
 
-    ``coeffs[m][k]`` multiplies T_k(2u - 1) with u = t - m.  Evaluation is
-    the float64 sum over an explicit T_k basis (:func:`_chebyshev_sums`)
-    and keeps :func:`tb_exact`'s conventions: zero outside [0, N) and at a
-    NaN or infinite t, left-closed knots, a float for a scalar argument.
-    The callable is the single translate i = 0 of :meth:`translates`, so
-    both give the same bits at a point.
+    ``coeffs[m][k]`` multiplies T_k(2u - 1) with u = t - m.  The callable
+    evaluates each point's piece as the float64 sum over an explicit T_k
+    basis (:func:`_chebyshev_sums`), so a value has the bits of its own
+    textbook sum whatever the batch, and keeps :func:`tb_exact`'s
+    conventions: zero outside [0, N) and at a NaN or infinite t,
+    left-closed knots, a float for a scalar argument.  Sums of translates
+    sum_i c_i Q_N(t - i) do not call it: on a cell [j, j+1) such a sum is
+    one series with coefficients sum_m c_{j-m} coeffs[m]
+    (:func:`~polyshannon.shannon1d.tb_superposition`).
     """
 
     spectrum: SpectrumVector
     coeffs: tuple[np.ndarray, ...]
 
     def __call__(self, t):
-        out = self.translates(0, 1, t)[0].reshape(np.shape(t))
+        flat = np.asarray(t, dtype=float).reshape(-1)
+        cell = np.floor(flat)
+        reached = np.flatnonzero((cell >= 0) & (cell < len(self.coeffs)))
+        out = np.zeros(flat.size)
+        if reached.size:
+            used, piece = np.unique(cell[reached].astype(np.int64), return_inverse=True)
+            x = 2.0 * (flat[reached] - cell[reached]) - 1.0
+            # one basis per point for every reached piece
+            sums = _chebyshev_sums([self.coeffs[m] for m in used], x)
+            out[reached] = sums[piece, np.arange(reached.size)]
+        out = out.reshape(np.shape(t))
         return float(out) if out.ndim == 0 else out
 
-    def translates(self, first: int, count: int, t) -> np.ndarray:
-        """Q_N(t - i) for i = first..first+count-1: a (count, t.size) matrix.
 
-        ``t`` is an array or a :class:`Queries`.  At each point only the N
-        translates i = floor(t) - m, m = 0..N-1, are live, and they take
-        piece m at u = t - floor(t); so each piece fills its bin of
-        :meth:`Queries.bins` with the values of :meth:`Queries.pieces`,
-        which evaluates every reached piece from one basis per point, for
-        this group alone or with the other groups of the queries.  A
-        non-finite t gives a zero column.
-        """
-        queries = t if isinstance(t, Queries) else Queries(t)
-        out = np.zeros((count, queries.t.size))
-        for at, values in queries.pieces(self, first, count):
-            out.put(at, values)
-        return out
+def _padded(series, k: int) -> np.ndarray:
+    """The coefficient rows of ``series`` as one array, zero-padded to k."""
+    out = np.zeros((len(series), k))
+    for row, c in zip(out, series):
+        row[: len(c)] = c
+    return out
+
+
+def _chebyshev_basis(x: np.ndarray, k: int) -> np.ndarray:
+    """T_0..T_{k-1}(x) by the recurrence T_j = 2x T_{j-1} - T_{j-2}: (k, x.size)."""
+    basis = np.empty((k, x.size))
+    basis[0] = 1.0
+    if k > 1:
+        basis[1] = x
+    two_x = 2.0 * x
+    for j in range(2, k):
+        np.multiply(two_x, basis[j - 1], out=basis[j])
+        basis[j] -= basis[j - 2]
+    return basis
 
 
 def _chebyshev_sums(series, x: np.ndarray) -> np.ndarray:
     """sum_k c_k T_k(x) for each coefficient row c of ``series``: a
     (len(series), x.size) array.
 
-    The basis T_0..T_{K-1}(x), K the longest row, comes from the recurrence
-    T_k = 2x T_{k-1} - T_{k-2}, one block of ``_BASIS_CHUNK`` points at a
-    time, and one einsum contracts it with the rows zero-padded to K.
-    :meth:`Queries.pieces` passes every (group, piece) row it serves in one
-    call, so the basis is formed once per point.  Over two or more columns
+    The basis T_0..T_{K-1}(x), K the longest row, is formed one block of
+    ``_BASIS_CHUNK`` points at a time, and one einsum contracts it with the
+    rows zero-padded to K.  :meth:`TbChebyshev.__call__` passes every piece
+    its points reach in one call.  Over two or more columns
     einsum adds the terms in ascending k at each point, so every value has
     the bits of its own textbook sum, whatever the batch and whatever the
     other rows; over one column it sums in another order, so a 1-point
     block is padded to two.  A BLAS product would be faster, but its bits
     vary with the batch shape.
     """
-    k_max = max(map(len, series))
-    rows = np.zeros((len(series), k_max))
-    for row, c in zip(rows, series):
-        row[: len(c)] = c
+    rows = _padded(series, max(map(len, series)))
     out = np.empty((len(series), x.size))
     for start in range(0, x.size, _BASIS_CHUNK):
         block = x[start : start + _BASIS_CHUNK]
         n = block.size
-        if n == 1:
-            block = np.repeat(block, 2)
-        basis = np.empty((k_max, block.size))
-        basis[0] = 1.0
-        if k_max > 1:
-            basis[1] = block
-        two_x = 2.0 * block
-        for k in range(2, k_max):
-            np.multiply(two_x, basis[k - 1], out=basis[k])
-            basis[k] -= basis[k - 2]
+        basis = _chebyshev_basis(np.repeat(block, 2) if n == 1 else block, rows.shape[1])
         out[:, start : start + n] = np.einsum("gk,kn->gn", rows, basis)[:, :n]
         del basis
     return out

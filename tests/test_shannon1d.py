@@ -16,7 +16,9 @@ from polyshannon.shannon1d import (
     SamplingGrid,
     autocorrelation,
     cardinal_series,
+    channel_samples,
     channel_series,
+    channel_values,
     gram_symbol,
     kernel_fourier,
     sampled_symbol,
@@ -554,14 +556,19 @@ def test_boundary_warning_points_at_the_caller(route):
 
 
 def _per_group_series(fld, t, points):
-    """channel_series' coefficient route with every group binning t afresh."""
-    return fld.resum(
-        fld.samples.T, points,
-        lambda key, block: spline_series(fld.spectrum(key), fld.j_min, block, t),
+    """channel_series' coefficient route with one series call per group."""
+    rows, blocks = fld.channels(fld.samples.T)
+    return fld.contract(
+        blocks,
+        lambda n: spline_series(fld.spectrum(blocks[n][0]), fld.j_min, rows[blocks[n][1]], t),
+        points,
     )
 
 
-def test_shared_bins_match_per_group_series_bit_for_bit():
+def test_stacked_groups_match_per_group_series():
+    # one product per cell over the stacked rows of all groups rounds by its
+    # shape: within 2 ulps of max|f| of the per-group series, and the same
+    # bits from two identical calls
     rng = np.random.default_rng(71)
     t = rng.uniform(-4.0, 3.0, size=300)
     sfld = random_polyspline_field(rng, p=2, degree_max=3, j_min=-6, j_max=6).sphere_field(-6, 6)
@@ -577,40 +584,95 @@ def test_shared_bins_match_per_group_series_bit_for_bit():
     # the strip's |kappa| = 0 group is one row; |kappa| = 1 is all zero
     assert [len(idx) for ksq, idx in tfld.groups(tfld.samples.T) if ksq == 0] == [1]
     assert 1 not in dict(tfld.groups(tfld.samples.T))
+
+    def close(got, want):
+        assert np.max(np.abs(got - want)) <= 2.0 * np.spacing(np.max(np.abs(want)))
+
     for fld, points in ((sfld, d), (tfld, ys)):
         got = channel_series(fld, t, points)
-        assert np.array_equal(got, _per_group_series(fld, t, points))
-    # one query; and a second query past the coefficient range, in every bin
-    # but piece 0's, which holds the first query alone
+        close(got, _per_group_series(fld, t, points))
+        assert np.array_equal(channel_series(fld, t, points), got)
+    # one query; and a second query past the coefficient range
     beyond = 6 + SamplingGrid().half_width + 1.5
     for few, warns in ((t[:1], False), (np.array([t[0], beyond]), True)):
         for fld, points in ((sfld, d[: len(few)]), (tfld, ys[: len(few)])):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore" if warns else "error", BoundaryTailWarning)
                 got = channel_series(fld, few, points)
-                assert np.array_equal(got, _per_group_series(fld, few, points))
+                close(got, _per_group_series(fld, few, points))
+                assert np.array_equal(channel_series(fld, few, points), got)
 
 
-def test_one_basis_contraction_per_reached_piece(monkeypatch):
+def _chunk_cells(v, first, last):
+    """Per chunk of the queries sorted by cell, the distinct cells in
+    first..last that its queries occupy."""
+    cells = np.sort(np.floor(v))
+    cells = cells[(cells >= first) & (cells <= last)]
+    return [np.unique(cells[s : s + tbspline._BASIS_CHUNK])
+            for s in range(0, len(cells), tbspline._BASIS_CHUNK)]
+
+
+def test_one_basis_per_chunk_and_one_product_per_cell(monkeypatch):
     rng = np.random.default_rng(73)
     gen = random_polyspline_field(rng, p=2, degree_max=3, j_min=-6, j_max=6)
     fld = gen.sphere_field(-6, 6)
-    # the last two queries reach fewer of the generator's pieces
-    v = np.concatenate([rng.uniform(-4.0, 3.0, 40), [-6.5, 5.5]])
+    # two chunks and a bit; the last two queries reach fewer of the
+    # generator's cells, and -6.5 none
+    v = np.concatenate([rng.uniform(-4.0, 3.0, 2 * tbspline._BASIS_CHUNK + 40), [-6.5, 5.5]])
     d = rng.normal(size=(len(v), 3))
-    stacks = []
-    evaluate = tbspline._chebyshev_sums
+    bases, products = [], []
+    basis, matmul = shannon1d._chebyshev_basis, np.matmul
     monkeypatch.setattr(
-        tbspline, "_chebyshev_sums",
-        lambda series, x: stacks.append((len(series), x.size)) or evaluate(series, x))
-    groups, order = len(list(fld.groups(fld.samples.T))), fld.spectrum(0).order
-    assert groups == 4
+        shannon1d, "_chebyshev_basis",
+        lambda x, k: bases.append(x.size) or basis(x, k))
+    monkeypatch.setattr(
+        np, "matmul",
+        lambda a, b, **kw: products.append(a.shape) or matmul(a, b, **kw))
+    blocks = fld.channels(fld.samples.T)[1]
+    order = fld.spectrum(0).order
+    assert len(blocks) == 4
     with pytest.warns(BoundaryTailWarning):
         channel_series(fld, v, d)
-    # every query is in every bin of the series: one basis per query
-    assert stacks == [(groups * order, len(v))]
-    stacks.clear()
+    # every query is in a cell of the series: one basis per chunk, one
+    # product per (chunk, cell) of all 16 rows
+    chunks = _chunk_cells(v, math.floor(v.min()) - order + 1, math.floor(v.max()))
+    assert len(chunks) == 3 and len(chunks[0]) > 1
+    assert bases == [min(len(v) - s, tbspline._BASIS_CHUNK)
+                     for s in range(0, len(v), tbspline._BASIS_CHUNK)]
+    assert len(products) == sum(map(len, chunks))
+    assert all(shape[0] == 16 for shape in products)
+    bases.clear()
+    products.clear()
     gen.eval(np.exp(v), d)
-    x, reached = tbspline.Queries(v).bins(gen.i_min, gen.coeffs.shape[1], order)
-    assert 0 < len(reached) and x.size == len(v) - 1  # v = -6.5 is in no bin
-    assert stacks == [(groups * len(reached), x.size)]
+    chunks = _chunk_cells(v, gen.i_min, gen.i_min + gen.coeffs.shape[1] + order - 2)
+    assert sum(map(len, chunks)) > len(chunks)
+    assert bases == [min(len(v) - 1 - s, tbspline._BASIS_CHUNK)  # v = -6.5 is in no cell
+                     for s in range(0, len(v) - 1, tbspline._BASIS_CHUNK)]
+    assert len(products) == sum(map(len, chunks))
+    assert all(shape[0] == 16 for shape in products)
+
+
+def test_channel_samples_are_the_node_values():
+    # at a node j the translate sum is sum_m c_{j-m} Q_N(m): against tb_exact
+    # per channel, and the resummed field against the generator's own
+    # values at t = j within 4 ulps of its scale
+    rng = np.random.default_rng(79)
+    sgen = random_polyspline_field(rng, p=2, degree_max=3, j_min=-5, j_max=5)
+    tgen = random_strip_field(rng, dimension=2, p=1, cutoff=2, j_min=-5, j_max=5)
+    nodes = np.arange(-7, 8)
+    directions, ys = rng.normal(size=(50, 3)), rng.uniform(0.0, 2.0 * math.pi, (50, 2))
+    for gen, points in ((sgen, directions), (tgen, ys)):
+        samples = channel_samples(gen, -7, 7)
+        assert samples.shape == (len(nodes), len(gen.coeffs))
+        assert samples.dtype == np.result_type(gen.coeffs, float)
+        for key, idx in gen.groups(gen.coeffs):
+            sv = gen.spectrum(key)
+            want = sum(np.multiply.outer(tb_exact(sv, nodes - i), gen.coeffs[idx, n])
+                       for n, i in enumerate(range(gen.i_min, gen.i_min + gen.coeffs.shape[1])))
+            assert np.max(np.abs(samples[:, idx] - want)) <= 1e-13 * np.max(np.abs(want))
+        rows, blocks = gen.channels(samples.T.copy())
+        field = [gen.contract(blocks, lambda n: row[blocks[n][1], None], points)
+                 for row in rows.T]
+        values = [channel_values(gen, np.full(len(points), float(j)), points) for j in nodes]
+        err = np.max(np.abs(np.subtract(field, values)))
+        assert err <= 4.0 * np.spacing(np.max(np.abs(values)))

@@ -135,6 +135,59 @@ def test_stream_conventions_on_the_axis_at_zero_and_for_one_direction():
                 assert np.max(np.abs(scaled - one)) < 1e-14
 
 
+def _fresh_array_stream(directions, degree_max):
+    """The harmonic stream as it was with a fresh array per degree and
+    fresh square-root factors per step: the bit reference of the buffered
+    one."""
+    d = np.asarray(directions, dtype=float)
+    x, y, z = d[..., 0], d[..., 1], d[..., 2]
+    rho = np.hypot(x, y)
+    length = np.hypot(rho, z)
+    cos_theta = np.divide(z, length, out=np.ones_like(z), where=length > 0)
+    sin_theta = np.divide(rho, length, out=np.zeros_like(z), where=length > 0)
+    cos_phi = np.divide(x, rho, out=np.ones_like(x), where=rho > 0)
+    sin_phi = np.divide(y, rho, out=np.zeros_like(y), where=rho > 0)
+    cos_m, sin_m = np.empty((2, degree_max) + cos_phi.shape)
+    np.multiply(cos_phi, math.sqrt(2.0), out=cos_m[:1])
+    np.multiply(sin_phi, math.sqrt(2.0), out=sin_m[:1])
+    term = np.empty_like(cos_phi)
+    for m in range(1, degree_max):
+        np.multiply(cos_m[m - 1], cos_phi, out=cos_m[m, ...])
+        cos_m[m] -= np.multiply(sin_m[m - 1], sin_phi, out=term)
+        np.multiply(sin_m[m - 1], cos_phi, out=sin_m[m, ...])
+        sin_m[m] += np.multiply(cos_m[m - 1], sin_phi, out=term)
+    axes = (1,) * cos_theta.ndim
+    prev = None
+    legendre = np.full((1,) + cos_theta.shape, 0.5 / math.sqrt(math.pi))
+    for k in range(degree_max + 1):
+        if k:
+            older, prev = prev, legendre
+            legendre = np.empty((k + 1,) + cos_theta.shape)
+            if k >= 2:
+                m = np.arange(k - 1).reshape((-1,) + axes)
+                lower = legendre[: k - 1]
+                np.multiply(prev[: k - 1], cos_theta, out=lower)
+                lower *= np.sqrt((4 * k * k - 1) / ((k - m) * (k + m)))
+                older *= np.sqrt(
+                    (2 * k + 1) * (k + m - 1) * (k - m - 1)
+                    / ((k - m) * (k + m) * (2 * k - 3))
+                )
+                lower -= older
+            legendre[k - 1] = math.sqrt(2 * k + 1) * cos_theta * prev[k - 1]
+            legendre[k] = -math.sqrt((2 * k + 1) / (2 * k)) * sin_theta * prev[k - 1]
+        yield k, (legendre, cos_m, sin_m)
+
+
+def test_buffered_stream_keeps_the_bits_of_fresh_arrays():
+    rng = np.random.default_rng(97)
+    for d in (rng.normal(size=(20000, 3)), rng.normal(size=3)):
+        steps = zip(_harmonic_stream(d, 8), _fresh_array_stream(d, 8), strict=True)
+        for (k, got), (want_k, want) in steps:
+            assert k == want_k
+            for a, b in zip(got, want, strict=True):
+                assert a.shape == b.shape and np.array_equal(a, b)
+
+
 def test_mode_indexing_is_one_to_one():
     for degree_max in range(6):
         flat = [sph_index(k, ell)

@@ -395,17 +395,18 @@ def test_strip_series_and_phases_run_real(monkeypatch):
     ys = rng.uniform(0.0, 2.0 * math.pi, size=(40, 2))
     dtypes, asked = [], []
 
-    def spy(name):
-        original = getattr(shannon1d, name)
+    sums, series = shannon1d._translate_sums, shannon1d.cardinal_series
 
-        def wrapped(spectrum, j_min, coeffs, t):
-            dtypes.append((name, np.asarray(coeffs).dtype))
-            return original(spectrum, j_min, coeffs, t)
+    def summed(terms, t):
+        dtypes.extend(("_translate_sums", rows.dtype) for _, _, rows in terms)
+        return sums(terms, t)
 
-        monkeypatch.setattr(shannon1d, name, wrapped)
+    def tabled(table, j_min, coeffs, t):
+        dtypes.append(("cardinal_series", np.asarray(coeffs).dtype))
+        return series(table, j_min, coeffs, t)
 
-    spy("tb_superposition")
-    spy("cardinal_series")
+    monkeypatch.setattr(shannon1d, "_translate_sums", summed)
+    monkeypatch.setattr(shannon1d, "cardinal_series", tabled)
     phases = strip._TorusPhases.__call__
 
     def counted(self, modes):
@@ -421,5 +422,5 @@ def test_strip_series_and_phases_run_real(monkeypatch):
         asked.append(0)
         run()
         assert 0 < asked[-1] <= (len(fld.modes) + 1) // 2
-    assert {name for name, _ in dtypes} == {"tb_superposition", "cardinal_series"}
+    assert {name for name, _ in dtypes} == {"_translate_sums", "cardinal_series"}
     assert all(dtype == np.float64 for _, dtype in dtypes), dtypes

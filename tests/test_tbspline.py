@@ -334,6 +334,7 @@ def test_chebyshev_matches_mpmath_green_sum_on_battery():
 
 
 def test_chebyshev_edge_conventions():
+    # the callable, and a single translate summed by tb_superposition
     for freqs in ([0.0, 0.0], [2.0, -3.0, 0.5], [-8.0, 8.0, 0.0, 0.0]):
         sv = SV(freqs)
         n = sv.order
@@ -343,33 +344,37 @@ def test_chebyshev_edge_conventions():
             [-1.0, -1e-12, n, n + 1e-9, n + 3.0, np.nan, np.inf, -np.inf]
         )
         assert np.array_equal(cheb(outside), np.zeros(8))
-        assert np.array_equal(cheb.translates(0, 1, outside), np.zeros((1, 8)))
+        assert np.array_equal(tb_superposition(sv, 0, [1.0], outside), np.zeros(8))
         # left-closed, continuous for N >= 2
         assert abs(cheb(0.0)) <= 1e-15 * peak
-        assert abs(cheb.translates(0, 1, 0.0)[0, 0]) <= 1e-15 * peak
+        assert abs(tb_superposition(sv, 0, [1.0], 0.0)) <= 1e-15 * peak
         assert isinstance(cheb(0.5), float)
         assert cheb(np.zeros((2, 3))).shape == (2, 3)
-        assert cheb.translates(-1, 4, np.zeros((2, 3))).shape == (4, 6)
+        assert tb_superposition(sv, -1, np.ones((4, 4)), np.zeros((2, 3))).shape == (4, 2, 3)
+        # no coefficients, no queries
+        assert np.array_equal(tb_superposition(sv, 0, np.zeros(0), outside), np.zeros(8))
+        assert np.array_equal(tb_superposition(sv, -1, np.ones((4, 4)), []), np.zeros((4, 0)))
     lam = -0.8
     first = tb_chebyshev(SV([lam]))
     assert first(0.0) == pytest.approx(math.exp(-lam), rel=1e-15)
-    assert first.translates(0, 1, 0.0)[0, 0] == pytest.approx(math.exp(-lam), rel=1e-15)
+    assert tb_superposition(SV([lam]), 0, [1.0], 0.0) == pytest.approx(math.exp(-lam), rel=1e-15)
     assert first(1.0) == 0.0
-    assert first.translates(0, 1, 1.0)[0, 0] == 0.0
+    assert tb_superposition(SV([lam]), 0, [1.0], 1.0) == 0.0
     ts = np.linspace(0.0, 0.999, 21)
     assert np.allclose(first(ts), np.exp(lam * (ts - 1.0)), rtol=1e-15, atol=0.0)
-    assert np.allclose(first.translates(0, 1, ts)[0], np.exp(lam * (ts - 1.0)),
+    assert np.allclose(tb_superposition(SV([lam]), 0, [1.0], ts), np.exp(lam * (ts - 1.0)),
                        rtol=1e-15, atol=0.0)
 
 
 def test_translates_match_exact_translates():
     sv = SV([2.0, -3.0, 0.5])
-    # rows i = -1..4 clip the live translates of the first and last points;
-    # integer t puts every point on a knot, 1e6 and 1e300 are far outside
+    # unit coefficient rows i = -1..4 clip the live translates of the first
+    # and last points; integer t puts every point on a knot, 1e6 and 1e300
+    # are far outside
     t = np.concatenate([
         np.linspace(-4.0, 9.0, 131), np.arange(-4.0, 10.0), [-1e300, -1e6, 1e6, 1e300],
     ])
-    got = tb_chebyshev(sv).translates(-1, 6, t)
+    got = tb_superposition(sv, -1, np.eye(6), t)
     want = np.stack([tb_exact(sv, t - i) for i in range(-1, 5)])
     assert got.shape == (6, len(t))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -401,41 +406,68 @@ def test_clenshaw_matches_the_textbook_recurrence(length, points):
     assert np.array_equal(tbs._chebyshev_sums([c], x)[0], got[0])
 
 
-def test_binned_translates_are_the_pointwise_pieces_bit_for_bit():
+def test_pointwise_pieces_are_the_textbook_sums_bit_for_bit():
     sv = SV([2.0, -3.0, 0.5])
     cheb = tb_chebyshev(sv)
     rng = np.random.default_rng(59)
     # dyadic points and integer knots keep t - i exact, so the callable at
-    # t - i sees the same piece and abscissa as the translate matrix
+    # t - i sees the piece and abscissa of translate i at t
     dyadic = np.concatenate([rng.integers(-5 * 1024, 10 * 1024, 150) / 1024.0,
                              np.arange(-4.0, 10.0)])
     far = np.array([-1e300, -1e6, 1e6, 1e300, math.nan, math.inf, -math.inf])
     t = np.concatenate([dyadic, far, rng.uniform(-5.0, 10.0, 50)])
-    first, count = -1, 6
-    got = cheb.translates(first, count, t)
-    assert got.shape == (count, len(t))
-    assert np.all(got[:, len(dyadic):len(dyadic) + len(far)] == 0.0)
-    for row, i in zip(got, range(first, first + count)):
+    for i in range(-1, 5):
+        got = cheb(t - i)
+        assert got.shape == t.shape
+        assert np.all(got[len(dyadic):len(dyadic) + len(far)] == 0.0)
         want = np.zeros(len(t))
-        for p, tp in enumerate(t):
-            m = math.floor(tp) - i if math.isfinite(tp) else -1
+        for p, tp in enumerate(t - i):
+            m = math.floor(tp) if math.isfinite(tp) else -1
             if 0 <= m < sv.order:
-                x = np.array([2.0 * (tp - math.floor(tp)) - 1.0])
+                x = np.array([2.0 * (tp - m) - 1.0])
                 want[p] = _textbook_basis_sum(cheb.coeffs[m], x)[0]
-        assert np.array_equal(row, want)
+        assert np.array_equal(got, want)
         scalar = [cheb(float(tp - i)) for tp in t[:len(dyadic) + len(far)]]
-        assert np.array_equal(row[:len(dyadic) + len(far)], scalar)
-    shared = tbs.Queries(t)  # one binning per range, reused in any order
-    for lo, rows in ((first, count), (0, 2), (first, count), (first, 0)):
-        assert np.array_equal(cheb.translates(lo, rows, shared), cheb.translates(lo, rows, t))
-    # pieces evaluated for several spectra at once, of this order and another;
-    # the last call finds its values handed out and evaluates them afresh
-    others = (tb_chebyshev(SV([1.0, -1.0, 4.0])), tb_chebyshev(SV([1.0, -1.0])))
-    shared = tbs.Queries(t, (cheb, *others))
-    for c in (*others, cheb, cheb):
-        assert np.array_equal(c.translates(first, count, shared), c.translates(first, count, t))
-    assert cheb.translates(first, 0, t).shape == (0, len(t))
-    assert np.array_equal(cheb.translates(first, count, np.array([])), np.zeros((count, 0)))
+        assert np.array_equal(got[:len(dyadic) + len(far)], scalar)
+    assert np.array_equal(cheb(np.array([])), np.zeros(0))
+
+
+def _exact_sum(sv, first, c, t):
+    """sum_i c_i Q_N(t - i) from tb_exact, over the live translates only."""
+    out = np.zeros(np.shape(c)[:-1] + t.shape, np.result_type(c, float))
+    for i, ci in enumerate(np.moveaxis(np.asarray(c), -1, 0), start=first):
+        live = (t - i >= 0.0) & (t - i < sv.order)
+        out[..., live] += np.multiply.outer(ci, tb_exact(sv, t[live] - i))
+    return out
+
+
+def test_superposition_over_several_chunks_matches_exact_sums():
+    # unsorted queries: more than one chunk of them in the cell [1, 2), the
+    # others spread over cells on both sides of the coefficient range
+    # (cells -2..5); real and complex coefficient rows
+    sv = SV([2.0, -3.0, 0.5])
+    rng = np.random.default_rng(61)
+    t = np.concatenate([rng.uniform(1.0, 2.0, tbs._BASIS_CHUNK + 200),
+                        rng.uniform(-6.0, 9.0, 300)])
+    rng.shuffle(t)
+    c = rng.uniform(-1.0, 1.0, (2, 6)) + 1j * rng.uniform(-1.0, 1.0, (2, 6))
+    want = _exact_sum(sv, -2, c, t)
+    for rows, ref in ((c.real, want.real), (c, want)):
+        got = tb_superposition(sv, -2, rows, t)
+        assert got.dtype == ref.dtype and got.shape == (2, len(t))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.all(got[:, (t < -2.0) | (t >= 6.0)] == 0.0)
+        assert np.array_equal(tb_superposition(sv, -2, rows, t), got)
+
+
+def test_superposition_is_zero_at_non_finite_queries():
+    sv = SV([2.0, -3.0, 0.5])
+    c = np.random.default_rng(62).uniform(-1.0, 1.0, 6)
+    t = np.array([math.nan, 0.5, math.inf, -math.inf, 1.25])
+    got = tb_superposition(sv, -2, c, t)
+    assert np.array_equal(got[[0, 2, 3]], np.zeros(3))
+    assert np.all(got[[1, 4]] != 0.0)
+    assert tb_superposition(sv, -2, c, math.nan) == 0.0
 
 
 def test_chebyshev_is_cached_per_spectrum():
@@ -632,7 +664,7 @@ def test_euler_spline_forms_one_basis_for_all_pieces(monkeypatch):
     euler_spline(sv, xs, 0.5)
     assert calls == [(sv.order, sv.order * len(xs))]
     # queries that no piece reaches make no call
-    far = tb_chebyshev(sv).translates(0, 3, np.array([-5.0, 20.0, math.nan]))
+    far = tb_chebyshev(sv)(np.array([-5.0, 20.0, math.nan]))
     assert calls == [(sv.order, sv.order * len(xs))] and not np.any(far)
 
 
