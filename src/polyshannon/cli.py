@@ -43,6 +43,7 @@ from .shannon1d import (
     NarrowGridError,
     NotSamplableError,
     SamplingGrid,
+    _safe_band,
     cardinal_series,
     symbol_margin,
     synthesize_dual,
@@ -433,13 +434,14 @@ def cmd_decay(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _query_band(cfg: ExperimentConfig, reach: float) -> tuple[float, float]:
-    """[-reach, reach] cut to the safe band [j_min + 2, j_max - 2], outside
-    which :func:`check_cardinal_data` warns that kernel tails are cut."""
-    lo, hi = max(-reach, cfg.j_min + 2), min(reach, cfg.j_max - 2)
+    """[-reach, reach] cut to the safe band of the samples, outside which
+    :func:`check_cardinal_data` warns that kernel tails are cut."""
+    safe_lo, safe_hi = _safe_band(cfg.j_min, cfg.j_max)
+    lo, hi = max(-reach, safe_lo), min(reach, safe_hi)
     if lo > hi:
         raise ConfigError(
             f"no query band: [{-reach}, {reach}] misses the safe band "
-            f"[{cfg.j_min + 2}, {cfg.j_max - 2}] of samples "
+            f"[{safe_lo}, {safe_hi}] of samples "
             f"{cfg.j_min}..{cfg.j_max}"
         )
     return lo, hi

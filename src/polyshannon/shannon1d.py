@@ -32,7 +32,8 @@ lattice taps and hands c to :func:`tb_superposition`, the one sum of TB
 translates, which the ground-truth oracles use too.  On a cell [j, j+1)
 that sum is a single Chebyshev series whose coefficients are sum_m
 c_{j-m} times piece m of :func:`~polyshannon.tbspline.tb_chebyshev`, so it
-is evaluated in coefficient space (:func:`_translate_sums`).  It is exact
+is evaluated in coefficient space, by the translate-sum evaluator of
+:mod:`~polyshannon.tbspline` (``_translate_sums``).  It is exact
 to roundoff where the 6-point table stencils of :func:`cardinal_series`
 stop at their interpolation error; the table route stays as the paper's
 literal Shannon series.  A :class:`KernelTable` is stored as one binary
@@ -47,10 +48,10 @@ between the coefficient and table routes), and :func:`channel_values` and
 geometry supplies ``groups(rows)``, ``spectrum(key)``, ``channels(rows)``
 (its real channel rows and their blocks) and ``contract(blocks, profiles,
 points)`` (the sum against its angular basis).  The coefficient rows of
-every block go through one :func:`_translate_sums` call: the queries are
-sorted by cell once, each chunk of them forms one Chebyshev basis and
-makes one matrix product per cell for the stacked rows of all blocks, and
-is contracted as it comes.  The node samples are the integer values
+every block go through one call of that evaluator: the queries are sorted
+by cell once, each chunk of them forms one Chebyshev basis and makes one
+matrix product per cell for the stacked rows of all blocks, and is
+contracted as it comes.  The node samples are the integer values
 Q_N(m) of :func:`~polyshannon.tbspline.tb_integer_values` in a Toeplitz
 product, and the lattice taps are cached per spectrum, divisor and size
 (:func:`_lattice_taps`).
@@ -71,8 +72,8 @@ import numpy as np
 
 from .spectrum import SpectrumVector
 from .tables import interp6
-from .tbspline import _BASIS_CHUNK, _chebyshev_basis, _padded, check_queries
-from .tbspline import tb_chebyshev, tb_fourier, tb_integer_values
+from .tbspline import _translate_sums, check_queries, tb_chebyshev, tb_fourier
+from .tbspline import tb_integer_values
 
 __all__ = [
     "BoundaryTailWarning",
@@ -401,16 +402,22 @@ def _outside_level() -> int:
     return level
 
 
+def _safe_band(j_min: int, j_max: int) -> tuple[int, int]:
+    """[j_min + 2, j_max - 2]: the queries of a cardinal series over samples
+    j_min..j_max at least two units from the first and last sample."""
+    return j_min + 2, j_max - 2
+
+
 def check_cardinal_data(samples, j_min: int, t) -> None:
     """Guard a cardinal series over sample rows j = j_min, j_min+1, ...: raise
     ValueError as :func:`check_samples` and on a NaN or infinite ``t``, and
-    warn (:class:`BoundaryTailWarning`) when a query lies within two units
-    of the first or last sample.  The warning points at the first caller
-    outside the package, however deep the route to this check."""
+    warn (:class:`BoundaryTailWarning`) when a query leaves the safe band of
+    :func:`_safe_band`.  The warning points at the first caller outside the
+    package, however deep the route to this check."""
     samples = np.asarray(samples)
     check_samples(samples)
     check_queries(t)
-    lo, hi = j_min + 2, j_min + samples.shape[0] - 3
+    lo, hi = _safe_band(j_min, j_min + samples.shape[0] - 1)
     if np.any(t < lo) or np.any(t > hi):
         scale = float(np.max(np.abs(samples))) if samples.size else 0.0
         warnings.warn(
@@ -486,61 +493,15 @@ def spline_series(spectrum: SpectrumVector, j_min: int, samples, t):
     return tb_superposition(spectrum, *_series_coeffs(spectrum, j_min, y, t_arr), t_arr)
 
 
-def _translate_sums(terms, t: np.ndarray):
-    """Yield (at, values): the flat positions of at most ``_BASIS_CHUNK``
-    queries and, per coefficient row c of every term (cheb, first, rows)
-    (c_i at column i - first), stacked in term order, sum_i c_i Q_N(t - i).
-
-    On a cell [j, j+1) the sum is one Chebyshev series in x = 2(t - j) - 1
-    with coefficients B_j = sum_m c_{j-m} A_m, A_m piece m of Q_N.  The
-    queries are sorted once by cell (stably) and chunked in that order,
-    without those whose cell no term reaches (non-finite ones included),
-    whose sums are 0.  Each chunk forms T_k(x) once per query, to the
-    longest piece of all terms, and makes one matrix product per cell of
-    the stacked B_j with the basis of the cell's queries; its rounding
-    follows the product's shape, so a row's bits depend on its stacking.
-    """
-    flat = t.reshape(-1)
-    cells = np.floor(flat)
-    lo = min(first for _, first, _ in terms)
-    span = max(first + rows.shape[1] + len(cheb.coeffs) - 1 for cheb, first, rows in terms) - lo
-    # keys 1..span for the cells lo.., 0 before them (NaN too) and span + 1
-    # beyond: unsigned integers this small sort stably by radix
-    keys = np.fmin(np.fmax(cells - (lo - 1), 0.0), span + 1.0)
-    order = np.argsort(keys.astype(np.min_scalar_type(span + 1)), kind="stable")
-    start, stop = np.searchsorted(keys[order], [1, span + 1])
-    if start == stop:
-        return
-    c0 = int(cells[order[start]])
-    count = int(cells[order[stop - 1]]) - c0 + 1
-    k = max(len(c) for cheb, _, _ in terms for c in cheb.coeffs)
-    # B[j - c0], stacked over the rows of every term: (cells, rows, k)
-    stacked = []
-    for cheb, first, rows in terms:
-        i = np.arange(c0 - first, c0 - first + count)[:, None] - np.arange(len(cheb.coeffs))
-        i[(i < 0) | (i >= rows.shape[1])] = rows.shape[1]  # the zero column appended
-        taken = np.concatenate([rows, np.zeros((len(rows), 1))], axis=1)[:, i]
-        stacked.append(taken.transpose(1, 0, 2) @ _padded(cheb.coeffs, k))
-    cell_series = np.concatenate(stacked, axis=1)
-    for s in range(start, stop, _BASIS_CHUNK):
-        at = order[s : min(s + _BASIS_CHUNK, stop)]
-        cell = cells[at]
-        basis = _chebyshev_basis(2.0 * (flat[at] - cell) - 1.0, k)
-        values = np.empty((cell_series.shape[1], len(at)), cell_series.dtype)
-        edges = [0, *(np.flatnonzero(np.diff(cell)) + 1), len(at)]
-        for a, b in zip(edges, edges[1:]):
-            np.matmul(cell_series[int(cell[a]) - c0], basis[:, a:b], out=values[:, a:b])
-        yield at, values
-
-
 def tb_superposition(spectrum: SpectrumVector, j_min: int, coeffs, t):
     """sum_j c_j Q_N(t - j): an exact element of V_0, for ground-truth checks
     and for :func:`spline_series`.
 
     Same coefficient layout as :func:`cardinal_series`, real or complex.
-    The one-term case of the channel core's :func:`_translate_sums`: per
-    cell of t one Chebyshev series, the live pieces weighted by c.  A NaN
-    or infinite t gives 0, as Q_N does there.
+    One term of the translate-sum evaluator of the channel core
+    (``tbspline._translate_sums``): per cell of t one Chebyshev series, the
+    live pieces weighted by c.  A NaN or infinite t gives 0, as Q_N does
+    there.
     """
     c = np.asarray(coeffs)
     t_arr = np.asarray(t, dtype=float)
@@ -580,7 +541,7 @@ def check_channel_queries(t, points) -> tuple[np.ndarray, np.ndarray]:
 
 def _contract_sums(geometry, blocks, terms, t: np.ndarray, points: np.ndarray) -> np.ndarray:
     """geometry.contract of the translate sums of ``terms``, one term per
-    block, each chunk of :func:`_translate_sums` as it comes."""
+    block, each chunk of ``_translate_sums`` as it comes."""
     geometry.contract([], None, points[:0])  # checks the points, reached or not
     out = np.zeros(len(t))
     bounds = np.cumsum([0, *(len(rows) for _, _, rows in terms)])
@@ -599,7 +560,7 @@ def channel_series(fld, t, points, kernel=None) -> np.ndarray:
     blocks, (key, index) per live group of spectrum ``fld.spectrum(key)``,
     and ``fld.contract(blocks, profiles, points)`` sums profiles(n), the
     series of block n's rows, against the angular basis.  The series is
-    :func:`spline_series`, all blocks summed by one :func:`_translate_sums`,
+    :func:`spline_series`, all blocks summed by one ``_translate_sums``,
     or :func:`cardinal_series` on the table ``kernel(spectrum)`` when
     ``kernel`` is given.  Raises and warns as :func:`check_cardinal_data`.
     """

@@ -26,13 +26,14 @@ other):
   sampled in exact fixed-point integers), and evaluated in float64 as a
   sum over an explicit T_k basis (Trefethen, *Approximation Theory and
   Approximation Practice*, ch. 3).  No stiffness cap and no per-point
-  mpmath work, so every library path that needs Q_N values runs on it:
-  kernel grids and Euler splines through the callable, whose values have
-  the bits of their own textbook sums, and the sums of translates
-  sum_i c_i Q_N(t - i) through the pieces themselves: on a cell [j, j+1)
-  such a sum is one Chebyshev series with coefficients sum_m c_{j-m}
-  times piece m (:func:`~polyshannon.shannon1d.tb_superposition`, which
-  forms one T_k basis per point for the sums of many spectra at once).
+  mpmath work, so every library path that needs Q_N values runs on it,
+  through one evaluator of the sums of translates sum_i c_i Q_N(t - i)
+  (:func:`_translate_sums`): on a cell [j, j+1) such a sum is one
+  Chebyshev series with coefficients sum_m c_{j-m} times piece m, summed
+  over one T_k basis per point.  The callable is its one-term case, whose
+  values keep the bits of their own textbook sums (kernel grids, Euler
+  splines); :func:`~polyshannon.shannon1d.tb_superposition` and the
+  channel core stack the sums of many rows and spectra in one call.
   :func:`tb_exact` stays the independent reference it is tested against.
 * :func:`tb_tabulate`  -- FFT inversion of the Fourier form with an asymptotic
   correction for the truncated spectral tail, to ``TABULATE_RTOL``.  No
@@ -48,7 +49,6 @@ theory.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -510,8 +510,7 @@ _CHEB_FIRST = 16
 _CHEB_MAX = 1024
 
 
-#: points per block of a Chebyshev basis: of :func:`_chebyshev_sums`, and
-#: of the chunks of sorted queries of the translate sums (``shannon1d``)
+#: queries per chunk of :func:`_translate_sums`, each with one Chebyshev basis
 _BASIS_CHUNK = 2048
 
 
@@ -520,31 +519,22 @@ class TbChebyshev:
     """Q_N as one Chebyshev series per unit interval [m, m+1), m = 0..N-1.
 
     ``coeffs[m][k]`` multiplies T_k(2u - 1) with u = t - m.  The callable
-    evaluates each point's piece as the float64 sum over an explicit T_k
-    basis (:func:`_chebyshev_sums`), so a value has the bits of its own
-    textbook sum whatever the batch, and keeps :func:`tb_exact`'s
+    is the one-term translate sum of :func:`_translate_sums`, the row [1]
+    at i = 0, whose pointwise products give a value the bits of its own
+    textbook sum whatever the batch.  It keeps :func:`tb_exact`'s
     conventions: zero outside [0, N) and at a NaN or infinite t,
-    left-closed knots, a float for a scalar argument.  Sums of translates
-    sum_i c_i Q_N(t - i) do not call it: on a cell [j, j+1) such a sum is
-    one series with coefficients sum_m c_{j-m} coeffs[m]
-    (:func:`~polyshannon.shannon1d.tb_superposition`).
+    left-closed knots, a float for a scalar argument.
     """
 
     spectrum: SpectrumVector
     coeffs: tuple[np.ndarray, ...]
 
     def __call__(self, t):
-        flat = np.asarray(t, dtype=float).reshape(-1)
-        cell = np.floor(flat)
-        reached = np.flatnonzero((cell >= 0) & (cell < len(self.coeffs)))
-        out = np.zeros(flat.size)
-        if reached.size:
-            used, piece = np.unique(cell[reached].astype(np.int64), return_inverse=True)
-            x = 2.0 * (flat[reached] - cell[reached]) - 1.0
-            # one basis per point for every reached piece
-            sums = _chebyshev_sums([self.coeffs[m] for m in used], x)
-            out[reached] = sums[piece, np.arange(reached.size)]
-        out = out.reshape(np.shape(t))
+        t_arr = np.asarray(t, dtype=float)
+        out = np.zeros(t_arr.size)
+        for at, values in _translate_sums([(self, 0, np.ones((1, 1)))], t_arr, pointwise=True):
+            out[at] = values[0]
+        out = out.reshape(t_arr.shape)
         return float(out) if out.ndim == 0 else out
 
 
@@ -569,29 +559,65 @@ def _chebyshev_basis(x: np.ndarray, k: int) -> np.ndarray:
     return basis
 
 
-def _chebyshev_sums(series, x: np.ndarray) -> np.ndarray:
-    """sum_k c_k T_k(x) for each coefficient row c of ``series``: a
-    (len(series), x.size) array.
+def _translate_sums(terms, t: np.ndarray, pointwise: bool = False):
+    """Yield (at, values): the flat positions of at most ``_BASIS_CHUNK``
+    queries and, per coefficient row c of every term (cheb, first, rows)
+    (c_i at column i - first), stacked in term order, sum_i c_i Q_N(t - i).
 
-    The basis T_0..T_{K-1}(x), K the longest row, is formed one block of
-    ``_BASIS_CHUNK`` points at a time, and one einsum contracts it with the
-    rows zero-padded to K.  :meth:`TbChebyshev.__call__` passes every piece
-    its points reach in one call.  Over two or more columns
-    einsum adds the terms in ascending k at each point, so every value has
-    the bits of its own textbook sum, whatever the batch and whatever the
-    other rows; over one column it sums in another order, so a 1-point
-    block is padded to two.  A BLAS product would be faster, but its bits
-    vary with the batch shape.
+    On a cell [j, j+1) the sum is one Chebyshev series in x = 2(t - j) - 1
+    with coefficients B_j = sum_m c_{j-m} A_m, A_m piece m of Q_N.  The
+    queries are sorted once by cell (stably) and chunked in that order,
+    without those whose cell no term reaches (non-finite ones included),
+    whose sums are 0.  Each chunk forms T_k(x) once per query, to the
+    longest piece of all terms, and makes one product per cell of the
+    stacked B_j with the basis of the cell's queries.  By default that is
+    a BLAS matrix product, whose rounding follows its shape, so a row's
+    bits depend on its stacking.  ``pointwise`` is the case of
+    :meth:`TbChebyshev.__call__`, one term with the row [1] at i = 0:
+    B_j is piece j as it is, and einsum contracts each cell, adding the
+    terms in ascending k at each point over two or more columns (a
+    one-point cell has its column doubled), so every value has the bits of
+    its own textbook sum.
     """
-    rows = _padded(series, max(map(len, series)))
-    out = np.empty((len(series), x.size))
-    for start in range(0, x.size, _BASIS_CHUNK):
-        block = x[start : start + _BASIS_CHUNK]
-        n = block.size
-        basis = _chebyshev_basis(np.repeat(block, 2) if n == 1 else block, rows.shape[1])
-        out[:, start : start + n] = np.einsum("gk,kn->gn", rows, basis)[:, :n]
-        del basis
-    return out
+    flat = t.reshape(-1)
+    cells = np.floor(flat)
+    lo = min(first for _, first, _ in terms)
+    span = max(first + rows.shape[1] + len(cheb.coeffs) - 1 for cheb, first, rows in terms) - lo
+    # keys 1..span for the cells lo.., 0 before them (NaN too) and span + 1
+    # beyond: unsigned integers this small sort stably by radix
+    keys = np.fmin(np.fmax(cells - (lo - 1), 0.0), span + 1.0)
+    order = np.argsort(keys.astype(np.min_scalar_type(span + 1)), kind="stable")
+    start, stop = np.searchsorted(keys[order], [1, span + 1])
+    if start == stop:
+        return
+    c0 = int(cells[order[start]])
+    count = int(cells[order[stop - 1]]) - c0 + 1
+    k = max(len(c) for cheb, _, _ in terms for c in cheb.coeffs)
+    if pointwise:
+        cell_series = _padded(terms[0][0].coeffs, k)[c0 : c0 + count, None]
+    else:
+        # B[j - c0], stacked over the rows of every term: (cells, rows, k)
+        stacked = []
+        for cheb, first, rows in terms:
+            i = np.arange(c0 - first, c0 - first + count)[:, None] - np.arange(len(cheb.coeffs))
+            i[(i < 0) | (i >= rows.shape[1])] = rows.shape[1]  # the zero column appended
+            taken = np.concatenate([rows, np.zeros((len(rows), 1))], axis=1)[:, i]
+            stacked.append(taken.transpose(1, 0, 2) @ _padded(cheb.coeffs, k))
+        cell_series = np.concatenate(stacked, axis=1)
+    for s in range(start, stop, _BASIS_CHUNK):
+        at = order[s : min(s + _BASIS_CHUNK, stop)]
+        cell = cells[at]
+        basis = _chebyshev_basis(2.0 * (flat[at] - cell) - 1.0, k)
+        values = np.empty((cell_series.shape[1], len(at)), cell_series.dtype)
+        edges = [0, *(np.flatnonzero(np.diff(cell)) + 1), len(at)]
+        for a, b in zip(edges, edges[1:]):
+            series = cell_series[int(cell[a]) - c0]
+            if pointwise:
+                cols = basis[:, a:b] if b - a > 1 else np.repeat(basis[:, a:b], 2, axis=1)
+                values[:, a:b] = np.einsum("gk,kn->gn", series, cols)[:, : b - a]
+            else:
+                np.matmul(series, basis[:, a:b], out=values[:, a:b])
+        yield at, values
 
 
 def _cheb_coeffs(vals: np.ndarray) -> np.ndarray:
@@ -922,10 +948,6 @@ def _pole_proximity_digits(entries, lam) -> float:
 _RESOLVENT_FLOAT_LOSS_MAX = 3.0
 
 
-def _field_exp_float(v):
-    return cmath.exp(v) if isinstance(v, complex) else math.exp(v)
-
-
 def _resolvent_dps(spectrum: SpectrumVector, lam, stiff_exact: bool = False):
     """mpmath digits for :func:`_resolvent` at one Python-scalar ``lam``, or
     None for float64: escalate when ``lam`` is so close to a pole node
@@ -953,7 +975,7 @@ def _resolvent(spectrum: SpectrumVector, x: float, lam, stiff_exact: bool = Fals
         raise ValueError("lam must be nonzero")
     dps = _resolvent_dps(spectrum, lam, stiff_exact)
     system = _system(spectrum, dps)
-    x, exp = float(x), _field_exp_float
+    x, exp = float(x), math.exp
     with mp.workdps(dps or mp.dps):
         if dps is not None:
             x, lam, exp = mp.mpf(x), mp.mpmathify(lam), mp.exp

@@ -621,9 +621,9 @@ def test_one_basis_per_chunk_and_one_product_per_cell(monkeypatch):
     v = np.concatenate([rng.uniform(-4.0, 3.0, 2 * tbspline._BASIS_CHUNK + 40), [-6.5, 5.5]])
     d = rng.normal(size=(len(v), 3))
     bases, products = [], []
-    basis, matmul = shannon1d._chebyshev_basis, np.matmul
+    basis, matmul = tbspline._chebyshev_basis, np.matmul
     monkeypatch.setattr(
-        shannon1d, "_chebyshev_basis",
+        tbspline, "_chebyshev_basis",
         lambda x, k: bases.append(x.size) or basis(x, k))
     monkeypatch.setattr(
         np, "matmul",

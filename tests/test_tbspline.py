@@ -394,16 +394,39 @@ def _textbook_basis_sum(c, x):
 @pytest.mark.parametrize("points", [0, 1, 8, 20000, tbs._BASIS_CHUNK + 1])
 @pytest.mark.parametrize("length", [1, 2, 25])
 def test_clenshaw_matches_the_textbook_recurrence(length, points):
-    # _chebyshev_sums: each row of a zero-padded stack, in blocks whose last
-    # may hold one point, has the bits of its own textbook basis sum
+    # pieces of mixed lengths, zero-padded to the longest, in chunks whose
+    # last may hold one point: each value has the bits of its own textbook
+    # basis sum, and keeps them without the other pieces
     rng = np.random.default_rng(100 * length + points)
-    c, x = rng.standard_normal(length), rng.uniform(-1.0, 1.0, points)
-    longer, shorter = rng.standard_normal(length + 3), c[:1]
-    got = tbs._chebyshev_sums([c, longer, shorter], x)
-    assert got.shape == (3, points)
-    for row, series in zip(got, (c, longer, shorter)):
-        assert np.array_equal(row, _textbook_basis_sum(series, x))
-    assert np.array_equal(tbs._chebyshev_sums([c], x)[0], got[0])
+    c = rng.standard_normal(length)
+    series = (c, rng.standard_normal(length + 3), c[:1])
+    t = rng.integers(0, 3, points) + rng.uniform(0.0, 1.0, points)
+    got = tbs.TbChebyshev(SV([0.0, 0.0, 0.0]), series)(t)
+    assert got.shape == (points,)
+    cell = np.floor(t)
+    x = 2.0 * (t - cell) - 1.0
+    for m, piece in enumerate(series):
+        on = cell == m
+        assert np.array_equal(got[on], _textbook_basis_sum(piece, x[on]))
+    alone = tbs.TbChebyshev(SV([0.0]), series[:1])(t)
+    assert np.array_equal(alone[cell == 0], got[cell == 0])
+
+
+def test_pointwise_values_contract_each_point_once(monkeypatch):
+    # one einsum per cell of a chunk, over that cell's points alone: its
+    # rows x columns sum to the reached points, plus one for the doubled
+    # column of each one-point cell (3.5 is alone in its cell)
+    sv = SV([0.5, -1.0, 0.0, 2.0])
+    cheb = tb_chebyshev(sv)
+    rng = np.random.default_rng(67)
+    t = np.concatenate([rng.uniform(-1.0, 3.0, 300), [3.5, -2.0, 7.0, math.nan]])
+    reached = np.count_nonzero((t >= 0.0) & (t < sv.order))
+    sizes, einsum = [], np.einsum
+    monkeypatch.setattr(
+        np, "einsum",
+        lambda spec, a, b: sizes.append(a.shape[0] * b.shape[1]) or einsum(spec, a, b))
+    cheb(t)
+    assert len(sizes) == sv.order and sum(sizes) == reached + 1
 
 
 def test_pointwise_pieces_are_the_textbook_sums_bit_for_bit():
@@ -652,20 +675,19 @@ def test_euler_spline_scalar_call_returns_a_scalar():
 
 
 def test_euler_spline_forms_one_basis_for_all_pieces(monkeypatch):
-    # the N live translates at each x take the N pieces at one abscissa:
-    # one _chebyshev_sums call of N rows over the N entries per x
+    # the N live translates at each x take the N pieces: one Chebyshev
+    # basis, one column per entry, for the N entries per x
     sv = SV([0.5, -1.0, 0.0, 2.0])
     xs = np.array([-3.7, -1.0, 0.4, 2.999, 5.5])
-    calls = []
-    evaluate = tbs._chebyshev_sums
+    columns = []
+    basis = tbs._chebyshev_basis
     monkeypatch.setattr(
-        tbs, "_chebyshev_sums",
-        lambda series, x: calls.append((len(series), x.size)) or evaluate(series, x))
+        tbs, "_chebyshev_basis", lambda x, k: columns.append(x.size) or basis(x, k))
     euler_spline(sv, xs, 0.5)
-    assert calls == [(sv.order, sv.order * len(xs))]
-    # queries that no piece reaches make no call
+    assert columns == [sv.order * len(xs)]
+    # queries that no piece reaches form no basis
     far = tb_chebyshev(sv)(np.array([-5.0, 20.0, math.nan]))
-    assert calls == [(sv.order, sv.order * len(xs))] and not np.any(far)
+    assert columns == [sv.order * len(xs)] and not np.any(far)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
