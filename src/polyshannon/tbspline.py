@@ -20,14 +20,17 @@ other):
   digits that cancel, and refuses beyond ``SEVERITY_EXACT_MAX``
   (:class:`CancellationError`).  Point by point and slow: tests and checks
   only.
-* :func:`tb_chebyshev` -- the one piecewise form: one chopped Chebyshev
-  series per unit interval, sampled once per spectrum from the same data
-  reorganized as exponential polynomials per interval (assembled in mpmath,
-  sampled in exact fixed-point integers), and evaluated in float64 as a
-  sum over an explicit T_k basis (Trefethen, *Approximation Theory and
-  Approximation Practice*, ch. 3).  No stiffness cap and no per-point
-  mpmath work, so every library path that needs Q_N values runs on it,
-  through one evaluator of the sums of translates sum_i c_i Q_N(t - i)
+* :func:`tb_chebyshev` -- the one piecewise form: one Chebyshev series per
+  unit interval, built once per spectrum from the same data reorganized as
+  exponential polynomials per interval (assembled in mpmath).  Each term
+  u^r e^{l u} has exact Chebyshev coefficients, scaled Bessel values
+  I_k(|l|/2) from Miller's recurrence in fixed-point integers, so nothing
+  is sampled; each series keeps the shortest prefix whose dropped tail is
+  at most eps * max|Q|, and is evaluated in float64 as a sum over an
+  explicit T_k basis (Trefethen, *Approximation Theory and Approximation
+  Practice*, ch. 3).  No stiffness cap and no per-point mpmath work, so
+  every library path that needs Q_N values runs on it, through one
+  evaluator of the sums of translates sum_i c_i Q_N(t - i)
   (:func:`_translate_sums`): on a cell [j, j+1) such a sum is one
   Chebyshev series with coefficients sum_m c_{j-m} times piece m, summed
   over one T_k basis per point.  The callable is its one-term case, whose
@@ -335,23 +338,27 @@ def tb_exact(spectrum: SpectrumVector, t):
 def tb_fourier(spectrum: SpectrumVector, xi):
     """The TB symbol Q^(xi) = prod_j (e^{-l_j} - e^{-i xi})/(i xi - l_j).
 
-    Each factor is evaluated as e^{-l} * (1 - e^{-w})/w with w = i*xi - l,
-    switching to the Taylor polynomial of (1 - e^{-w})/w at the points with
-    |w| < 1e-6 (only there) so the removable singularity at xi = -i*l never
-    bites.
+    With z = e^{-i xi}, formed once, and w = i*xi - l, each factor is
+    (e^{-l} - z)/w, switching to e^{-l} times the Taylor polynomial of
+    (1 - e^{-w})/w at the points with |w| < 1e-6 (only there) so the
+    removable singularity at xi = -i*l never bites.  A factor of
+    multiplicity mu is multiplied in mu times.
     """
     xi_arr = np.asarray(xi, dtype=float)
     scalar = xi_arr.ndim == 0
     xi_arr = np.atleast_1d(xi_arr)
+    z = np.exp(-1j * xi_arr)
     out = np.ones(xi_arr.shape, dtype=complex)
     for li, mult in spectrum.entries:
+        el = math.exp(-li)
         w = 1j * xi_arr - li
         small = np.abs(w) < 1e-6
         ws = w[small]
         w[small] = 1.0
-        f = (1.0 - np.exp(-w)) / w
-        f[small] = 1.0 - ws / 2 + ws * ws / 6 - ws * ws * ws / 24
-        out *= (math.exp(-li) * f) ** mult
+        f = (el - z) / w
+        f[small] = el * (1.0 - ws / 2 + ws * ws / 6 - ws * ws * ws / 24)
+        for _ in range(mult):
+            out *= f
     return complex(out[0]) if scalar else out
 
 
@@ -504,9 +511,7 @@ def _spectral_tail(entries, beta, cutoff, per_unit, n, series_len):
 # piecewise Chebyshev form
 # --------------------------------------------------------------------------
 
-#: Chebyshev degree of the first sampling pass; doubled on nested points
-#: until every interval's series is chopped, up to the last value
-_CHEB_FIRST = 16
+#: most Chebyshev coefficients one unit interval's series may keep
 _CHEB_MAX = 1024
 
 
@@ -620,52 +625,6 @@ def _translate_sums(terms, t: np.ndarray, pointwise: bool = False):
         yield at, values
 
 
-def _cheb_coeffs(vals: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients from values at x_j = cos(pi j / n), j = 0..n (rows)."""
-    n = vals.shape[-1] - 1
-    ext = np.concatenate([vals, vals[..., n - 1 : 0 : -1]], axis=-1)
-    c = np.fft.rfft(ext, axis=-1).real / n
-    c[..., 0] /= 2.0
-    c[..., n] /= 2.0
-    return c
-
-
-def _standard_chop(coeffs: np.ndarray, tol: float) -> int | None:
-    """How many leading coefficients to keep, or None if the series is unresolved.
-
-    Chebfun's ``standardChop`` (Aurentz & Trefethen, ACM TOMS 43, 2017): find
-    a plateau in the monotone envelope of |c_k| below about tol^(2/3), then cut
-    where the envelope, tilted slightly towards low degree, is least.
-    """
-    if tol >= 1.0:
-        return 1
-    n = len(coeffs)
-    if n < 17:
-        return None
-    env = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
-    if env[0] == 0.0:
-        return 1
-    env = env / env[0]
-    log_tol = math.log(tol)
-    for j in range(2, n + 1):  # 1-based, as in the reference
-        j2 = math.floor(1.25 * j + 5.5)
-        if j2 > n:
-            return None
-        e1, e2 = env[j - 1], env[j2 - 1]
-        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - math.log(e1) / log_tol):
-            plateau = j - 1
-            break
-    if env[plateau - 1] == 0.0:
-        return plateau
-    floor = tol ** (7.0 / 6.0)
-    j3 = int(np.sum(env >= floor))
-    if j3 < j2:
-        j2 = j3 + 1
-        env[j2 - 1] = floor
-    tilted = np.log10(env[:j2]) + np.linspace(0.0, -math.log10(tol) / 3.0, j2)
-    return max(int(np.argmin(tilted)), 1)
-
-
 def _local_coeffs(entries, beta, n: int) -> tuple:
     """Q_N's blocks (l, coeffs) on each [m, m+1), m = 0..n-1, in mpmath.
 
@@ -692,7 +651,8 @@ def _local_coeffs(entries, beta, n: int) -> tuple:
     return tuple(pieces)
 
 
-#: fraction bits the fixed-point sampler carries beyond the pieces' precision
+#: fraction bits the fixed-point Chebyshev coefficients carry beyond the
+#: pieces' precision
 _GUARD_BITS = 64
 
 
@@ -737,39 +697,14 @@ def _pieces(spectrum: SpectrumVector):
     return freqs, tuple(rows), prec
 
 
-def _sample_pieces(pieces, us) -> np.ndarray:
-    """Every piece of :func:`_pieces` at the mp points ``us``: (pieces, len(us)).
-
-    Fixed-point arithmetic with ``prec + _GUARD_BITS`` fraction bits: each
-    point costs one exponential per distinct frequency, shared by all
-    pieces, then per piece an exact integer dot product and one correctly
-    rounded int/int division.  OverflowError if a value is beyond float64.
-    """
-    freqs, rows, prec = pieces
-    wp = prec + _GUARD_BITS
-    out = np.empty((len(rows), len(us)))
-    for j, u in enumerate(us):
-        man, exp = _binary(u)
-        u_fixed = _shift(man, exp + wp)
-        basis = []
-        for (l_man, l_exp), mult in freqs:
-            e = exp_fixed(_shift(l_man * man, l_exp + exp + wp), wp)
-            for _ in range(mult):
-                basis.append(e)
-                e = (e * u_fixed) >> wp
-        for m, (ints, low) in enumerate(rows):
-            out[m, j] = _ratio(sum(map(mul, ints, basis)), low - wp)
-    return out
-
-
 @lru_cache(maxsize=None)
 def tb_integer_values(spectrum: SpectrumVector) -> tuple[float, ...]:
     """(Q_N(1), ..., Q_N(N-1)): the data behind symbols and Euler-Frobenius.
 
     Q_N(m) is piece m of the local exp-polynomials at u = 0, the exact sum
     of its constant terms, rounded once to float64; the pieces are the ones
-    :func:`tb_chebyshev` samples, at :func:`tb_exact`'s precision and
-    without its stiffness cap.  Raises :class:`ConditioningError` when a
+    :func:`tb_chebyshev` expands in Chebyshev series, at :func:`tb_exact`'s
+    precision and without its stiffness cap.  Raises :class:`ConditioningError` when a
     value overflows float64.
     """
     n = spectrum.order
@@ -784,63 +719,122 @@ def tb_integer_values(spectrum: SpectrumVector) -> tuple[float, ...]:
         raise _overflow(spectrum) from None
 
 
-@lru_cache(maxsize=None)
-def _cheb_points(deg: int, dps: int, odd: bool) -> tuple:
-    """u_j = (1 + cos(pi j / deg)) / 2 for j = 0..deg, or only the odd j, in mpmath.
+def _bessel_count(lam: tuple[int, int], bits: int) -> int:
+    """The first k with 2 prod_{j<k} r_j <= 2**-bits, a bound on 2 I_k(a) e^{-a}
+    for a = |lam|/2 and lam = ``(man, exp)``; 1 for lam = 0.
 
-    The same points serve every spectrum whose precision rounds up to ``dps``.
+    r_j = a / (j + 1/2 + sqrt((j + 1/2)^2 + a^2)) bounds I_{j+1}(a)/I_j(a)
+    from above (Segura, *J. Math. Anal. Appl.* 374, 2011), and
+    I_0(a) <= e^a, so from T_k on every Chebyshev coefficient of e^{lam u}
+    (:func:`_exp_coeffs`) is below 2**-bits times its maximum on [0, 1].
     """
-    with mp.workdps(dps):
-        js = range(1, deg, 2) if odd else range(deg + 1)
-        return tuple(mp.cos(mp.pi * j / (2 * deg)) ** 2 for j in js)
+    man, exp = lam
+    if man == 0:
+        return 1
+    a = math.ldexp(abs(man), exp - 1)
+    k, log2 = 0, 1.0
+    while log2 > -bits:
+        log2 += math.log2(a / (k + 0.5 + math.hypot(k + 0.5, a)))
+        k += 1
+    return k
+
+
+def _exp_coeffs(lam: tuple[int, int], count: int, wp: int) -> list[int]:
+    """The first ``count`` Chebyshev coefficients of e^{lam u}, u = (1 + x)/2,
+    as integers with ``wp`` fraction bits; ``lam`` is ``(man, exp)``.
+
+    e^{lam u} = e^{lam/2} (I_0(a) + 2 sum_k (+-1)^k I_k(a) T_k(x)) with
+    a = |lam|/2 and the sign of lam.  Miller's backward recurrence
+    J_{k-1} = J_{k+1} + (2k/a) J_k from J_count = 0, J_{count-1} = 1 gives
+    J_k = s I_k(a) (Gautschi, *SIAM Rev.* 9, 1967), with an error of about
+    (I_count(a)/I_k(a))^2 relative, below 2**-wp of e^a when ``count`` is
+    past :func:`_bessel_count` for ``wp``.  S = J_0 + 2 sum_k J_k = s e^a
+    fixes s.  The coefficient of T_k is (2 - [k = 0]) J_k / S times e^lam
+    for lam > 0 and times (-1)^k for lam < 0: one exponential per positive
+    frequency, none otherwise.
+    """
+    man, exp = lam
+    if man == 0:
+        return [1 << wp] + [0] * (count - 1)
+    j_next, j = 0, 1 << wp
+    js = [0] * count
+    for k in range(count - 1, 0, -1):
+        js[k] = 2 * j
+        # 2k/a = 4k/|lam|, exactly up to the floor
+        j_next, j = j, j_next + _shift(4 * k * j, -exp) // abs(man)
+    js[0] = j
+    total = sum(js)
+    unit = exp_fixed(_shift(man, exp + wp), wp) if man > 0 else 1 << wp
+    coeffs = [j * unit // total for j in js]
+    return coeffs if man > 0 else [-c if k % 2 else c for k, c in enumerate(coeffs)]
+
+
+def _times_u(c: list[int]) -> list[int]:
+    """Chebyshev coefficients of u f, u = (1 + x)/2, from the two or more of
+    f, to the same length, rounded down: x T_0 = T_1 and
+    x T_k = (T_{k-1} + T_{k+1})/2."""
+    c = [*c, 0]
+    out = [2 * c[0] + c[1]]
+    out += [c[k - 1] + 2 * c[k] + c[k + 1] for k in range(1, len(c) - 1)]
+    out[1] += c[0]
+    return [v >> 2 for v in out]
+
+
+def _piece_coeffs(spectrum: SpectrumVector) -> np.ndarray:
+    """Every piece's Chebyshev coefficients, uncut: one row per piece.
+
+    Each basis function u^r e^{l u} of the local exp-polynomials
+    (:func:`_pieces`, at the precision :func:`tb_exact` would use) has
+    exact Chebyshev coefficients (:func:`_exp_coeffs`, then
+    :func:`_times_u` r times), formed in fixed point with
+    ``prec + _GUARD_BITS`` fraction bits to the length past which each
+    one is below 2**-(prec + _GUARD_BITS) of its function's maximum.
+    Coefficient k of piece m is the exact integer dot product of its row
+    with these, rounded once to float64.  Raises :class:`ConditioningError`
+    when a coefficient overflows float64.
+    """
+    freqs, rows, prec = _pieces(spectrum)
+    wp = prec + _GUARD_BITS
+    count = max(mult for _, mult in freqs) + max(_bessel_count(lam, wp) for lam, _ in freqs)
+    basis = []
+    for lam, mult in freqs:
+        c = _exp_coeffs(lam, count, wp)
+        for _ in range(mult):
+            basis.append(c)
+            c = _times_u(c)
+    try:
+        return np.array([
+            [_ratio(sum(map(mul, ints, column)), low - wp) for column in zip(*basis)]
+            for ints, low in rows
+        ])
+    except OverflowError:
+        raise _overflow(spectrum) from None
 
 
 @lru_cache(maxsize=None)
 def tb_chebyshev(spectrum: SpectrumVector) -> TbChebyshev:
-    """Q_N as chopped Chebyshev series, sampled once per spectrum.
+    """Q_N as one certified Chebyshev series per unit interval.
 
-    The local exp-polynomials of each unit interval (:func:`_pieces`, at
-    the precision :func:`tb_exact` would use) are sampled at Chebyshev
-    points (doubling on nested points) in exact fixed-point arithmetic and
-    rounded once to float64, so there is no stiffness cap and no
-    cancellation in the float evaluation.  Each interval is chopped by
-    Chebfun's rule relative to max|Q| over the whole support.  Raises
-    :class:`ConvergenceError` if some interval is still unresolved at
-    degree ``_CHEB_MAX``, and :class:`ConditioningError` as soon as a
-    sample overflows float64.
+    The series come exact from the local exp-polynomials
+    (:func:`_piece_coeffs`), with no stiffness cap and no cancellation in
+    the float evaluation.  Each keeps the shortest prefix whose dropped
+    tail sum |c_k| is at most eps * max|Q|, the maximum taken over every
+    piece at Chebyshev points.  Raises :class:`ConditioningError` when a
+    coefficient overflows float64, and then :class:`ConvergenceError` when
+    some series keeps more than ``_CHEB_MAX`` coefficients.
     """
-    n = spectrum.order
-    points_dps = -(-_exact_dps(spectrum) // 20) * 20
-    pieces = _pieces(spectrum)
-    eps = np.finfo(float).eps
-
-    def sample(deg: int, odd: bool) -> np.ndarray:
-        try:
-            return _sample_pieces(pieces, _cheb_points(deg, points_dps, odd))
-        except OverflowError:
-            raise _overflow(spectrum) from None
-
-    deg = _CHEB_FIRST
-    vals = sample(deg, False)
-    while True:
-        coeffs = _cheb_coeffs(vals)
-        local = np.max(np.abs(vals), axis=1)
-        scale = float(np.max(local))
-        cuts = [
-            _standard_chop(c, eps * max(1.0, scale / v) if v > 0.0 else 1.0)
-            for c, v in zip(coeffs, local)
-        ]
-        if None not in cuts:
-            break
-        if deg >= _CHEB_MAX:
-            raise ConvergenceError(
-                f"Chebyshev series of {spectrum} unresolved at degree {deg}"
-            )
-        # the points of degree 2*deg are the old ones plus the odd ones
-        merged = np.empty((n, 2 * deg + 1))
-        merged[:, 0::2] = vals
-        merged[:, 1::2] = sample(2 * deg, True)
-        vals, deg = merged, 2 * deg
+    coeffs = _piece_coeffs(spectrum)
+    count = coeffs.shape[1]
+    x = np.cos(np.pi * np.arange(count + 1) / count)
+    tol = np.finfo(float).eps * np.max(np.abs(coeffs @ _chebyshev_basis(x, count)))
+    # tails[m, k] = sum_{j >= k} |coeffs[m, j]|, non-increasing in k
+    tails = np.cumsum(np.abs(coeffs[:, ::-1]), axis=1)[:, ::-1]
+    cuts = np.maximum(np.count_nonzero(tails > tol, axis=1), 1)
+    if cuts.max() > _CHEB_MAX:
+        raise ConvergenceError(
+            f"Chebyshev series of {spectrum} needs {cuts.max()} coefficients, "
+            f"more than {_CHEB_MAX}"
+        )
     chopped = []
     for c, cut in zip(coeffs, cuts):
         c = c[:cut].copy()

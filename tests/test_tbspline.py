@@ -16,12 +16,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
 from scipy.integrate import quad
 from scipy.interpolate import BSpline
 
 from polyshannon.cli import _battery
 from polyshannon.shannon1d import tb_superposition
-from polyshannon.spectrum import SpectrumVector, radial_spectrum
+from polyshannon.spectrum import SpectrumVector, radial_spectrum, strip_spectrum
 from polyshannon import tbspline as tbs
 from polyshannon.tbspline import (
     CancellationError,
@@ -81,15 +82,18 @@ def test_fourier_frozen_values():
 def _masked_fourier(spectrum, xi):
     # the symbol as np.where over the whole array picks each factor's branch
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    z = np.exp(-1j * xi)
     out = np.ones(xi.shape, dtype=complex)
     for li, mult in spectrum.entries:
+        el = math.exp(-li)
         w = 1j * xi - li
         small = np.abs(w) < 1e-6
         w_safe = np.where(small, 1.0, w)
-        f = (1.0 - np.exp(-w_safe)) / w_safe
+        f = (el - z) / w_safe
         ws = np.where(small, w, 0.0)
-        f = np.where(small, 1.0 - ws / 2 + ws * ws / 6 - ws * ws * ws / 24, f)
-        out *= (math.exp(-li) * f) ** mult
+        f = np.where(small, el * (1.0 - ws / 2 + ws * ws / 6 - ws * ws * ws / 24), f)
+        for _ in range(mult):
+            out *= f
     return out
 
 
@@ -333,6 +337,48 @@ def test_chebyshev_matches_mpmath_green_sum_on_battery():
     assert worst <= 1e-13
 
 
+def test_chebyshev_cut_is_the_shortest_certified_prefix():
+    # every series drops a tail sum |c_k| of at most eps * max|Q| and no
+    # shorter prefix would; max|Q| is read here on a fine uniform grid.  The
+    # strips {-+sqrt 29}, {-+sqrt 37} (p = 2) keep at most 23 coefficients
+    classical, strips, radial = _battery()
+    extra = [strip_spectrum(math.sqrt(29.0), 2), strip_spectrum(math.sqrt(37.0), 2)]
+    eps = np.finfo(float).eps
+    for sv in classical + strips + radial + extra:
+        cheb = tb_chebyshev(sv)
+        peak = np.max(np.abs(cheb(np.linspace(0.0, sv.order, 200 * sv.order + 1))))
+        full = tbs._piece_coeffs(sv)
+        for c, row in zip(cheb.coeffs, full):
+            assert np.array_equal(c, row[: len(c)]), str(sv)
+            assert np.sum(np.abs(row[len(c):])) <= eps * peak * 1.001, str(sv)
+            if len(c) > 1:
+                assert np.sum(np.abs(row[len(c) - 1:])) > eps * peak * 0.999, str(sv)
+    for sv in extra:
+        assert max(len(c) for c in tb_chebyshev(sv).coeffs) <= 23, str(sv)
+
+
+@pytest.mark.parametrize("lam", [-37.5, -3.0, 0.0, 1e-3, 2.5, 40.0])
+def test_exp_coefficients_match_mpmath_bessel(lam):
+    # e^{lam u}, u = (1 + x)/2, has the T_k coefficients
+    # (2 - [k = 0]) e^{lam/2} I_k(lam/2): mpmath's besseli at twice the
+    # working precision checks the fixed-point Miller recurrence, to
+    # 2**-prec of max e^{lam u} on [0, 1], up to the length past which every
+    # coefficient is below 2**-wp of it
+    with mp.workdps(40):
+        prec = mp.prec
+        lam_bin = tbs._binary(mp.mpf(lam))
+    wp = prec + tbs._GUARD_BITS
+    count = tbs._bessel_count(lam_bin, wp) + 1
+    got = tbs._exp_coeffs(lam_bin, count, wp)
+    with mp.workprec(2 * wp):
+        half = mp.mpf(lam) / 2
+        scale = max(mp.mpf(1), mp.exp(lam))
+        for k, c in enumerate(got):
+            want = (1 if k == 0 else 2) * mp.exp(half) * mp.besseli(k, half)
+            assert abs(mp.mpf(c) / 2**wp - want) <= 2.0**-prec * scale, k
+        assert abs(want) <= 2.0**-wp * scale
+
+
 def test_chebyshev_edge_conventions():
     # the callable, and a single translate summed by tb_superposition
     for freqs in ([0.0, 0.0], [2.0, -3.0, 0.5], [-8.0, 8.0, 0.0, 0.0]):
@@ -498,11 +544,15 @@ def test_chebyshev_is_cached_per_spectrum():
 
 
 def test_chebyshev_unresolved_degree_raises(monkeypatch):
+    # {-9, 9} keeps 23 coefficients on each interval, past a limit of 16;
+    # a spectrum whose coefficients overflow is named for that first
     tb_chebyshev.cache_clear()
-    monkeypatch.setattr(tbs, "_CHEB_MAX", tbs._CHEB_FIRST)
+    monkeypatch.setattr(tbs, "_CHEB_MAX", 16)
     try:
         with pytest.raises(ConvergenceError):
             tb_chebyshev(SV([9.0, -9.0]))
+        with pytest.raises(ConditioningError, match="overflow float64"):
+            tb_chebyshev(SV([800.0, -800.0]))
     finally:
         tb_chebyshev.cache_clear()
 
@@ -566,9 +616,10 @@ def test_pieces_are_built_once_per_spectrum(monkeypatch):
 @pytest.mark.parametrize("dps", [30, 300])
 @pytest.mark.parametrize("x", [-37.25, 700.5])
 def test_mpmath_fixed_point_exp_api(dps, x):
-    # the sampler's one mpmath internal: exp of a fixed-point integer with
-    # `prec` fraction bits, returned with the same scaling.  The range
-    # reduction by ln 2 costs about log2|x| bits, well inside the guard bits.
+    # the Chebyshev build's one mpmath internal, called once per positive
+    # frequency: exp of a fixed-point integer with `prec` fraction bits,
+    # returned with the same scaling.  The range reduction by ln 2 costs
+    # about log2|x| bits, well inside the guard bits.
     from mpmath import mp
     from mpmath.libmp.libelefun import exp_fixed
 
