@@ -697,26 +697,30 @@ def _pieces(spectrum: SpectrumVector):
     return freqs, tuple(rows), prec
 
 
-@lru_cache(maxsize=None)
-def tb_integer_values(spectrum: SpectrumVector) -> tuple[float, ...]:
-    """(Q_N(1), ..., Q_N(N-1)): the data behind symbols and Euler-Frobenius.
-
-    Q_N(m) is piece m of the local exp-polynomials at u = 0, the exact sum
-    of its constant terms, rounded once to float64; the pieces are the ones
-    :func:`tb_chebyshev` expands in Chebyshev series, at :func:`tb_exact`'s
-    precision and without its stiffness cap.  Raises :class:`ConditioningError` when a
-    value overflows float64.
-    """
-    n = spectrum.order
-    if n < 2:
-        return ()
+def _knot_values(spectrum: SpectrumVector) -> list[float]:
+    """Every piece of :func:`_pieces` at u = 0, the exact sum of its constant
+    terms rounded once to float64.  Raises :class:`ConditioningError` when a
+    value overflows float64."""
     freqs, rows, _ = _pieces(spectrum)
     # the basis index of each frequency's u^0 e^{l u}
     starts = list(accumulate((mult for _, mult in freqs[:-1]), initial=0))
     try:
-        return tuple(_ratio(sum(ints[k] for k in starts), low) for ints, low in rows[1:])
+        return [_ratio(sum(ints[k] for k in starts), low) for ints, low in rows]
     except OverflowError:
         raise _overflow(spectrum) from None
+
+
+@lru_cache(maxsize=None)
+def tb_integer_values(spectrum: SpectrumVector) -> tuple[float, ...]:
+    """(Q_N(1), ..., Q_N(N-1)): the data behind symbols and Euler-Frobenius.
+
+    Q_N(m) is piece m of the local exp-polynomials at u = 0
+    (:func:`_knot_values`); the pieces are the ones :func:`tb_chebyshev`
+    expands in Chebyshev series, at :func:`tb_exact`'s precision and
+    without its stiffness cap.  Raises :class:`ConditioningError` when a
+    value overflows float64.
+    """
+    return tuple(_knot_values(spectrum)[1:]) if spectrum.order > 1 else ()
 
 
 def _bessel_count(lam: tuple[int, int], bits: int) -> int:
@@ -791,8 +795,10 @@ def _piece_coeffs(spectrum: SpectrumVector) -> np.ndarray:
     one is below 2**-(prec + _GUARD_BITS) of its function's maximum.
     Coefficient k of piece m is the exact integer dot product of its row
     with these, rounded once to float64.  Raises :class:`ConditioningError`
-    when a coefficient overflows float64.
+    when a knot value overflows float64, before the recurrences, whose
+    cost grows with |lambda|, and when a coefficient does.
     """
+    _knot_values(spectrum)
     freqs, rows, prec = _pieces(spectrum)
     wp = prec + _GUARD_BITS
     count = max(mult for _, mult in freqs) + max(_bessel_count(lam, wp) for lam, _ in freqs)
@@ -820,13 +826,18 @@ def tb_chebyshev(spectrum: SpectrumVector) -> TbChebyshev:
     the float evaluation.  Each keeps the shortest prefix whose dropped
     tail sum |c_k| is at most eps * max|Q|, the maximum taken over every
     piece at Chebyshev points.  Raises :class:`ConditioningError` when a
-    coefficient overflows float64, and then :class:`ConvergenceError` when
-    some series keeps more than ``_CHEB_MAX`` coefficients.
+    coefficient or one of those values overflows float64, and then
+    :class:`ConvergenceError` when some series keeps more than
+    ``_CHEB_MAX`` coefficients.
     """
     coeffs = _piece_coeffs(spectrum)
     count = coeffs.shape[1]
     x = np.cos(np.pi * np.arange(count + 1) / count)
     tol = np.finfo(float).eps * np.max(np.abs(coeffs @ _chebyshev_basis(x, count)))
+    if not np.isfinite(tol):
+        # e^{lam u} peaks about sqrt(pi |lam| / 2) times above its largest
+        # coefficient, so the values can overflow where no coefficient does
+        raise _overflow(spectrum)
     # tails[m, k] = sum_{j >= k} |coeffs[m, j]|, non-increasing in k
     tails = np.cumsum(np.abs(coeffs[:, ::-1]), axis=1)[:, ::-1]
     cuts = np.maximum(np.count_nonzero(tails > tol, axis=1), 1)

@@ -570,6 +570,32 @@ def test_values_beyond_float64_fail_by_name(freqs):
             build(SV(freqs))
 
 
+def test_values_beyond_float64_from_finite_coefficients_fail_by_name(monkeypatch):
+    # Q_1 of {-711} is e^{711 (1 - t)}: its knot value e^711 is beyond
+    # float64, and N = 1 has no integer values.  With the knot check off,
+    # every Chebyshev coefficient is finite, about 47 times below e^711,
+    # and the values they sum to still name the overflow
+    sv = SV([-711.0])
+    with pytest.raises(ConditioningError, match="overflow float64"):
+        tb_chebyshev(sv)
+    monkeypatch.setattr(tbs, "_knot_values", lambda spectrum: None)
+    assert np.isfinite(tbs._piece_coeffs(sv)).all()
+    with pytest.raises(ConditioningError, match="overflow float64"):
+        tb_chebyshev(sv)
+
+
+def test_overflow_is_named_before_the_bessel_recurrences(monkeypatch):
+    # the recurrences cost more the larger |lambda|; an overflowing knot
+    # value stops the build before them
+    def recurrence(*args):
+        raise AssertionError("Bessel recurrence ran")
+
+    monkeypatch.setattr(tbs, "_exp_coeffs", recurrence)
+    for freqs in ([800.0, -800.0], [-1500.0, 1500.0], [-711.0]):
+        with pytest.raises(ConditioningError, match="overflow float64"):
+            tb_chebyshev(SV(freqs))
+
+
 def test_integer_values_match_exact_green_sum_on_battery():
     # the pieces' constant terms against the independent pointwise Green's sum
     classical, strips, radial = _battery()
