@@ -37,7 +37,6 @@ from .spherical import (
     sph_harm_degree,
     sph_index,
     synthesize_sphere,
-    zonal,
 )
 from .strip import (
     StripField,
@@ -115,6 +114,5 @@ __all__ = [
     "tb_superposition",
     "tb_tabulate",
     "torus_modes",
-    "zonal",
     "__version__",
 ]

@@ -82,7 +82,6 @@ __all__ = [
     "NarrowGridError",
     "NotSamplableError",
     "SamplingGrid",
-    "autocorrelation",
     "cardinal_series",
     "channel_samples",
     "channel_series",
@@ -91,7 +90,6 @@ __all__ = [
     "check_channel_queries",
     "check_samples",
     "coefficient_count",
-    "gram_symbol",
     "kernel_fourier",
     "sampled_symbol",
     "spline_series",
@@ -129,7 +127,8 @@ def _divisor(spectrum: SpectrumVector, kind: str) -> dict[int, float]:
     ``kind``: "interp", phi*, c_m = Q_N(m); "dual", G, c_m = e^{-sum lambda}
     Q_{2N}[sym](m + N), since |Q^_Lambda|^2 = e^{i N xi} e^{-sum lambda}
     Q^_{Lambda u -Lambda}(xi) folds (Poisson) to integer samples of the
-    order-2N spline of the symmetrized multiset."""
+    order-2N spline of the symmetrized multiset: c_m = <Q, Q(. - m)>, and G
+    is real and bounded away from zero, the Riesz function of the basis."""
     if kind == "interp":
         return dict(enumerate(tb_integer_values(spectrum), start=1))
     n = spectrum.order
@@ -138,18 +137,13 @@ def _divisor(spectrum: SpectrumVector, kind: str) -> dict[int, float]:
     return {m - n: pref * q for m, q in enumerate(qm2, start=1)}
 
 
-def _symbol(spectrum: SpectrumVector, kind: str, xi) -> np.ndarray:
-    """D(xi) of :func:`_divisor` on the circle, complex, at least 1-D."""
+def sampled_symbol(spectrum: SpectrumVector, xi):
+    """phi*(xi) = sum_{m=1}^{N-1} Q_N(m) e^{-i xi m} (raw TB normalization),
+    the "interp" divisor of :func:`_divisor` on the circle."""
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     out = np.zeros(xi_arr.shape, dtype=complex)
-    for m, c in _divisor(spectrum, kind).items():
+    for m, c in _divisor(spectrum, "interp").items():
         out += c * np.exp(-1j * xi_arr * m)
-    return out
-
-
-def sampled_symbol(spectrum: SpectrumVector, xi):
-    """phi*(xi) = sum_{m=1}^{N-1} Q_N(m) e^{-i xi m} (raw TB normalization)."""
-    out = _symbol(spectrum, "interp", xi)
     return complex(out[0]) if np.ndim(xi) == 0 else out
 
 
@@ -174,19 +168,6 @@ def symbol_margin(spectrum: SpectrumVector) -> SymbolMargin:
 def kernel_fourier(spectrum: SpectrumVector, xi):
     """S_0^(xi) = Q^(xi) / phi*(xi)."""
     return tb_fourier(spectrum, xi) / sampled_symbol(spectrum, xi)
-
-
-def gram_symbol(spectrum: SpectrumVector, xi):
-    """G(xi) = sum_k |Q^(xi + 2 pi k)|^2 = e^{-sum lambda} sum_{m=1}^{2N-1}
-    Q_{2N}[sym](m) e^{i xi (N - m)} (:func:`_divisor`).  Real and bounded
-    away from zero: the Riesz function of the basis."""
-    vals = _symbol(spectrum, "dual", xi).real
-    return float(vals[0]) if np.ndim(xi) == 0 else vals
-
-
-def autocorrelation(spectrum: SpectrumVector, tau: int) -> float:
-    """<Q, Q(. - tau)> = e^{-sum lambda} Q_{2N}[sym](tau + N), a coefficient of G."""
-    return _divisor(spectrum, "dual").get(tau, 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -382,12 +363,13 @@ class BoundaryTailWarning(UserWarning):
     """Query too close to the edge of the sampled range; kernel tails truncated."""
 
 
-def check_samples(samples) -> None:
-    """ValueError unless ``samples`` is a 2-D array of finite values."""
+def check_samples(samples, name: str = "samples") -> None:
+    """ValueError, naming the array ``name``, unless ``samples`` is a 2-D
+    array of finite values: a field's samples or a generator's coefficients."""
     if np.ndim(samples) != 2:
-        raise ValueError(f"samples must be 2-D, got shape {np.shape(samples)}")
+        raise ValueError(f"{name} must be 2-D, got shape {np.shape(samples)}")
     if not np.all(np.isfinite(samples)):
-        raise ValueError("samples contain NaN or infinite values")
+        raise ValueError(f"{name} contain NaN or infinite values")
 
 
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep

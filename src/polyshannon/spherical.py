@@ -74,7 +74,6 @@ __all__ = [
     "sph_index",
     "synthesize_directions",
     "synthesize_sphere",
-    "zonal",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -269,8 +268,9 @@ def sph_harm(k: int, ell: int, direction):
 
 
 def _zonal_stream(cos_gamma, degree_max: int):
-    """Yield (k, Z_k(cos_gamma)), k = 0..degree_max: (2k+1)/4pi times the
-    Legendre polynomial P_k, stepped by Bonnet's recurrence (k+1) P_{k+1} =
+    """Yield (k, Z_k(cos_gamma)), k = 0..degree_max: the zonal harmonic, the
+    degree-k reproducing kernel, is (2k+1)/4pi times the Legendre polynomial
+    P_k, stepped by Bonnet's recurrence (k+1) P_{k+1} =
     (2k+1) x P_k - k P_{k-1} in the form P_{k+1} = x P_k + k/(k+1) (x P_k -
     P_{k-1}), whose correction term is small near +-1.  ValueError unless
     cos(gamma) is finite, |cos(gamma)| <= 1 + 1e-12 (then clipped)."""
@@ -285,17 +285,6 @@ def _zonal_stream(cos_gamma, degree_max: int):
         if k < degree_max:
             xp = x * prev
             older, prev = prev, xp + k / (k + 1) * (xp - older)
-
-
-def zonal(k: int, cos_gamma):
-    """Zonal harmonic Z_k = ((2k+1)/4pi) P_k, the degree-k reproducing kernel
-    (float for a scalar cos(gamma)), from :func:`_zonal_stream`, which also
-    checks cos(gamma); ValueError unless k is an integer >= 0."""
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise ValueError(f"degree must be an integer >= 0, got {k!r}")
-    for _, values in _zonal_stream(cos_gamma, k):
-        pass
-    return float(values) if values.ndim == 0 else values
 
 
 # --------------------------------------------------------------------------
@@ -438,7 +427,10 @@ class ShannonPolysplineKernel:
 
     @classmethod
     def build(cls, degree_max: int, n: int = 3, p: int = 1) -> "ShannonPolysplineKernel":
-        """The kernel from the default-grid :func:`radial_kernel` tables."""
+        """The kernel from the default-grid :func:`radial_kernel` tables;
+        ValueError unless ``degree_max`` is an integer >= 0."""
+        if not isinstance(degree_max, (int, np.integer)) or degree_max < 0:
+            raise ValueError(f"degree must be an integer >= 0, got {degree_max!r}")
         return cls(tuple(radial_kernel(k, n, p) for k in range(degree_max + 1)))
 
     def eval(self, r, cos_gamma):
@@ -477,6 +469,7 @@ class SyntheticPolyspline(_OnHarmonics):
     coeffs: np.ndarray  # (mode_count, n_i)
 
     def __post_init__(self) -> None:
+        check_samples(self.coeffs, "coefficients")
         _degree_max(len(self.coeffs))
 
     @property

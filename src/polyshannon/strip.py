@@ -232,6 +232,7 @@ class SyntheticStripField(_OnTorusModes):
     coeffs: np.ndarray  # complex, (n_modes, n_i)
 
     def __post_init__(self) -> None:
+        check_samples(self.coeffs, "coefficients")
         self._check_mode_count(len(self.coeffs))
 
     def eval(self, t, ys) -> np.ndarray:

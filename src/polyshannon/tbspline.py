@@ -375,10 +375,6 @@ class TbTable:
     per_unit: int
     values: np.ndarray
 
-    @property
-    def grid(self) -> np.ndarray:
-        return np.arange(len(self.values), dtype=float) / self.per_unit
-
     def __call__(self, t):
         from .tables import interp6
 
@@ -933,52 +929,21 @@ def _power_sum_field(system, x, lam, exp, pow=pow):
     return sum(bj * pow(lam, -j) for j, bj in enumerate(beta)) * total
 
 
-def _pole_proximity_digits(entries, lam) -> float:
-    """Decimal digits the rational continuation burns as lam nears a node.
-
-    A frequency of multiplicity m contributes poles of order up to m at
-    lam = e^{lambda_i}; at relative distance d the closed form cancels
-    roughly m * log10(1/d) digits.
-    """
-    worst = 0.0
-    for li, cvec in entries:
-        d = abs(math.exp(li) / lam - 1.0)
-        if 0.0 < d < 1.0:
-            worst = max(worst, len(cvec) * math.log10(1.0 / d))
-    return worst
-
-
 #: float64 keeps ~13 clean digits in the resolvent as long as pole
 #: proximity burns no more than this many
 _RESOLVENT_FLOAT_LOSS_MAX = 3.0
 
 
-def _resolvent_dps(spectrum: SpectrumVector, lam, stiff_exact: bool = False):
-    """mpmath digits for :func:`_resolvent` at one Python-scalar ``lam``, or
-    None for float64: escalate when ``lam`` is so close to a pole node
-    e^{lambda_i} that the closed form would cancel more than
-    ``_RESOLVENT_FLOAT_LOSS_MAX`` digits, or when ``stiff_exact`` is set and
-    the spectrum is stiffer than ``SEVERITY_FLOAT_MAX``."""
-    loss = _pole_proximity_digits(_system(spectrum)[0], lam)
-    dps = 30 + int(loss) if loss > _RESOLVENT_FLOAT_LOSS_MAX else None
-    if stiff_exact and cancellation_severity(spectrum) > SEVERITY_FLOAT_MAX:
-        dps = max(dps or 0, _exact_dps(spectrum))
-    return dps
-
-
-def _resolvent(spectrum: SpectrumVector, x: float, lam, stiff_exact: bool = False):
+def _resolvent(spectrum: SpectrumVector, x: float, lam, dps: int | None):
     """Phi(x; lam) for x in [0, 1): B(lam) * sum_{j>=0} lam^{-j} g(x + j),
-    with B(lam) = sum_k beta_k lam^{-k}.
+    with B(lam) = sum_k beta_k lam^{-k}, for one Python-scalar ``lam``.
 
     ``g`` is the causal Green's function of the operator.  The geometric-type
     series converges only for |lam| large, but each pole contributes a
     rational function of e^{lambda_i}/lam, which continues the sum to every
-    ``lam`` off the points e^{lambda_i} (and 0), in the field
-    :func:`_resolvent_dps` picks.
+    ``lam`` off the points e^{lambda_i} (and 0): in float64 when ``dps`` is
+    None, else in mpmath at ``dps`` digits.
     """
-    if lam == 0:
-        raise ValueError("lam must be nonzero")
-    dps = _resolvent_dps(spectrum, lam, stiff_exact)
     system = _system(spectrum, dps)
     x, exp = float(x), math.exp
     with mp.workdps(dps or mp.dps):
@@ -996,11 +961,15 @@ def euler_spline_resolvent(spectrum: SpectrumVector, x, lam):
     Entirely independent of pointwise TB values, which is the point: it
     cross-examines :func:`euler_spline` and the Euler-Frobenius coefficients.
     ``x`` and ``lam`` broadcast; scalars give a ``float`` (``complex`` for a
-    complex ``lam``).  Precision is chosen per ``lam``: the real float64
-    draws run as one array pass of the closed form, with scalar C ``pow``
-    and ``exp`` per element so that they keep the scalar bits; mpmath draws
-    and complex ``lam`` run one scalar call each.  Raises ValueError on a
-    NaN or infinite ``x``, a zero ``lam`` or a ``lam`` on a pole node.
+    complex ``lam``).  A frequency of multiplicity m puts poles of order up
+    to m at lam = e^{lambda_i}, where at relative distance d the closed form
+    cancels about m * log10(1/d) digits; a draw that loses more than
+    ``_RESOLVENT_FLOAT_LOSS_MAX`` runs in mpmath at 30 more digits than it
+    loses.  The other real draws run as one float64 array pass of the
+    closed form, with scalar C ``pow`` and ``exp`` per element so that they
+    keep the scalar bits; mpmath draws and complex ``lam`` run one scalar
+    call each.  Raises ValueError on a NaN or infinite ``x``, a zero ``lam``
+    or a ``lam`` on a pole node.
     """
     x, lam = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(lam))
     if np.any(lam == 0):
@@ -1009,8 +978,13 @@ def euler_spline_resolvent(spectrum: SpectrumVector, x, lam):
     shape, x, lam = x.shape, x.ravel(), lam.ravel()
     k = np.floor(x)
     u, lams = x - k, lam.tolist()
-    fast = np.array([isinstance(v, float) and _resolvent_dps(spectrum, v) is None
-                     for v in lams], dtype=bool)
+    loss = np.zeros(len(lams))
+    for li, mult in spectrum.entries:
+        d = np.abs(math.exp(li) / lam - 1.0)
+        near = (0.0 < d) & (d < 1.0)
+        loss[near] = np.maximum(loss[near], mult * np.log10(1.0 / d[near]))
+    exact = loss > _RESOLVENT_FLOAT_LOSS_MAX
+    fast = ~exact & (lam.dtype.kind != "c")
     out = np.empty(len(lams), np.result_type(lam, np.float64))
     if fast.any():
         lf = lam[fast].astype(np.float64)
@@ -1019,7 +993,8 @@ def euler_spline_resolvent(spectrum: SpectrumVector, x, lam):
         val = _power_sum_field(_system(spectrum), u[fast], lf, exp_, pow_)
         out[fast] = val * pow_(lf, k[fast])
     for i in np.flatnonzero(~fast):
-        out[i] = _resolvent(spectrum, u[i], lams[i]) * lams[i] ** int(k[i])
+        dps = 30 + int(loss[i]) if exact[i] else None
+        out[i] = _resolvent(spectrum, u[i], lams[i], dps) * lams[i] ** int(k[i])
     return out.reshape(shape) if shape else out.item()
 
 
@@ -1065,7 +1040,11 @@ def euler_frobenius(spectrum: SpectrumVector) -> EFPolynomial:
     poly = EFPolynomial(spectrum, coeffs)
 
     direct = float(np.polyval(np.asarray(coeffs), -1.0))
-    reference = _ef_reference_value(spectrum, -1.0)
+    # lam = -1 is far from every pole node e^{lambda_i} > 0; only stiffness
+    # calls for mpmath there
+    stiff = cancellation_severity(spectrum) > SEVERITY_FLOAT_MAX
+    phi = _resolvent(spectrum, 0.0, -1.0, _exact_dps(spectrum) if stiff else None)
+    reference = sign * scale * (-1.0) ** (n - 1) * phi
     tol = 1e-8 * max(1.0, sum(abs(c) for c in coeffs))
     if abs(direct - reference) > tol:
         raise EFAccuracyError(
@@ -1073,14 +1052,6 @@ def euler_frobenius(spectrum: SpectrumVector) -> EFPolynomial:
             f"direct {direct!r} vs resolvent {reference!r}"
         )
     return poly
-
-
-def _ef_reference_value(spectrum: SpectrumVector, lam: float) -> float:
-    """P(lam) via the resolvent identity, in mpmath when stiffness demands."""
-    n = spectrum.order
-    sign = -1.0 if n % 2 == 0 else 1.0
-    phi = _resolvent(spectrum, 0.0, lam, stiff_exact=True)
-    return sign * math.exp(spectrum.freq_sum()) * lam ** (n - 1) * phi
 
 
 def ef_zeros(spectrum: SpectrumVector) -> np.ndarray:

@@ -92,6 +92,10 @@ def test_every_record_loads_back_equal(tmp_path):
                  id="pspf-n-2"),
     pytest.param(lambda: SyntheticPolyspline(3, 1, -3, np.ones((3, 5))),
                  id="sphere-generator-3-rows"),
+    pytest.param(lambda: SyntheticPolyspline(3, 2, -6, np.ones(4)),
+                 id="sphere-generator-coeffs-not-2d"),
+    pytest.param(lambda: SyntheticPolyspline(3, 1, -3, np.full((4, 5), np.nan)),
+                 id="sphere-generator-nan-coeffs"),
     pytest.param(lambda: StripField(2, 1, 2, -2, np.ones((5, 5), complex)),
                  id="pssf-cutoff-2-with-5-columns"),
     pytest.param(lambda: StripField(2, 1, 1, -2, np.ones((5, 13), complex)),
@@ -106,6 +110,10 @@ def test_every_record_loads_back_equal(tmp_path):
                  id="pssf-infinite-samples"),
     pytest.param(lambda: SyntheticStripField(2, 1, 1, -2, np.ones((13, 3), complex)),
                  id="strip-generator-13-rows"),
+    pytest.param(lambda: SyntheticStripField(2, 1, 1, -2, np.ones(5, complex)),
+                 id="strip-generator-coeffs-not-2d"),
+    pytest.param(lambda: SyntheticStripField(2, 1, 1, -2, np.full((5, 3), 1j * np.inf)),
+                 id="strip-generator-infinite-coeffs"),
 ])
 def test_inconsistent_or_non_finite_records_are_not_constructible(build):
     with pytest.raises(ValueError):

@@ -14,12 +14,10 @@ from polyshannon.shannon1d import (
     NarrowGridError,
     NotSamplableError,
     SamplingGrid,
-    autocorrelation,
     cardinal_series,
     channel_samples,
     channel_series,
     channel_values,
-    gram_symbol,
     kernel_fourier,
     sampled_symbol,
     spline_series,
@@ -365,14 +363,23 @@ def test_squared_modulus_identity():
 
 
 def test_gram_symbol_matches_truncated_fold():
+    # G(xi) = sum_k |Q^(xi + 2 pi k)|^2 from the "dual" divisor coefficients
     xi = np.linspace(0.0, 2.0 * math.pi, 33)
     for sv in (LINEAR, SKEW):
         fold = np.zeros_like(xi)
         for k in range(-40, 41):
             fold += np.abs(tb_fourier(sv, xi + 2.0 * math.pi * k)) ** 2
-        got = gram_symbol(sv, xi)
+        gram = shannon1d._divisor(sv, "dual").items()
+        got = sum(c * np.exp(-1j * xi * m) for m, c in gram)
+        assert np.max(np.abs(got.imag)) < 1e-12 * np.max(got.real)
+        got = got.real
         assert np.max(np.abs(fold - got)) < 1e-6 * np.max(got)
         assert np.min(got) > 0.0
+
+
+def _autocorrelation(sv, tau):
+    """<Q, Q(. - tau)>: a coefficient of the "dual" divisor G."""
+    return shannon1d._divisor(sv, "dual").get(tau, 0.0)
 
 
 def test_autocorrelation_against_quadrature():
@@ -385,17 +392,17 @@ def test_autocorrelation_against_quadrature():
                     lambda t: tb_exact(sv, t) * tb_exact(sv, t - tau),
                     float(m), float(m + 1),
                 )
-            assert abs(direct - autocorrelation(sv, tau)) < 1e-12 * max(
+            assert abs(direct - _autocorrelation(sv, tau)) < 1e-12 * max(
                 1.0, abs(direct)
             ), (sv, tau)
-        assert autocorrelation(sv, n) == 0.0
+        assert _autocorrelation(sv, n) == 0.0
 
 
 def test_autocorrelation_matrix_is_positive_definite():
     for sv in (CUBIC, SKEW, EXP2):
         n = sv.order
         taus = np.arange(-6, 7)
-        rho = np.array([autocorrelation(sv, int(t)) for t in taus])
+        rho = np.array([_autocorrelation(sv, int(t)) for t in taus])
         mat = np.array([[rho[6 + j - k] if abs(j - k) <= 6 else 0.0
                          for k in range(7)] for j in range(7)])
         eig = np.linalg.eigvalsh(mat)

@@ -167,6 +167,47 @@ def test_every_library_name_the_benchmark_binds_resolves():
     assert [name for name in sorted(names) if not _resolves(name)] == []
 
 
+#: the modules each of whose public names needs a caller outside tests/
+CALLED = ("spectrum", "tbspline", "shannon1d", "spherical", "strip")
+
+#: public names with no caller outside tests/ yet: the ROADMAP item that
+#: gives each one
+UNCALLED = {
+    "ef_contour": "item 16, the ef/contour verify row",
+    "kernel_fourier": "item 16, the cross-check verify rows",
+    "analyze_sphere": "items 4 and 11, point values on the spheres",
+    "synthesize_sphere": "items 4 and 11, point values on the spheres",
+    "analyze_torus": "items 4 and 11, point values on the planes",
+    "synthesize_torus": "items 4 and 11, point values on the planes",
+}
+
+
+def _read_names(source: str) -> set[str]:
+    """Every name the source reads, bare or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    assert _read_names("import m\nx = m.f(g)\nm.y = 1\n'h'\n") == {"m", "f", "g"}
+    quick_start = re.search(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                            re.S | re.M).group(1)
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"), *BENCHMARKS.glob("*.py")]
+    sources = [path.read_text() for path in paths if path.name != "__init__.py"]
+    read = set().union(*map(_read_names, [*sources, quick_start]))
+    importlib.import_module("polyshannon.cli")  # every module the layer table names
+    read |= {path.split(".")[0] for _, path, *_ in _load(BENCHMARKS / "tracer.py")._layer_table()}
+    uncalled = [
+        name for module in CALLED
+        for name in importlib.import_module(f"polyshannon.{module}").__all__
+        if name not in read
+    ]
+    assert sorted(uncalled) == sorted(UNCALLED)
+
+
 def _absolute_imports(source: str) -> set[str]:
     """Top-level names of every absolute import in the source."""
     names = set()

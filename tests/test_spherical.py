@@ -28,9 +28,9 @@ from polyshannon.spherical import (
     sph_index,
     synthesize_directions,
     synthesize_sphere,
-    zonal,
     _harmonic_stream,
     _order_block,
+    _zonal_stream,
 )
 
 
@@ -245,9 +245,16 @@ def test_addition_theorem_matches_legendre():
         assert np.max(np.abs(total - want)) < 1e-12
 
 
+def _zonal(k, cos_gamma):
+    """Z_k alone: the last value of :func:`_zonal_stream` up to degree k."""
+    for _, values in _zonal_stream(cos_gamma, k):
+        pass
+    return values
+
+
 def test_zonal_frozen_values():
-    assert abs(zonal(0, 0.37) - 1.0 / (4.0 * math.pi)) < 1e-15
-    assert abs(zonal(1, 1.0) - 3.0 / (4.0 * math.pi)) < 1e-15
+    assert abs(_zonal(0, 0.37) - 1.0 / (4.0 * math.pi)) < 1e-15
+    assert abs(_zonal(1, 1.0) - 3.0 / (4.0 * math.pi)) < 1e-15
 
 
 @pytest.mark.parametrize("k, cos_gamma", [
@@ -260,8 +267,10 @@ def test_zonal_frozen_values():
     (2, np.array([0.1, math.nan])),
 ])
 def test_zonal_rejects_bad_inputs(k, cos_gamma):
+    # the degree is checked where the zonal kernel is built, cos(gamma) where
+    # its zonal harmonics are stepped
     with pytest.raises(ValueError):
-        zonal(k, cos_gamma)
+        ShannonPolysplineKernel.build(k, 3, 1).eval(1.0, cos_gamma)
 
 
 def test_zonal_matches_scipy_legendre():
@@ -275,11 +284,10 @@ def test_zonal_matches_scipy_legendre():
     ends = np.concatenate([1.0 - gaps, gaps - 1.0])
     for k in range(65):
         scale = (2 * k + 1) / (4.0 * math.pi)
-        err = np.abs(zonal(k, x) - scale * eval_legendre(k, x))
+        err = np.abs(_zonal(k, x) - scale * eval_legendre(k, x))
         assert np.max(err) <= 1e-13 * scale, k
-        err = np.abs(zonal(k, ends) - scale * eval_legendre(k, ends))
+        err = np.abs(_zonal(k, ends) - scale * eval_legendre(k, ends))
         assert np.max(err) <= (1e-13 + 2.3e-16 * k * (k + 1) / 2) * scale, k
-    assert isinstance(zonal(3, 0.25), float)
 
 
 def test_zonal_ends_match_mpmath_legendre():
@@ -292,7 +300,7 @@ def test_zonal_ends_match_mpmath_legendre():
         for k in range(65):
             scale = (2 * k + 1) / (4.0 * math.pi)
             want = np.array([scale * float(mpmath.legendre(k, mpmath.mpf(x))) for x in ends])
-            assert np.max(np.abs(zonal(k, ends) - want)) <= 2e-13 * scale, k
+            assert np.max(np.abs(_zonal(k, ends) - want)) <= 2e-13 * scale, k
 
 
 def test_kernel_eval_matches_scipy_legendre_sum():
@@ -316,7 +324,7 @@ def test_zonal_reproduces_harmonics():
     psi = _random_directions(rng, 1)[0]
     for k, ell in ((2, 1), (4, 7), (6, 13)):
         cosg = np.tensordot(pts, psi, axes=(2, 0))
-        integral = float(np.sum(w * zonal(k, cosg) * sph_harm(k, ell, pts.reshape(-1, 3)).reshape(pts.shape[:2])))
+        integral = float(np.sum(w * _zonal(k, cosg) * sph_harm(k, ell, pts.reshape(-1, 3)).reshape(pts.shape[:2])))
         assert abs(integral - sph_harm(k, ell, psi)) < 1e-9
 
 
@@ -585,7 +593,7 @@ def test_kernel_eval_consistency_with_zonal_projection():
 def test_kernel_eval_at_unit_radius():
     kernel = ShannonPolysplineKernel.build(3, n=3, p=1)
     cosg = 0.42
-    want = sum(zonal(k, cosg) for k in range(4))
+    want = sum(z for _, z in _zonal_stream(cosg, 3))
     assert abs(kernel.eval(1.0, cosg) - want) < 1e-10
 
 

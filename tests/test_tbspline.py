@@ -687,7 +687,7 @@ def test_tabulate_matches_exact_moderate():
     for freqs in ([0.0] * 4, [-1.0, 1.0], [2.0, -3.0]):
         sv = SV(freqs)
         tab = tb_tabulate(sv)
-        ref = tb_exact(sv, tab.grid)
+        ref = tb_exact(sv, np.arange(len(tab.values)) / tab.per_unit)
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(tab.values - ref)) < 1e-9 * scale
 
@@ -697,7 +697,7 @@ def test_tabulate_matches_exact_stiff():
     for freqs in ([16.0, -17.0], [16.0, 18.0, -17.0, -15.0]):
         sv = SV(freqs)
         tab = tb_tabulate(sv)
-        ref = tb_exact(sv, tab.grid)
+        ref = tb_exact(sv, np.arange(len(tab.values)) / tab.per_unit)
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(tab.values - ref)) < 1e-7 * scale
 
@@ -787,15 +787,22 @@ def test_euler_spline_resolvent_array_equals_scalar_loop():
     # of a pole node take the mpmath route, complex lam stays scalar
     xs = np.array([-3.7, -3.0, -1.0, -0.25, 0.0, 0.4, 1.0, 1.7, 2.999, 5.5])
 
+    def digits(sv, lam):
+        # the precision rule on one Python scalar: mpmath at 30 + int(loss)
+        # digits where pole proximity burns more than the float64 allowance
+        loss = max([m * math.log10(1.0 / d) for li, m in sv.entries
+                    if 0.0 < (d := abs(math.exp(li) / lam - 1.0)) < 1.0], default=0.0)
+        return 30 + int(loss) if loss > tbs._RESOLVENT_FLOAT_LOSS_MAX else None
+
     def scalar(sv, x, lam):
         k = math.floor(x)
-        return tbs._resolvent(sv, x - k, lam) * lam**k
+        return tbs._resolvent(sv, x - k, lam, digits(sv, lam)) * lam**k
 
     for sv in (SV([0.5, -1.0, 0.0, 2.0]), radial_spectrum(3, 3, 2), SV([0, 0, 0, 0])):
         nodes = [math.exp(li) for li, _ in sv.entries]
         lams = np.array([-4.0, -2.5, -0.35, 0.2, 1.3, 4.0]
                         + [e * (1.0 + d) for e in nodes for d in (1e-6, -1e-6)])
-        assert any(tbs._resolvent_dps(sv, float(lam)) for lam in lams)
+        assert any(digits(sv, float(lam)) for lam in lams)
         grid = euler_spline_resolvent(sv, xs[:, None], lams[None, :])
         loop = np.array([[scalar(sv, float(x), float(lam)) for lam in lams] for x in xs])
         assert grid.shape == (len(xs), len(lams)) and grid.dtype == np.float64
