@@ -22,13 +22,14 @@ other):
   only.
 * :func:`tb_chebyshev` -- the one piecewise form: one Chebyshev series per
   unit interval, built once per spectrum from the same data reorganized as
-  exponential polynomials per interval (assembled in mpmath).  Each term
-  u^r e^{l u} has exact Chebyshev coefficients, scaled Bessel values
-  I_k(|l|/2) from Miller's recurrence in fixed-point integers, so nothing
-  is sampled; each series keeps the shortest prefix whose dropped tail is
-  at most eps * max|Q|, and is evaluated in float64 as a sum over an
-  explicit T_k basis (Trefethen, *Approximation Theory and Approximation
-  Practice*, ch. 3).  No stiffness cap and no per-point mpmath work, so
+  exponential polynomials per interval (assembled in fixed-point
+  integers).  Each term u^r e^{l u} has exact Chebyshev coefficients,
+  scaled Bessel values I_k(|l|/2) from Miller's recurrence in fixed-point
+  integers, so nothing is sampled; each piece is formed to the length a
+  proven tail bound needs, each series keeps the shortest prefix whose
+  dropped tail is at most eps * max|Q|, and is evaluated in float64 as a
+  sum over an explicit T_k basis (Trefethen, *Approximation Theory and
+  Approximation Practice*, ch. 3).  No stiffness cap and no per-point mpmath work, so
   every library path that needs Q_N values runs on it, through one
   evaluator of the sums of translates sum_i c_i Q_N(t - i)
   (:func:`_translate_sums`): on a cell [j, j+1) such a sum is one
@@ -56,7 +57,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -144,7 +144,8 @@ def cancellation_severity(spectrum: SpectrumVector) -> float:
 #
 # The same partial-fraction / convolution algebra runs in float64 and in
 # mpmath, so the helpers below work on plain Python lists of whatever scalar
-# type they are handed ("one" supplies the field's multiplicative unit).
+# type they are handed ("one" supplies the field's multiplicative unit);
+# :func:`_shift_mul` also multiplies integer polynomials.
 # --------------------------------------------------------------------------
 
 def _shift_mul(coeffs: list, d, trunc: int) -> list:
@@ -621,41 +622,15 @@ def _translate_sums(terms, t: np.ndarray, pointwise: bool = False):
         yield at, values
 
 
-def _local_coeffs(entries, beta, n: int) -> tuple:
-    """Q_N's blocks (l, coeffs) on each [m, m+1), m = 0..n-1, in mpmath.
-
-    On [m, m+1) only the Green translates beta_j g(t - j), j <= m, are
-    switched on; re-expanding t^s e^{l t} about u = t - m gives the local
-    coefficient of u^r e^{l u}.
-    """
-    growth = [[mp.exp(li * delta) for delta in range(n)] for li, _ in entries]
-    pieces = []
-    for m in range(n):
-        blocks = []
-        for (li, cvec), exps in zip(entries, growth):
-            coeffs = [mp.mpf(0)] * len(cvec)
-            for j in range(m + 1):
-                delta = m - j
-                w = beta[j] * exps[delta]
-                for s, cs in enumerate(cvec):
-                    if cs == 0:
-                        continue
-                    for r in range(s + 1):
-                        coeffs[r] += w * cs * math.comb(s, r) * delta ** (s - r)
-            blocks.append((li, tuple(coeffs)))
-        pieces.append(tuple(blocks))
-    return tuple(pieces)
-
-
-#: fraction bits the fixed-point Chebyshev coefficients carry beyond the
-#: pieces' precision
+#: fraction bits the fixed-point pieces and Chebyshev coefficients carry
+#: beyond the precision :func:`tb_exact` would use
 _GUARD_BITS = 64
 
 
-def _binary(x) -> tuple[int, int]:
-    """(man, exp) with the mpf ``x`` = man * 2**exp exactly."""
-    sign, man, exp, _ = x._mpf_
-    return (-man if sign else man), exp
+def _binary(x: float) -> tuple[int, int]:
+    """(man, exp) with ``x`` = man * 2**exp exactly."""
+    num, den = x.as_integer_ratio()
+    return num, 1 - den.bit_length()
 
 
 def _shift(num: int, bits: int) -> int:
@@ -663,45 +638,114 @@ def _shift(num: int, bits: int) -> int:
     return num << bits if bits >= 0 else num >> -bits
 
 
-def _ratio(num: int, exp: int) -> float:
-    """num * 2**exp correctly rounded to float64; OverflowError beyond its range."""
-    return num / (1 << -exp) if exp < 0 else float(num << exp)
+def _green_fixed(lams: list[tuple[int, int]], mults: list[int], fb: int) -> list[list[int]]:
+    """The Green coefficients a_{i,s}/s! of :func:`_green_terms` as integers
+    with ``fb`` fraction bits, exact but for one rounding down each.
+
+    With l_i = ``lams[i]`` = (man, exp) scaled by 2**-e0 to integers L_i,
+    h(u) = prod_{j != i} (u + L_i - L_j)^{mu_j} has integer coefficients,
+    and its reciprocal series is sum_k p_k u^k / h_0^{k+1} with the integers
+    p_0 = 1, p_k = -sum_{l=1}^{k} h_l p_{k-l} h_0^{l-1}.  So
+    a_{i,s} = 2**(e0 (s + 1 - N)) p_{mu_i-1-s} / h_0^{mu_i-s}.
+    """
+    e0 = min((exp for man, exp in lams if man), default=0)
+    scaled = [man << (exp - e0) for man, exp in lams]
+    n = sum(mults)
+    out = []
+    for i, (li, mi) in enumerate(zip(scaled, mults)):
+        h = [1]
+        for j, (lj, mj) in enumerate(zip(scaled, mults)):
+            for _ in range(mj if j != i else 0):
+                h = _shift_mul(h, li - lj, mi)
+        p = [1]
+        for k in range(1, mi):
+            p.append(-sum(h[l] * p[k - l] * h[0] ** (l - 1) for l in range(1, min(k + 1, len(h)))))
+        cvec = []
+        for s in range(mi):
+            num, den, bits = p[mi - 1 - s], h[0] ** (mi - s) * math.factorial(s), fb + e0 * (s + 1 - n)
+            cvec.append((num << bits) // den if bits >= 0 else num // (den << -bits))
+        out.append(cvec)
+    return out
 
 
 @lru_cache(maxsize=None)
 def _pieces(spectrum: SpectrumVector):
-    """Q_N's local exp-polynomials, built once per spectrum, as exact binary numbers.
+    """Q_N's local exp-polynomials, built once per spectrum in fixed point.
 
-    :func:`_local_coeffs` runs at :func:`_exact_dps`, the precision of
-    :func:`tb_exact`.  Returns ``(freqs, rows, prec)``: ``freqs`` holds
-    (lambda as ``(man, exp)``, multiplicity mu) per distinct frequency;
-    piece m is 2**low * sum_k ints[k] b_k(u) with ``(ints, low) = rows[m]``
-    and the basis b = u^r e^{l u}, r = 0..mu-1, of each frequency in turn;
-    ``prec`` is the bit precision the pieces were assembled at.
+    On [m, m+1) only the Green translates beta_j g(t - j), j <= m, are
+    switched on, and t^s e^{l t} re-expanded about u = t - m gives the
+    local coefficient of u^r e^{l u}:
+
+        sum_{d=0}^{m} beta_{m-d} e^{l d} sum_{s>=r} c_s C(s, r) d^{s-r}.
+
+    Every quantity is an integer with ``fb = prec + _GUARD_BITS`` fraction
+    bits, ``prec`` the bit precision of :func:`tb_exact`
+    (:func:`_exact_dps`): the Green coefficients c_s = a_s/s!
+    (:func:`_green_fixed`); e^{|l|} from one ``exp_fixed`` per nonzero
+    frequency and e^{-|l|} as its reciprocal; beta, the coefficients of
+    prod_j (e^{-l_j} - w)^{mu_j}, as one exact integer product rounded
+    once per coefficient; e^{l d} as products of e^l.  Each rounding errs
+    by at most 2**-fb, times co-factors of at most about
+    e^{max|l| N} max|a|, which ``prec`` covers with its guard digits.
+    Returns ``(freqs, rows, prec)``: ``freqs`` holds (lambda as
+    ``(man, exp)``, multiplicity mu) per distinct frequency; piece m is
+    2**-fb * sum_k rows[m][k] b_k(u) with the basis b = u^r e^{l u},
+    r = 0..mu-1, of each frequency in turn.
     """
-    dps = _exact_dps(spectrum)
-    entries, beta = _system(spectrum, dps)
-    with mp.workdps(dps):
-        blocks = _local_coeffs(entries, beta, spectrum.order)
+    _check_gaps(spectrum)
+    with mp.workdps(_exact_dps(spectrum)):
         prec = mp.prec
-    freqs = tuple((_binary(li), len(cs)) for li, cs in blocks[0])
-    rows = []
-    for piece in blocks:
-        terms = [_binary(c) for _, cs in piece for c in cs]
-        low = min((exp for man, exp in terms if man), default=0)
-        rows.append((tuple(_shift(man, exp - low) for man, exp in terms), low))
-    return freqs, tuple(rows), prec
+    fb = prec + _GUARD_BITS
+    one = 1 << fb
+    lams = [_binary(v) for v, _ in spectrum.entries]
+    mults = [m for _, m in spectrum.entries]
+    n = spectrum.order
+    green = _green_fixed(lams, mults, fb)
+    up, down = [], []
+    for man, exp in lams:
+        big = exp_fixed(_shift(abs(man), exp + fb), fb) if man else one
+        small = (one * one) // big
+        up.append(big if man >= 0 else small)
+        down.append(small if man >= 0 else big)
+    product = [1]
+    for x, mult in zip(down, mults):
+        for _ in range(mult):
+            product = [a * x - b for a, b in zip(product + [0], [0] + product)]
+    beta = [_shift(c, -fb * (n - 1 - k)) for k, c in enumerate(product)]
+    # terms[i][d][r] = e^{l_i d} sum_{s>=r} c_s C(s, r) d^{s-r}, 2 fb fraction bits
+    terms = []
+    for e, cvec in zip(up, green):
+        growth, shifted = one, []
+        for d in range(n):
+            shifted.append([growth * sum(c * math.comb(s, r) * d ** (s - r)
+                                         for s, c in enumerate(cvec) if s >= r)
+                            for r in range(len(cvec))])
+            growth = growth * e >> fb
+        terms.append(shifted)
+    rows = tuple(
+        tuple(sum(beta[m - d] * t[d][r] for d in range(m + 1)) >> 2 * fb
+              for t in terms for r in range(len(t[0])))
+        for m in range(n)
+    )
+    return tuple(zip(lams, mults)), rows, prec
+
+
+def _knot_sums(freqs, rows) -> list[int]:
+    """Every piece of :func:`_pieces` at u = 0: the exact sum of its
+    constant terms, with the pieces' fraction bits."""
+    # the basis index of each frequency's u^0 e^{l u}
+    starts = list(accumulate((mult for _, mult in freqs[:-1]), initial=0))
+    return [sum(ints[k] for k in starts) for ints in rows]
 
 
 def _knot_values(spectrum: SpectrumVector) -> list[float]:
-    """Every piece of :func:`_pieces` at u = 0, the exact sum of its constant
-    terms rounded once to float64.  Raises :class:`ConditioningError` when a
-    value overflows float64."""
-    freqs, rows, _ = _pieces(spectrum)
-    # the basis index of each frequency's u^0 e^{l u}
-    starts = list(accumulate((mult for _, mult in freqs[:-1]), initial=0))
+    """Every piece of :func:`_pieces` at u = 0 (:func:`_knot_sums`) rounded
+    once to float64 (integer true division rounds correctly).  Raises
+    :class:`ConditioningError` when a value overflows float64."""
+    freqs, rows, prec = _pieces(spectrum)
+    unit = 1 << (prec + _GUARD_BITS)
     try:
-        return [_ratio(sum(ints[k] for k in starts), low) for ints, low in rows]
+        return [v / unit for v in _knot_sums(freqs, rows)]
     except OverflowError:
         raise _overflow(spectrum) from None
 
@@ -719,24 +763,56 @@ def tb_integer_values(spectrum: SpectrumVector) -> tuple[float, ...]:
     return tuple(_knot_values(spectrum)[1:]) if spectrum.order > 1 else ()
 
 
-def _bessel_count(lam: tuple[int, int], bits: int) -> int:
-    """The first k with 2 prod_{j<k} r_j <= 2**-bits, a bound on 2 I_k(a) e^{-a}
-    for a = |lam|/2 and lam = ``(man, exp)``; 1 for lam = 0.
+def _bessel_count(lam: tuple[int, int], bits: float) -> int:
+    """The first k >= 1 with 2 prod_{j<k} r_j / (1 - r_k) <= 2**-bits, for
+    a = |lam|/2 and lam = ``(man, exp)``; 1 for lam = 0.
 
     r_j = a / (j + 1/2 + sqrt((j + 1/2)^2 + a^2)) bounds I_{j+1}(a)/I_j(a)
-    from above (Segura, *J. Math. Anal. Appl.* 374, 2011), and
-    I_0(a) <= e^a, so from T_k on every Chebyshev coefficient of e^{lam u}
-    (:func:`_exp_coeffs`) is below 2**-bits times its maximum on [0, 1].
+    from above and falls with j (Segura, *J. Math. Anal. Appl.* 374, 2011),
+    so sum_{j>=k} I_j(a) <= I_k(a)/(1 - r_k), and I_k(a) <= e^a
+    prod_{j<k} r_j.  From T_k on, the Chebyshev coefficients of e^{lam u}
+    (:func:`_exp_coeffs`, 2 e^{lam/2} I_j(a) in modulus) therefore sum to
+    at most 2**-bits e^{max(lam, 0)}.
     """
     man, exp = lam
     if man == 0:
         return 1
     a = math.ldexp(abs(man), exp - 1)
     k, log2 = 0, 1.0
-    while log2 > -bits:
-        log2 += math.log2(a / (k + 0.5 + math.hypot(k + 0.5, a)))
+    while True:
+        r = a / (k + 0.5 + math.hypot(k + 0.5, a))
+        if k and log2 - math.log2(1.0 - r) <= -bits:
+            return k
+        log2 += math.log2(r)
         k += 1
-    return k
+
+
+def _series_length(freqs, rows, fb: int) -> int:
+    """How many Chebyshev coefficients of every piece :func:`_piece_coeffs`
+    forms: a K with sum_{k>=K} |c_k| <= 2**-_GUARD_BITS eps L for every
+    piece, L = max|Q_N(m)| <= max|Q_N|, the largest knot value.
+
+    The coefficients of u^r e^{l u} from index K on sum to at most those
+    of e^{l u} from K - r on, since u = (1 + x)/2 moves each coefficient by
+    at most one index and does not enlarge their sum.  With W_f >= sum_r
+    |ints_r| 2**-fb over frequency f's basis, in every row, K is the
+    largest over f of ``_bessel_count`` + mu_f - 1 at the bits that put
+    W_f times the tail below 1/F of the budget, F the number of
+    frequencies: integer bounds but for lambda log2(e) and the product
+    inside :func:`_bessel_count`, whose float rounding one spare bit
+    covers.  ``rows`` are those of :func:`_pieces`, with ``fb`` fraction
+    bits.
+    """
+    # L >= 2**(peak - 1), from the exact knot sums
+    peak = max(map(abs, _knot_sums(freqs, rows))).bit_length() - fb
+    budget = peak - 1 - 52 - _GUARD_BITS - (len(freqs) - 1).bit_length() - 1
+    count, start = 1, 0
+    for lam, mult in freqs:
+        weight = max(sum(map(abs, ints[start:start + mult])).bit_length() for ints in rows) - fb
+        start += mult
+        growth = math.ceil(max(math.ldexp(*lam), 0.0) * math.log2(math.e))
+        count = max(count, _bessel_count(lam, weight + growth - budget) + mult - 1)
+    return count
 
 
 def _exp_coeffs(lam: tuple[int, int], count: int, wp: int) -> list[int]:
@@ -746,12 +822,14 @@ def _exp_coeffs(lam: tuple[int, int], count: int, wp: int) -> list[int]:
     e^{lam u} = e^{lam/2} (I_0(a) + 2 sum_k (+-1)^k I_k(a) T_k(x)) with
     a = |lam|/2 and the sign of lam.  Miller's backward recurrence
     J_{k-1} = J_{k+1} + (2k/a) J_k from J_count = 0, J_{count-1} = 1 gives
-    J_k = s I_k(a) (Gautschi, *SIAM Rev.* 9, 1967), with an error of about
-    (I_count(a)/I_k(a))^2 relative, below 2**-wp of e^a when ``count`` is
-    past :func:`_bessel_count` for ``wp``.  S = J_0 + 2 sum_k J_k = s e^a
-    fixes s.  The coefficient of T_k is (2 - [k = 0]) J_k / S times e^lam
-    for lam > 0 and times (-1)^k for lam < 0: one exponential per positive
-    frequency, none otherwise.
+    J_k = s (I_k(a) - (-1)^{count+k} K_k(a) I_count(a)/K_count(a))
+    (Gautschi, *SIAM Rev.* 9, 1967): each J_k errs by at most s I_count,
+    since K_k rises with k.  S = J_0 + 2 sum_k J_k fixes s as S/e^a, which
+    misses the terms from I_count on and so errs, relative to e^a, by about
+    the tail that :func:`_bessel_count` bounds: at most twice it.  The
+    coefficient of T_k is (2 - [k = 0]) J_k / S times e^lam for lam > 0 and
+    times (-1)^k for lam < 0: one exponential per positive frequency, none
+    otherwise.
     """
     man, exp = lam
     if man == 0:
@@ -765,7 +843,11 @@ def _exp_coeffs(lam: tuple[int, int], count: int, wp: int) -> list[int]:
     js[0] = j
     total = sum(js)
     unit = exp_fixed(_shift(man, exp + wp), wp) if man > 0 else 1 << wp
-    coeffs = [j * unit // total for j in js]
+    # unit / total to total.bit_length() fraction bits: each coefficient
+    # errs by at most two units
+    bits = total.bit_length()
+    scale = (unit << bits) // total
+    coeffs = [j * scale >> bits for j in js]
     return coeffs if man > 0 else [-c if k % 2 else c for k, c in enumerate(coeffs)]
 
 
@@ -781,34 +863,36 @@ def _times_u(c: list[int]) -> list[int]:
 
 
 def _piece_coeffs(spectrum: SpectrumVector) -> np.ndarray:
-    """Every piece's Chebyshev coefficients, uncut: one row per piece.
+    """Every piece's first Chebyshev coefficients: one row per piece.
 
     Each basis function u^r e^{l u} of the local exp-polynomials
-    (:func:`_pieces`, at the precision :func:`tb_exact` would use) has
-    exact Chebyshev coefficients (:func:`_exp_coeffs`, then
-    :func:`_times_u` r times), formed in fixed point with
-    ``prec + _GUARD_BITS`` fraction bits to the length past which each
-    one is below 2**-(prec + _GUARD_BITS) of its function's maximum.
-    Coefficient k of piece m is the exact integer dot product of its row
-    with these, rounded once to float64.  Raises :class:`ConditioningError`
-    when a knot value overflows float64, before the recurrences, whose
-    cost grows with |lambda|, and when a coefficient does.
+    (:func:`_pieces`) has exact Chebyshev coefficients
+    (:func:`_exp_coeffs`, then :func:`_times_u` r times), formed in fixed
+    point with ``prec + _GUARD_BITS`` fraction bits.  Every row stops at
+    :func:`_series_length`, past which its coefficients sum to at most
+    2**-_GUARD_BITS eps max|Q_N(m)|; Miller's recurrence starts there too,
+    which keeps the error of every coefficient formed to a few times that
+    bound.  Coefficient k of piece m is the exact integer dot product of
+    its row with these, rounded once to float64.  Raises
+    :class:`ConditioningError` when a knot value overflows float64, before
+    the recurrences, whose cost grows with |lambda|, and when a coefficient
+    does.
     """
     _knot_values(spectrum)
     freqs, rows, prec = _pieces(spectrum)
     wp = prec + _GUARD_BITS
-    count = max(mult for _, mult in freqs) + max(_bessel_count(lam, wp) for lam, _ in freqs)
+    count = _series_length(freqs, rows, wp)
     basis = []
     for lam, mult in freqs:
         c = _exp_coeffs(lam, count, wp)
         for _ in range(mult):
             basis.append(c)
             c = _times_u(c)
+    # exact integer dot products, 2 wp fraction bits
+    dots = np.array(rows, dtype=object) @ np.array(basis, dtype=object)
+    unit = 1 << (2 * wp)
     try:
-        return np.array([
-            [_ratio(sum(map(mul, ints, column)), low - wp) for column in zip(*basis)]
-            for ints, low in rows
-        ])
+        return np.array([[v / unit for v in row] for row in dots])
     except OverflowError:
         raise _overflow(spectrum) from None
 
@@ -828,8 +912,10 @@ def tb_chebyshev(spectrum: SpectrumVector) -> TbChebyshev:
     """
     coeffs = _piece_coeffs(spectrum)
     count = coeffs.shape[1]
-    x = np.cos(np.pi * np.arange(count + 1) / count)
-    tol = np.finfo(float).eps * np.max(np.abs(coeffs @ _chebyshev_basis(x, count)))
+    # T_k(cos(pi j / count)) = cos(pi k j / count), j = 0..count
+    grid = np.cos(np.pi / count * (np.outer(np.arange(count), np.arange(count + 1)) % (2 * count)))
+    with np.errstate(over="ignore"):
+        tol = np.finfo(float).eps * np.max(np.abs(coeffs @ grid))
     if not np.isfinite(tol):
         # e^{lam u} peaks about sqrt(pi |lam| / 2) times above its largest
         # coefficient, so the values can overflow where no coefficient does
@@ -899,39 +985,47 @@ def _eulerian_coeffs(r: int) -> tuple[int, ...]:
     return tuple(a)
 
 
-def _geom_moment(r: int, mu, pow=pow):
-    """G_r(mu) = sum_{j>=0} j^r mu^j continued to all mu != 1."""
-    coeffs = _eulerian_coeffs(r)
-    num = 0 * mu
-    for c in reversed(coeffs):
-        num = num * mu + c
-    return num / pow(1 - mu, r + 1)
+def _eulerian(r: int, mu):
+    """A_r(mu) by Horner's rule."""
+    out = 0 * mu
+    for c in reversed(_eulerian_coeffs(r)):
+        out = out * mu + c
+    return out
 
 
-def _power_sum_field(system, x, lam, exp, pow=pow):
-    """B(lam) * sum_{j>=0} lam^{-j} g(x+j) continued past |e^l/lam| = 1, in
-    any field; float64 arrays need elementwise scalar ``exp`` and ``pow``."""
-    entries, beta = system
-    total = 0 * lam
-    for li, cvec in entries:
-        mu = exp(li) / lam
+def _power_sum_field(entries, x, lam, exp, pow=pow):
+    """B(lam) * sum_{j>=0} lam^{-j} g(x+j) in pole-free form, for the Green
+    terms ``entries`` of :func:`_system`, in any field; float64 arrays need
+    elementwise scalar ``exp`` and ``pow``.
+
+    With mu_j = e^{l_j}/lam, B(lam) = prod_j e^{-l_j m_j} (1 - mu_j)^{m_j}
+    and the power sum is sum_i e^{l_i x} sum_s c_s sum_r C(s, r) x^{s-r}
+    G_r(mu_i), G_r = A_r/(1 - mu)^{r+1} (:func:`_eulerian_coeffs`).  Since
+    r < m_i, each B G_r(mu_i) is the polynomial e^{-sum_j l_j m_j} A_r(mu_i)
+    (1 - mu_i)^{m_i-r-1} prod_{j != i} (1 - mu_j)^{m_j}: the poles at
+    mu_i = 1 cancel in closed form, so no digits are lost as lam nears one.
+    """
+    mus = [exp(li) / lam for li, _ in entries]
+    for (li, _), mu in zip(entries, mus):
         pole = abs(mu - 1) < 1e-12
         if np.any(pole):
             raise ValueError(f"lam = {np.extract(pole, lam)[0]} sits on the pole "
                              f"e^{{lambda_j}}, lambda_j = {li}")
+    factors = [pow(1 - mu, len(cvec)) for mu, (_, cvec) in zip(mus, entries)]
+    total = 0 * lam
+    for i, ((li, cvec), mu) in enumerate(zip(entries, mus)):
         block = 0 * lam
         for s, cs in enumerate(cvec):
             t_s = 0 * lam
             for r in range(s + 1):
-                t_s = t_s + math.comb(s, r) * pow(x, s - r) * _geom_moment(r, mu, pow)
+                t_s = t_s + math.comb(s, r) * pow(x, s - r) * _eulerian(r, mu) * pow(
+                    1 - mu, len(cvec) - r - 1)
             block = block + cs * t_s
+        for j, factor in enumerate(factors):
+            if j != i:
+                block = block * factor
         total = total + exp(li * x) * block
-    return sum(bj * pow(lam, -j) for j, bj in enumerate(beta)) * total
-
-
-#: float64 keeps ~13 clean digits in the resolvent as long as pole
-#: proximity burns no more than this many
-_RESOLVENT_FLOAT_LOSS_MAX = 3.0
+    return exp(-sum(li * len(cvec) for li, cvec in entries)) * total
 
 
 def _resolvent(spectrum: SpectrumVector, x: float, lam, dps: int | None):
@@ -941,15 +1035,16 @@ def _resolvent(spectrum: SpectrumVector, x: float, lam, dps: int | None):
     ``g`` is the causal Green's function of the operator.  The geometric-type
     series converges only for |lam| large, but each pole contributes a
     rational function of e^{lambda_i}/lam, which continues the sum to every
-    ``lam`` off the points e^{lambda_i} (and 0): in float64 when ``dps`` is
-    None, else in mpmath at ``dps`` digits.
+    ``lam`` off the points e^{lambda_i} (and 0), and B(lam) clears its
+    poles (:func:`_power_sum_field`): in float64 when ``dps`` is None, else
+    in mpmath at ``dps`` digits.
     """
-    system = _system(spectrum, dps)
+    entries, _ = _system(spectrum, dps)
     x, exp = float(x), math.exp
     with mp.workdps(dps or mp.dps):
         if dps is not None:
             x, lam, exp = mp.mpf(x), mp.mpmathify(lam), mp.exp
-        val = _power_sum_field(system, x, lam, exp)
+        val = _power_sum_field(entries, x, lam, exp)
         return complex(val) if isinstance(val, (complex, mp.mpc)) else float(val)
 
 
@@ -961,15 +1056,13 @@ def euler_spline_resolvent(spectrum: SpectrumVector, x, lam):
     Entirely independent of pointwise TB values, which is the point: it
     cross-examines :func:`euler_spline` and the Euler-Frobenius coefficients.
     ``x`` and ``lam`` broadcast; scalars give a ``float`` (``complex`` for a
-    complex ``lam``).  A frequency of multiplicity m puts poles of order up
-    to m at lam = e^{lambda_i}, where at relative distance d the closed form
-    cancels about m * log10(1/d) digits; a draw that loses more than
-    ``_RESOLVENT_FLOAT_LOSS_MAX`` runs in mpmath at 30 more digits than it
-    loses.  The other real draws run as one float64 array pass of the
-    closed form, with scalar C ``pow`` and ``exp`` per element so that they
-    keep the scalar bits; mpmath draws and complex ``lam`` run one scalar
-    call each.  Raises ValueError on a NaN or infinite ``x``, a zero ``lam``
-    or a ``lam`` on a pole node.
+    complex ``lam``).  The closed form has no pole left
+    (:func:`_power_sum_field`), so it runs in float64 at every ``lam``,
+    however close to a node e^{lambda_i}: real ``lam`` as one array pass,
+    with scalar C ``pow`` and ``exp`` per element so that each value keeps
+    the bits of its scalar call, complex ``lam`` one scalar call each.
+    Raises ValueError on a NaN or infinite ``x``, a zero ``lam`` or a
+    ``lam`` on a node.
     """
     x, lam = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(lam))
     if np.any(lam == 0):
@@ -977,24 +1070,15 @@ def euler_spline_resolvent(spectrum: SpectrumVector, x, lam):
     check_queries(x)
     shape, x, lam = x.shape, x.ravel(), lam.ravel()
     k = np.floor(x)
-    u, lams = x - k, lam.tolist()
-    loss = np.zeros(len(lams))
-    for li, mult in spectrum.entries:
-        d = np.abs(math.exp(li) / lam - 1.0)
-        near = (0.0 < d) & (d < 1.0)
-        loss[near] = np.maximum(loss[near], mult * np.log10(1.0 / d[near]))
-    exact = loss > _RESOLVENT_FLOAT_LOSS_MAX
-    fast = ~exact & (lam.dtype.kind != "c")
-    out = np.empty(len(lams), np.result_type(lam, np.float64))
-    if fast.any():
-        lf = lam[fast].astype(np.float64)
+    u = x - k
+    if lam.dtype.kind == "c":
+        out = np.array([_resolvent(spectrum, ui, li, None) * li ** int(ki)
+                        for ui, li, ki in zip(u, lam.tolist(), k)], dtype=complex)
+    else:
+        lam = lam.astype(np.float64)
         pow_ = lambda a, b: _scalar_pow(a, b).astype(np.float64)
         exp_ = lambda v: np.asarray(_scalar_exp(v), dtype=np.float64)
-        val = _power_sum_field(_system(spectrum), u[fast], lf, exp_, pow_)
-        out[fast] = val * pow_(lf, k[fast])
-    for i in np.flatnonzero(~fast):
-        dps = 30 + int(loss[i]) if exact[i] else None
-        out[i] = _resolvent(spectrum, u[i], lams[i], dps) * lams[i] ** int(k[i])
+        out = _power_sum_field(_system(spectrum)[0], u, lam, exp_, pow_) * pow_(lam, k)
     return out.reshape(shape) if shape else out.item()
 
 

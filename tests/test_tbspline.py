@@ -11,6 +11,7 @@ The oracles deliberately avoid the library's own Green's-function algebra:
   of the symbol.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -337,17 +338,45 @@ def test_chebyshev_matches_mpmath_green_sum_on_battery():
     assert worst <= 1e-13
 
 
+def _long_coeffs(sv):
+    """Every piece's Chebyshev coefficients to the length past which each
+    basis function's own coefficients sum to at most 2**-wp of its
+    maximum, wp = prec + _GUARD_BITS: an uncut reference, far longer than
+    the series :func:`tbs._piece_coeffs` forms."""
+    freqs, rows, prec = tbs._pieces(sv)
+    wp = prec + tbs._GUARD_BITS
+    count = max(m for _, m in freqs) + max(tbs._bessel_count(lam, wp) for lam, _ in freqs)
+    basis = []
+    for lam, mult in freqs:
+        c = tbs._exp_coeffs(lam, count, wp)
+        for _ in range(mult):
+            basis.append(c)
+            c = tbs._times_u(c)
+    return np.array([[sum(a * b for a, b in zip(ints, column)) / (1 << 2 * wp)
+                      for column in zip(*basis)] for ints in rows])
+
+
+def _certified_spectra():
+    """The verify battery, the radial p = 2 spectra k <= 8 of a K = 8 sphere
+    and the strips {-+sqrt 29}, {-+sqrt 37} (p = 2)."""
+    classical, strips, radial = _battery()
+    dense = [radial_spectrum(k, 3, 2) for k in range(9)]
+    extra = [strip_spectrum(math.sqrt(29.0), 2), strip_spectrum(math.sqrt(37.0), 2)]
+    return classical + strips + radial + dense + extra
+
+
 def test_chebyshev_cut_is_the_shortest_certified_prefix():
     # every series drops a tail sum |c_k| of at most eps * max|Q| and no
-    # shorter prefix would; max|Q| is read here on a fine uniform grid.  The
-    # strips {-+sqrt 29}, {-+sqrt 37} (p = 2) keep at most 23 coefficients
+    # shorter prefix would, the tail read on a long reference; max|Q| is
+    # read here on a fine uniform grid.  The strips {-+sqrt 29},
+    # {-+sqrt 37} (p = 2) keep at most 23 coefficients
     classical, strips, radial = _battery()
     extra = [strip_spectrum(math.sqrt(29.0), 2), strip_spectrum(math.sqrt(37.0), 2)]
     eps = np.finfo(float).eps
     for sv in classical + strips + radial + extra:
         cheb = tb_chebyshev(sv)
         peak = np.max(np.abs(cheb(np.linspace(0.0, sv.order, 200 * sv.order + 1))))
-        full = tbs._piece_coeffs(sv)
+        full = _long_coeffs(sv)
         for c, row in zip(cheb.coeffs, full):
             assert np.array_equal(c, row[: len(c)]), str(sv)
             assert np.sum(np.abs(row[len(c):])) <= eps * peak * 1.001, str(sv)
@@ -355,6 +384,81 @@ def test_chebyshev_cut_is_the_shortest_certified_prefix():
                 assert np.sum(np.abs(row[len(c) - 1:])) > eps * peak * 0.999, str(sv)
     for sv in extra:
         assert max(len(c) for c in tb_chebyshev(sv).coeffs) <= 23, str(sv)
+
+
+def test_series_length_bound_covers_the_measured_tail():
+    # past the length the proven bound gives, every piece's coefficients
+    # of the long reference sum to at most 2**-_GUARD_BITS eps max|Q_N(m)|,
+    # and the coefficients formed, from Miller's recurrence started at that
+    # length, err from the reference's by a few times as much
+    bound = 2.0**-tbs._GUARD_BITS * np.finfo(float).eps
+    for sv in _certified_spectra():
+        freqs, rows, prec = tbs._pieces(sv)
+        count = tbs._series_length(freqs, rows, prec + tbs._GUARD_BITS)
+        full = _long_coeffs(sv)
+        assert count < full.shape[1], str(sv)
+        peak = max(map(abs, tbs._knot_values(sv)))
+        tails = np.sum(np.abs(full[:, count:]), axis=1)
+        assert np.all(tails <= bound * peak), str(sv)
+        errors = np.sum(np.abs(tbs._piece_coeffs(sv) - full[:, :count]), axis=1)
+        assert np.all(errors <= 4 * bound * peak), str(sv)
+
+
+def test_chebyshev_build_is_frozen():
+    # SHA-256 of every series (its length, then its float64 coefficients,
+    # little-endian) and of the integer values, over the spectra of
+    # _certified_spectra: the bits of the mpmath assembly with uncut
+    # series, which the fixed-point build with proven lengths must keep
+    digest = hashlib.sha256()
+    for sv in _certified_spectra():
+        for row in tb_chebyshev(sv).coeffs:
+            digest.update(len(row).to_bytes(4, "little"))
+            digest.update(np.asarray(row, "<f8").tobytes())
+        digest.update(np.asarray(tb_integer_values(sv), "<f8").tobytes())
+    assert digest.hexdigest() == (
+        "a4d66fc020b19b1415e39540d85764bf65ab75a9320dcae15337a0338dbca340")
+
+
+def _local_coeffs(entries, beta, n: int) -> list:
+    """Q_N's local coefficients on each [m, m+1), m = 0..n-1, in mpmath, one
+    row per piece over the basis u^r e^{l u}: the Green translates
+    beta_j g(t - j), j <= m, re-expanded about u = t - m."""
+    growth = [[mp.exp(li * delta) for delta in range(n)] for li, _ in entries]
+    pieces = []
+    for m in range(n):
+        row = []
+        for (li, cvec), exps in zip(entries, growth):
+            coeffs = [mp.mpf(0)] * len(cvec)
+            for j in range(m + 1):
+                delta = m - j
+                w = beta[j] * exps[delta]
+                for s, cs in enumerate(cvec):
+                    for r in range(s + 1):
+                        coeffs[r] += w * cs * math.comb(s, r) * delta ** (s - r)
+            row.extend(coeffs)
+        pieces.append(row)
+    return pieces
+
+
+def test_fixed_point_pieces_match_the_mpmath_assembly():
+    # the fixed-point pieces against the mpmath Green's-function assembly at
+    # 30 more digits: each row's coefficient errors, weighted by the basis
+    # maxima e^{max(l, 0)}, sum to at most 2**-_GUARD_BITS eps max|Q_N(m)|.
+    # Multiplicities, close frequencies and a stiff spectrum included
+    classical, strips, radial = _battery()
+    extra = [SV([2.0, 2.0, 2.0, -1.0, -1.0]), SV([0.0, 1e-6, 3.0, -3.0]),
+             SV([0.0, 1e-7, 2e-7]), SV([40.0, -40.0, 5.0])]
+    for sv in classical + strips + radial + extra:
+        freqs, rows, prec = tbs._pieces(sv)
+        fb = prec + tbs._GUARD_BITS
+        peak = max(map(abs, tbs._knot_values(sv)))
+        dps = tbs._exact_dps(sv) + 30
+        entries, beta = tbs._system(sv, dps)
+        with mp.workdps(dps):
+            growth = [mp.exp(max(li, 0)) for li, cvec in entries for _ in cvec]
+            for got, want in zip(rows, _local_coeffs(entries, beta, sv.order)):
+                err = sum(abs(mp.mpf(g) / 2**fb - w) * e for g, w, e in zip(got, want, growth))
+                assert err <= 2.0**-tbs._GUARD_BITS * np.finfo(float).eps * peak, str(sv)
 
 
 @pytest.mark.parametrize("lam", [-37.5, -3.0, 0.0, 1e-3, 2.5, 40.0])
@@ -366,7 +470,7 @@ def test_exp_coefficients_match_mpmath_bessel(lam):
     # coefficient is below 2**-wp of it
     with mp.workdps(40):
         prec = mp.prec
-        lam_bin = tbs._binary(mp.mpf(lam))
+        lam_bin = tbs._binary(lam)
     wp = prec + tbs._GUARD_BITS
     count = tbs._bessel_count(lam_bin, wp) + 1
     got = tbs._exp_coeffs(lam_bin, count, wp)
@@ -585,11 +689,12 @@ def test_values_beyond_float64_from_finite_coefficients_fail_by_name(monkeypatch
 
 
 def test_overflow_is_named_before_the_bessel_recurrences(monkeypatch):
-    # the recurrences cost more the larger |lambda|; an overflowing knot
-    # value stops the build before them
+    # the series length and the recurrences cost more the larger |lambda|;
+    # an overflowing knot value stops the build before either
     def recurrence(*args):
         raise AssertionError("Bessel recurrence ran")
 
+    monkeypatch.setattr(tbs, "_bessel_count", recurrence)
     monkeypatch.setattr(tbs, "_exp_coeffs", recurrence)
     for freqs in ([800.0, -800.0], [-1500.0, 1500.0], [-711.0]):
         with pytest.raises(ConditioningError, match="overflow float64"):
@@ -617,13 +722,13 @@ def test_pieces_are_built_once_per_spectrum(monkeypatch):
     sv = SV([1.5, -0.5, 0.0, 2.0])
     _clear_tbspline_caches()
     calls = []
-    build = tbs._local_coeffs
+    build = tbs._green_fixed
 
     def counted(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(tbs, "_local_coeffs", counted)
+    monkeypatch.setattr(tbs, "_green_fixed", counted)
     try:
         coeffs = tb_chebyshev(sv).coeffs
         qm = tb_integer_values(sv)
@@ -783,26 +888,18 @@ def test_euler_spline_rejects_a_bad_element_anywhere():
 
 def test_euler_spline_resolvent_array_equals_scalar_loop():
     # the array route against the scalar closed form on Python scalars, bit
-    # for bit: real float64 draws run as one array pass, draws within 1e-6
-    # of a pole node take the mpmath route, complex lam stays scalar
+    # for bit: real float64 draws run as one array pass, those within 1e-6
+    # of a pole node included, complex lam stays scalar
     xs = np.array([-3.7, -3.0, -1.0, -0.25, 0.0, 0.4, 1.0, 1.7, 2.999, 5.5])
-
-    def digits(sv, lam):
-        # the precision rule on one Python scalar: mpmath at 30 + int(loss)
-        # digits where pole proximity burns more than the float64 allowance
-        loss = max([m * math.log10(1.0 / d) for li, m in sv.entries
-                    if 0.0 < (d := abs(math.exp(li) / lam - 1.0)) < 1.0], default=0.0)
-        return 30 + int(loss) if loss > tbs._RESOLVENT_FLOAT_LOSS_MAX else None
 
     def scalar(sv, x, lam):
         k = math.floor(x)
-        return tbs._resolvent(sv, x - k, lam, digits(sv, lam)) * lam**k
+        return tbs._resolvent(sv, x - k, lam, None) * lam**k
 
     for sv in (SV([0.5, -1.0, 0.0, 2.0]), radial_spectrum(3, 3, 2), SV([0, 0, 0, 0])):
         nodes = [math.exp(li) for li, _ in sv.entries]
         lams = np.array([-4.0, -2.5, -0.35, 0.2, 1.3, 4.0]
                         + [e * (1.0 + d) for e in nodes for d in (1e-6, -1e-6)])
-        assert any(digits(sv, float(lam)) for lam in lams)
         grid = euler_spline_resolvent(sv, xs[:, None], lams[None, :])
         loop = np.array([[scalar(sv, float(x), float(lam)) for lam in lams] for x in xs])
         assert grid.shape == (len(xs), len(lams)) and grid.dtype == np.float64
@@ -815,17 +912,25 @@ def test_euler_spline_resolvent_array_equals_scalar_loop():
         loop = np.array([[scalar(sv, float(x), complex(lam)) for lam in cplx] for x in xs])
         assert np.array_equal(grid, loop)
 
-    # values of the scalar route before it took arrays, so that the route
-    # and its reference cannot drift together
+    # frozen values of the pole-free form, so that the route and its
+    # reference cannot drift together, each within 16 eps of the all-positive
+    # sum at |lam| from the closed form at 120 digits.  The first cancels:
+    # its pole terms are about 13 times that sum, and it errs by 8.4 eps of
+    # it, 1789 ulp of the value
     sv = SV([0.5, -1.0, 0.0, 2.0])
     for spectrum, x, lam, want in (
-        (sv, -3.7, -2.5, "-0x1.71bde085f5d5cp-16"),
-        (radial_spectrum(3, 3, 2), 1.7, 0.35, "0x1.18db144e5093bp+2"),
-        (SV([0, 0, 0, 0]), 2.3, -1.7, "-0x1.6e010cedcc9aap-6"),
+        (sv, -3.7, -2.5, "-0x1.71bde085f55e9p-16"),
+        (radial_spectrum(3, 3, 2), 1.7, 0.35, "0x1.18db144e5093cp+2"),
+        (SV([0, 0, 0, 0]), 2.3, -1.7, "-0x1.6e010cedcc9a4p-6"),
         (sv, 0.4, math.exp(2.0) * (1.0 + 1e-6), "0x1.2082077568a58p-5"),
     ):
         got = euler_spline_resolvent(spectrum, x, lam)
         assert type(got) is float and got.hex() == want
+        k = math.floor(x)
+        with mp.workdps(120):
+            ref = tbs._power_sum_field(tbs._system(spectrum, 120)[0], mp.mpf(x - k),
+                                       mp.mpf(lam), mp.exp) * mp.mpf(lam) ** k
+            assert abs(got - ref) <= 16 * np.finfo(float).eps * euler_spline(spectrum, x, abs(lam))
     assert type(euler_spline_resolvent(sv, 0.4, 2.0 + 1.5j)) is complex
 
 
