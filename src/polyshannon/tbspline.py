@@ -91,9 +91,9 @@ __all__ = [
 
 # stiffness s = max|lambda| * N controls how many digits the Green's-function
 # algebra cancels away (up to s * log10(e)).  Below FLOAT_MAX float64 keeps
-# ~10 clean digits even when the cancellation is fully realized (the float64
-# resolvent behind the Euler-Frobenius cross-check relies on that); beyond
-# EXACT_MAX the mpmath reference evaluator refuses.
+# ~10 clean digits even when the cancellation is fully realized; nothing in
+# the library decides by it, and benchmarks/tracer.py labels tb_exact calls
+# by it.  Beyond EXACT_MAX the mpmath reference evaluator refuses.
 SEVERITY_FLOAT_MAX = 12.0
 SEVERITY_EXACT_MAX = 80.0
 
@@ -240,13 +240,17 @@ def _system(spectrum: SpectrumVector, dps: int | None = None):
     with mp.workdps(dps or mp.dps):
         lams = [one * v for v, _ in spectrum.entries]
         mults = [m for _, m in spectrum.entries]
-        terms = _green_terms(lams, mults, one)
-        entries = tuple(
-            (li, tuple(a / math.factorial(s) for s, a in enumerate(avec)))
-            for li, avec in terms
-        )
+        entries = _green_entries(lams, mults, one)
         beta = tuple(_beta_coeffs(lams, mults, one, exp))
     return entries, beta
+
+
+def _green_entries(lams: Sequence, mults: Sequence[int], one) -> tuple:
+    """The Green terms of :func:`_green_terms` with a_{i,s}/s! pre-divided."""
+    return tuple(
+        (li, tuple(a / math.factorial(s) for s, a in enumerate(avec)))
+        for li, avec in _green_terms(lams, mults, one)
+    )
 
 
 def _hp_dps(severity: float) -> int:
@@ -815,9 +819,26 @@ def _series_length(freqs, rows, fb: int) -> int:
     return count
 
 
-def _exp_coeffs(lam: tuple[int, int], count: int, wp: int) -> list[int]:
+def _miller(lam: tuple[int, int], count: int, wp: int) -> list[int]:
+    """Miller's J_0 and 2 J_k, 0 < k < ``count``, of :func:`_exp_coeffs`
+    for a = |lam|/2, lam = ``(man, exp)`` nonzero: shared by lam and -lam."""
+    man, exp = lam
+    # 2k/a = 4k/|lam| = 4k 2**-exp/|man|, exactly up to the floor
+    up, den = max(-exp, 0) + 2, abs(man) << max(exp, 0)
+    j_next, j = 0, 1 << wp
+    js = [0] * count
+    for k in range(count - 1, 0, -1):
+        js[k] = 2 * j
+        j_next, j = j, j_next + (k * j << up) // den
+    js[0] = j
+    return js
+
+
+def _exp_coeffs(lam: tuple[int, int], count: int, wp: int,
+                js: list[int] | None = None) -> list[int]:
     """The first ``count`` Chebyshev coefficients of e^{lam u}, u = (1 + x)/2,
-    as integers with ``wp`` fraction bits; ``lam`` is ``(man, exp)``.
+    as integers with ``wp`` fraction bits; ``lam`` is ``(man, exp)``, and
+    ``js`` its :func:`_miller` values when the caller has them.
 
     e^{lam u} = e^{lam/2} (I_0(a) + 2 sum_k (+-1)^k I_k(a) T_k(x)) with
     a = |lam|/2 and the sign of lam.  Miller's backward recurrence
@@ -834,13 +855,8 @@ def _exp_coeffs(lam: tuple[int, int], count: int, wp: int) -> list[int]:
     man, exp = lam
     if man == 0:
         return [1 << wp] + [0] * (count - 1)
-    j_next, j = 0, 1 << wp
-    js = [0] * count
-    for k in range(count - 1, 0, -1):
-        js[k] = 2 * j
-        # 2k/a = 4k/|lam|, exactly up to the floor
-        j_next, j = j, j_next + _shift(4 * k * j, -exp) // abs(man)
-    js[0] = j
+    if js is None:
+        js = _miller(lam, count, wp)
     total = sum(js)
     unit = exp_fixed(_shift(man, exp + wp), wp) if man > 0 else 1 << wp
     # unit / total to total.bit_length() fraction bits: each coefficient
@@ -882,12 +898,14 @@ def _piece_coeffs(spectrum: SpectrumVector) -> np.ndarray:
     freqs, rows, prec = _pieces(spectrum)
     wp = prec + _GUARD_BITS
     count = _series_length(freqs, rows, wp)
-    basis = []
+    basis, recurrences = [], {}
     for lam, mult in freqs:
-        c = _exp_coeffs(lam, count, wp)
-        for _ in range(mult):
-            basis.append(c)
-            c = _times_u(c)
+        key = (abs(lam[0]), lam[1])
+        if lam[0] and key not in recurrences:
+            recurrences[key] = _miller(lam, count, wp)
+        basis.append(_exp_coeffs(lam, count, wp, recurrences.get(key)))
+        for _ in range(mult - 1):
+            basis.append(_times_u(basis[-1]))
     # exact integer dot products, 2 wp fraction bits
     dots = np.array(rows, dtype=object) @ np.array(basis, dtype=object)
     unit = 1 << (2 * wp)
@@ -912,8 +930,10 @@ def tb_chebyshev(spectrum: SpectrumVector) -> TbChebyshev:
     """
     coeffs = _piece_coeffs(spectrum)
     count = coeffs.shape[1]
-    # T_k(cos(pi j / count)) = cos(pi k j / count), j = 0..count
-    grid = np.cos(np.pi / count * (np.outer(np.arange(count), np.arange(count + 1)) % (2 * count)))
+    # T_k(cos(pi j / count)) = cos(pi k j / count), j = 0..count: the
+    # 2 count distinct cosines, indexed
+    angles = np.outer(np.arange(count), np.arange(count + 1)) % (2 * count)
+    grid = np.cos(np.pi / count * np.arange(2 * count))[angles]
     with np.errstate(over="ignore"):
         tol = np.finfo(float).eps * np.max(np.abs(coeffs @ grid))
     if not np.isfinite(tol):
@@ -1062,7 +1082,8 @@ def euler_spline_resolvent(spectrum: SpectrumVector, x, lam):
     with scalar C ``pow`` and ``exp`` per element so that each value keeps
     the bits of its scalar call, complex ``lam`` one scalar call each.
     Raises ValueError on a NaN or infinite ``x``, a zero ``lam`` or a
-    ``lam`` on a node.
+    ``lam`` on a node, and :class:`ConditioningError` when a term of the
+    closed form overflows float64 (e^{lambda_i}/lam beyond about 1.8e308).
     """
     x, lam = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(lam))
     if np.any(lam == 0):
@@ -1071,14 +1092,23 @@ def euler_spline_resolvent(spectrum: SpectrumVector, x, lam):
     shape, x, lam = x.shape, x.ravel(), lam.ravel()
     k = np.floor(x)
     u = x - k
-    if lam.dtype.kind == "c":
-        out = np.array([_resolvent(spectrum, ui, li, None) * li ** int(ki)
-                        for ui, li, ki in zip(u, lam.tolist(), k)], dtype=complex)
-    else:
-        lam = lam.astype(np.float64)
-        pow_ = lambda a, b: _scalar_pow(a, b).astype(np.float64)
-        exp_ = lambda v: np.asarray(_scalar_exp(v), dtype=np.float64)
-        out = _power_sum_field(_system(spectrum)[0], u, lam, exp_, pow_) * pow_(lam, k)
+    # a term beyond the float64 range raises OverflowError in exp and pow
+    # and leaves an inf or NaN in the products, which only a non-finite
+    # value can show: the closed form divides by lam alone
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if lam.dtype.kind == "c":
+                out = np.array([_resolvent(spectrum, ui, li, None) * li ** int(ki)
+                                for ui, li, ki in zip(u, lam.tolist(), k)], dtype=complex)
+            else:
+                lam = lam.astype(np.float64)
+                pow_ = lambda a, b: _scalar_pow(a, b).astype(np.float64)
+                exp_ = lambda v: np.asarray(_scalar_exp(v), dtype=np.float64)
+                out = _power_sum_field(_system(spectrum)[0], u, lam, exp_, pow_) * pow_(lam, k)
+    except OverflowError:
+        out = None
+    if out is None or not np.isfinite(out).all():
+        raise ConditioningError(f"the resolvent of {spectrum} overflows float64")
     return out.reshape(shape) if shape else out.item()
 
 
@@ -1106,13 +1136,125 @@ class EFPolynomial:
         return np.polyval(np.asarray(self.coeffs), lam)
 
 
+#: unit roundoff of float64
+_UNIT = 2.0**-53
+
+
+class _Rounded:
+    """A float64 value with the data of its running error bound (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 3).
+
+    ``value`` is what float64 arithmetic gives, so the field-generic helpers
+    (:func:`_green_terms`, :func:`_power_sum_field`) give it their float
+    bits.  ``size`` is the same expression evaluated over absolute values,
+    and ``count`` bounds the roundings that any one term of its expansion
+    went through: each term is off by a factor 1 + theta with |theta| <=
+    gamma_count = count u / (1 - count u), u the unit roundoff, so the
+    value errs by at most gamma_count * size.  Python numbers are taken as
+    exact leaves.  The C library's exp and pow count as two roundings each; a
+    divisor counts twice its own count times its cancellation size/|value|
+    (1 for a single term), and the argument x of an exp counts k (size + 1)
+    for its factor e^{+-gamma_k size}.  exp and pow raise OverflowError
+    beyond the float64 range and a zero divisor ZeroDivisionError; an
+    overflowing product gives an infinite size or value, which no
+    tolerance accepts.
+    """
+
+    __slots__ = ("value", "size", "count")
+
+    def __init__(self, value: float, size: float | None = None, count: float = 0.0):
+        self.value = value
+        self.size = abs(value) if size is None else size
+        self.count = count
+
+    def __add__(self, other):
+        if type(other) is not _Rounded:
+            return _Rounded(self.value + other, self.size + abs(other), self.count + 1)
+        return _Rounded(self.value + other.value, self.size + other.size,
+                        max(self.count, other.count) + 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is not _Rounded:
+            return _Rounded(self.value - other, self.size + abs(other), self.count + 1)
+        return _Rounded(self.value - other.value, self.size + other.size,
+                        max(self.count, other.count) + 1)
+
+    def __rsub__(self, other):
+        return _Rounded(other - self.value, abs(other) + self.size, self.count + 1)
+
+    def __mul__(self, other):
+        if type(other) is not _Rounded:
+            return _Rounded(self.value * other, self.size * abs(other), self.count + 1)
+        return _Rounded(self.value * other.value, self.size * other.size,
+                        self.count + other.count + 1)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if type(other) is not _Rounded:
+            return _Rounded(self.value / other, self.size / abs(other), self.count + 1)
+        spread = max(1.0, other.size / abs(other.value))
+        return _Rounded(self.value / other.value, self.size / abs(other.value),
+                        self.count + 2 * other.count * spread + 1)
+
+    def __rtruediv__(self, other):
+        return _Rounded(other) / self
+
+    def __neg__(self):
+        return _Rounded(-self.value, self.size, self.count)
+
+    def __abs__(self):
+        return _Rounded(abs(self.value), self.size, self.count)
+
+    def __lt__(self, other):
+        return self.value < other
+
+    def __pow__(self, e: int):
+        return _Rounded(self.value**e, self.size**e, self.count * e + 2)
+
+    def exp(self):
+        value = math.exp(self.value)
+        return _Rounded(value, value, self.count * (self.size + 1) + 2)
+
+    def bound(self, extra: int = 0) -> float:
+        """An upper bound on |value - exact| after ``extra`` more roundings:
+        gamma_k size / (1 - gamma_k) = k u size / (1 - 2 k u), k = count +
+        extra, since the computed size errs by gamma_k itself; infinite
+        from 2 k u >= 1 on."""
+        k = self.count + extra
+        return k * _UNIT * self.size / (1.0 - 2.0 * k * _UNIT) if 2.0 * k * _UNIT < 1.0 else math.inf
+
+
+def _ef_reference(spectrum: SpectrumVector) -> _Rounded:
+    """Phi(0; -1) by the float64 pole-free resolvent, with its running error
+    bound: the partial fractions (:func:`_green_entries`) and the closed
+    form (:func:`_power_sum_field`) run on :class:`_Rounded` numbers, whose
+    values have the bits of ``_resolvent(spectrum, 0.0, -1.0, None)``.  At
+    x = 0 and lam = -1 every operation on plain floats there is exact, as
+    :class:`_Rounded` takes them to be.
+    """
+    mults = [m for _, m in spectrum.entries]
+    lams = [_Rounded(v) for v, _ in spectrum.entries]
+    entries = _green_entries(lams, mults, _Rounded(1.0))
+    return _power_sum_field(entries, 0.0, -1.0, _Rounded.exp)
+
+
 @lru_cache(maxsize=None)
 def euler_frobenius(spectrum: SpectrumVector) -> EFPolynomial:
     """Build the Euler-Frobenius polynomial from integer TB values.
 
-    The coefficients are cross-checked against the independent resolvent
-    route at lam = -1; disagreement beyond 1e-8 of the coefficient scale
-    raises :class:`EFAccuracyError` rather than returning silent garbage.
+    The coefficients are cross-checked at lam = -1 against the independent
+    resolvent route (:func:`_resolvent`): disagreement beyond 1e-8 of the
+    coefficient scale raises :class:`EFAccuracyError` rather than returning
+    silent garbage.  The check first takes the float64 closed form with its
+    running error bound (:func:`_ef_reference`) and accepts when the
+    disagreement plus the bound is within the tolerance, so that the exact
+    value passes too.  When the bound is too wide or the float64 form
+    overflows, it decides on the closed form in mpmath at
+    :func:`_exact_dps`.  Either way a spectrum passes exactly when the
+    mpmath route alone would pass it.
     """
     n = spectrum.order
     if n < 2:
@@ -1124,17 +1266,25 @@ def euler_frobenius(spectrum: SpectrumVector) -> EFPolynomial:
     poly = EFPolynomial(spectrum, coeffs)
 
     direct = float(np.polyval(np.asarray(coeffs), -1.0))
-    # lam = -1 is far from every pole node e^{lambda_i} > 0; only stiffness
-    # calls for mpmath there
-    stiff = cancellation_severity(spectrum) > SEVERITY_FLOAT_MAX
-    phi = _resolvent(spectrum, 0.0, -1.0, _exact_dps(spectrum) if stiff else None)
-    reference = sign * scale * (-1.0) ** (n - 1) * phi
+    factor = sign * scale * (-1.0) ** (n - 1)
     tol = 1e-8 * max(1.0, sum(abs(c) for c in coeffs))
-    if abs(direct - reference) > tol:
-        raise EFAccuracyError(
-            f"Euler-Frobenius cross-check failed for {spectrum}: "
-            f"direct {direct!r} vs resolvent {reference!r}"
-        )
+    try:
+        phi = _ef_reference(spectrum)
+        # four roundings more: the product with factor here, and the
+        # float64 rounding of the mpmath value this check stands in for
+        slack = abs(direct - factor * phi.value) + abs(factor) * phi.bound(4)
+    except ArithmeticError:  # beyond the float64 range, or a zero divisor
+        slack = math.inf
+    # the margin 2 eps covers the rounding of the comparison itself; a NaN
+    # slack is not certified either
+    if not slack <= tol * (1.0 - 2.0 * np.finfo(float).eps):
+        # lam = -1 is far from every pole node e^{lambda_i} > 0
+        reference = factor * _resolvent(spectrum, 0.0, -1.0, _exact_dps(spectrum))
+        if abs(direct - reference) > tol:
+            raise EFAccuracyError(
+                f"Euler-Frobenius cross-check failed for {spectrum}: "
+                f"direct {direct!r} vs resolvent {reference!r}"
+            )
     return poly
 
 

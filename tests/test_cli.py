@@ -356,6 +356,31 @@ def test_decay_uses_the_config_grid(tmp_path, capsys, monkeypatch):
     assert asked == [SamplingGrid(8, 20), SamplingGrid(16, 20)]
 
 
+def test_decay_median_has_the_bits_of_np_median():
+    # statistics.median in place of np.median: the middle value of an odd
+    # window and the mean of the two middle values of an even one
+    rng = np.random.default_rng(4)
+    for count in (5, 6, 8, 9):
+        for _ in range(50):
+            sups = rng.uniform(0.5, 2.0, count)
+            sweep = [spherical.DecayRow(k, 1.0, float(v)) for k, v in enumerate(sups, 1)]
+            _, ratio = cli._decay_ratios(sweep, 1, count)
+            assert ratio.hex() == (max(sups) / float(np.median(sups))).hex()
+
+
+def test_decay_leaves_numpy_ma_unloaded(tmp_path):
+    # np.median's first call imports numpy.ma, about 7 ms of every fresh
+    # decay and verify command
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text("k_min = 1\nk_max = 4\n")
+    code = ("import sys; from polyshannon import cli; "
+            f"code = cli.main(['decay', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "0 False"
+
+
 def test_span_is_an_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "d.cfg"
     cfg.write_text("span = 256\n")
@@ -536,9 +561,9 @@ def test_verify_passes_and_is_deterministic(tmp_path, capsys):
 
 
 def test_verify_batches_its_euler_splines(monkeypatch):
-    # one call per identity term and battery spectrum, each over all of the
-    # spectrum's draws: at most 4 in _identity_residuals and 2 in
-    # _symmetry_residual; one call per draw would make thousands
+    # exactly one call per battery spectrum, over the rows of all three
+    # identity checks and all of the spectrum's draws; one call per draw
+    # would make thousands
     calls = []
     euler_spline = cli.euler_spline
 
@@ -549,13 +574,13 @@ def test_verify_batches_its_euler_splines(monkeypatch):
     monkeypatch.setattr(cli, "euler_spline", counting)
     assert cli.run_verify(ExperimentConfig()).all_passed()
     battery = [sv for group in cli._battery() for sv in group]
-    assert 0 < len(calls) <= 6 * len(battery)
+    assert calls == battery
 
 
 def test_verify_batches_its_resolvent(monkeypatch):
-    # one resolvent call per battery spectrum in _identity_residuals and one
-    # per symmetric spectrum in _symmetry_residual, each over all of its
-    # draws; one call per draw would make thousands
+    # exactly one resolvent call per battery spectrum, over the rows of all
+    # three identity checks and all of the spectrum's draws; one call per
+    # draw would make thousands
     calls = []
     resolvent = cli.euler_spline_resolvent
 
@@ -566,7 +591,20 @@ def test_verify_batches_its_resolvent(monkeypatch):
     monkeypatch.setattr(cli, "euler_spline_resolvent", counting)
     assert cli.run_verify(ExperimentConfig()).all_passed()
     battery = [sv for group in cli._battery() for sv in group]
-    assert 0 < len(calls) <= 2 * len(battery)
+    assert calls == battery
+
+
+def test_verify_draws_keep_the_stream():
+    # rng.random() and a sign flip in place of uniform(0.0, 1.0),
+    # uniform(0.2, 5.0) and (-1.0) ** integers(0, 2): the same floats, bit
+    # for bit, and the same generator state after 10^4 draws
+    new, old = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(10_000):
+        x = float(old.uniform(0.0, 1.0))
+        lam = float(old.uniform(0.2, 5.0)) * (-1.0) ** old.integers(0, 2)
+        assert new.random().hex() == x.hex()
+        assert cli._draw_lam(new).hex() == float(lam).hex()
+    assert new.bit_generator.state == old.bit_generator.state
 
 
 def test_verify_detects_degraded_grid(tmp_path, capsys):

@@ -21,7 +21,7 @@ from mpmath import mp
 from scipy.integrate import quad
 from scipy.interpolate import BSpline
 
-from polyshannon.cli import _battery
+from polyshannon.cli import ExperimentConfig, _battery, run_verify
 from polyshannon.shannon1d import tb_superposition
 from polyshannon.spectrum import SpectrumVector, radial_spectrum, strip_spectrum
 from polyshannon import tbspline as tbs
@@ -695,6 +695,7 @@ def test_overflow_is_named_before_the_bessel_recurrences(monkeypatch):
         raise AssertionError("Bessel recurrence ran")
 
     monkeypatch.setattr(tbs, "_bessel_count", recurrence)
+    monkeypatch.setattr(tbs, "_miller", recurrence)
     monkeypatch.setattr(tbs, "_exp_coeffs", recurrence)
     for freqs in ([800.0, -800.0], [-1500.0, 1500.0], [-711.0]):
         with pytest.raises(ConditioningError, match="overflow float64"):
@@ -945,6 +946,17 @@ def test_euler_spline_resolvent_rejects_a_bad_element_anywhere():
         euler_spline_resolvent(sv, 0.5, np.array([2.0, node, -1.0]))
 
 
+@pytest.mark.parametrize("freqs, small", [([-710.0, 710.0], 2.0), ([-705.0, 705.0, 1.0], 1e-3)])
+def test_euler_spline_resolvent_overflow_is_named(freqs, small):
+    # e^{710}, or e^{705}/1e-3, overflows in the closed form, though Phi
+    # itself is finite: an OverflowError of exp, or an inf in a product
+    sv = SV(freqs)
+    assert math.isfinite(euler_spline(sv, 0.5, small))
+    for lam in (small, small + 1e-3j, np.array([small, -3.0]), np.array([small, 1.0j])):
+        with pytest.raises(ConditioningError, match="overflows float64"):
+            euler_spline_resolvent(sv, 0.5, lam)
+
+
 def test_contour_rejects_pole_on_axis():
     with pytest.raises(ContourDomainError):
         ef_contour(SV([0.0, 0.0]), 0.5, 2.0)
@@ -1041,6 +1053,115 @@ def test_ef_matches_resolvent_at_random_points():
     for lam in (-0.5, -2.2, 1.0 + 1.0j):
         want = sign * scale * lam ** (n - 1) * euler_spline_resolvent(sv, 0.0, lam)
         assert ef(lam) == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+def _ef_spectra():
+    """The verify battery, then close frequencies, multiplicities, stiff
+    spectra and a closed form that overflows float64 ({-+710})."""
+    classical, strips, radial = _battery()
+    extra = [SV([0.0, 1e-6, 3.0, -3.0]), SV([40.0, -40.0, 5.0]),
+             SV([3.0, 3.0, -1.0, -1.0]), SV([-300.0, -1.0, 0.0, 2.0]),
+             SV([-710.0, 710.0]), SV([-705.0, 705.0, 1.0]), SV([0.0, 1e-7, 2e-7])]
+    return list(dict.fromkeys(classical + strips + radial)) + extra
+
+
+def _ef_mpmath_passes(sv) -> bool:
+    """The Euler-Frobenius cross-check decided on the resolvent in mpmath
+    at _exact_dps: P(-1) from the coefficients within 1e-8 of their scale."""
+    n = sv.order
+    sign = -1.0 if n % 2 == 0 else 1.0
+    scale = math.exp(sv.freq_sum())
+    coeffs = [sign * scale * q for q in tbs.tb_integer_values(sv)]
+    direct = float(np.polyval(np.asarray(coeffs), -1.0))
+    phi = tbs._resolvent(sv, 0.0, -1.0, tbs._exact_dps(sv))
+    return abs(direct - sign * scale * (-1.0) ** (n - 1) * phi) <= 1e-8 * max(
+        1.0, sum(abs(c) for c in coeffs))
+
+
+def _ef_passes(sv) -> bool:
+    euler_frobenius.cache_clear()
+    try:
+        euler_frobenius(sv)
+    except tbs.EFAccuracyError:
+        return False
+    finally:
+        euler_frobenius.cache_clear()
+    return True
+
+
+@pytest.mark.parametrize("perturb", [0.0, 1e-5])
+def test_ef_check_decides_as_mpmath(monkeypatch, perturb):
+    # with the coefficients as built and with the largest Q(m) off by 1e-5
+    # of itself, the float64 certificate and its mpmath fallback pass and
+    # fail where the mpmath route alone does.  {0, 1e-7, 2e-7} passes: its
+    # float64 closed form, taken without a bound, loses every digit to the
+    # close frequencies
+    values = tbs.tb_integer_values
+
+    def perturbed(sv):
+        q = list(values(sv))
+        q[int(np.argmax(np.abs(q)))] *= 1.0 + perturb
+        return tuple(q)
+
+    monkeypatch.setattr(tbs, "tb_integer_values", perturbed)
+    decisions = [(_ef_passes(sv), _ef_mpmath_passes(sv)) for sv in _ef_spectra()]
+    assert all(got == want for got, want in decisions)
+    assert all(want == (perturb == 0.0) for _, want in decisions)
+
+
+def test_ef_float_bound_covers_its_error():
+    # the running error bound of the float64 closed form at lam = -1
+    # against the same form in mpmath at 60 digits or more; the value has
+    # the bits of the float64 resolvent, and {-+710} overflows float64
+    for sv in _ef_spectra():
+        dps = max(60, tbs._exact_dps(sv) + 20)
+        entries, _ = tbs._system(sv, dps)
+        with mp.workdps(dps):
+            exact = tbs._power_sum_field(entries, mp.mpf(0), mp.mpf(-1), mp.exp)
+        if sv == SV([-710.0, 710.0]):
+            with pytest.raises(OverflowError):
+                tbs._ef_reference(sv)
+            continue
+        phi = tbs._ef_reference(sv)
+        assert phi.value == tbs._resolvent(sv, 0.0, -1.0, None), str(sv)
+        with mp.workdps(dps):
+            assert abs(mp.mpf(phi.value) - exact) <= phi.bound(), str(sv)
+
+
+def test_verify_builds_no_mpmath_system(monkeypatch):
+    # every Euler-Frobenius check of the battery is certified in float64
+    system = tbs._system
+
+    def float_only(spectrum, dps=None):
+        assert dps is None, f"mpmath system for {spectrum}"
+        return system(spectrum)
+
+    _clear_tbspline_caches()
+    monkeypatch.setattr(tbs, "_system", float_only)
+    try:
+        assert run_verify(ExperimentConfig()).all_passed()
+    finally:
+        _clear_tbspline_caches()
+
+
+def test_undecided_ef_check_reaches_mpmath(monkeypatch):
+    # {0, 1e-6, -+3}: the close frequencies widen the bound past the
+    # tolerance; {-+710}: the float64 closed form overflows.  A certified
+    # spectrum asks mpmath nothing
+    asked = []
+    resolvent = tbs._resolvent
+
+    def spy(spectrum, x, lam, dps):
+        asked.append((spectrum, dps))
+        return resolvent(spectrum, x, lam, dps)
+
+    monkeypatch.setattr(tbs, "_resolvent", spy)
+    for sv in (SV([0.0, 1e-6, 3.0, -3.0]), SV([-710.0, 710.0])):
+        assert _ef_passes(sv)
+        assert asked == [(sv, tbs._exact_dps(sv))]
+        asked.clear()
+    assert _ef_passes(radial_spectrum(16, 3, 2))
+    assert asked == []
 
 
 def test_ef_symbol_bounds_representative():
