@@ -395,18 +395,21 @@ class DecayRow:
 
 
 def decay_check(
-    n: int, p: int, k_max: int, grid: SamplingGrid = SamplingGrid(16, 24)
+    n: int, p: int, k_max: int, grid: SamplingGrid = SamplingGrid(16, 24),
+    k_min: int = 0,
 ) -> list[DecayRow]:
-    """Suprema of the channel kernels: |S^_0| over frequency, |S_0| over time.
+    """Suprema of the channel kernels of degrees k_min..k_max: |S^_0| over
+    frequency, |S_0| over time.
 
     The Fourier suprema decay like 1/k while the time suprema stay bounded;
     the acceptance windows check those trends as ratios, since the underlying
-    asymptotic constants are not pinned down.
+    asymptotic constants are not pinned down.  ValueError unless
+    0 <= k_min <= k_max <= ``DEGREE_CAP``.
     """
-    if not 0 <= k_max <= DEGREE_CAP:
-        raise ValueError(f"k_max must lie in 0..{DEGREE_CAP}")
+    if not 0 <= k_min <= k_max <= DEGREE_CAP:
+        raise ValueError(f"need 0 <= k_min <= k_max <= {DEGREE_CAP}")
     rows = []
-    for k in range(k_max + 1):
+    for k in range(k_min, k_max + 1):
         sv = radial_spectrum(k, n, p)
         xi_hi = 2.0 * (sv.max_abs() + 4.0 * math.pi)
         xi = np.linspace(0.0, xi_hi, 8192)

@@ -41,7 +41,11 @@ other):
   :func:`tb_exact` stays the independent reference it is tested against.
 * :func:`tb_tabulate`  -- FFT inversion of the Fourier form with an asymptotic
   correction for the truncated spectral tail, to ``TABULATE_RTOL``.  No
-  cancellation at any stiffness, which is exactly why it exists.
+  cancellation at any stiffness, which is exactly why it exists.  The grid
+  keeps one output in every stride of an M-point inverse DFT, and those are
+  the (M / stride)-point inverse DFT of the symbol folded modulo M / stride,
+  so the symbol is summed into that many bins block by block: memory
+  O(p_time * per_unit), whatever the spectral radius.
 * :func:`tb_fourier`   -- the symbol itself.
 
 On top of these sit the exponential Euler spline
@@ -104,8 +108,9 @@ MIN_FREQ_GAP = 1e-8
 
 class ConditioningError(ValueError):
     """The spectrum cannot be handled in float64: distinct frequencies too
-    close together (merge them or separate them), or TB values beyond the
-    float64 range (|lambda| of about 710 and more)."""
+    close together (merge them or separate them), TB values beyond the
+    float64 range (|lambda| of about 710 and more), or a symbol too stiff for
+    :func:`tb_tabulate` to reach ``TABULATE_RTOL``."""
 
 
 class CancellationError(ArithmeticError):
@@ -390,19 +395,30 @@ class TbTable:
 #: to the mean level of Q_N
 TABULATE_RTOL = 1e-8
 
+#: symbol samples per block of :func:`tb_tabulate`'s fold (whole rows of
+#: p_time * per_unit samples, at least one)
+_FOLD_BLOCK = 1 << 14
+
 
 def tb_tabulate(spectrum: SpectrumVector, per_unit: int = 64) -> TbTable:
     """Tabulate Q_N by FFT of its symbol plus an asymptotic tail correction.
 
-    The Fourier integral over |xi| <= Xi is done by FFT on a grid fine enough
-    in xi that time-domain aliasing (period P >= N + 6 units) is negligible;
-    the |xi| > Xi remainder is added back analytically from the asymptotic
-    expansion of integrals e^{i xi u}/(i xi - l)^{s+1} at large Xi.  Both
-    error terms are bounded a priori and the spectral radius is grown until
-    they sit below ``TABULATE_RTOL`` relative to the mean level of Q_N,
-    which makes this route immune to the cancellation that kills
-    :func:`tb_exact` for stiff spectra.  Requires N >= 2 (first-order
-    kernels have a closed form and a non-integrable symbol tail).
+    The Fourier integral over |xi| <= Xi is a trapezoid sum on M = stride * M'
+    points, M' = p_time * per_unit, fine enough in xi that time-domain
+    aliasing (period p_time >= N + 6 units) is negligible; the |xi| > Xi
+    remainder is added back analytically from the asymptotic expansion of
+    integrals e^{i xi u}/(i xi - l)^{s+1} at large Xi.  Both error terms are
+    bounded a priori and the spectral radius is grown until they sit below
+    ``TABULATE_RTOL`` relative to the mean level of Q_N, which makes this
+    route immune to the cancellation that kills :func:`tb_exact` for stiff
+    spectra.  Only every stride-th output of the M-point inverse DFT lands on
+    the grid, and those are the M'-point inverse DFT of the symbol folded
+    modulo M' (summed over each congruence class of its frequency index):
+    the symbol is evaluated in blocks and folded as it comes, so memory is
+    O(p_time * per_unit), not O(M).  Requires N >= 2 (first-order kernels
+    have a closed form and a non-integrable symbol tail): ValueError
+    otherwise, and :class:`ConditioningError` for a spectrum too stiff to
+    reach ``TABULATE_RTOL`` within the largest radius.
     """
     n = spectrum.order
     if n < 2:
@@ -434,20 +450,27 @@ def tb_tabulate(spectrum: SpectrumVector, per_unit: int = 64) -> TbTable:
         if alias <= tol_abs and series_err <= tol_abs:
             break
     else:
-        raise ValueError(
+        raise ConditioningError(
             f"cannot reach rtol={TABULATE_RTOL} for {spectrum} by tabulation"
         )
 
     # FFT part: trapezoid over [-Xi, Xi].  The left-endpoint rectangle sum
     # differs from the trapezoid only in an imaginary component that the final
     # real-part extraction kills, so no explicit endpoint correction is needed.
-    m_fft = p_time * per_unit * (1 << c_exp)
-    dxi = 2.0 * cutoff / m_fft
-    k = np.arange(-m_fft // 2, m_fft // 2)
-    qhat = tb_fourier(spectrum, k * dxi)
-    time_vals = np.fft.ifft(np.fft.ifftshift(qhat)) * (m_fft * dxi / (2.0 * math.pi))
+    # Frequency index k in [-M/2, M/2) sits at row r, column c of the (stride,
+    # M') layout k = r M' + c - M/2; stride is even, so k = c (mod M') and the
+    # folded input is the column sum.
     stride = 1 << c_exp
-    main = time_vals[: n * per_unit * stride + 1 : stride].real
+    m_out = p_time * per_unit
+    m_fft = stride * m_out
+    dxi = 2.0 * cutoff / m_fft
+    rows = max(1, _FOLD_BLOCK // m_out)
+    folded = np.zeros(m_out, dtype=complex)
+    for r in range(0, stride, rows):
+        k = np.arange(r * m_out, min(r + rows, stride) * m_out) - m_fft // 2
+        folded += tb_fourier(spectrum, k * dxi).reshape(-1, m_out).sum(axis=0)
+    time_vals = np.fft.ifft(folded) * (m_out * dxi / (2.0 * math.pi))
+    main = time_vals[: n * per_unit + 1].real
 
     tail = _spectral_tail(entries, beta, cutoff, per_unit, n, series_len)
     values = main + tail

@@ -336,9 +336,9 @@ def test_decay_uses_the_config_grid(tmp_path, capsys, monkeypatch):
     # with the grid only in its last bits: watch the grid reach decay_check
     asked = []
 
-    def spy(n, p, k_max, grid):
+    def spy(n, p, k_max, grid, k_min):
         asked.append(grid)
-        return spherical.decay_check(n, p, k_max, grid)
+        return spherical.decay_check(n, p, k_max, grid, k_min)
 
     monkeypatch.setattr(cli, "decay_check", spy)
     for per_unit in (8, 16):
@@ -356,6 +356,36 @@ def test_decay_uses_the_config_grid(tmp_path, capsys, monkeypatch):
     assert asked == [SamplingGrid(8, 20), SamplingGrid(16, 20)]
 
 
+def _decay_degrees(monkeypatch):
+    """The degrees of the rows every decay_check call of the CLI builds."""
+    degrees = []
+
+    def spy(*args, **kwargs):
+        rows = spherical.decay_check(*args, **kwargs)
+        degrees.extend(row.degree for row in rows)
+        return rows
+
+    monkeypatch.setattr(cli, "decay_check", spy)
+    return degrees
+
+
+def test_decay_builds_only_the_rows_it_writes(tmp_path, capsys, monkeypatch):
+    degrees = _decay_degrees(monkeypatch)
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text("k_min = 3\nk_max = 5\n")
+    assert main(["decay", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert degrees == [3, 4, 5]
+
+
+def test_verify_builds_only_the_decay_rows_it_reads(monkeypatch):
+    # the decay ratios read degrees 8..16; each row below costs two symbol
+    # sweeps and a kernel table
+    degrees = _decay_degrees(monkeypatch)
+    assert cli.run_verify(ExperimentConfig()).all_passed()
+    assert degrees == list(range(8, 17))
+
+
 def test_decay_median_has_the_bits_of_np_median():
     # statistics.median in place of np.median: the middle value of an odd
     # window and the mean of the two middle values of an even one
@@ -364,7 +394,7 @@ def test_decay_median_has_the_bits_of_np_median():
         for _ in range(50):
             sups = rng.uniform(0.5, 2.0, count)
             sweep = [spherical.DecayRow(k, 1.0, float(v)) for k, v in enumerate(sups, 1)]
-            _, ratio = cli._decay_ratios(sweep, 1, count)
+            _, ratio = cli._decay_ratios(sweep)
             assert ratio.hex() == (max(sups) / float(np.median(sups))).hex()
 
 

@@ -410,9 +410,20 @@ def test_decay_trend_small_sweep():
     assert max(sups) / np.median(sups) < 3.0
 
 
+def test_decay_rows_start_at_k_min():
+    assert decay_check(3, 1, 4, k_min=2) == decay_check(3, 1, 4)[2:]
+    assert [row.degree for row in decay_check(3, 2, 3, k_min=3)] == [3]
+
+
 def test_decay_check_rejects_beyond_cap():
     with pytest.raises(ValueError):
         decay_check(3, 1, 40)
+
+
+@pytest.mark.parametrize("k_min", [-1, 5])
+def test_decay_check_rejects_bad_k_min(k_min):
+    with pytest.raises(ValueError):
+        decay_check(3, 1, 4, k_min=k_min)
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,7 @@ The oracles deliberately avoid the library's own Green's-function algebra:
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -816,8 +817,69 @@ def test_tabulate_interpolation_between_nodes():
 
 
 def test_tabulate_rejects_first_order():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         tb_tabulate(SV([0.0]))
+    assert not isinstance(err.value, ConditioningError)
+
+
+def test_tabulate_names_an_unreachable_tolerance():
+    # no spectral radius up to pi * per_unit * 2^12 brings the a-priori bounds
+    # below TABULATE_RTOL
+    with pytest.raises(ConditioningError, match="cannot reach rtol"):
+        tb_tabulate(SV([-40.0, 40.0]))
+
+
+def _unfolded_main(sv, per_unit, cutoff):
+    """The FFT part of the tabulation by the full-length inverse FFT: the
+    symbol on all M = p_time * per_unit * stride points of [-Xi, Xi), every
+    stride-th output kept."""
+    n = sv.order
+    p_time = 8
+    while p_time < n + 6:
+        p_time *= 2
+    stride = round(cutoff / (math.pi * per_unit))
+    m_fft = p_time * per_unit * stride
+    dxi = 2.0 * cutoff / m_fft
+    k = np.arange(-m_fft // 2, m_fft // 2)
+    time_vals = np.fft.ifft(np.fft.ifftshift(tb_fourier(sv, k * dxi)))
+    time_vals *= m_fft * dxi / (2.0 * math.pi)
+    return time_vals[: n * per_unit * stride + 1 : stride].real
+
+
+@pytest.mark.parametrize(
+    "sv",
+    [SV([-8.0, 8.0]), SV([-18.0, 18.0]), SV([16.0, -17.0]), radial_spectrum(5, 3, 2)],
+    ids=str,
+)
+def test_tabulate_fold_matches_full_fft(sv, monkeypatch):
+    # every stride-th output of the M-point inverse DFT is the M/stride-point
+    # inverse DFT of the folded symbol: equal up to the order of the sums
+    seen = []
+    tail_of = tbs._spectral_tail
+
+    def spy(entries, beta, cutoff, per_unit, n, series_len):
+        tail = tail_of(entries, beta, cutoff, per_unit, n, series_len)
+        seen.append((cutoff, tail))
+        return tail
+
+    monkeypatch.setattr(tbs, "_spectral_tail", spy)
+    tab = tb_tabulate(sv)
+    [(cutoff, tail)] = seen
+    want = _unfolded_main(sv, tab.per_unit, cutoff) + tail
+    assert np.max(np.abs(tab.values - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_tabulate_memory_is_bounded_by_the_output_grid():
+    # the full-length FFT traces about 200 MB: 2^21 symbol samples and their
+    # transform
+    sv = SV([-18.0, 18.0])
+    tracemalloc.start()
+    try:
+        tb_tabulate(sv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # --- Euler splines: three routes against each other ---------------------------
