@@ -48,7 +48,6 @@ from .strip import (
     torus_modes,
 )
 from .tbspline import (
-    CancellationError,
     ConditioningError,
     EFPolynomial,
     TbChebyshev,
@@ -68,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryTailWarning",
-    "CancellationError",
     "ConditioningError",
     "EFPolynomial",
     "KernelTable",

@@ -17,9 +17,8 @@ other):
 * :func:`tb_exact`     -- finite Green's-function sum, the reference.  Exact
   formula, but the terms grow like e^{max|l| N} while the result stays
   bounded, so it always runs in mpmath, with the precision scaled to the
-  digits that cancel, and refuses beyond ``SEVERITY_EXACT_MAX``
-  (:class:`CancellationError`).  Point by point and slow: tests and checks
-  only.
+  digits that cancel, at any stiffness.  Point by point and slow: tests and
+  checks only.
 * :func:`tb_chebyshev` -- the one piecewise form: one Chebyshev series per
   unit interval, built once per spectrum from the same data reorganized as
   exponential polynomials per interval (assembled in fixed-point
@@ -70,7 +69,6 @@ from mpmath.libmp.libelefun import exp_fixed
 from .spectrum import SpectrumVector
 
 __all__ = [
-    "CancellationError",
     "ConditioningError",
     "ContourDomainError",
     "ConvergenceError",
@@ -94,12 +92,11 @@ __all__ = [
 ]
 
 # stiffness s = max|lambda| * N controls how many digits the Green's-function
-# algebra cancels away (up to s * log10(e)).  Below FLOAT_MAX float64 keeps
-# ~10 clean digits even when the cancellation is fully realized; nothing in
-# the library decides by it, and benchmarks/tracer.py labels tb_exact calls
-# by it.  Beyond EXACT_MAX the mpmath reference evaluator refuses.
+# algebra cancels away (up to s * log10(e)), and so the precision of the
+# mpmath reference (:func:`_exact_dps`).  Below FLOAT_MAX float64 keeps ~10
+# clean digits even when the cancellation is fully realized; nothing in the
+# library decides by it, and benchmarks/tracer.py labels tb_exact calls by it.
 SEVERITY_FLOAT_MAX = 12.0
-SEVERITY_EXACT_MAX = 80.0
 
 #: distinct frequencies closer than this make the partial-fraction system
 #: numerically meaningless (they should have been merged into a multiplicity)
@@ -111,10 +108,6 @@ class ConditioningError(ValueError):
     close together (merge them or separate them), TB values beyond the
     float64 range (|lambda| of about 710 and more), or a symbol too stiff for
     :func:`tb_tabulate` to reach ``TABULATE_RTOL``."""
-
-
-class CancellationError(ArithmeticError):
-    """The requested evaluation would lose essentially every digit."""
 
 
 class EFAccuracyError(ArithmeticError):
@@ -324,18 +317,12 @@ def tb_exact(spectrum: SpectrumVector, t):
     """TB-spline values by the Green's-function sum in mpmath: the reference.
 
     The precision, :func:`_exact_dps`, covers the digits that stiffness and
-    close frequencies cancel away.  Raises :class:`CancellationError` when
-    max|lambda|*N exceeds ``SEVERITY_EXACT_MAX``.  Values outside [0, N) are
-    exactly zero (left-closed convention: Q(0) = 0 for N >= 2, and the
-    first-order kernel has Q(0) = e^{-lambda}).  Library code evaluates Q_N
-    through :func:`tb_chebyshev`, which is tested against this.
+    close frequencies cancel away, at any stiffness; its cost grows with it.
+    Values outside [0, N) are exactly zero (left-closed convention: Q(0) = 0
+    for N >= 2, and the first-order kernel has Q(0) = e^{-lambda}).  Library
+    code evaluates Q_N through :func:`tb_chebyshev`, which is tested against
+    this.
     """
-    sev = cancellation_severity(spectrum)
-    if sev > SEVERITY_EXACT_MAX:
-        raise CancellationError(
-            f"max|lambda|*N = {sev:.1f} exceeds {SEVERITY_EXACT_MAX}; "
-            "use tb_tabulate or tb_chebyshev, which do not cancel"
-        )
     t_arr = np.asarray(t, dtype=float)
     vals = _qn_hp_arr(spectrum, t_arr, _exact_dps(spectrum))
     return float(vals) if vals.ndim == 0 else vals
@@ -409,13 +396,13 @@ def tb_tabulate(spectrum: SpectrumVector, per_unit: int = 64) -> TbTable:
     remainder is added back analytically from the asymptotic expansion of
     integrals e^{i xi u}/(i xi - l)^{s+1} at large Xi.  Both error terms are
     bounded a priori and the spectral radius is grown until they sit below
-    ``TABULATE_RTOL`` relative to the mean level of Q_N, which makes this
-    route immune to the cancellation that kills :func:`tb_exact` for stiff
-    spectra.  Only every stride-th output of the M-point inverse DFT lands on
-    the grid, and those are the M'-point inverse DFT of the symbol folded
-    modulo M' (summed over each congruence class of its frequency index):
-    the symbol is evaluated in blocks and folded as it comes, so memory is
-    O(p_time * per_unit), not O(M).  Requires N >= 2 (first-order kernels
+    ``TABULATE_RTOL`` relative to the mean level of Q_N; no Green's-function
+    sum is formed, so nothing cancels at any stiffness.  Only every
+    stride-th output of the M-point inverse DFT lands on the grid, and those
+    are the M'-point inverse DFT of the symbol folded modulo M' (summed over
+    each congruence class of its frequency index): the symbol is evaluated
+    in blocks and folded as it comes, so memory is O(p_time * per_unit), not
+    O(M).  Requires N >= 2 (first-order kernels
     have a closed form and a non-integrable symbol tail): ValueError
     otherwise, and :class:`ConditioningError` for a spectrum too stiff to
     reach ``TABULATE_RTOL`` within the largest radius.
@@ -783,9 +770,8 @@ def tb_integer_values(spectrum: SpectrumVector) -> tuple[float, ...]:
 
     Q_N(m) is piece m of the local exp-polynomials at u = 0
     (:func:`_knot_values`); the pieces are the ones :func:`tb_chebyshev`
-    expands in Chebyshev series, at :func:`tb_exact`'s precision and
-    without its stiffness cap.  Raises :class:`ConditioningError` when a
-    value overflows float64.
+    expands in Chebyshev series, at :func:`tb_exact`'s precision.  Raises
+    :class:`ConditioningError` when a value overflows float64.
     """
     return tuple(_knot_values(spectrum)[1:]) if spectrum.order > 1 else ()
 
@@ -1037,23 +1023,23 @@ def _eulerian(r: int, mu):
 
 
 def _power_sum_field(entries, x, lam, exp, pow=pow):
-    """B(lam) * sum_{j>=0} lam^{-j} g(x+j) in pole-free form, for the Green
-    terms ``entries`` of :func:`_system`, in any field; float64 arrays need
-    elementwise scalar ``exp`` and ``pow``.
+    """B(lam) * sum_{j>=0} lam^{-j} g(x+j), B(lam) = sum_k beta_k lam^{-k},
+    in pole-free form, for the Green terms ``entries`` of :func:`_system`
+    (``g`` the causal Green's function of the operator), in any field:
+    Python or mpmath scalars, or arrays with elementwise scalar ``exp`` and
+    ``pow``.
 
-    With mu_j = e^{l_j}/lam, B(lam) = prod_j e^{-l_j m_j} (1 - mu_j)^{m_j}
-    and the power sum is sum_i e^{l_i x} sum_s c_s sum_r C(s, r) x^{s-r}
-    G_r(mu_i), G_r = A_r/(1 - mu)^{r+1} (:func:`_eulerian_coeffs`).  Since
-    r < m_i, each B G_r(mu_i) is the polynomial e^{-sum_j l_j m_j} A_r(mu_i)
+    The series converges only for |lam| large, but each pole contributes a
+    rational function of mu_j = e^{l_j}/lam, which continues the sum to
+    every lam but 0.  B(lam) = prod_j e^{-l_j m_j} (1 - mu_j)^{m_j} and the
+    power sum is sum_i e^{l_i x} sum_s c_s sum_r C(s, r) x^{s-r} G_r(mu_i),
+    G_r = A_r/(1 - mu)^{r+1} (:func:`_eulerian_coeffs`).  Since r < m_i,
+    each B G_r(mu_i) is the polynomial e^{-sum_j l_j m_j} A_r(mu_i)
     (1 - mu_i)^{m_i-r-1} prod_{j != i} (1 - mu_j)^{m_j}: the poles at
-    mu_i = 1 cancel in closed form, so no digits are lost as lam nears one.
+    mu_i = 1 cancel in closed form, so no digits are lost as lam nears a
+    node e^{l_i}, and the node itself is an ordinary point.
     """
     mus = [exp(li) / lam for li, _ in entries]
-    for (li, _), mu in zip(entries, mus):
-        pole = abs(mu - 1) < 1e-12
-        if np.any(pole):
-            raise ValueError(f"lam = {np.extract(pole, lam)[0]} sits on the pole "
-                             f"e^{{lambda_j}}, lambda_j = {li}")
     factors = [pow(1 - mu, len(cvec)) for mu, (_, cvec) in zip(mus, entries)]
     total = 0 * lam
     for i, ((li, cvec), mu) in enumerate(zip(entries, mus)):
@@ -1071,26 +1057,6 @@ def _power_sum_field(entries, x, lam, exp, pow=pow):
     return exp(-sum(li * len(cvec) for li, cvec in entries)) * total
 
 
-def _resolvent(spectrum: SpectrumVector, x: float, lam, dps: int | None):
-    """Phi(x; lam) for x in [0, 1): B(lam) * sum_{j>=0} lam^{-j} g(x + j),
-    with B(lam) = sum_k beta_k lam^{-k}, for one Python-scalar ``lam``.
-
-    ``g`` is the causal Green's function of the operator.  The geometric-type
-    series converges only for |lam| large, but each pole contributes a
-    rational function of e^{lambda_i}/lam, which continues the sum to every
-    ``lam`` off the points e^{lambda_i} (and 0), and B(lam) clears its
-    poles (:func:`_power_sum_field`): in float64 when ``dps`` is None, else
-    in mpmath at ``dps`` digits.
-    """
-    entries, _ = _system(spectrum, dps)
-    x, exp = float(x), math.exp
-    with mp.workdps(dps or mp.dps):
-        if dps is not None:
-            x, lam, exp = mp.mpf(x), mp.mpmathify(lam), mp.exp
-        val = _power_sum_field(entries, x, lam, exp)
-        return complex(val) if isinstance(val, (complex, mp.mpc)) else float(val)
-
-
 def euler_spline_resolvent(spectrum: SpectrumVector, x, lam):
     """Phi(x; lam) by the one-sided resolvent continuation.
 
@@ -1100,13 +1066,14 @@ def euler_spline_resolvent(spectrum: SpectrumVector, x, lam):
     cross-examines :func:`euler_spline` and the Euler-Frobenius coefficients.
     ``x`` and ``lam`` broadcast; scalars give a ``float`` (``complex`` for a
     complex ``lam``).  The closed form has no pole left
-    (:func:`_power_sum_field`), so it runs in float64 at every ``lam``,
-    however close to a node e^{lambda_i}: real ``lam`` as one array pass,
-    with scalar C ``pow`` and ``exp`` per element so that each value keeps
-    the bits of its scalar call, complex ``lam`` one scalar call each.
-    Raises ValueError on a NaN or infinite ``x``, a zero ``lam`` or a
-    ``lam`` on a node, and :class:`ConditioningError` when a term of the
-    closed form overflows float64 (e^{lambda_i}/lam beyond about 1.8e308).
+    (:func:`_power_sum_field`), so it runs in float64 at every nonzero
+    ``lam``, a node e^{lambda_i} included, in one call: real ``lam`` on
+    float64 arrays and complex ``lam`` on object arrays of Python scalars,
+    with scalar C ``pow`` and ``exp`` per element, so that each value keeps
+    the bits of the same form on Python scalars.  Raises ValueError on a
+    NaN or infinite ``x`` or a zero ``lam``, and :class:`ConditioningError`
+    when a term of the closed form overflows float64 (e^{lambda_i}/lam
+    beyond about 1.8e308).
     """
     x, lam = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(lam))
     if np.any(lam == 0):
@@ -1115,19 +1082,20 @@ def euler_spline_resolvent(spectrum: SpectrumVector, x, lam):
     shape, x, lam = x.shape, x.ravel(), lam.ravel()
     k = np.floor(x)
     u = x - k
+    dtype = complex if lam.dtype.kind == "c" else np.float64
     # a term beyond the float64 range raises OverflowError in exp and pow
     # and leaves an inf or NaN in the products, which only a non-finite
     # value can show: the closed form divides by lam alone
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            if lam.dtype.kind == "c":
-                out = np.array([_resolvent(spectrum, ui, li, None) * li ** int(ki)
-                                for ui, li, ki in zip(u, lam.tolist(), k)], dtype=complex)
+            if dtype is complex:
+                lam, pow_, exp_ = lam.astype(object), _scalar_pow, _scalar_exp
             else:
                 lam = lam.astype(np.float64)
                 pow_ = lambda a, b: _scalar_pow(a, b).astype(np.float64)
                 exp_ = lambda v: np.asarray(_scalar_exp(v), dtype=np.float64)
-                out = _power_sum_field(_system(spectrum)[0], u, lam, exp_, pow_) * pow_(lam, k)
+            out = _power_sum_field(_system(spectrum)[0], u, lam, exp_, pow_) * pow_(lam, k)
+            out = np.asarray(out, dtype=dtype)
     except OverflowError:
         out = None
     if out is None or not np.isfinite(out).all():
@@ -1254,7 +1222,7 @@ def _ef_reference(spectrum: SpectrumVector) -> _Rounded:
     """Phi(0; -1) by the float64 pole-free resolvent, with its running error
     bound: the partial fractions (:func:`_green_entries`) and the closed
     form (:func:`_power_sum_field`) run on :class:`_Rounded` numbers, whose
-    values have the bits of ``_resolvent(spectrum, 0.0, -1.0, None)``.  At
+    values have the bits of the same form on Python floats.  At
     x = 0 and lam = -1 every operation on plain floats there is exact, as
     :class:`_Rounded` takes them to be.
     """
@@ -1269,13 +1237,13 @@ def euler_frobenius(spectrum: SpectrumVector) -> EFPolynomial:
     """Build the Euler-Frobenius polynomial from integer TB values.
 
     The coefficients are cross-checked at lam = -1 against the independent
-    resolvent route (:func:`_resolvent`): disagreement beyond 1e-8 of the
-    coefficient scale raises :class:`EFAccuracyError` rather than returning
-    silent garbage.  The check first takes the float64 closed form with its
-    running error bound (:func:`_ef_reference`) and accepts when the
-    disagreement plus the bound is within the tolerance, so that the exact
-    value passes too.  When the bound is too wide or the float64 form
-    overflows, it decides on the closed form in mpmath at
+    resolvent closed form (:func:`_power_sum_field`): disagreement beyond
+    1e-8 of the coefficient scale raises :class:`EFAccuracyError` rather
+    than returning silent garbage.  The check first takes the float64 closed
+    form with its running error bound (:func:`_ef_reference`) and accepts
+    when the disagreement plus the bound is within the tolerance, so that
+    the exact value passes too.  When the bound is too wide or the float64
+    form overflows, it decides on the closed form in mpmath at
     :func:`_exact_dps`.  Either way a spectrum passes exactly when the
     mpmath route alone would pass it.
     """
@@ -1301,8 +1269,10 @@ def euler_frobenius(spectrum: SpectrumVector) -> EFPolynomial:
     # the margin 2 eps covers the rounding of the comparison itself; a NaN
     # slack is not certified either
     if not slack <= tol * (1.0 - 2.0 * np.finfo(float).eps):
-        # lam = -1 is far from every pole node e^{lambda_i} > 0
-        reference = factor * _resolvent(spectrum, 0.0, -1.0, _exact_dps(spectrum))
+        dps = _exact_dps(spectrum)
+        with mp.workdps(dps):
+            phi = _power_sum_field(_system(spectrum, dps)[0], mp.mpf(0), mp.mpf(-1), mp.exp)
+        reference = factor * float(phi)
         if abs(direct - reference) > tol:
             raise EFAccuracyError(
                 f"Euler-Frobenius cross-check failed for {spectrum}: "
@@ -1335,8 +1305,6 @@ def ef_zeros(spectrum: SpectrumVector) -> np.ndarray:
         logs = np.log(-vals)
         sym = 0.5 * (logs - logs[::-1])
         vals = -np.exp(sym)
-        if len(vals) % 2 == 1:
-            vals[len(vals) // 2] = -1.0
     return vals
 
 

@@ -331,6 +331,20 @@ def test_decay_runs_and_reports_ratios(tmp_path, capsys):
     assert len(rows) == 1 + 3  # one row per degree in [k_min, k_max]
 
 
+def test_decay_of_degree_zero_alone_has_no_ratios(tmp_path, capsys):
+    # the ratios run over the degrees k > 0, and this window holds none
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text("k_min = 0\nk_max = 0\n")
+    out = tmp_path / "o"
+    assert main(["decay", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = (out / "decay.csv").read_text().splitlines()
+    assert rows[0] == "k,sup_fourier,sup_time" and len(rows) == 2
+    assert rows[1].startswith("0,")
+    summary = (out / "decay-summary.txt").read_text()
+    assert summary == "n 3  p 1  k range [0, 0]\n"
+
+
 def test_decay_uses_the_config_grid(tmp_path, capsys, monkeypatch):
     # the kernel suprema sit at S_0(0) = 1 on every grid, so decay.csv moves
     # with the grid only in its last bits: watch the grid reach decay_check

@@ -27,7 +27,6 @@ from polyshannon.shannon1d import tb_superposition
 from polyshannon.spectrum import SpectrumVector, radial_spectrum, strip_spectrum
 from polyshannon import tbspline as tbs
 from polyshannon.tbspline import (
-    CancellationError,
     ConditioningError,
     ContourDomainError,
     ConvergenceError,
@@ -313,9 +312,17 @@ def test_stiff_spectrum_uses_hp_and_stays_positive():
     assert np.all(vals > 0.0)
 
 
-def test_cancellation_cap():
-    with pytest.raises(CancellationError):
-        tb_exact(SV([41.0, -41.0]), 1.0)
+def test_exact_has_no_stiffness_cap():
+    # past severity 80 (136, 216 and 82) the mpmath sum at _exact_dps
+    # against the fixed-point Chebyshev pieces, to the battery test's bound
+    # relative to max|Q| (sparse samples of a peaked Q would understate it)
+    rng = np.random.default_rng(41)
+    for sv in (radial_spectrum(32, 3, 2), radial_spectrum(32, 3, 3), SV([41.0, -41.0])):
+        assert tbs.cancellation_severity(sv) > 80.0
+        cheb = tb_chebyshev(sv)
+        peak = np.max(np.abs(cheb(np.linspace(0.0, sv.order, 4001))))
+        t = rng.uniform(0.0, sv.order, 40)
+        assert np.max(np.abs(tb_exact(sv, t) - cheb(t))) <= 1e-13 * peak, str(sv)
 
 
 def test_near_coincident_frequencies_rejected():
@@ -707,8 +714,6 @@ def test_integer_values_match_exact_green_sum_on_battery():
     # the pieces' constant terms against the independent pointwise Green's sum
     classical, strips, radial = _battery()
     for sv in classical + strips + radial:
-        if tbs.cancellation_severity(sv) > tbs.SEVERITY_EXACT_MAX:
-            continue
         got = np.asarray(tb_integer_values(sv))
         want = tb_exact(sv, np.arange(1.0, sv.order))
         assert np.all(np.abs(got - want) <= np.spacing(np.abs(want))), str(sv)
@@ -949,20 +954,30 @@ def test_euler_spline_rejects_a_bad_element_anywhere():
         euler_spline(SV([0.0, 0.0]), np.array([0.5, math.nan]), 2.0)
 
 
+def _mp_resolvent(sv, x, lam, dps):
+    """Phi(x; lam) by the pole-free closed form in mpmath at ``dps`` digits,
+    for a float ``x`` and a Python-scalar ``lam``."""
+    k = math.floor(x)
+    entries = tbs._system(sv, dps)[0]
+    with mp.workdps(dps):
+        lam = mp.mpmathify(lam)
+        return tbs._power_sum_field(entries, mp.mpf(x - k), lam, mp.exp) * lam**k
+
+
 def test_euler_spline_resolvent_array_equals_scalar_loop():
-    # the array route against the scalar closed form on Python scalars, bit
-    # for bit: real float64 draws run as one array pass, those within 1e-6
-    # of a pole node included, complex lam stays scalar
+    # the array route against the same closed form on Python scalars, one
+    # element at a time, bit for bit: real lam on float64 arrays, the nodes
+    # and draws within 1e-6 of them included, complex lam on object arrays
     xs = np.array([-3.7, -3.0, -1.0, -0.25, 0.0, 0.4, 1.0, 1.7, 2.999, 5.5])
 
     def scalar(sv, x, lam):
         k = math.floor(x)
-        return tbs._resolvent(sv, x - k, lam, None) * lam**k
+        return tbs._power_sum_field(tbs._system(sv)[0], x - k, lam, math.exp) * lam**k
 
     for sv in (SV([0.5, -1.0, 0.0, 2.0]), radial_spectrum(3, 3, 2), SV([0, 0, 0, 0])):
         nodes = [math.exp(li) for li, _ in sv.entries]
         lams = np.array([-4.0, -2.5, -0.35, 0.2, 1.3, 4.0]
-                        + [e * (1.0 + d) for e in nodes for d in (1e-6, -1e-6)])
+                        + [e * (1.0 + d) for e in nodes for d in (1e-6, -1e-6, 0.0)])
         grid = euler_spline_resolvent(sv, xs[:, None], lams[None, :])
         loop = np.array([[scalar(sv, float(x), float(lam)) for lam in lams] for x in xs])
         assert grid.shape == (len(xs), len(lams)) and grid.dtype == np.float64
@@ -989,10 +1004,8 @@ def test_euler_spline_resolvent_array_equals_scalar_loop():
     ):
         got = euler_spline_resolvent(spectrum, x, lam)
         assert type(got) is float and got.hex() == want
-        k = math.floor(x)
         with mp.workdps(120):
-            ref = tbs._power_sum_field(tbs._system(spectrum, 120)[0], mp.mpf(x - k),
-                                       mp.mpf(lam), mp.exp) * mp.mpf(lam) ** k
+            ref = _mp_resolvent(spectrum, x, lam, 120)
             assert abs(got - ref) <= 16 * np.finfo(float).eps * euler_spline(spectrum, x, abs(lam))
     assert type(euler_spline_resolvent(sv, 0.4, 2.0 + 1.5j)) is complex
 
@@ -1003,9 +1016,27 @@ def test_euler_spline_resolvent_rejects_a_bad_element_anywhere():
         euler_spline_resolvent(sv, np.array([0.5, math.nan]), 2.0)
     with pytest.raises(ValueError, match="lam must be nonzero"):
         euler_spline_resolvent(sv, 0.5, np.array([1.0, 0.0, 2.0]))
-    node = math.exp(0.5)
-    with pytest.raises(ValueError, match=f"lam = {node!r} sits on the pole"):
-        euler_spline_resolvent(sv, 0.5, np.array([2.0, node, -1.0]))
+
+
+def test_euler_spline_resolvent_takes_the_nodes():
+    # lam = e^{lambda_j} exactly is an ordinary point of the pole-free
+    # closed form: there its float64 value against the same form in mpmath,
+    # within 16 eps of the all-positive sum (lam > 0 makes Phi that sum).
+    # Not against euler_spline: at e^18 for {-17, -15, 16, 18}, Phi ~ Q(x)
+    # is small and the direct sum is good only to eps max|Q|
+    classical, strips, radial = _battery()
+    extra = [SV([0.5, -1.0, 0.0, 2.0]), SV([-17.0, -15.0, 16.0, 18.0])]
+    xs = np.array([-1.3, 0.0, 0.4, 2.5])
+    for sv in list(dict.fromkeys(classical + strips + radial)) + extra:
+        nodes = np.array([math.exp(li) for li, _ in sv.entries])
+        got = euler_spline_resolvent(sv, xs[:, None], nodes[None, :])
+        scale = 16 * np.finfo(float).eps * euler_spline(sv, xs[:, None], nodes[None, :])
+        dps = max(60, tbs._exact_dps(sv) + 20)
+        for i, x in enumerate(xs):
+            for j, lam in enumerate(nodes):
+                with mp.workdps(dps):
+                    err = abs(got[i, j] - _mp_resolvent(sv, float(x), float(lam), dps))
+                assert err <= scale[i, j], (str(sv), x, lam)
 
 
 @pytest.mark.parametrize("freqs, small", [([-710.0, 710.0], 2.0), ([-705.0, 705.0, 1.0], 1e-3)])
@@ -1098,6 +1129,22 @@ def test_ef_degree_and_zero_count():
         assert np.all(zeros < 0.0)
 
 
+@pytest.mark.parametrize("freqs", [
+    [-1.0, 0.0, 1.0], [0.0] * 3, [0.0] * 5, [-2.0, -1.0, 0.0, 1.0, 2.0], [-3.0, 0.0, 3.0],
+    [-0.5, -0.5, 0.0, 0.5, 0.5],
+])
+def test_ef_zeros_symmetric_odd_degree(freqs):
+    # the log-space re-symmetrisation leaves the middle zero at
+    # -exp(0.5 (l - l)) = -1 exactly
+    sv = SV(freqs)
+    zeros = ef_zeros(sv)
+    mid = len(zeros) // 2
+    assert len(zeros) % 2 == 1 and zeros[mid].hex() == (-1.0).hex()
+    assert np.max(np.abs(zeros * zeros[::-1] - 1.0)) <= 1e-12
+    roots = np.sort(np.roots(euler_frobenius(sv).coeffs).real)
+    assert np.max(np.abs(zeros - roots)) <= 1e-12
+
+
 def test_ef_reciprocal_pairing_symmetric():
     for freqs in ([0.0] * 6, [-2.0, 2.0, 0.0, 0.0], [-1.0, -1.0, 1.0, 1.0]):
         sv = SV(freqs)
@@ -1135,7 +1182,7 @@ def _ef_mpmath_passes(sv) -> bool:
     scale = math.exp(sv.freq_sum())
     coeffs = [sign * scale * q for q in tbs.tb_integer_values(sv)]
     direct = float(np.polyval(np.asarray(coeffs), -1.0))
-    phi = tbs._resolvent(sv, 0.0, -1.0, tbs._exact_dps(sv))
+    phi = float(_mp_resolvent(sv, 0.0, -1.0, tbs._exact_dps(sv)))
     return abs(direct - sign * scale * (-1.0) ** (n - 1) * phi) <= 1e-8 * max(
         1.0, sum(abs(c) for c in coeffs))
 
@@ -1185,7 +1232,7 @@ def test_ef_float_bound_covers_its_error():
                 tbs._ef_reference(sv)
             continue
         phi = tbs._ef_reference(sv)
-        assert phi.value == tbs._resolvent(sv, 0.0, -1.0, None), str(sv)
+        assert phi.value == tbs._power_sum_field(tbs._system(sv)[0], 0.0, -1.0, math.exp), str(sv)
         with mp.workdps(dps):
             assert abs(mp.mpf(phi.value) - exact) <= phi.bound(), str(sv)
 
@@ -1208,16 +1255,16 @@ def test_verify_builds_no_mpmath_system(monkeypatch):
 
 def test_undecided_ef_check_reaches_mpmath(monkeypatch):
     # {0, 1e-6, -+3}: the close frequencies widen the bound past the
-    # tolerance; {-+710}: the float64 closed form overflows.  A certified
-    # spectrum asks mpmath nothing
+    # tolerance; {-+710}: the float64 closed form overflows.  Each builds
+    # one mpmath system, at _exact_dps; a certified spectrum builds none
     asked = []
-    resolvent = tbs._resolvent
+    system = tbs._system
 
-    def spy(spectrum, x, lam, dps):
+    def spy(spectrum, dps=None):
         asked.append((spectrum, dps))
-        return resolvent(spectrum, x, lam, dps)
+        return system(spectrum, dps)
 
-    monkeypatch.setattr(tbs, "_resolvent", spy)
+    monkeypatch.setattr(tbs, "_system", spy)
     for sv in (SV([0.0, 1e-6, 3.0, -3.0]), SV([-710.0, 710.0])):
         assert _ef_passes(sv)
         assert asked == [(sv, tbs._exact_dps(sv))]
