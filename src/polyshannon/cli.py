@@ -63,6 +63,7 @@ from .tbspline import (
     ConvergenceError,
     EFAccuracyError,
     EFStructureError,
+    _scalar_pow,
     ef_zeros,
     euler_frobenius,
     euler_spline,
@@ -588,15 +589,16 @@ def _identity_residuals(svs, rng) -> tuple[float, float, float]:
     term-by-term identical and prove nothing.  Residuals are scaled by the
     all-positive sum at |lambda|, which majorizes every signed variant.
     Every draw comes first: 20 (x, lambda) per spectrum, then 20 lambda per
-    symmetric spectrum.  Then each route makes one call per spectrum over
-    the (x, lambda) rows of all three checks; no value depends on its batch.
+    symmetric spectrum.  Then each route makes one multi-spectrum call over
+    the (x, lambda) rows of all three checks of every spectrum; no value
+    depends on its batch.
     """
     symmetric = [sv.is_symmetric() for sv in svs]
     draws = [np.array([(rng.random(), _draw_lam(rng)) for _ in range(20)]).T
              for _ in svs]
     recips = iter([np.array([_draw_lam(rng) for _ in range(20)])
                    for sym in symmetric if sym])
-    shift = half = reciprocal = 0.0
+    resolvent_pairs, spline_pairs = [], []
     for sv, sym, (x, lam) in zip(svs, symmetric, draws):
         n = sv.order
         mid = np.full(20, n / 2.0)
@@ -609,13 +611,18 @@ def _identity_residuals(svs, rng) -> tuple[float, float, float]:
             lr = next(recips)
             resolvent_rows.append((mid, lr))
             spline_rows += [(mid, 1.0 / lr), (mid, np.abs(lr))]
-        a = euler_spline_resolvent(sv, *map(np.concatenate, zip(*resolvent_rows)))
-        phi = euler_spline(sv, *map(np.concatenate, zip(*spline_rows)))
+        resolvent_pairs.append(tuple(map(np.concatenate, zip(*resolvent_rows))))
+        spline_pairs.append(tuple(map(np.concatenate, zip(*spline_rows))))
+    resolvents = euler_spline_resolvent(svs, *zip(*resolvent_pairs))
+    splines = euler_spline(svs, *zip(*spline_pairs))
+    shift = half = reciprocal = 0.0
+    for sv, sym, (x, lam), a, phi in zip(svs, symmetric, draws, resolvents, splines):
+        n = sv.order
         a, phi = a.reshape(-1, 20), phi.reshape(-1, 20)
         shift = max(shift, float(np.max(np.abs(a[0] - lam * phi[0]) / phi[1])))
-        if even:
+        if sym and n % 2 == 0:
             # scalar powers, as in euler_spline, not numpy's SIMD array power
-            d = np.array([li ** (n // 2) for li in lam]) * phi[2]
+            d = _scalar_pow(lam, n // 2).astype(float) * phi[2]
             half = max(half, float(np.max(np.abs(a[1] - d) / phi[3])))
         if sym:
             reciprocal = max(reciprocal, float(np.max(np.abs(a[-1] - phi[-2]) / phi[-1])))

@@ -12,7 +12,8 @@ so reconstruction from sphere data is the channel core of
 :mod:`polyshannon.shannon1d`: one 1-D series per degree k for its 2k+1
 harmonics, which share that spectrum, then a contraction against the
 harmonics.  :class:`_OnHarmonics` gives the core the degree groups, their
-spectra (capped at ``DEGREE_CAP``) and the contraction, row by row against
+spectra (degrees up to ``DEGREE_CAP``, the largest radial degree the
+package accepts) and the contraction, row by row against
 one harmonic stream (:func:`_harmonic_stream`): one azimuthal table for
 all orders, stepped from e^{i phi} = (x + i y)/rho without a trig call, and
 one normalized associated-Legendre recurrence stepped degree by degree, so
@@ -78,7 +79,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 
-DEGREE_CAP = 32  # cancellation guard for the radial spectra
+DEGREE_CAP = 32  # the largest radial degree k the package accepts
 
 
 # --------------------------------------------------------------------------
@@ -384,7 +385,7 @@ def radial_kernel(
 
 def _check_degree(k: int) -> None:
     if k > DEGREE_CAP:
-        raise ValueError(f"degree {k} beyond the cancellation guard {DEGREE_CAP}")
+        raise ValueError(f"degree {k} beyond the largest accepted radial degree {DEGREE_CAP}")
 
 
 @dataclass(frozen=True)

@@ -29,15 +29,16 @@ other):
   dropped tail is at most eps * max|Q|, and is evaluated in float64 as a
   sum over an explicit T_k basis (Trefethen, *Approximation Theory and
   Approximation Practice*, ch. 3).  No stiffness cap and no per-point mpmath work, so
-  every library path that needs Q_N values runs on it, through one
-  evaluator of the sums of translates sum_i c_i Q_N(t - i)
-  (:func:`_translate_sums`): on a cell [j, j+1) such a sum is one
-  Chebyshev series with coefficients sum_m c_{j-m} times piece m, summed
-  over one T_k basis per point.  The callable is its one-term case, whose
-  values keep the bits of their own textbook sums (kernel grids, Euler
-  splines); :func:`~polyshannon.shannon1d.tb_superposition` and the
-  channel core stack the sums of many rows and spectra in one call.
-  :func:`tb_exact` stays the independent reference it is tested against.
+  every library path that needs Q_N values runs on it.  Sums of
+  translates sum_i c_i Q_N(t - i) go through :func:`_translate_sums`: on
+  a cell [j, j+1) such a sum is one Chebyshev series with coefficients
+  sum_m c_{j-m} times piece m, summed over one T_k basis per point;
+  :func:`~polyshannon.shannon1d.tb_superposition` and the channel core
+  stack the sums of many rows and spectra in one call.  Single pieces go
+  through :func:`_pointwise_sums`, whose values keep the bits of their
+  own textbook sums whatever the batch: the callable and the Euler
+  splines of many spectra at once.  :func:`tb_exact` stays the
+  independent reference it is tested against.
 * :func:`tb_tabulate`  -- FFT inversion of the Fourier form with an asymptotic
   correction for the truncated spectral tail, to ``TABULATE_RTOL``.  No
   cancellation at any stiffness, which is exactly why it exists.  The grid
@@ -49,7 +50,8 @@ other):
 
 On top of these sit the exponential Euler spline
 ``Phi(x; lam) = sum_m lam^m Q_N(x - m)`` (three independent routes again:
-direct sum, one-sided resolvent continuation, contour integral) and the
+direct sum, one-sided resolvent continuation, contour integral; the first
+two take many spectra in one call) and the
 generalized Euler-Frobenius polynomial, whose zero set drives the sampling
 theory.
 """
@@ -526,7 +528,8 @@ def _spectral_tail(entries, beta, cutoff, per_unit, n, series_len):
 _CHEB_MAX = 1024
 
 
-#: queries per chunk of :func:`_translate_sums`, each with one Chebyshev basis
+#: queries per chunk of :func:`_translate_sums` and :func:`_pointwise_sums`,
+#: each with one Chebyshev basis
 _BASIS_CHUNK = 2048
 
 
@@ -535,11 +538,10 @@ class TbChebyshev:
     """Q_N as one Chebyshev series per unit interval [m, m+1), m = 0..N-1.
 
     ``coeffs[m][k]`` multiplies T_k(2u - 1) with u = t - m.  The callable
-    is the one-term translate sum of :func:`_translate_sums`, the row [1]
-    at i = 0, whose pointwise products give a value the bits of its own
-    textbook sum whatever the batch.  It keeps :func:`tb_exact`'s
-    conventions: zero outside [0, N) and at a NaN or infinite t,
-    left-closed knots, a float for a scalar argument.
+    sums piece floor(t) at each t by :func:`_pointwise_sums`, so every value
+    has the bits of its own textbook sum whatever the batch.  It keeps
+    :func:`tb_exact`'s conventions: zero outside [0, N) and at a NaN or
+    infinite t, left-closed knots, a float for a scalar argument.
     """
 
     spectrum: SpectrumVector
@@ -547,10 +549,7 @@ class TbChebyshev:
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        out = np.zeros(t_arr.size)
-        for at, values in _translate_sums([(self, 0, np.ones((1, 1)))], t_arr, pointwise=True):
-            out[at] = values[0]
-        out = out.reshape(t_arr.shape)
+        out = _pointwise_sums([self], [t_arr.size], t_arr.reshape(-1)).reshape(t_arr.shape)
         return float(out) if out.ndim == 0 else out
 
 
@@ -575,7 +574,7 @@ def _chebyshev_basis(x: np.ndarray, k: int) -> np.ndarray:
     return basis
 
 
-def _translate_sums(terms, t: np.ndarray, pointwise: bool = False):
+def _translate_sums(terms, t: np.ndarray):
     """Yield (at, values): the flat positions of at most ``_BASIS_CHUNK``
     queries and, per coefficient row c of every term (cheb, first, rows)
     (c_i at column i - first), stacked in term order, sum_i c_i Q_N(t - i).
@@ -586,14 +585,10 @@ def _translate_sums(terms, t: np.ndarray, pointwise: bool = False):
     without those whose cell no term reaches (non-finite ones included),
     whose sums are 0.  Each chunk forms T_k(x) once per query, to the
     longest piece of all terms, and makes one product per cell of the
-    stacked B_j with the basis of the cell's queries.  By default that is
-    a BLAS matrix product, whose rounding follows its shape, so a row's
-    bits depend on its stacking.  ``pointwise`` is the case of
-    :meth:`TbChebyshev.__call__`, one term with the row [1] at i = 0:
-    B_j is piece j as it is, and einsum contracts each cell, adding the
-    terms in ascending k at each point over two or more columns (a
-    one-point cell has its column doubled), so every value has the bits of
-    its own textbook sum.
+    stacked B_j with the basis of the cell's queries.  That is a BLAS
+    matrix product, whose rounding follows its shape, so a row's bits
+    depend on its stacking (:func:`_pointwise_sums` is the batch-free
+    evaluator of single pieces).
     """
     flat = t.reshape(-1)
     cells = np.floor(flat)
@@ -609,17 +604,14 @@ def _translate_sums(terms, t: np.ndarray, pointwise: bool = False):
     c0 = int(cells[order[start]])
     count = int(cells[order[stop - 1]]) - c0 + 1
     k = max(len(c) for cheb, _, _ in terms for c in cheb.coeffs)
-    if pointwise:
-        cell_series = _padded(terms[0][0].coeffs, k)[c0 : c0 + count, None]
-    else:
-        # B[j - c0], stacked over the rows of every term: (cells, rows, k)
-        stacked = []
-        for cheb, first, rows in terms:
-            i = np.arange(c0 - first, c0 - first + count)[:, None] - np.arange(len(cheb.coeffs))
-            i[(i < 0) | (i >= rows.shape[1])] = rows.shape[1]  # the zero column appended
-            taken = np.concatenate([rows, np.zeros((len(rows), 1))], axis=1)[:, i]
-            stacked.append(taken.transpose(1, 0, 2) @ _padded(cheb.coeffs, k))
-        cell_series = np.concatenate(stacked, axis=1)
+    # B[j - c0], stacked over the rows of every term: (cells, rows, k)
+    stacked = []
+    for cheb, first, rows in terms:
+        i = np.arange(c0 - first, c0 - first + count)[:, None] - np.arange(len(cheb.coeffs))
+        i[(i < 0) | (i >= rows.shape[1])] = rows.shape[1]  # the zero column appended
+        taken = np.concatenate([rows, np.zeros((len(rows), 1))], axis=1)[:, i]
+        stacked.append(taken.transpose(1, 0, 2) @ _padded(cheb.coeffs, k))
+    cell_series = np.concatenate(stacked, axis=1)
     for s in range(start, stop, _BASIS_CHUNK):
         at = order[s : min(s + _BASIS_CHUNK, stop)]
         cell = cells[at]
@@ -627,13 +619,41 @@ def _translate_sums(terms, t: np.ndarray, pointwise: bool = False):
         values = np.empty((cell_series.shape[1], len(at)), cell_series.dtype)
         edges = [0, *(np.flatnonzero(np.diff(cell)) + 1), len(at)]
         for a, b in zip(edges, edges[1:]):
-            series = cell_series[int(cell[a]) - c0]
-            if pointwise:
-                cols = basis[:, a:b] if b - a > 1 else np.repeat(basis[:, a:b], 2, axis=1)
-                values[:, a:b] = np.einsum("gk,kn->gn", series, cols)[:, : b - a]
-            else:
-                np.matmul(series, basis[:, a:b], out=values[:, a:b])
+            np.matmul(cell_series[int(cell[a]) - c0], basis[:, a:b], out=values[:, a:b])
         yield at, values
+
+
+def _pointwise_sums(chebs, sizes, t: np.ndarray) -> np.ndarray:
+    """Q_N(t) per entry of the 1-D t, whose entries run over the spectra of
+    ``chebs`` (:class:`TbChebyshev` of one order N) in turn, ``sizes`` of
+    them each: its own piece floor(t) at each entry, 0 where that is no
+    piece (non-finite t included).
+
+    The entries are sorted once (stably) by spectrum and piece and chunked
+    in that order; each chunk forms one T_k basis, to the longest piece of
+    all spectra, and einsum contracts each run of one piece with its
+    columns, adding the terms in ascending k at each entry over two or
+    more columns (a one-entry run has its column doubled).  So every value
+    has the bits of its own textbook sum, whatever the batch.
+    """
+    n = len(chebs[0].coeffs)
+    cells = np.floor(t)
+    live = np.flatnonzero((cells >= 0.0) & (cells < n))
+    # each entry's row in the stack of every spectrum's pieces
+    key = np.repeat(np.arange(0, n * len(chebs), n), sizes)[live] + cells[live].astype(np.intp)
+    order = np.argsort(key, kind="stable")
+    live, key = live[order], key[order]
+    k = max(len(c) for cheb in chebs for c in cheb.coeffs)
+    pieces = np.concatenate([_padded(cheb.coeffs, k) for cheb in chebs])
+    out = np.zeros(t.size)
+    for s in range(0, len(live), _BASIS_CHUNK):
+        at, rows = live[s : s + _BASIS_CHUNK], key[s : s + _BASIS_CHUNK]
+        basis = _chebyshev_basis(2.0 * (t[at] - cells[at]) - 1.0, k)
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        for a, b in zip(starts, [*starts[1:], len(at)]):
+            cols = basis[:, a:b] if b - a > 1 else np.repeat(basis[:, a:b], 2, axis=1)
+            out[at[a:b]] = np.einsum("gk,kn->gn", pieces[rows[a] : rows[a] + 1], cols)[0, : b - a]
+    return out
 
 
 #: fraction bits the fixed-point pieces and Chebyshev coefficients carry
@@ -977,27 +997,76 @@ _scalar_pow = np.frompyfunc(pow, 2, 1)
 _scalar_exp = np.frompyfunc(math.exp, 1, 1)
 
 
-def euler_spline(spectrum: SpectrumVector, x, lam):
+def _spectrum_batch(spectrum, x, lam):
+    """(single, spectra, pairs) of an Euler-spline call: a
+    :class:`SpectrumVector` with one (x, lam) is the one-spectrum form,
+    else ``spectrum``, ``x`` and ``lam`` are equally long sequences.  Each
+    (x, lam) pair is broadcast and checked: raises ValueError on a zero
+    ``lam`` or a NaN or infinite ``x`` in any pair."""
+    single = isinstance(spectrum, SpectrumVector)
+    spectra, x, lam = ([spectrum], [x], [lam]) if single else (list(spectrum), x, lam)
+    pairs = [np.broadcast_arrays(np.asarray(xi, dtype=float), np.asarray(li))
+             for _, xi, li in zip(spectra, x, lam, strict=True)]
+    for xi, li in pairs:
+        if np.any(li == 0):
+            raise ValueError("lam must be nonzero")
+        check_queries(xi)
+    return single, spectra, pairs
+
+
+def _groups(spectra, pairs, key):
+    """Yield (key, members, group): the positions of the spectra that share
+    ``key(spectrum, lam)``, in order of first appearance, and their pairs."""
+    groups = {}
+    for i, (sv, (_, li)) in enumerate(zip(spectra, pairs)):
+        groups.setdefault(key(sv, li), []).append(i)
+    for k, members in groups.items():
+        yield k, members, [pairs[i] for i in members]
+
+
+def _flat(pairs):
+    """(sizes, x, lam) of a group's pairs: their sizes and their x and lam,
+    flattened and concatenated."""
+    return ([xi.size for xi, _ in pairs], np.concatenate([xi.reshape(-1) for xi, _ in pairs]),
+            np.concatenate([li.reshape(-1) for _, li in pairs]))
+
+
+def _unflat(values, pairs) -> list:
+    """A group's flat ``values``, split back into its pairs' shapes."""
+    cuts = np.cumsum([xi.size for xi, _ in pairs])[:-1]
+    return [v.reshape(xi.shape) for v, (xi, _) in zip(np.split(values, cuts), pairs)]
+
+
+def euler_spline(spectrum, x, lam):
     """Phi(x; lam) = sum_m lam^m Q_N(x - m), a finite sum over the support.
 
-    ``x`` and ``lam`` broadcast against each other; scalars give a scalar.
-    ``lam`` must be nonzero everywhere (negative powers appear).  Complex
-    ``lam`` gives a complex result; real input stays real.  The Q_N values
-    of all points come from one :func:`tb_chebyshev` call, so there is no
-    stiffness cap, and each point's value does not depend on the rest of
-    the batch.  Raises ValueError on a NaN or infinite ``x``.
+    One-spectrum form: ``x`` and ``lam`` broadcast against each other;
+    scalars give a scalar.  Multi-spectrum form: a sequence of spectra with
+    a sequence of x and one of lam, one (x, lam) pair per spectrum, gives
+    one array per spectrum, each of its pair's broadcast shape.  ``lam``
+    must be nonzero everywhere (negative powers appear).  Complex ``lam``
+    gives a complex result; real input stays real.  The spectra of one
+    order and lam dtype are evaluated together: their Q_N values at the N
+    live translates t = x - m of every point by :func:`_pointwise_sums`,
+    from :func:`tb_chebyshev` (so there is no stiffness cap), and their
+    weights lam^m by the scalar C ``pow``.  So each value does not depend
+    on the rest of the batch, nor on the other spectra.  Raises ValueError
+    on a NaN or infinite ``x``.
     """
-    x, lam = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(lam))
-    if np.any(lam == 0):
-        raise ValueError("lam must be nonzero")
-    check_queries(x)
-    n = spectrum.order
-    # the N live translates at x: m = floor(x) - N + 1 .. floor(x), ascending
-    ms = np.floor(x)[..., None] + np.arange(1 - n, 1)
-    q = tb_chebyshev(spectrum)(x[..., None] - ms)
-    w = _scalar_pow(lam[..., None], ms).astype(np.result_type(lam, np.float64))
-    out = np.asarray(sum(w[..., j] * q[..., j] for j in range(n)))
-    return out[()]
+    single, spectra, pairs = _spectrum_batch(spectrum, x, lam)
+    outs = [None] * len(spectra)
+    for (n, _), members, group in _groups(spectra, pairs, lambda sv, li: (sv.order, li.dtype)):
+        sizes, x, lam = _flat(group)
+        # the N live translates at x: m = floor(x) - N + 1 .. floor(x), ascending
+        ms = np.floor(x)[:, None] + np.arange(1 - n, 1)
+        q = _pointwise_sums([tb_chebyshev(spectra[i]) for i in members],
+                            [n * size for size in sizes], (x[:, None] - ms).reshape(-1))
+        q = q.reshape(ms.shape)
+        w = _scalar_pow(lam[:, None], ms).astype(np.result_type(lam, np.float64))
+        values = sum(w[:, j] * q[:, j] for j in range(n))
+        for i, v in zip(members, _unflat(values, group)):
+            outs[i] = v
+    return outs[0][()] if single else outs
 
 
 @lru_cache(maxsize=None)
@@ -1057,50 +1126,80 @@ def _power_sum_field(entries, x, lam, exp, pow=pow):
     return exp(-sum(li * len(cvec) for li, cvec in entries)) * total
 
 
-def euler_spline_resolvent(spectrum: SpectrumVector, x, lam):
+def euler_spline_resolvent(spectrum, x, lam):
     """Phi(x; lam) by the one-sided resolvent continuation.
 
     For x in [0,1), Phi(x;lam) = [sum_k beta_k lam^{-k}] * sum_{j>=0} lam^{-j} g(x+j);
     general x reduces by the functional equation Phi(x+1) = lam * Phi(x).
     Entirely independent of pointwise TB values, which is the point: it
     cross-examines :func:`euler_spline` and the Euler-Frobenius coefficients.
-    ``x`` and ``lam`` broadcast; scalars give a ``float`` (``complex`` for a
-    complex ``lam``).  The closed form has no pole left
-    (:func:`_power_sum_field`), so it runs in float64 at every nonzero
-    ``lam``, a node e^{lambda_i} included, in one call: real ``lam`` on
-    float64 arrays and complex ``lam`` on object arrays of Python scalars,
-    with scalar C ``pow`` and ``exp`` per element, so that each value keeps
-    the bits of the same form on Python scalars.  Raises ValueError on a
-    NaN or infinite ``x`` or a zero ``lam``, and :class:`ConditioningError`
-    when a term of the closed form overflows float64 (e^{lambda_i}/lam
-    beyond about 1.8e308).
+    The one- and multi-spectrum forms are those of :func:`euler_spline`;
+    a scalar pair gives a ``float`` (``complex`` for a complex ``lam``).
+    The closed form has no pole left (:func:`_power_sum_field`), so it runs
+    in float64 at every nonzero ``lam``, a node e^{lambda_i} included, in
+    one call per group of spectra with the same multiplicities (their Green
+    terms stacked per point): real ``lam`` on float64 arrays and complex
+    ``lam`` on object arrays of Python scalars, with scalar C ``pow`` and
+    ``exp`` per element, so that each value keeps the bits of the same form
+    on Python scalars, whatever the batch.  Raises ValueError on a NaN or
+    infinite ``x`` or a zero ``lam``, and :class:`ConditioningError` naming
+    a spectrum of which a term of the closed form overflows float64
+    (e^{lambda_i}/lam beyond about 1.8e308).
     """
-    x, lam = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(lam))
-    if np.any(lam == 0):
-        raise ValueError("lam must be nonzero")
-    check_queries(x)
-    shape, x, lam = x.shape, x.ravel(), lam.ravel()
+    single, spectra, pairs = _spectrum_batch(spectrum, x, lam)
+    outs = [None] * len(spectra)
+    pattern = lambda sv, li: (tuple(m for _, m in sv.entries), li.dtype.kind == "c")
+    for (_, cplx), members, group in _groups(spectra, pairs, pattern):
+        values = _resolvent_values([spectra[i] for i in members], group, cplx)
+        if values is None:
+            # every value is its own spectrum's, so some member fails alone
+            bad = next(i for i in members if len(members) == 1
+                       or _resolvent_values([spectra[i]], [pairs[i]], cplx) is None)
+            raise ConditioningError(f"the resolvent of {spectra[bad]} overflows float64")
+        for i, v in zip(members, _unflat(values, group)):
+            outs[i] = v
+    if single:
+        return outs[0] if outs[0].ndim else outs[0].item()
+    return outs
+
+
+def _resolvent_values(spectra, pairs, cplx: bool):
+    """The resolvent at the flattened pairs of spectra with one multiplicity
+    pattern, one pair each, or None where a term overflows."""
+    sizes, x, lam = _flat(pairs)
     k = np.floor(x)
     u = x - k
-    dtype = complex if lam.dtype.kind == "c" else np.float64
+    lam = lam.astype(object if cplx else np.float64)
+
+    def exp_(v):
+        return _scalar_exp(v) if cplx else np.asarray(_scalar_exp(v), dtype=np.float64)
+
+    def stacked(values):
+        # one value per spectrum, repeated over its points
+        out = np.repeat(np.asarray(values, dtype=np.float64), sizes)
+        return out.astype(object) if cplx else out
+
+    def pow_(a, b):
+        # skipped at b = 0: CPython's pow gives 1.0 for every float a and
+        # 1 + 0j for a complex a, which multiplies as 1.0 does
+        if isinstance(b, int) and b == 0:
+            return 1.0
+        return _scalar_pow(a, b) if cplx else _scalar_pow(a, b).astype(np.float64)
+
     # a term beyond the float64 range raises OverflowError in exp and pow
     # and leaves an inf or NaN in the products, which only a non-finite
     # value can show: the closed form divides by lam alone
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            if dtype is complex:
-                lam, pow_, exp_ = lam.astype(object), _scalar_pow, _scalar_exp
-            else:
-                lam = lam.astype(np.float64)
-                pow_ = lambda a, b: _scalar_pow(a, b).astype(np.float64)
-                exp_ = lambda v: np.asarray(_scalar_exp(v), dtype=np.float64)
-            out = _power_sum_field(_system(spectrum)[0], u, lam, exp_, pow_) * pow_(lam, k)
-            out = np.asarray(out, dtype=dtype)
+            entries = [_system(sv)[0] for sv in spectra]
+            green = [(stacked([e[i][0] for e in entries]),
+                      [stacked(cs) for cs in zip(*(e[i][1] for e in entries))])
+                     for i in range(len(entries[0]))]
+            out = _power_sum_field(green, u, lam, exp_, pow_) * pow_(lam, k)
+            out = np.asarray(out, dtype=complex if cplx else np.float64)
     except OverflowError:
-        out = None
-    if out is None or not np.isfinite(out).all():
-        raise ConditioningError(f"the resolvent of {spectrum} overflows float64")
-    return out.reshape(shape) if shape else out.item()
+        return None
+    return out if np.isfinite(out).all() else None
 
 
 # --------------------------------------------------------------------------

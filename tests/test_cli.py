@@ -604,38 +604,35 @@ def test_verify_passes_and_is_deterministic(tmp_path, capsys):
     assert b"ALL CHECKS PASSED" in ta.read_bytes()
 
 
-def test_verify_batches_its_euler_splines(monkeypatch):
-    # exactly one call per battery spectrum, over the rows of all three
-    # identity checks and all of the spectrum's draws; one call per draw
-    # would make thousands
+def _verify_calls(monkeypatch, route: str) -> list:
+    """The (spectra, len(x), len(lam)) of every ``cli.<route>`` call of a
+    default verify run."""
     calls = []
-    euler_spline = cli.euler_spline
+    evaluate = getattr(cli, route)
 
-    def counting(sv, x, lam):
-        calls.append(sv)
-        return euler_spline(sv, x, lam)
+    def counting(spectra, x, lam):
+        calls.append((list(spectra), len(x), len(lam)))
+        return evaluate(spectra, x, lam)
 
-    monkeypatch.setattr(cli, "euler_spline", counting)
+    monkeypatch.setattr(cli, route, counting)
     assert cli.run_verify(ExperimentConfig()).all_passed()
+    return calls
+
+
+def test_verify_batches_its_euler_splines(monkeypatch):
+    # exactly one multi-spectrum call per verify, over the rows of all three
+    # identity checks of every battery spectrum; one call per spectrum
+    # would make 56, one per draw thousands
     battery = [sv for group in cli._battery() for sv in group]
-    assert calls == battery
+    assert _verify_calls(monkeypatch, "euler_spline") == [(battery, len(battery), len(battery))]
 
 
 def test_verify_batches_its_resolvent(monkeypatch):
-    # exactly one resolvent call per battery spectrum, over the rows of all
-    # three identity checks and all of the spectrum's draws; one call per
-    # draw would make thousands
-    calls = []
-    resolvent = cli.euler_spline_resolvent
-
-    def counting(sv, x, lam):
-        calls.append(sv)
-        return resolvent(sv, x, lam)
-
-    monkeypatch.setattr(cli, "euler_spline_resolvent", counting)
-    assert cli.run_verify(ExperimentConfig()).all_passed()
+    # exactly one multi-spectrum resolvent call per verify, over the rows of
+    # all three identity checks of every battery spectrum
     battery = [sv for group in cli._battery() for sv in group]
-    assert calls == battery
+    assert _verify_calls(monkeypatch, "euler_spline_resolvent") == [
+        (battery, len(battery), len(battery))]
 
 
 def test_verify_draws_keep_the_stream():
@@ -649,6 +646,16 @@ def test_verify_draws_keep_the_stream():
         assert new.random().hex() == x.hex()
         assert cli._draw_lam(new).hex() == float(lam).hex()
     assert new.bit_generator.state == old.bit_generator.state
+
+
+def test_halfperiod_powers_keep_the_scalar_bits():
+    # identity/halfperiod takes lambda^{N/2} from _scalar_pow: the bits of
+    # the numpy scalar power it replaced, over verify's draws
+    rng = np.random.default_rng(13)
+    lam = np.array([cli._draw_lam(rng) for _ in range(10_000)])
+    for e in range(1, 5):
+        want = np.array([li ** e for li in lam])
+        assert np.array_equal(cli._scalar_pow(lam, e).astype(float), want)
 
 
 def test_verify_detects_degraded_grid(tmp_path, capsys):

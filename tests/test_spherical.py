@@ -729,10 +729,10 @@ def test_degree_cap_holds_on_both_routes():
     fld = PolysplineField(3, 1, -3, samples)
     r, d = np.array([1.0]), np.array([[0.0, 0.0, 1.0]])
     for kernel in (None, synthesize_kernel):
-        with pytest.raises(ValueError, match="cancellation guard 32"):
+        with pytest.raises(ValueError, match="largest accepted radial degree 32"):
             reconstruct_spherical(fld, r, d, kernel=kernel)
     gen = SyntheticPolyspline(3, 1, -3, samples.T.copy())
-    with pytest.raises(ValueError, match="cancellation guard 32"):
+    with pytest.raises(ValueError, match="largest accepted radial degree 32"):
         gen.eval(r, d)
 
 

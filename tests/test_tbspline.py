@@ -22,7 +22,7 @@ from mpmath import mp
 from scipy.integrate import quad
 from scipy.interpolate import BSpline
 
-from polyshannon.cli import ExperimentConfig, _battery, run_verify
+from polyshannon.cli import ExperimentConfig, _battery, _draw_lam, run_verify
 from polyshannon.shannon1d import tb_superposition
 from polyshannon.spectrum import SpectrumVector, radial_spectrum, strip_spectrum
 from polyshannon import tbspline as tbs
@@ -1048,6 +1048,111 @@ def test_euler_spline_resolvent_overflow_is_named(freqs, small):
     for lam in (small, small + 1e-3j, np.array([small, -3.0]), np.array([small, 1.0j])):
         with pytest.raises(ConditioningError, match="overflows float64"):
             euler_spline_resolvent(sv, 0.5, lam)
+
+
+def _battery_cases(seed):
+    """Per case, one (x, lam) pair per battery spectrum: real lam drawn as
+    verify draws them, complex lam, the nodes e^{lambda_j} against a grid
+    of x (a 2-D pair), integer x, and real and complex pairs alternating."""
+    rng = np.random.default_rng(seed)
+    battery = [sv for group in _battery() for sv in group]
+    cases = {name: ([], []) for name in ("drawn", "complex", "nodes", "integer", "mixed")}
+
+    def add(name, x, lam):
+        cases[name][0].append(x)
+        cases[name][1].append(lam)
+
+    for j, sv in enumerate(battery):
+        x, lam = np.array([(rng.random(), _draw_lam(rng)) for _ in range(20)]).T
+        add("drawn", np.concatenate([x, x + 1.0, np.full(20, sv.order / 2.0)]),
+            np.concatenate([lam, np.abs(lam), 1.0 / lam]))
+        cplx = lam * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 20))
+        add("complex", x * sv.order - 1.0, cplx)
+        add("nodes", np.array([-1.3, 0.0, 0.4, 2.5])[:, None],
+            np.array([math.exp(li) for li, _ in sv.entries])[None, :])
+        add("integer", np.arange(-2.0, sv.order + 2.0), lam[: sv.order + 4])
+        add("mixed", x, cplx if j % 2 else lam)
+    return battery, cases
+
+
+@pytest.mark.parametrize("route", [euler_spline, euler_spline_resolvent])
+def test_multi_spectrum_calls_equal_one_spectrum_calls(route):
+    # the whole battery in one call, and split in two, against one call per
+    # spectrum, bit for bit
+    battery, cases = _battery_cases(71)
+    for name, (xs, lams) in cases.items():
+        alone = [route(sv, x, lam) for sv, x, lam in zip(battery, xs, lams)]
+        half = len(battery) // 2
+        split = (route(battery[:half], xs[:half], lams[:half])
+                 + route(battery[half:], xs[half:], lams[half:]))
+        for batch in (route(battery, xs, lams), split):
+            assert len(batch) == len(battery)
+            for got, want in zip(batch, alone):
+                assert got.dtype == want.dtype and got.shape == want.shape, name
+                assert np.array_equal(got, want), name
+
+
+def test_euler_spline_values_are_frozen():
+    # the direct route's bits, alone and in one batch, so that the batched
+    # core and its one-spectrum form cannot drift together
+    sv = SV([0.5, -1.0, 0.0, 2.0])
+    frozen = [
+        (sv, -3.7, -2.5, "-0x1.71bde085f5d5bp-16"),
+        (radial_spectrum(3, 3, 2), 1.7, 0.35, "0x1.18db144e5093fp+2"),
+        (SV([0, 0, 0, 0]), 2.3, -1.7, "-0x1.6e010cedcc9b4p-6"),
+        (sv, 0.4, 2.0 + 1.5j, ("0x1.441114d0fa4fcp-4", "-0x1.a5b8239c33a16p-4")),
+    ]
+    spectra, xs, lams, _ = map(list, zip(*frozen))
+    for (spectrum, x, lam, want), got in zip(frozen, euler_spline(spectra, xs, lams)):
+        for value in (euler_spline(spectrum, x, lam), got.item()):
+            if isinstance(want, tuple):
+                assert (value.real.hex(), value.imag.hex()) == want
+            else:
+                assert float(value).hex() == want
+
+
+def test_multi_spectrum_calls_take_scalar_and_empty_pairs():
+    sv, other = SV([0.5, -1.0, 0.0]), SV([2.0, -1.0, 0.0])
+    for route in (euler_spline, euler_spline_resolvent):
+        got = route([sv, other, sv], [0.4, np.zeros(0), [0.4, 1.7]], [-0.35, 2.0, -0.35])
+        assert [v.shape for v in got] == [(), (0,), (2,)]
+        assert got[0] == route(sv, 0.4, -0.35) == got[2][0]
+        assert route([], [], []) == []
+
+
+def test_multi_spectrum_calls_check_every_pair():
+    sv = SV([0.5, -1.0])
+    for route in (euler_spline, euler_spline_resolvent):
+        with pytest.raises(ValueError, match="lam must be nonzero"):
+            route([sv, sv], [0.5, 0.5], [2.0, np.array([1.0, 0.0])])
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            route([sv, sv], [0.5, np.array([0.5, math.nan])], [2.0, 2.0])
+        with pytest.raises(ValueError):
+            route([sv, sv], [0.5], [2.0])
+
+
+def test_multi_spectrum_resolvent_names_the_spectrum_that_overflows():
+    # {-710, 710} shares its multiplicities with its neighbours, so the
+    # three are evaluated together; the error names the one that fails
+    spectra = [SV([-1.0, 1.0]), SV([-710.0, 710.0]), SV([-2.0, 3.0])]
+    with pytest.raises(ConditioningError, match=r"of \{-710, 710\} overflows float64"):
+        euler_spline_resolvent(spectra, [0.5] * 3, [2.0] * 3)
+    ok = euler_spline_resolvent(spectra[::2], [0.5] * 2, [2.0] * 2)
+    assert ok == [euler_spline_resolvent(sv, 0.5, 2.0) for sv in spectra[::2]]
+
+
+def test_multi_spectrum_euler_spline_forms_one_basis_per_order(monkeypatch):
+    # spectra of one order share each chunk's basis; an order group beyond
+    # one chunk of translates forms one basis per chunk
+    spectra = [SV([0.5, -1.0, 0.0]), SV([1.0, 2.0]), SV([2.0, -1.0, 0.0]), SV([0.0, 3.0])]
+    xs = [np.linspace(-1.0, 4.0, size) for size in (7, 5, 900, 3)]
+    columns = []
+    basis = tbs._chebyshev_basis
+    monkeypatch.setattr(
+        tbs, "_chebyshev_basis", lambda x, k: columns.append(x.size) or basis(x, k))
+    euler_spline(spectra, xs, [0.5] * 4)
+    order3 = 3 * (7 + 900)  # translates of the order-3 group
+    assert columns == [tbs._BASIS_CHUNK, order3 - tbs._BASIS_CHUNK, 2 * (5 + 3)]
 
 
 def test_contour_rejects_pole_on_axis():
